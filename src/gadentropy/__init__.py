@@ -3,63 +3,29 @@ thermal channel, decomposed into population and coherence parts, with a
 shot-noise-faithful simulation of four-basis optical tomography."""
 
 from .budget import (
-    EntropyBudget,
-    IndeterminateEntropyError,
-    budget,
-    coherence_production,
-    population_production,
-    total_production,
+    EntropyBudget, IndeterminateEntropyError, budget, coherence_production,
+    population_production, total_production,
 )
 from .channel import (
-    BathSpec,
-    GadChannel,
-    apply,
-    channel_for,
-    compose,
-    equilibrium_state,
-    evolve_master_equation,
-    kraus_operators,
-    lindblad_derivative,
-    p_from_temperature,
+    BathSpec, GadChannel, apply, channel_for, compose, equilibrium_state,
+    evolve_master_equation, kraus_operators, lindblad_derivative, p_from_temperature,
     r_from_time,
 )
 from .prep import (
-    PrepSetting,
-    alpha_for_coherence,
-    evolved_closed_form,
-    hwp_phi_for_r,
-    hwp_theta_for_p,
-    prepare,
+    PrepSetting, alpha_for_coherence, evolved_closed_form, hwp_phi_for_r,
+    hwp_theta_for_p, prepare,
 )
 from .qstate import (
-    QubitState,
-    dephase,
-    fidelity,
-    l1_coherence,
-    rel_entropy_coherence,
-    relative_entropy,
-    validate,
-    von_neumann_entropy,
+    QubitState, dephase, fidelity, l1_coherence, rel_entropy_coherence,
+    relative_entropy, validate, von_neumann_entropy,
 )
 from .sweep import (
-    SweepConfig,
-    SweepRow,
-    emit_csv,
-    emit_summary,
-    fig2_config,
-    fig3_config,
-    load_config,
-    run_property_suite,
-    run_sweep,
+    SweepConfig, SweepRow, emit_csv, emit_summary, fig2_config, fig3_config,
+    load_config, run_property_suite, run_sweep,
 )
 from .tomography import (
-    CountRecord,
-    Reconstruction,
-    linear_inversion,
-    project_to_physical,
-    projector_probabilities,
-    reconstruct_with_errors,
-    simulate_counts,
+    CountRecord, Reconstruction, linear_inversion, project_to_physical,
+    projector_probabilities, reconstruct_with_errors, simulate_counts,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

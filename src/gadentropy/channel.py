@@ -131,24 +131,29 @@ def channel_for(bath: BathSpec, t: float) -> GadChannel:
     return GadChannel(p_from_temperature(bath), r_from_time(bath, t))
 
 
-def lindblad_derivative(bath: BathSpec, state: QubitState) -> np.ndarray:
-    """Right-hand side of the thermal master equation.
+def _liouvillian(bath: BathSpec) -> np.ndarray:
+    """The master equation's generator as a 4x4 matrix on row-major vec(rho).
 
     d rho/dt = gamma0 (nbar+1) D[sigma-] rho + gamma0 nbar D[sigma+] rho,
-    with D[L] rho = L rho L^dag - (1/2){L^dag L, rho}.  Traceless, Hermitian.
+    with D[L] rho = L rho L^dag - (1/2){L^dag L, rho}, and
+    vec(A rho B) = (A kron B^T) vec(rho).
     """
-    rho = state.matrix
     nbar = bath.mean_occupation
-    out = np.zeros((2, 2), dtype=np.complex128)
+    eye = np.eye(2)
+    out = np.zeros((4, 4), dtype=np.complex128)
     for rate, op in (
         (bath.gamma0 * (nbar + 1.0), SIGMA_MINUS),
         (bath.gamma0 * nbar, SIGMA_PLUS),
     ):
-        if rate == 0.0:
-            continue
         anti = op.conj().T @ op
-        out += rate * (op @ rho @ op.conj().T - 0.5 * (anti @ rho + rho @ anti))
+        out += rate * (np.kron(op, op.conj()) - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T)))
     return out
+
+
+def lindblad_derivative(bath: BathSpec, state: QubitState) -> np.ndarray:
+    """Right-hand side d rho/dt of the thermal master equation (see
+    `_liouvillian`).  Traceless, Hermitian."""
+    return (_liouvillian(bath) @ state.matrix.reshape(4)).reshape(2, 2)
 
 
 def evolve_master_equation(
@@ -157,7 +162,8 @@ def evolve_master_equation(
     """Fixed-step classical 4th-order integration of the master equation.
 
     Default step is 1e-3 / [gamma0 (2 nbar + 1)]; the step count is rounded
-    up so the final step lands exactly on t.
+    up so the final step lands exactly on t.  The integrator knows only the
+    Lindblad generator, never the Kraus map, so it checks the latter.
     """
     if t < 0:
         raise StepSizeError(f"t must be >= 0, got {t}")
@@ -170,17 +176,14 @@ def evolve_master_equation(
 
     n_steps = max(1, math.ceil(t / dt - 1e-9))
     h = t / n_steps
-
-    def deriv(m: np.ndarray) -> np.ndarray:
-        return lindblad_derivative(bath, QubitState(m))
-
-    rho = np.array(initial.matrix, dtype=np.complex128)
+    gen = _liouvillian(bath)
+    rho = initial.matrix.reshape(4)
     for _ in range(n_steps):
-        k1 = deriv(rho)
-        k2 = deriv(rho + 0.5 * h * k1)
-        k3 = deriv(rho + 0.5 * h * k2)
-        k4 = deriv(rho + h * k3)
+        k1 = gen @ rho
+        k2 = gen @ (rho + 0.5 * h * k1)
+        k3 = gen @ (rho + 0.5 * h * k2)
+        k4 = gen @ (rho + h * k3)
         rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     # Re-symmetrize to scrub integrator round-off.
-    rho = 0.5 * (rho + rho.conj().T)
-    return QubitState(rho)
+    rho = rho.reshape(2, 2)
+    return QubitState(0.5 * (rho + rho.conj().T))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from . import sweep as sw
@@ -69,6 +70,11 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 
 def _run_and_emit(config: sw.SweepConfig) -> int:
+    out_dir = os.path.dirname(config.output_path) or "."
+    if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK | os.X_OK)):
+        print(f"error: cannot write {config.output_path}: {out_dir!r} is not a "
+              "writable directory", file=sys.stderr)
+        return EXIT_IO
     rows = sw.run_sweep(config)
     try:
         sw.emit_csv(rows, config.output_path, config)

@@ -9,19 +9,16 @@ analytic path and the shot-noise tomography path are recorded per row.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bloch, prep, qstate, tomography
 from . import channel as chn
-from . import prep, qstate, tomography
-from .budget import (
-    IndeterminateEntropyError,
-    population_production,
-    total_production,
-)
 from .budget import budget as entropy_budget
 
 DEFAULT_SHOTS = 10_000
@@ -61,10 +58,18 @@ class SweepConfig:
             self.r_grid = uniform_r_grid(DEFAULT_R_POINTS)
         if not self.p_values or not self.alpha_or_coherence:
             raise ConfigError("p_values and alpha_or_coherence must be non-empty")
-        if any(not 0.0 <= r <= 1.0 for r in self.r_grid):
-            raise ConfigError("r_grid values must lie in [0, 1]")
-        if self.shots < 1 or self.n_bootstrap < 2:
-            raise ConfigError("shots must be >= 1 and n_bootstrap >= 2")
+        degrees = self.units == "degrees"
+        for name, values, low, high in (
+            ("p_values", self.p_values, 0.5, 1.0),
+            ("alpha_deg" if degrees else "coherence", self.alpha_or_coherence, 0.0,
+             45.0 if degrees else 1.0),
+            ("r_grid", self.r_grid, 0.0, 1.0),
+        ):
+            bad = [v for v in values if not low <= v <= high]
+            if bad:
+                raise ConfigError(f"{name} must lie in [{low:g}, {high:g}], got {float(bad[0]):g}")
+        if self.shots < 1 or self.n_bootstrap < 2 or self.seed < 0:
+            raise ConfigError("shots must be >= 1, n_bootstrap >= 2 and seed >= 0")
 
     def alphas(self) -> tuple[float, ...]:
         """HWP1 angles in radians for each configured initial state."""
@@ -81,39 +86,43 @@ def uniform_r_grid(n_points: int) -> tuple[float, ...]:
 
 def fig2_config(**overrides) -> SweepConfig:
     """Maximum initial coherence, three bath temperatures."""
-    base = dict(
-        scenario="fig2",
-        p_values=FIG2_P_VALUES,
-        alpha_or_coherence=(1.0,),
-        units="coherence",
-        output_path="fig2.csv",
-    )
-    base.update(overrides)
-    return SweepConfig(**base)
+    return SweepConfig(**{"scenario": "fig2", "p_values": FIG2_P_VALUES,
+                          "alpha_or_coherence": (1.0,), "output_path": "fig2.csv", **overrides})
 
 
 def fig3_config(**overrides) -> SweepConfig:
     """Fixed bath temperature, three initial coherences."""
-    base = dict(
-        scenario="fig3",
-        p_values=FIG3_P_VALUES,
-        alpha_or_coherence=FIG3_COHERENCES,
-        units="coherence",
-        output_path="fig3.csv",
-    )
-    base.update(overrides)
-    return SweepConfig(**base)
+    return SweepConfig(**{"scenario": "fig3", "p_values": FIG3_P_VALUES,
+                          "alpha_or_coherence": FIG3_COHERENCES, "output_path": "fig3.csv",
+                          **overrides})
 
 
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+# Config-file key -> (SweepConfig field, parser of the value text).
 _CONFIG_KEYS = {
-    "scenario", "p_values", "alpha_deg", "coherence", "r_grid", "r_points",
-    "shots", "n_bootstrap", "seed", "out",
+    "scenario": ("scenario", str),
+    "p_values": ("p_values", _floats),
+    "alpha_deg": ("alpha_or_coherence", _floats),
+    "coherence": ("alpha_or_coherence", _floats),
+    "r_grid": ("r_grid", _floats),
+    "r_points": ("r_grid", lambda text: uniform_r_grid(int(text))),
+    "shots": ("shots", int),
+    "n_bootstrap": ("n_bootstrap", int),
+    "seed": ("seed", int),
+    "out": ("output_path", str),
 }
 
 
 def load_config(path: str) -> SweepConfig:
-    """Parse a flat key-value config file (key = value, '#' comments)."""
-    raw: dict[str, str] = {}
+    """Parse a flat key-value config file (key = value, '#' comments).
+
+    Unknown or repeated keys, two keys for one setting (alpha_deg and
+    coherence, r_grid and r_points) and unparseable values raise ConfigError.
+    """
+    kwargs: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -124,45 +133,29 @@ def load_config(path: str) -> SweepConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            raw[key] = value
-
-    def floats(text: str) -> tuple[float, ...]:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-    kwargs: dict = {}
-    if "scenario" in raw:
-        kwargs["scenario"] = raw["scenario"]
-    if "p_values" in raw:
-        kwargs["p_values"] = floats(raw["p_values"])
-    if "alpha_deg" in raw and "coherence" in raw:
-        raise ConfigError("specify alpha_deg or coherence, not both")
-    if "alpha_deg" in raw:
-        kwargs["alpha_or_coherence"] = floats(raw["alpha_deg"])
-        kwargs["units"] = "degrees"
-    if "coherence" in raw:
-        kwargs["alpha_or_coherence"] = floats(raw["coherence"])
-        kwargs["units"] = "coherence"
-    if "r_grid" in raw:
-        kwargs["r_grid"] = floats(raw["r_grid"])
-    elif "r_points" in raw:
-        kwargs["r_grid"] = uniform_r_grid(int(raw["r_points"]))
-    if "shots" in raw:
-        kwargs["shots"] = int(raw["shots"])
-    if "n_bootstrap" in raw:
-        kwargs["n_bootstrap"] = int(raw["n_bootstrap"])
-    if "seed" in raw:
-        kwargs["seed"] = int(raw["seed"])
-    if "out" in raw:
-        kwargs["output_path"] = raw["out"]
+            name, parse = _CONFIG_KEYS[key]
+            if name in kwargs:
+                raise ConfigError(f"{path}:{lineno}: {key!r} repeats or conflicts with an earlier key")
+            try:
+                kwargs[name] = parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+            if key in ("alpha_deg", "coherence"):
+                kwargs["units"] = "degrees" if key == "alpha_deg" else "coherence"
     try:
         return SweepConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
-@dataclass
+@dataclass(slots=True)
 class SweepRow:
-    """One grid point: analytic and tomography entropy productions."""
+    """One grid point: analytic and tomography entropy productions.
+
+    Not in the CSV: `projected` counts reconstructions (both experiments,
+    runs and resamples) projected into the Bloch ball, `nonfinite` the
+    bootstrap samples dropped from the stderrs as non-finite.
+    """
 
     p: float
     r: float
@@ -179,113 +172,105 @@ class SweepRow:
     sigma_coh_tomo_stderr: float
     seed_used: int
     indeterminate: int = 0
+    projected: int = field(default=0, metadata={"csv": False})
+    nonfinite: int = field(default=0, metadata={"csv": False})
 
 
-CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
+CSV_COLUMNS = tuple(
+    f.name for f in dataclasses.fields(SweepRow) if f.metadata.get("csv", True)
+)
 
 
 def _row_seed(master_seed: int, row_index: int) -> int:
     return int(np.random.SeedSequence((master_seed, row_index)).generate_state(1, np.uint64)[0])
 
 
-def _production_with_stderr(production, reconstruction) -> tuple[float, float]:
-    """Evaluate a production functional on the point estimate and its bootstrap."""
-    point = production(reconstruction.state)
-    samples = np.array([production(s) for s in reconstruction.bootstrap_states])
-    finite = samples[np.isfinite(samples)]
-    if len(finite) < 2:
-        return point, math.nan
-    return point, float(np.std(finite, ddof=1))
+def _budget(initial: np.ndarray, final: np.ndarray, p: np.ndarray):
+    """Analytic (total, population, coherence) per row; not finite at p = 1."""
+    def drop(b0, b1):
+        return (bloch.relative_entropy_to_thermal(b0, p)
+                - bloch.relative_entropy_to_thermal(b1, p))
+
+    with np.errstate(invalid="ignore"):
+        total = drop(initial, final)
+        population = drop(bloch.dephase(initial), bloch.dephase(final))
+    return total, population, bloch.coherence(initial) - bloch.coherence(final)
 
 
-def _indeterminate_row(base: dict) -> SweepRow:
-    nan = math.nan
-    return SweepRow(
-        sigma_total=nan, sigma_pop=nan, sigma_coh=nan,
-        sigma_total_tomo=nan, sigma_total_tomo_stderr=nan,
-        sigma_pop_tomo=nan, sigma_pop_tomo_stderr=nan,
-        sigma_coh_tomo=nan, sigma_coh_tomo_stderr=nan,
-        indeterminate=1, **base,
-    )
+def production_estimates(initial, p, freqs, population: bool):
+    """Per-row (point, stderr, projected count, non-finite count) of a production.
+
+    `freqs` (rows, 1 + n_bootstrap, 4) holds the observed run, then its
+    resamples.  Each is inverted, projected into the Bloch ball and scored as
+    D(initial || eq) - D(estimate || eq), on dephased states when
+    `population`.  Non-finite bootstrap samples are left out of the stderr.
+    """
+    estimate = bloch.invert(freqs)
+    projected = np.sum(np.linalg.norm(estimate, axis=-1) > 1.0, axis=1)
+    estimate = bloch.project(estimate)
+    if population:
+        initial, estimate = bloch.dephase(initial), bloch.dephase(estimate)
+    production = (bloch.relative_entropy_to_thermal(initial, p)[:, None]
+                  - bloch.relative_entropy_to_thermal(estimate, p[:, None]))
+    samples = production[:, 1:]
+    finite = np.isfinite(samples)
+    n = finite.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dev = np.where(finite, samples - np.where(finite, samples, 0.0).sum(axis=1, keepdims=True)
+                       / n[:, None], 0.0)
+        stderr = np.where(n >= 2, np.sqrt((dev * dev).sum(axis=1) / (n - 1)), np.nan)
+    return production[:, 0], stderr, projected, samples.shape[1] - n
+
+
+def _tomography(initial, p, r, seeds, config) -> tuple[np.ndarray, np.ndarray]:
+    """Both experiments at determinate rows: the six tomography columns and
+    the (projected, non-finite) counts, one row per grid point."""
+    estimates = []
+    # Experiment 1 prepares `initial` (total production), experiment 2 its
+    # dephased twin, the maximally mixed state (population part).
+    for e, prepared in enumerate((initial, bloch.dephase(initial))):
+        probs = bloch.born_probabilities(bloch.gad(prepared, p, r))
+        freqs = np.empty((len(p), 1 + config.n_bootstrap, 4))
+        for k, (q, seed) in enumerate(zip(probs, seeds)):
+            freqs[k] = tomography.draw_frequencies(q, config.shots, seed + e, config.n_bootstrap)
+        estimates.append(production_estimates(prepared, p, freqs, population=bool(e)))
+    (tot, tot_err, tot_proj, tot_bad), (pop, pop_err, pop_proj, pop_bad) = estimates
+    return (np.column_stack([tot, tot_err, pop, pop_err, tot - pop, np.hypot(tot_err, pop_err)]),
+            np.column_stack([tot_proj + pop_proj, tot_bad + pop_bad]))
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate every (p, alpha, r) grid point of the configured sweep.
 
     Rows are ordered by (p, alpha, r); indeterminate points (p = 1 with a
-    divergent relative entropy) are flagged, not dropped.
+    divergent relative entropy) are flagged, not dropped.  Row i's
+    experiments draw from seeds seed_used and seed_used + 1.
     """
-    rows: list[SweepRow] = []
-    row_index = 0
-    for p in config.p_values:
-        for alpha in config.alphas():
-            coherent = prep.prepare(prep.PrepSetting(alpha, dephased=False))
-            dephased = prep.prepare(prep.PrepSetting(alpha, dephased=True))
-            coherence_initial = qstate.l1_coherence(coherent)
-            for r in config.r_grid:
-                seed = _row_seed(config.seed, row_index)
-                row_index += 1
-                rows.append(
-                    _evaluate_point(
-                        p, r, alpha, coherence_initial, coherent, dephased,
-                        config.shots, config.n_bootstrap, seed,
-                    )
-                )
-    return rows
+    alphas = config.alphas()
+    grid = np.indices((len(config.p_values), len(alphas), len(config.r_grid)))
+    i_p, i_a, i_r = (g.ravel() for g in grid)
+    p = np.asarray(config.p_values, dtype=float)[i_p]
+    r = np.asarray(config.r_grid, dtype=float)[i_r]
+    coherent = np.zeros((p.size, 3))
+    coherent[:, 0] = np.array([math.cos(4.0 * a) for a in alphas])[i_a]
+    total, population, coherence = _budget(coherent, bloch.gad(coherent, p, r), p)
+    det = np.isfinite(total) & np.isfinite(population)
+    seeds = [_row_seed(config.seed, i) for i in range(p.size)]
 
-
-def _evaluate_point(
-    p, r, alpha, coherence_initial, coherent, dephased, shots, n_bootstrap, seed
-) -> SweepRow:
-    ch = chn.GadChannel(p, r)
-    eq = chn.equilibrium_state(ch)
-    base = dict(
-        p=p, r=r, alpha_deg=math.degrees(alpha),
-        coherence_initial=coherence_initial, seed_used=seed,
-    )
-    try:
-        analytic = entropy_budget(coherent, ch)
-    except IndeterminateEntropyError:
-        return _indeterminate_row(base)
-    if not (math.isfinite(analytic.total) and math.isfinite(analytic.population)):
-        # p = 1 with a finite final state: the analytic value diverges and
-        # no tomography estimate is meaningful.
-        return _indeterminate_row(base)
-
-    try:
-        # Experiment 1: coherent preparation, tomograph the evolved state.
-        evolved_coh = chn.apply(ch, coherent)
-        rec1 = tomography.reconstruct_with_errors(evolved_coh, shots, seed, n_bootstrap)
-        total_tomo, total_err = _production_with_stderr(
-            lambda s: total_production(coherent, s, eq, clamp=False), rec1
-        )
-        # Experiment 2: dephased preparation, only populations evolve.
-        evolved_pop = chn.apply(ch, dephased)
-        rec2 = tomography.reconstruct_with_errors(
-            evolved_pop, shots, seed + 1, n_bootstrap
-        )
-        pop_tomo, pop_err = _production_with_stderr(
-            lambda s: population_production(dephased, s, eq, clamp=False), rec2
-        )
-    except IndeterminateEntropyError:
-        return _indeterminate_row(base)
-    # The difference protocol; the direct value is the analytic sigma_coh,
-    # and the two routes are asserted to agree inside budget().
-    coh_tomo = total_tomo - pop_tomo
-    coh_err = math.hypot(total_err, pop_err)
-
-    return SweepRow(
-        sigma_total=analytic.total,
-        sigma_pop=analytic.population,
-        sigma_coh=analytic.coherence,
-        sigma_total_tomo=total_tomo,
-        sigma_total_tomo_stderr=total_err,
-        sigma_pop_tomo=pop_tomo,
-        sigma_pop_tomo_stderr=pop_err,
-        sigma_coh_tomo=coh_tomo,
-        sigma_coh_tomo_stderr=coh_err,
-        **base,
-    )
+    table = np.full((p.size, 13), np.nan)
+    table[:, 0], table[:, 1] = p, r
+    table[:, 2] = np.array([math.degrees(a) for a in alphas])[i_a]
+    table[:, 3] = np.abs(coherent[:, 0])
+    table[det, 4:7] = np.maximum(np.column_stack([total, population, coherence])[det], 0.0)
+    counts = np.zeros((p.size, 2), dtype=int)
+    table[det, 7:], counts[det] = _tomography(
+        coherent[det], p[det], r[det], [s for s, ok in zip(seeds, det) if ok], config)
+    return [
+        SweepRow(*values, seed_used=seed, indeterminate=int(not ok), projected=n_proj,
+                 nonfinite=n_bad)
+        for *values, seed, ok, n_proj, n_bad in zip(
+            *table.T.tolist(), seeds, det.tolist(), *counts.T.tolist())
+    ]
 
 
 def _format_value(value) -> str:
@@ -294,22 +279,40 @@ def _format_value(value) -> str:
     return format(value, ".12g")
 
 
+def _counters(rows: list[SweepRow]) -> dict:
+    return {
+        "indeterminate_rows": sum(r.indeterminate for r in rows),
+        "projected_reconstructions": sum(r.projected for r in rows),
+        "nonfinite_bootstrap_dropped": sum(r.nonfinite for r in rows),
+    }
+
+
+def _write_atomic(path: str, lines) -> None:
+    """Write the lines through a temporary file in the same directory, then
+    rename it over `path`, so a reader never sees a half-written file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def emit_csv(rows: list[SweepRow], path: str, config: SweepConfig | None = None) -> None:
     """Write the sweep as UTF-8 CSV with a fixed column order.
 
     Floats carry 12 significant digits so reruns with the same seed are
     byte-identical.  A JSON metadata sidecar (<path>.meta.json) records the
-    configuration, the RNG algorithm, and the error-bar procedure.
+    configuration, the RNG algorithm, the error-bar procedure and the
+    counters of `emit_summary`.  Each file is replaced atomically.
     """
     if not rows:
         raise IOError("refusing to write an empty sweep")
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(
-            ",".join(_format_value(getattr(row, name)) for name in CSV_COLUMNS)
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, itertools.chain([",".join(CSV_COLUMNS) + "\n"], (
+        ",".join(_format_value(getattr(row, name)) for name in CSV_COLUMNS) + "\n"
+        for row in rows)))
     if config is not None:
         meta = {
             "config": dataclasses.asdict(config),
@@ -319,41 +322,32 @@ def emit_csv(rows: list[SweepRow], path: str, config: SweepConfig | None = None)
                 "observed frequencies, stderr = sample std over resampled "
                 "reconstructions; simulation-based, not a lab claim"
             ),
+            "counters": _counters(rows),
         }
-        with open(path + ".meta.json", "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, default=list)
-            fh.write("\n")
+        _write_atomic(path + ".meta.json", [json.dumps(meta, indent=2, default=list), "\n"])
 
 
 def emit_summary(rows: list[SweepRow]) -> str:
     """Human-readable consistency report over a finished sweep."""
     if not rows:
         raise IOError("no rows to summarize")
-    finite = [r for r in rows if not r.indeterminate]
-    add_viol = max(
-        (abs(r.sigma_total - (r.sigma_pop + r.sigma_coh)) for r in finite),
-        default=0.0,
-    )
-    negativity = max(
-        (-min(r.sigma_total, r.sigma_pop, r.sigma_coh) for r in finite),
-        default=0.0,
-    )
-    max_dev = 0.0
-    max_dev_sigmas = 0.0
-    for r in finite:
-        for analytic, tomo, err in (
-            (r.sigma_total, r.sigma_total_tomo, r.sigma_total_tomo_stderr),
-            (r.sigma_pop, r.sigma_pop_tomo, r.sigma_pop_tomo_stderr),
-        ):
-            dev = abs(tomo - analytic)
-            if dev > max_dev:
-                max_dev = dev
-                max_dev_sigmas = dev / err if err > 0 else math.inf
+    # Determinate rows' (total, pop, coh, total_tomo, total_err, pop_tomo, pop_err).
+    a = np.fromiter((getattr(r, c) for r in rows if not r.indeterminate
+                     for c in CSV_COLUMNS[4:11]), float).reshape(-1, 7)
+    # A leading (0 deviation, unit stderr) entry reports 0 stderr when nothing deviates.
+    dev = np.concatenate([[0.0], np.nan_to_num(np.abs(a[:, [3, 5]] - a[:, :2])).ravel()])
+    err = np.concatenate([[1.0], a[:, [4, 6]].ravel()])
+    worst = int(np.argmax(dev))
+    max_dev_sigmas = dev[worst] / err[worst] if err[worst] > 0 else math.inf
+    c = _counters(rows)
     lines = [
-        f"rows: {len(rows)} ({len(rows) - len(finite)} indeterminate)",
-        f"max additivity violation (analytic): {add_viol:.3e}",
-        f"max negativity (analytic): {max(negativity, 0.0):.3e}",
-        f"max |tomography - analytic|: {max_dev:.3e} ({max_dev_sigmas:.2f} stderr)",
+        f"rows: {len(rows)} ({c['indeterminate_rows']} indeterminate)",
+        f"max additivity violation (analytic): "
+        f"{np.max(np.abs(a[:, 0] - (a[:, 1] + a[:, 2])), initial=0.0):.3e}",
+        f"max negativity (analytic): {np.max(-a[:, :3], initial=0.0):.3e}",
+        f"max |tomography - analytic|: {dev[worst]:.3e} ({max_dev_sigmas:.2f} stderr)",
+        f"reconstructions projected into the Bloch ball: {c['projected_reconstructions']}",
+        f"non-finite bootstrap samples dropped: {c['nonfinite_bootstrap_dropped']}",
     ]
     return "\n".join(lines)
 
@@ -374,10 +368,7 @@ class PropertyReport:
         return all(r.passed for r in self.results)
 
     def render(self) -> str:
-        lines = [
-            f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}"
-            for r in self.results
-        ]
+        lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}" for r in self.results]
         lines.append("ALL PASS" if self.passed else "FAILURES PRESENT")
         return "\n".join(lines)
 
@@ -392,115 +383,68 @@ def _random_state(rng: np.random.Generator) -> qstate.QubitState:
 def run_property_suite(seed: int = 1234) -> PropertyReport:
     """Run every module invariant on documented grids with a fixed seed."""
     rng = np.random.default_rng(seed)
-    report = PropertyReport()
-    p_grid = np.linspace(0.5, 1.0, 11)
-    r_grid = np.linspace(0.0, 1.0, 11)
+    grid = [chn.GadChannel(p, r) for p in np.linspace(0.5, 1.0, 11)
+            for r in np.linspace(0.0, 1.0, 11)]
+    preps = [(s, prep.prepare(s))
+             for s in map(prep.PrepSetting, np.linspace(0.0, math.pi / 4.0, 9))]
 
-    # Kraus completeness and fixed point over the (p, r) grid.
-    worst_complete = 0.0
-    worst_fixed = 0.0
-    for p in p_grid:
-        for r in r_grid:
-            ch = chn.GadChannel(p, r)
-            total = sum(m.conj().T @ m for m in chn.kraus_operators(ch))
-            worst_complete = max(worst_complete, float(np.max(np.abs(total - np.eye(2)))))
+    def dev(a, b) -> float:
+        return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+    def within(worst: float) -> tuple[bool, str]:
+        return worst < 1e-12, f"max deviation {worst:.3e}"
+
+    def random_channel(p: float | None = None) -> chn.GadChannel:
+        p = rng.uniform(0.5, 1.0 - 1e-9) if p is None else p
+        return chn.GadChannel(p, rng.uniform(0.0, 1.0))
+
+    def contractivity() -> tuple[bool, str]:
+        violations = 0
+        for _ in range(500):
+            state, ch = _random_state(rng), random_channel()
             eq = chn.equilibrium_state(ch)
-            worst_fixed = max(
-                worst_fixed,
-                float(np.max(np.abs(chn.apply(ch, eq).matrix - eq.matrix))),
-            )
-    report.results.append(PropertyResult(
-        "kraus completeness (11x11 grid)", worst_complete < 1e-12,
-        f"max deviation {worst_complete:.3e}"))
-    report.results.append(PropertyResult(
-        "equilibrium fixed point (11x11 grid)", worst_fixed < 1e-12,
-        f"max deviation {worst_fixed:.3e}"))
+            after = qstate.relative_entropy(chn.apply(ch, state), eq)
+            violations += after > qstate.relative_entropy(state, eq) + 1e-10
+        return violations == 0, f"{violations} violations"
 
-    # Closed-form evolved state vs Kraus application.
-    worst_closed = 0.0
-    for alpha in np.linspace(0.0, math.pi / 4.0, 9):
-        setting = prep.PrepSetting(alpha)
-        state = prep.prepare(setting)
-        for p in p_grid:
-            for r in r_grid:
-                ch = chn.GadChannel(p, r)
-                dev = np.max(np.abs(
-                    chn.apply(ch, state).matrix
-                    - prep.evolved_closed_form(setting, ch).matrix
-                ))
-                worst_closed = max(worst_closed, float(dev))
-    report.results.append(PropertyResult(
-        "closed-form evolved state (9x11x11 grid)", worst_closed < 1e-12,
-        f"max deviation {worst_closed:.3e}"))
+    def additivity() -> tuple[bool, str]:
+        gap = neg = 0.0
+        for _ in range(1000):
+            setting = prep.PrepSetting(rng.uniform(0.0, math.pi / 4.0))
+            b = entropy_budget(prep.prepare(setting), random_channel())
+            gap = max(gap, abs(b.total - (b.population + b.coherence)))
+            neg = max(neg, -min(b.total, b.population, b.coherence))
+        return (gap < 1e-10 and neg <= 0.0,
+                f"max additivity gap {gap:.3e}, max negativity {max(neg, 0.0):.3e}")
 
-    # Contractivity of relative entropy to equilibrium.
-    violations = 0
-    for _ in range(500):
-        state = _random_state(rng)
-        ch = chn.GadChannel(rng.uniform(0.5, 1.0 - 1e-9), rng.uniform(0.0, 1.0))
-        eq = chn.equilibrium_state(ch)
-        before = qstate.relative_entropy(state, eq)
-        after = qstate.relative_entropy(chn.apply(ch, state), eq)
-        if after > before + 1e-10:
-            violations += 1
-    report.results.append(PropertyResult(
-        "relative-entropy contractivity (500 random cases)", violations == 0,
-        f"{violations} violations"))
+    def composition(p: float) -> float:
+        ch1, ch2, state = random_channel(p), random_channel(p), _random_state(rng)
+        return dev(chn.apply(ch2, chn.apply(ch1, state)).matrix,
+                   chn.apply(chn.compose(ch1, ch2), state).matrix)
 
-    # Decomposition additivity and non-negativity on random (alpha, p, r).
-    worst_add = 0.0
-    worst_neg = 0.0
-    for _ in range(1000):
-        setting = prep.PrepSetting(rng.uniform(0.0, math.pi / 4.0))
-        ch = chn.GadChannel(rng.uniform(0.5, 1.0 - 1e-9), rng.uniform(0.0, 1.0))
-        b = entropy_budget(prep.prepare(setting), ch)
-        worst_add = max(worst_add, abs(b.total - (b.population + b.coherence)))
-        worst_neg = max(worst_neg, -min(b.total, b.population, b.coherence))
-    report.results.append(PropertyResult(
-        "budget additivity + non-negativity (1000 random triples)",
-        worst_add < 1e-10 and worst_neg <= 0.0,
-        f"max additivity gap {worst_add:.3e}, max negativity {max(worst_neg, 0.0):.3e}"))
-
-    # Off-diagonal decay sqrt(1-r) independent of p.
-    worst_decay = 0.0
-    for r in r_grid:
-        factor = math.sqrt(1.0 - r)
-        for p in p_grid:
-            out = chn.apply(chn.GadChannel(p, r), qstate.PLUS)
-            worst_decay = max(
-                worst_decay, abs(float(out.matrix[0, 1].real) - 0.5 * factor)
-            )
-    report.results.append(PropertyResult(
-        "coherence decay sqrt(1-r), p-independent", worst_decay < 1e-12,
-        f"max deviation {worst_decay:.3e}"))
-
-    # Same-p semigroup composition.
-    worst_comp = 0.0
-    for _ in range(100):
-        p = rng.uniform(0.5, 1.0)
-        ch1 = chn.GadChannel(p, rng.uniform(0.0, 1.0))
-        ch2 = chn.GadChannel(p, rng.uniform(0.0, 1.0))
-        state = _random_state(rng)
-        sequential = chn.apply(ch2, chn.apply(ch1, state))
-        composed = chn.apply(chn.compose(ch1, ch2), state)
-        worst_comp = max(
-            worst_comp, float(np.max(np.abs(sequential.matrix - composed.matrix)))
-        )
-    report.results.append(PropertyResult(
-        "semigroup composition (100 random cases)", worst_comp < 1e-12,
-        f"max deviation {worst_comp:.3e}"))
-
-    # Tomography round trip at exact frequencies.
-    worst_rt = 0.0
-    for _ in range(200):
-        state = _random_state(rng)
+    def round_trip(state: qstate.QubitState) -> float:
         probs = tomography.projector_probabilities(state)
-        recon = tomography.project_to_physical(
-            tomography.inversion_from_frequencies(probs)
-        )
-        worst_rt = max(worst_rt, float(np.max(np.abs(recon.matrix - state.matrix))))
-    report.results.append(PropertyResult(
-        "tomography exact-frequency round trip (200 random states)",
-        worst_rt < 1e-12, f"max deviation {worst_rt:.3e}"))
+        recon = tomography.project_to_physical(tomography.inversion_from_frequencies(probs))
+        return dev(recon.matrix, state.matrix)
 
-    return report
+    checks = (
+        ("kraus completeness (11x11 grid)", lambda: within(max(
+            dev(sum(m.conj().T @ m for m in chn.kraus_operators(ch)), np.eye(2))
+            for ch in grid))),
+        ("equilibrium fixed point (11x11 grid)", lambda: within(max(
+            dev(chn.apply(ch, chn.equilibrium_state(ch)).matrix,
+                chn.equilibrium_state(ch).matrix) for ch in grid))),
+        ("closed-form evolved state (9x11x11 grid)", lambda: within(max(
+            dev(chn.apply(ch, state).matrix, prep.evolved_closed_form(setting, ch).matrix)
+            for setting, state in preps for ch in grid))),
+        ("relative-entropy contractivity (500 random cases)", contractivity),
+        ("budget additivity + non-negativity (1000 random triples)", additivity),
+        ("coherence decay sqrt(1-r), p-independent", lambda: within(max(
+            abs(float(chn.apply(ch, qstate.PLUS).matrix[0, 1].real)
+                - 0.5 * math.sqrt(1.0 - ch.r)) for ch in grid))),
+        ("semigroup composition (100 random cases)", lambda: within(max(
+            composition(rng.uniform(0.5, 1.0)) for _ in range(100)))),
+        ("tomography exact-frequency round trip (200 random states)", lambda: within(max(
+            round_trip(_random_state(rng)) for _ in range(200)))),
+    )
+    return PropertyReport([PropertyResult(name, *check()) for name, check in checks])

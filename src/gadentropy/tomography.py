@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bloch
 from .qstate import QubitState, validate
 
 BASIS_LABELS = ("H", "V", "R", "D")
@@ -49,45 +50,39 @@ class Reconstruction:
     """Reconstructed state with per-element bootstrap standard errors.
 
     stderr[i, j] combines real and imaginary spread of element (i, j).
-    bootstrap_states holds the resampled reconstructions so downstream
-    quantities (entropy productions) can get error bars from the same draw.
+    bootstrap_bloch holds the resampled reconstructions as (n_bootstrap, 3)
+    Bloch vectors so downstream quantities (entropy productions) can get
+    error bars from the same draw.
     """
 
     state: QubitState
     stderr: np.ndarray
     n_bootstrap: int
-    bootstrap_states: tuple[QubitState, ...]
+    bootstrap_bloch: np.ndarray
+
+    @property
+    def bootstrap_states(self) -> tuple[QubitState, ...]:
+        """The resampled reconstructions as states."""
+        return tuple(QubitState.from_bloch(*b) for b in self.bootstrap_bloch)
 
 
 def projector_probabilities(state: QubitState) -> np.ndarray:
     """Born probabilities (p_H, p_V, p_R, p_D)."""
-    m = state.matrix
-    p_h = float(m[0, 0].real)
-    p_v = float(m[1, 1].real)
-    p_r = 0.5 - float(m[0, 1].imag)
-    p_d = 0.5 + float(m[0, 1].real)
-    return np.clip(np.array([p_h, p_v, p_r, p_d]), 0.0, 1.0)
+    return bloch.born_probabilities(state.bloch_vector())
 
 
 def simulate_counts(state: QubitState, shots: int, seed: int) -> CountRecord:
     """Independent binomial draws per basis; deterministic given seed."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    rng = np.random.default_rng(seed)
-    probs = projector_probabilities(state)
-    counts = tuple(int(rng.binomial(shots, p)) for p in probs)
-    return CountRecord(counts=counts, shots_per_basis=shots, seed=seed)
+    counts = np.random.default_rng(seed).binomial(shots, projector_probabilities(state))
+    return CountRecord(counts=tuple(int(c) for c in counts), shots_per_basis=shots, seed=seed)
 
 
 def inversion_from_frequencies(frequencies) -> np.ndarray:
-    """Linear inversion from (f_H, f_V, f_R, f_D); may be unphysical.
-
-    Pauli expectations: <sz> = f_H - f_V, <sx> = 2 f_D - 1, <sy> = 2 f_R - 1.
-    """
-    f_h, f_v, f_r, f_d = np.asarray(frequencies, dtype=float)
-    z = f_h - f_v
-    x = 2.0 * f_d - 1.0
-    y = 2.0 * f_r - 1.0
+    """Linear inversion from (f_H, f_V, f_R, f_D) to a Hermitian unit-trace
+    matrix; may be unphysical (see `bloch.invert`)."""
+    x, y, z = bloch.invert(frequencies)
     return 0.5 * np.array(
         [[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]], dtype=np.complex128
     )
@@ -118,6 +113,17 @@ def reconstruct_counts(record: CountRecord) -> QubitState:
     return project_to_physical(linear_inversion(record))
 
 
+def draw_frequencies(probs, shots: int, seed: int, n_bootstrap: int) -> np.ndarray:
+    """Frequencies of one simulated run (row 0, drawn from `seed`) and of its
+    n_bootstrap parametric resamples at the observed frequencies (rows 1..,
+    from a separate stream of `seed`), shape (1 + n_bootstrap, 4)."""
+    freqs = np.empty((1 + n_bootstrap, 4))
+    freqs[0] = np.random.default_rng(seed).binomial(shots, probs) / shots
+    rng = np.random.default_rng(np.random.SeedSequence((seed, _BOOTSTRAP_STREAM)))
+    freqs[1:] = rng.binomial(shots, freqs[0], size=(n_bootstrap, 4)) / shots
+    return freqs
+
+
 def reconstruct_with_errors(
     state: QubitState, shots: int, seed: int, n_bootstrap: int = 200
 ) -> Reconstruction:
@@ -127,28 +133,17 @@ def reconstruct_with_errors(
     times and reports the elementwise standard error over the resampled
     reconstructions.  Deterministic given seed.
     """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
     if n_bootstrap < 2:
         raise ValueError("n_bootstrap must be >= 2")
-    record = simulate_counts(state, shots, seed)
-    estimate = reconstruct_counts(record)
+    blochs = bloch.project(bloch.invert(
+        draw_frequencies(projector_probabilities(state), shots, seed, n_bootstrap)))
+    estimate = QubitState.from_bloch(*blochs[0])
     validate(estimate)
-
-    freqs = record.frequencies
-    rng = np.random.default_rng(np.random.SeedSequence((seed, _BOOTSTRAP_STREAM)))
-    boot_states = []
-    boot_matrices = np.empty((n_bootstrap, 2, 2), dtype=np.complex128)
-    for k in range(n_bootstrap):
-        resampled = rng.binomial(shots, freqs) / shots
-        st = project_to_physical(inversion_from_frequencies(resampled))
-        boot_states.append(st)
-        boot_matrices[k] = st.matrix
-    stderr = np.sqrt(
-        np.var(boot_matrices.real, axis=0, ddof=1)
-        + np.var(boot_matrices.imag, axis=0, ddof=1)
-    )
+    # Element (0, 0) and (1, 1) carry z/2; the off-diagonals carry (x -+ i y)/2.
+    var_x, var_y, var_z = np.var(blochs[1:], axis=0, ddof=1)
+    stderr = 0.5 * np.sqrt(np.array([[var_z, var_x + var_y], [var_x + var_y, var_z]]))
     return Reconstruction(
-        state=estimate,
-        stderr=stderr,
-        n_bootstrap=n_bootstrap,
-        bootstrap_states=tuple(boot_states),
+        state=estimate, stderr=stderr, n_bootstrap=n_bootstrap, bootstrap_bloch=blochs[1:]
     )

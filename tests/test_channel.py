@@ -219,6 +219,20 @@ class TestLindblad:
             assert abs(np.trace(deriv)) < 1e-12
             assert np.max(np.abs(deriv - deriv.conj().T)) < 1e-12
 
+    def test_matches_dissipator_sandwich_form(self):
+        # D[L] rho = L rho L^dag - {L^dag L, rho} / 2, written out per operator.
+        lower = np.array([[0.0, 1.0], [0.0, 0.0]])
+        nbar = BATH_LN9.mean_occupation
+        rng = np.random.default_rng(27)
+        for _ in range(20):
+            rho = random_state(rng).matrix
+            want = sum(
+                rate * (op @ rho @ op.T - 0.5 * (op.T @ op @ rho + rho @ op.T @ op))
+                for rate, op in ((nbar + 1.0, lower), (nbar, lower.T))
+            )
+            got = lindblad_derivative(BATH_LN9, QubitState(rho))
+            assert np.max(np.abs(got - want)) < 1e-12
+
 
 class TestMasterEquationIntegration:
     def test_zero_time_returns_initial(self):

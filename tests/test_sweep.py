@@ -1,9 +1,15 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from gadentropy import cli
+from gadentropy import bloch, cli
+from gadentropy.budget import population_production, total_production
+from gadentropy.channel import GadChannel, apply
+from gadentropy.prep import PrepSetting, prepare
+from gadentropy.qstate import QubitState
 from gadentropy.sweep import (
     CSV_COLUMNS,
     ConfigError,
@@ -13,8 +19,15 @@ from gadentropy.sweep import (
     fig2_config,
     fig3_config,
     load_config,
+    production_estimates,
     run_property_suite,
     run_sweep,
+)
+from gadentropy.tomography import (
+    draw_frequencies,
+    inversion_from_frequencies,
+    project_to_physical,
+    projector_probabilities,
 )
 
 SMALL = dict(shots=500, n_bootstrap=5, seed=99, r_grid=(0.0, 0.5, 1.0))
@@ -250,3 +263,153 @@ class TestCli:
     def test_check_passes(self, capsys):
         assert cli.main(["check"]) == 0
         assert "ALL PASS" in capsys.readouterr().out
+
+
+class TestArrayPathMatchesStates:
+    """The sweep's vectorized estimates against the per-state QubitState path."""
+
+    @staticmethod
+    def per_state(initial, p, freqs, production):
+        eq = QubitState.diagonal(p, 1.0 - p)
+        values = [
+            production(initial, project_to_physical(inversion_from_frequencies(f)), eq,
+                       clamp=False)
+            for f in freqs
+        ]
+        return values[0], float(np.std(values[1:], ddof=1))
+
+    @pytest.mark.parametrize("shots", [50, 10_000])
+    def test_estimates_match_per_state_path(self, shots):
+        rng = np.random.default_rng(shots)
+        p = rng.uniform(0.5, 0.99, size=12)
+        r = rng.uniform(0.0, 1.0, size=12)
+        coherent = np.zeros((12, 3))
+        coherent[:, 0] = rng.uniform(-1.0, 1.0, size=12)
+        for initial, population, production in (
+            (coherent, False, total_production),
+            (np.zeros_like(coherent), True, population_production),
+        ):
+            probs = bloch.born_probabilities(bloch.gad(initial, p, r))
+            freqs = np.array([draw_frequencies(q, shots, 7 + k, 40) for k, q in enumerate(probs)])
+            point, stderr, _, dropped = production_estimates(initial, p, freqs, population)
+            assert not dropped.any()
+            for k in range(12):
+                want = self.per_state(QubitState.from_bloch(*initial[k]), p[k], freqs[k],
+                                      production)
+                assert point[k] == pytest.approx(want[0], abs=1e-12)
+                assert stderr[k] == pytest.approx(want[1], abs=1e-12)
+
+    def test_rows_reproduce_from_seed_used(self):
+        # Experiment 1 draws from seed_used, experiment 2 from seed_used + 1.
+        cfg = fig3_config(**SMALL)
+        for row in run_sweep(cfg):
+            ch = GadChannel(row.p, row.r)
+            coherent = prepare(PrepSetting(math.radians(row.alpha_deg)))
+            dephased = prepare(PrepSetting(0.0, dephased=True))
+            got = []
+            for seed, initial, production in (
+                (row.seed_used, coherent, total_production),
+                (row.seed_used + 1, dephased, population_production),
+            ):
+                freqs = draw_frequencies(projector_probabilities(apply(ch, initial)),
+                                         cfg.shots, seed, cfg.n_bootstrap)
+                got += self.per_state(initial, row.p, freqs, production)
+            want = (row.sigma_total_tomo, row.sigma_total_tomo_stderr,
+                    row.sigma_pop_tomo, row.sigma_pop_tomo_stderr)
+            assert got == pytest.approx(want, abs=1e-12)
+
+    def test_nonfinite_samples_are_dropped_and_counted(self):
+        # At p = 1 any weight on the excited state makes D infinite.
+        initial = np.array([[0.0, 0.0, 1.0]])
+        freqs = np.array([[[1.0, 0.0, 0.5, 0.5]] * 3 + [[0.9, 0.1, 0.5, 0.5]]])
+        point, stderr, projected, dropped = production_estimates(
+            initial, np.array([1.0]), freqs, False)
+        assert point[0] == 0.0 and stderr[0] == 0.0
+        assert dropped.tolist() == [1] and projected.tolist() == [0]
+
+    def test_projections_are_counted(self):
+        freqs = np.array([[[1.0, 0.0, 0.5, 1.0], [0.5, 0.5, 0.5, 0.5], [1.0, 0.0, 1.0, 1.0]]])
+        _, _, projected, _ = production_estimates(np.zeros((1, 3)), np.array([0.8]), freqs, True)
+        assert projected.tolist() == [2]
+
+
+def _write_config(tmp_path, body):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"r_points = 3\nshots = 100\nn_bootstrap = 3\nout = {tmp_path / 'o.csv'}\n"
+                    + body)
+    return path
+
+
+class TestFailFast:
+    @pytest.mark.parametrize("body, words", [
+        ("p_values = 0.3\n", "p_values"),
+        ("coherence = 1.5\n", "coherence"),
+        ("alpha_deg = 60\n", "alpha_deg"),
+        ("p_values = 0.9, abc\n", "abc"),
+        ("shots = 200\n", "'shots'"),
+        ("seed = 1.5\n", "'seed'"),
+        ("seed = -1\n", "seed"),
+    ])
+    def test_bad_config_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch, body, words):
+        def no_compute(config):
+            raise AssertionError("sweep ran on a bad config")
+
+        monkeypatch.setattr(cli.sw, "run_sweep", no_compute)
+        code = cli.main(["sweep", "--config", str(_write_config(tmp_path, body))])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert words in err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("flag", [["--shots", "0"], ["--bootstrap", "1"], ["--seed", "-3"],
+                                      ["--r-points", "1"]])
+    def test_bad_flag_exits_1(self, capsys, flag):
+        assert cli.main(["fig2"] + flag) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_config_range_errors_are_config_errors(self):
+        for kwargs in (dict(p_values=(0.9, 1.01)), dict(alpha_or_coherence=(-0.1,)),
+                       dict(alpha_or_coherence=(45.5,), units="degrees")):
+            with pytest.raises(ConfigError):
+                SweepConfig(**kwargs)
+        SweepConfig(alpha_or_coherence=(0.0, 45.0), units="degrees", p_values=(0.5, 1.0))
+
+    def test_unwritable_output_fails_before_compute(self, tmp_path, monkeypatch):
+        def no_compute(config):
+            raise AssertionError("sweep ran although the output cannot be written")
+
+        monkeypatch.setattr(cli.sw, "run_sweep", no_compute)
+        code = cli.main(["fig2", "--out", str(tmp_path / "missing" / "out.csv")])
+        assert code == cli.EXIT_IO
+
+
+class TestAtomicOutput:
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        cfg = fig2_config(**SMALL)
+        rows = run_sweep(cfg)
+        out = tmp_path / "fig2.csv"
+        out.write_text("old\n")
+
+        def broken_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", broken_replace)
+        with pytest.raises(OSError):
+            emit_csv(rows, str(out), cfg)
+        assert out.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fig2.csv"]
+
+    def test_counters_in_sidecar_and_summary(self, tmp_path):
+        cfg = SweepConfig(p_values=(0.9, 1.0), **dict(SMALL, shots=20))
+        rows = run_sweep(cfg)
+        out = tmp_path / "run.csv"
+        emit_csv(rows, str(out), cfg)
+        counters = json.loads((tmp_path / "run.csv.meta.json").read_text())["counters"]
+        assert counters["indeterminate_rows"] == 3
+        assert counters["projected_reconstructions"] == sum(r.projected for r in rows) > 0
+        assert counters["nonfinite_bootstrap_dropped"] == 0
+        summary = emit_summary(rows)
+        assert f"projected into the Bloch ball: {counters['projected_reconstructions']}" in summary
+        assert "non-finite bootstrap samples dropped: 0" in summary
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.csv.meta.json"]
