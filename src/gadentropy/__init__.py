@@ -28,4 +28,4 @@ from .tomography import (
     projector_probabilities, reconstruct_with_errors, simulate_counts,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import os
+import platform
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,8 +182,10 @@ CSV_COLUMNS = tuple(
 )
 
 
-def _row_seed(master_seed: int, row_index: int) -> int:
-    return int(np.random.SeedSequence((master_seed, row_index)).generate_state(1, np.uint64)[0])
+def experiment_seed(seed: int, experiment: int) -> int:
+    """Stream seed of experiment 1 (coherent) or 2 (dephased): (seed, experiment)
+    hashed through SeedSequence, so no pair replays another's stream."""
+    return int(np.random.SeedSequence((seed, experiment)).generate_state(1, np.uint64)[0])
 
 
 def _budget(initial: np.ndarray, final: np.ndarray, p: np.ndarray):
@@ -222,29 +225,13 @@ def production_estimates(initial, p, freqs, population: bool):
     return production[:, 0], stderr, projected, samples.shape[1] - n
 
 
-def _tomography(initial, p, r, seeds, config) -> tuple[np.ndarray, np.ndarray]:
-    """Both experiments at determinate rows: the six tomography columns and
-    the (projected, non-finite) counts, one row per grid point."""
-    estimates = []
-    # Experiment 1 prepares `initial` (total production), experiment 2 its
-    # dephased twin, the maximally mixed state (population part).
-    for e, prepared in enumerate((initial, bloch.dephase(initial))):
-        probs = bloch.born_probabilities(bloch.gad(prepared, p, r))
-        freqs = np.empty((len(p), 1 + config.n_bootstrap, 4))
-        for k, (q, seed) in enumerate(zip(probs, seeds)):
-            freqs[k] = tomography.draw_frequencies(q, config.shots, seed + e, config.n_bootstrap)
-        estimates.append(production_estimates(prepared, p, freqs, population=bool(e)))
-    (tot, tot_err, tot_proj, tot_bad), (pop, pop_err, pop_proj, pop_bad) = estimates
-    return (np.column_stack([tot, tot_err, pop, pop_err, tot - pop, np.hypot(tot_err, pop_err)]),
-            np.column_stack([tot_proj + pop_proj, tot_bad + pop_bad]))
-
-
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Evaluate every (p, alpha, r) grid point of the configured sweep.
 
     Rows are ordered by (p, alpha, r); indeterminate points (p = 1 with a
-    divergent relative entropy) are flagged, not dropped.  Row i's
-    experiments draw from seeds seed_used and seed_used + 1.
+    divergent relative entropy) are flagged, not dropped, and draw nothing.
+    Experiment e draws all determinate rows, in row order, from the stream
+    `experiment_seed(config.seed, e)`; seed_used is config.seed.
     """
     alphas = config.alphas()
     grid = np.indices((len(config.p_values), len(alphas), len(config.r_grid)))
@@ -255,21 +242,27 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     coherent[:, 0] = np.array([math.cos(4.0 * a) for a in alphas])[i_a]
     total, population, coherence = _budget(coherent, bloch.gad(coherent, p, r), p)
     det = np.isfinite(total) & np.isfinite(population)
-    seeds = [_row_seed(config.seed, i) for i in range(p.size)]
 
     table = np.full((p.size, 13), np.nan)
     table[:, 0], table[:, 1] = p, r
     table[:, 2] = np.array([math.degrees(a) for a in alphas])[i_a]
     table[:, 3] = np.abs(coherent[:, 0])
     table[det, 4:7] = np.maximum(np.column_stack([total, population, coherence])[det], 0.0)
+    # Experiment 1 (coherent) measures the total, experiment 2 (dephased) the population part.
+    p_det, r_det, initial = p[det], r[det], coherent[det]
+    (tot, tot_err, tot_proj, tot_bad), (pop, pop_err, pop_proj, pop_bad) = (
+        production_estimates(prepared, p_det, tomography.draw_frequencies(
+            bloch.born_probabilities(bloch.gad(prepared, p_det, r_det)), config.shots,
+            experiment_seed(config.seed, e), config.n_bootstrap), population=e == 2)
+        for e, prepared in enumerate((initial, bloch.dephase(initial)), start=1))
+    table[det, 7:] = np.column_stack([tot, tot_err, pop, pop_err, tot - pop,
+                                      np.hypot(tot_err, pop_err)])
     counts = np.zeros((p.size, 2), dtype=int)
-    table[det, 7:], counts[det] = _tomography(
-        coherent[det], p[det], r[det], [s for s, ok in zip(seeds, det) if ok], config)
+    counts[det] = np.column_stack([tot_proj + pop_proj, tot_bad + pop_bad])
     return [
-        SweepRow(*values, seed_used=seed, indeterminate=int(not ok), projected=n_proj,
+        SweepRow(*values, seed_used=config.seed, indeterminate=int(not ok), projected=n_proj,
                  nonfinite=n_bad)
-        for *values, seed, ok, n_proj, n_bad in zip(
-            *table.T.tolist(), seeds, det.tolist(), *counts.T.tolist())
+        for *values, ok, n_proj, n_bad in zip(*table.T.tolist(), det.tolist(), *counts.T.tolist())
     ]
 
 
@@ -303,11 +296,12 @@ def _write_atomic(path: str, lines) -> None:
 def emit_csv(rows: list[SweepRow], path: str, config: SweepConfig | None = None) -> None:
     """Write the sweep as UTF-8 CSV with a fixed column order.
 
-    Floats carry 12 significant digits so reruns with the same seed are
-    byte-identical.  A JSON metadata sidecar (<path>.meta.json) records the
-    configuration, the RNG algorithm, the error-bar procedure and the
-    counters of `emit_summary`.  Each file is replaced atomically.
+    Floats carry 12 significant digits, so same-seed reruns on the same versions
+    are byte-identical.  The JSON sidecar <path>.meta.json is the run manifest:
+    versions, configuration, RNG streams, error-bar procedure and the counters
+    of `emit_summary`.  Each file is replaced atomically.
     """
+    from . import __version__
     if not rows:
         raise IOError("refusing to write an empty sweep")
     _write_atomic(path, itertools.chain([",".join(CSV_COLUMNS) + "\n"], (
@@ -315,8 +309,14 @@ def emit_csv(rows: list[SweepRow], path: str, config: SweepConfig | None = None)
         for row in rows)))
     if config is not None:
         meta = {
+            "versions": {"gadentropy": __version__, "numpy": np.__version__,
+                         "python": platform.python_version()},
             "config": dataclasses.asdict(config),
             "rng_algorithm": tomography.RNG_ALGORITHM,
+            "streams": {"derivation": "experiment e (1 coherent, 2 dephased) draws its "
+                        "determinate rows' runs in CSV order from SeedSequence((config.seed, e)) "
+                        "hashed to one uint64, their resamples from SeedSequence((that, 0xB007))",
+                        "experiment_seeds": [experiment_seed(config.seed, e) for e in (1, 2)]},
             "error_bars": (
                 "parametric bootstrap: per-basis binomial resampling at the "
                 "observed frequencies, stderr = sample std over resampled "
@@ -337,15 +337,20 @@ def emit_summary(rows: list[SweepRow]) -> str:
     # A leading (0 deviation, unit stderr) entry reports 0 stderr when nothing deviates.
     dev = np.concatenate([[0.0], np.nan_to_num(np.abs(a[:, [3, 5]] - a[:, :2])).ravel()])
     err = np.concatenate([[1.0], a[:, [4, 6]].ravel()])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(dev > 0.0, dev / err, 0.0)
     worst = int(np.argmax(dev))
-    max_dev_sigmas = dev[worst] / err[worst] if err[worst] > 0 else math.inf
+    zs = np.sort(z[1:])  # for the median; np.median would load numpy.ma (about 1 MB)
+    spread = (f"median {(zs[(zs.size - 1) // 2] + zs[zs.size // 2]) / 2:.2f}, "
+              f"fraction above 2: {np.mean(zs > 2.0):.3f}" if zs.size else "none")
     c = _counters(rows)
     lines = [
         f"rows: {len(rows)} ({c['indeterminate_rows']} indeterminate)",
         f"max additivity violation (analytic): "
         f"{np.max(np.abs(a[:, 0] - (a[:, 1] + a[:, 2])), initial=0.0):.3e}",
         f"max negativity (analytic): {np.max(-a[:, :3], initial=0.0):.3e}",
-        f"max |tomography - analytic|: {dev[worst]:.3e} ({max_dev_sigmas:.2f} stderr)",
+        f"max |tomography - analytic|: {dev[worst]:.3e} ({z[worst]:.2f} stderr)",
+        f"|tomography - analytic| / stderr over {zs.size} estimates: {spread}",
         f"reconstructions projected into the Bloch ball: {c['projected_reconstructions']}",
         f"non-finite bootstrap samples dropped: {c['nonfinite_bootstrap_dropped']}",
     ]

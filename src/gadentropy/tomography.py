@@ -114,14 +114,14 @@ def reconstruct_counts(record: CountRecord) -> QubitState:
 
 
 def draw_frequencies(probs, shots: int, seed: int, n_bootstrap: int) -> np.ndarray:
-    """Frequencies of one simulated run (row 0, drawn from `seed`) and of its
-    n_bootstrap parametric resamples at the observed frequencies (rows 1..,
-    from a separate stream of `seed`), shape (1 + n_bootstrap, 4)."""
-    freqs = np.empty((1 + n_bootstrap, 4))
-    freqs[0] = np.random.default_rng(seed).binomial(shots, probs) / shots
+    """Frequencies (..., 1 + n_bootstrap, 4) of the runs with Born probabilities
+    `probs` (..., 4): each run's observed frequencies (index 0, all runs drawn
+    from `seed` in C order), then its parametric resamples at them (from a
+    separate stream of `seed`)."""
+    observed = (np.random.default_rng(seed).binomial(shots, probs) / shots)[..., None, :]
     rng = np.random.default_rng(np.random.SeedSequence((seed, _BOOTSTRAP_STREAM)))
-    freqs[1:] = rng.binomial(shots, freqs[0], size=(n_bootstrap, 4)) / shots
-    return freqs
+    resampled = rng.binomial(shots, observed, size=observed.shape[:-2] + (n_bootstrap, 4))
+    return np.concatenate([observed, resampled / shots], axis=-2)
 
 
 def reconstruct_with_errors(

@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import platform
 
 import numpy as np
 import pytest
 
+import gadentropy
 from gadentropy import bloch, cli
+from gadentropy.budget import budget as entropy_budget
 from gadentropy.budget import population_production, total_production
 from gadentropy.channel import GadChannel, apply
 from gadentropy.prep import PrepSetting, prepare
@@ -14,8 +17,10 @@ from gadentropy.sweep import (
     CSV_COLUMNS,
     ConfigError,
     SweepConfig,
+    SweepRow,
     emit_csv,
     emit_summary,
+    experiment_seed,
     fig2_config,
     fig3_config,
     load_config,
@@ -186,6 +191,14 @@ class TestEmit:
         meta = (tmp_path / "fig2.csv.meta.json").read_text()
         assert "rng_algorithm" in meta
         assert "bootstrap" in meta
+        manifest = json.loads(meta)
+        assert manifest["versions"] == {"gadentropy": gadentropy.__version__,
+                                        "numpy": np.__version__,
+                                        "python": platform.python_version()}
+        assert manifest["config"]["seed"] == cfg.seed
+        assert "SeedSequence((config.seed, e))" in manifest["streams"]["derivation"]
+        assert manifest["streams"]["experiment_seeds"] == [experiment_seed(cfg.seed, 1),
+                                                           experiment_seed(cfg.seed, 2)]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = fig2_config(**SMALL)
@@ -199,6 +212,20 @@ class TestEmit:
         text = emit_summary(rows)
         assert "additivity" in text
         assert "tomography" in text
+
+    def test_summary_reports_z_score_spread(self):
+        def row(total_z, pop_z, indeterminate=0):
+            # Analytic 1.0 and 0.5, stderr 0.1: the z-scores are total_z and pop_z.
+            return SweepRow(0.9, 0.5, 0.0, 1.0, 1.0, 0.5, 0.5, 1.0 - 0.1 * total_z, 0.1,
+                            0.5 + 0.1 * pop_z, 0.1, 0.5, 0.1, 7, indeterminate)
+
+        lines = emit_summary([row(0.5, 1.0), row(3.0, 0.0), row(2.5, 1.5),
+                              row(9.0, 9.0, indeterminate=1)]).splitlines()
+        assert "max |tomography - analytic|: 3.000e-01 (3.00 stderr)" in lines
+        assert ("|tomography - analytic| / stderr over 6 estimates: median 1.25, "
+                "fraction above 2: 0.333") in lines
+        only_p1 = emit_summary([row(9.0, 9.0, indeterminate=1)])
+        assert "/ stderr over 0 estimates: none" in only_p1
 
 
 class TestPropertySuite:
@@ -300,23 +327,29 @@ class TestArrayPathMatchesStates:
                 assert stderr[k] == pytest.approx(want[1], abs=1e-12)
 
     def test_rows_reproduce_from_seed_used(self):
-        # Experiment 1 draws from seed_used, experiment 2 from seed_used + 1.
-        cfg = fig3_config(**SMALL)
-        for row in run_sweep(cfg):
-            ch = GadChannel(row.p, row.r)
-            coherent = prepare(PrepSetting(math.radians(row.alpha_deg)))
-            dephased = prepare(PrepSetting(0.0, dephased=True))
-            got = []
-            for seed, initial, production in (
-                (row.seed_used, coherent, total_production),
-                (row.seed_used + 1, dephased, population_production),
-            ):
-                freqs = draw_frequencies(projector_probabilities(apply(ch, initial)),
-                                         cfg.shots, seed, cfg.n_bootstrap)
-                got += self.per_state(initial, row.p, freqs, production)
+        # Experiment e draws all determinate rows, in row order, from the
+        # stream experiment_seed(seed_used, e); p = 1 rows draw nothing.
+        cfg = SweepConfig(p_values=(0.9, 1.0, 0.6), alpha_or_coherence=(0.8, 0.6, 0.4), **SMALL)
+        rows = run_sweep(cfg)
+        assert {row.seed_used for row in rows} == {cfg.seed}
+        rows = [row for row in rows if not row.indeterminate]
+        assert len(rows) == 18
+        experiments = (
+            (1, lambda row: prepare(PrepSetting(math.radians(row.alpha_deg))), total_production),
+            (2, lambda row: prepare(PrepSetting(0.0, dephased=True)), population_production),
+        )
+        got = [[] for _ in rows]
+        for e, initial, production in experiments:
+            probs = [projector_probabilities(apply(GadChannel(row.p, row.r), initial(row)))
+                     for row in rows]
+            freqs = draw_frequencies(np.array(probs), cfg.shots, experiment_seed(cfg.seed, e),
+                                     cfg.n_bootstrap)
+            for k, row in enumerate(rows):
+                got[k] += self.per_state(initial(row), row.p, freqs[k], production)
+        for row, values in zip(rows, got):
             want = (row.sigma_total_tomo, row.sigma_total_tomo_stderr,
                     row.sigma_pop_tomo, row.sigma_pop_tomo_stderr)
-            assert got == pytest.approx(want, abs=1e-12)
+            assert values == pytest.approx(want, abs=1e-12)
 
     def test_nonfinite_samples_are_dropped_and_counted(self):
         # At p = 1 any weight on the excited state makes D infinite.
@@ -331,6 +364,61 @@ class TestArrayPathMatchesStates:
         freqs = np.array([[[1.0, 0.0, 0.5, 1.0], [0.5, 0.5, 0.5, 0.5], [1.0, 0.0, 1.0, 1.0]]])
         _, _, projected, _ = production_estimates(np.zeros((1, 3)), np.array([0.8]), freqs, True)
         assert projected.tolist() == [2]
+
+
+class TestStreams:
+    PROBS = np.array([0.7, 0.3, 0.5, 0.6])
+
+    def test_stacked_draw_matches_single_run(self):
+        single = draw_frequencies(self.PROBS, 500, 11, 7)
+        assert single.shape == (8, 4)
+        assert np.array_equal(draw_frequencies(self.PROBS[None], 500, 11, 7)[0], single)
+
+    @pytest.mark.parametrize("seed", [0, 99, 20240])
+    def test_experiments_draw_from_distinct_streams(self, seed):
+        def stream(master, e):
+            return draw_frequencies(np.tile(self.PROBS, (20, 1)), 10_000,
+                                    experiment_seed(master, e), 3)
+
+        assert not np.array_equal(stream(seed, 1), stream(seed, 2))
+        # A seed + e scheme would replay (seed + 1, 1) as (seed, 2).
+        assert not np.array_equal(stream(seed, 2), stream(seed + 1, 1))
+
+
+class TestErrorBarCoverage:
+    """95% intervals (estimate +- 1.96 stderr) cover the analytic production.
+
+    Each point is one sweep over TRIALS copies of a grid point, so every row
+    is an independent run with its own bootstrap.  The bounds are nominal
+    coverage +- 4 binomial sigma of the trial count.
+    """
+
+    TRIALS = 1000
+    SIGMA = math.sqrt(0.95 * 0.05 / TRIALS)
+    LOW, HIGH = 0.95 - 4.0 * SIGMA, 0.95 + 4.0 * SIGMA
+
+    @classmethod
+    def coverage(cls, p, c, r, shots):
+        rows = run_sweep(SweepConfig(p_values=(p,) * cls.TRIALS, alpha_or_coherence=(c,),
+                                     r_grid=(r,), shots=shots, n_bootstrap=200, seed=2024))
+        want = entropy_budget(QubitState.from_bloch(c, 0.0, 0.0), GadChannel(p, r))
+        return tuple(
+            np.mean([abs(getattr(row, f"sigma_{name}_tomo") - value)
+                     <= 1.96 * getattr(row, f"sigma_{name}_tomo_stderr") for row in rows])
+            for name, value in (("total", want.total), ("pop", want.population)))
+
+    @pytest.mark.parametrize("p, c, r, shots", [
+        (0.9, 1.0, 0.5, 10_000), (0.6, 0.6, 0.2, 10_000), (0.75, 0.4, 0.8, 1_000),
+    ])
+    def test_total_and_population_calibrated(self, p, c, r, shots):
+        total, population = self.coverage(p, c, r, shots)
+        assert self.LOW <= total <= self.HIGH
+        assert self.LOW <= population <= self.HIGH
+
+    @pytest.mark.xfail(strict=True, reason="population coverage is 0.912 here (0.919 over "
+                       "4000 trials): the bootstrap under-covers at 500 shots near r = 1")
+    def test_population_at_500_shots(self):
+        assert self.LOW <= self.coverage(0.9, 1.0, 0.95, 500)[1] <= self.HIGH
 
 
 def _write_config(tmp_path, body):
