@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 import os
 import platform
 from dataclasses import dataclass, field
@@ -177,9 +178,13 @@ class SweepRow:
     nonfinite: int = field(default=0, metadata={"csv": False})
 
 
-CSV_COLUMNS = tuple(
-    f.name for f in dataclasses.fields(SweepRow) if f.metadata.get("csv", True)
-)
+_CSV_FIELDS = [f for f in dataclasses.fields(SweepRow) if f.metadata.get("csv", True)]
+CSV_COLUMNS = tuple(f.name for f in _CSV_FIELDS)
+# One CSV line per `%`: 12 significant digits for floats, ints as written.
+_CSV_LINE = ",".join("%d" if f.type == "int" else "%.12g" for f in _CSV_FIELDS) + "\n"
+_csv_values = operator.attrgetter(*CSV_COLUMNS)
+_summary_values = operator.attrgetter(*CSV_COLUMNS[4:11])
+_counted = operator.attrgetter("indeterminate", "projected", "nonfinite")
 
 
 def experiment_seed(seed: int, experiment: int) -> int:
@@ -257,27 +262,21 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
         for e, prepared in enumerate((initial, bloch.dephase(initial)), start=1))
     table[det, 7:] = np.column_stack([tot, tot_err, pop, pop_err, tot - pop,
                                       np.hypot(tot_err, pop_err)])
-    counts = np.zeros((p.size, 2), dtype=int)
-    counts[det] = np.column_stack([tot_proj + pop_proj, tot_bad + pop_bad])
-    return [
-        SweepRow(*values, seed_used=config.seed, indeterminate=int(not ok), projected=n_proj,
-                 nonfinite=n_bad)
-        for *values, ok, n_proj, n_bad in zip(*table.T.tolist(), det.tolist(), *counts.T.tolist())
-    ]
+    counts = np.zeros((3, p.size), dtype=int)  # indeterminate, projected, nonfinite
+    counts[0] = ~det
+    counts[1:, det] = tot_proj + pop_proj, tot_bad + pop_bad
+    return list(map(SweepRow, *table.T.tolist(), itertools.repeat(config.seed), *counts.tolist()))
 
 
-def _format_value(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return format(value, ".12g")
+def _stack(getter, rows, width: int, dtype=float) -> np.ndarray:
+    """(rows, width) array of each row's `getter` values, streamed without a list."""
+    return np.fromiter(itertools.chain.from_iterable(map(getter, rows)), dtype).reshape(-1, width)
 
 
 def _counters(rows: list[SweepRow]) -> dict:
-    return {
-        "indeterminate_rows": sum(r.indeterminate for r in rows),
-        "projected_reconstructions": sum(r.projected for r in rows),
-        "nonfinite_bootstrap_dropped": sum(r.nonfinite for r in rows),
-    }
+    totals = _stack(_counted, rows, 3, int).sum(axis=0).tolist()
+    return dict(zip(("indeterminate_rows", "projected_reconstructions",
+                     "nonfinite_bootstrap_dropped"), totals))
 
 
 def _write_atomic(path: str, lines) -> None:
@@ -305,8 +304,7 @@ def emit_csv(rows: list[SweepRow], path: str, config: SweepConfig | None = None)
     if not rows:
         raise IOError("refusing to write an empty sweep")
     _write_atomic(path, itertools.chain([",".join(CSV_COLUMNS) + "\n"], (
-        ",".join(_format_value(getattr(row, name)) for name in CSV_COLUMNS) + "\n"
-        for row in rows)))
+        _CSV_LINE % values for values in map(_csv_values, rows))))
     if config is not None:
         meta = {
             "versions": {"gadentropy": __version__, "numpy": np.__version__,
@@ -332,8 +330,7 @@ def emit_summary(rows: list[SweepRow]) -> str:
     if not rows:
         raise IOError("no rows to summarize")
     # Determinate rows' (total, pop, coh, total_tomo, total_err, pop_tomo, pop_err).
-    a = np.fromiter((getattr(r, c) for r in rows if not r.indeterminate
-                     for c in CSV_COLUMNS[4:11]), float).reshape(-1, 7)
+    a = _stack(_summary_values, (r for r in rows if not r.indeterminate), 7)
     # A leading (0 deviation, unit stderr) entry reports 0 stderr when nothing deviates.
     dev = np.concatenate([[0.0], np.nan_to_num(np.abs(a[:, [3, 5]] - a[:, :2])).ravel()])
     err = np.concatenate([[1.0], a[:, [4, 6]].ravel()])
@@ -348,7 +345,8 @@ def emit_summary(rows: list[SweepRow]) -> str:
         f"rows: {len(rows)} ({c['indeterminate_rows']} indeterminate)",
         f"max additivity violation (analytic): "
         f"{np.max(np.abs(a[:, 0] - (a[:, 1] + a[:, 2])), initial=0.0):.3e}",
-        f"max negativity (analytic): {np.max(-a[:, :3], initial=0.0):.3e}",
+        # + 0.0 turns the -0.0 of rows at exactly zero into 0.0.
+        f"max negativity (analytic): {np.max(-a[:, :3], initial=0.0) + 0.0:.3e}",
         f"max |tomography - analytic|: {dev[worst]:.3e} ({z[worst]:.2f} stderr)",
         f"|tomography - analytic| / stderr over {zs.size} estimates: {spread}",
         f"reconstructions projected into the Bloch ball: {c['projected_reconstructions']}",

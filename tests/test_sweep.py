@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gadentropy
-from gadentropy import bloch, cli
+from gadentropy import bloch, cli, sweep
 from gadentropy.budget import budget as entropy_budget
 from gadentropy.budget import population_production, total_production
 from gadentropy.channel import GadChannel, apply
@@ -200,6 +200,24 @@ class TestEmit:
         assert manifest["streams"]["experiment_seeds"] == [experiment_seed(cfg.seed, 1),
                                                            experiment_seed(cfg.seed, 2)]
 
+    def test_csv_bytes_follow_the_number_format(self, tmp_path):
+        # The number format written out on its own: floats as format(v, ".12g"),
+        # ints as str(i).
+        floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, 1e16, 0.1 + 0.2,
+                  1.0 / 3.0, -2.5e-7, 123456789012.5, 1.7976931348623157e308]
+        ints = [(0, 0), (20240, 1), (2**64 - 1, 0), (7, 1)]
+        rows, want = [], [",".join(CSV_COLUMNS)]
+        for k in range(len(floats)):
+            values = [floats[(k + i) % len(floats)] for i in range(13)]
+            seed_used, indeterminate = ints[k % len(ints)]
+            rows.append(SweepRow(*values, seed_used, indeterminate, projected=k, nonfinite=3))
+            want.append(",".join([format(v, ".12g") for v in values]
+                                 + [str(seed_used), str(indeterminate)]))
+        out = tmp_path / "contract.csv"
+        emit_csv(rows, str(out))
+        assert out.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
+        assert sweep._CSV_LINE.count("%") == len(sweep._CSV_LINE.split(",")) == len(CSV_COLUMNS)
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = fig2_config(**SMALL)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -226,6 +244,14 @@ class TestEmit:
                 "fraction above 2: 0.333") in lines
         only_p1 = emit_summary([row(9.0, 9.0, indeterminate=1)])
         assert "/ stderr over 0 estimates: none" in only_p1
+
+    def test_summary_negativity_is_positive_zero_at_r_zero(self):
+        rows = run_sweep(fig2_config(**SMALL))
+        assert any(row.r == 0.0 for row in rows)
+        zero = SweepRow(0.9, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.1, 0.0, 0.1, 0.0, 0.1, 7)
+        for sweep_rows in (rows, [zero], [zero, zero]):
+            lines = emit_summary(sweep_rows).splitlines()
+            assert "max negativity (analytic): 0.000e+00" in lines
 
 
 class TestPropertySuite:
