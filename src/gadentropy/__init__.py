@@ -20,7 +20,7 @@ from .qstate import (
     relative_entropy, validate, von_neumann_entropy,
 )
 from .sweep import (
-    SweepConfig, SweepRow, emit_csv, emit_summary, fig2_config, fig3_config,
+    SWEEP_DTYPE, SweepConfig, emit_csv, emit_summary, fig2_config, fig3_config,
     load_config, run_property_suite, run_sweep,
 )
 from .tomography import (

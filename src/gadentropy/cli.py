@@ -87,8 +87,10 @@ def _run_and_emit(config: sw.SweepConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         if args.command == "fig2":
             return _run_and_emit(sw.fig2_config(**_overrides(args)))
@@ -103,6 +105,8 @@ def main(argv: list[str] | None = None) -> int:
             config = dataclasses.replace(config, **_overrides(args))
             return _run_and_emit(config)
         if args.command == "check":
+            if args.seed < 0:
+                raise sw.ConfigError(f"seed must be >= 0, got {args.seed}")
             report = sw.run_property_suite(seed=args.seed)
             print(report.render())
             return EXIT_OK if report.passed else EXIT_PROPERTY_FAILURE

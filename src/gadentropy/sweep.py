@@ -9,10 +9,8 @@ analytic path and the shot-noise tomography path are recorded per row.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
-import operator
 import os
 import platform
 from dataclasses import dataclass, field
@@ -150,41 +148,21 @@ def load_config(path: str) -> SweepConfig:
         raise ConfigError(str(exc)) from exc
 
 
-@dataclass(slots=True)
-class SweepRow:
-    """One grid point: analytic and tomography entropy productions.
-
-    Not in the CSV: `projected` counts reconstructions (both experiments,
-    runs and resamples) projected into the Bloch ball, `nonfinite` the
-    bootstrap samples dropped from the stderrs as non-finite.
-    """
-
-    p: float
-    r: float
-    alpha_deg: float
-    coherence_initial: float
-    sigma_total: float
-    sigma_pop: float
-    sigma_coh: float
-    sigma_total_tomo: float
-    sigma_total_tomo_stderr: float
-    sigma_pop_tomo: float
-    sigma_pop_tomo_stderr: float
-    sigma_coh_tomo: float
-    sigma_coh_tomo_stderr: float
-    seed_used: int
-    indeterminate: int = 0
-    projected: int = field(default=0, metadata={"csv": False})
-    nonfinite: int = field(default=0, metadata={"csv": False})
-
-
-_CSV_FIELDS = [f for f in dataclasses.fields(SweepRow) if f.metadata.get("csv", True)]
-CSV_COLUMNS = tuple(f.name for f in _CSV_FIELDS)
+# One record per grid point: the CSV columns in order, then two counters left
+# out of the CSV.  `projected` counts reconstructions (both experiments, runs
+# and resamples) projected into the Bloch ball, `nonfinite` the bootstrap
+# samples dropped from the stderrs as non-finite.  seed_used holds a Python
+# int, because a seed may exceed 2**64 - 1.
+SWEEP_DTYPE = np.dtype([(name, float) for name in (
+    "p", "r", "alpha_deg", "coherence_initial", "sigma_total", "sigma_pop", "sigma_coh",
+    "sigma_total_tomo", "sigma_total_tomo_stderr", "sigma_pop_tomo", "sigma_pop_tomo_stderr",
+    "sigma_coh_tomo", "sigma_coh_tomo_stderr",
+)] + [("seed_used", object), ("indeterminate", int), ("projected", int), ("nonfinite", int)])
+CSV_COLUMNS = SWEEP_DTYPE.names[:15]
 # One CSV line per `%`: 12 significant digits for floats, ints as written.
-_CSV_LINE = ",".join("%d" if f.type == "int" else "%.12g" for f in _CSV_FIELDS) + "\n"
-_csv_values = operator.attrgetter(*CSV_COLUMNS)
-_summary_values = operator.attrgetter(*CSV_COLUMNS[4:11])
-_counted = operator.attrgetter("indeterminate", "projected", "nonfinite")
+_CSV_LINE = ",".join("%.12g" if SWEEP_DTYPE[name] == float else "%d"
+                     for name in CSV_COLUMNS) + "\n"
+_CSV_BLOCK = 4096  # rows turned into Python values at a time while the CSV streams
 
 
 def experiment_seed(seed: int, experiment: int) -> int:
@@ -193,33 +171,28 @@ def experiment_seed(seed: int, experiment: int) -> int:
     return int(np.random.SeedSequence((seed, experiment)).generate_state(1, np.uint64)[0])
 
 
-def _budget(initial: np.ndarray, final: np.ndarray, p: np.ndarray):
-    """Analytic (total, population, coherence) per row; not finite at p = 1."""
-    def drop(b0, b1):
-        return (bloch.relative_entropy_to_thermal(b0, p)
-                - bloch.relative_entropy_to_thermal(b1, p))
-
+def _production(initial, final, p, population: bool) -> np.ndarray:
+    """Entropy production D(initial || eq) - D(final || eq), eq = diag(p, 1 - p),
+    on dephased states when `population`; not finite at p = 1."""
+    if population:
+        initial, final = bloch.dephase(initial), bloch.dephase(final)
     with np.errstate(invalid="ignore"):
-        total = drop(initial, final)
-        population = drop(bloch.dephase(initial), bloch.dephase(final))
-    return total, population, bloch.coherence(initial) - bloch.coherence(final)
+        return (bloch.relative_entropy_to_thermal(initial, p)
+                - bloch.relative_entropy_to_thermal(final, p))
 
 
 def production_estimates(initial, p, freqs, population: bool):
     """Per-row (point, stderr, projected count, non-finite count) of a production.
 
     `freqs` (rows, 1 + n_bootstrap, 4) holds the observed run, then its
-    resamples.  Each is inverted, projected into the Bloch ball and scored as
-    D(initial || eq) - D(estimate || eq), on dephased states when
-    `population`.  Non-finite bootstrap samples are left out of the stderr.
+    resamples.  Each is inverted, projected into the Bloch ball and scored by
+    `_production` from `initial`.  Non-finite bootstrap samples are left out
+    of the stderr.
     """
     estimate = bloch.invert(freqs)
     projected = np.sum(np.linalg.norm(estimate, axis=-1) > 1.0, axis=1)
     estimate = bloch.project(estimate)
-    if population:
-        initial, estimate = bloch.dephase(initial), bloch.dephase(estimate)
-    production = (bloch.relative_entropy_to_thermal(initial, p)[:, None]
-                  - bloch.relative_entropy_to_thermal(estimate, p[:, None]))
+    production = _production(initial[:, None], estimate, p[:, None], population)
     samples = production[:, 1:]
     finite = np.isfinite(samples)
     n = finite.sum(axis=1)
@@ -230,12 +203,13 @@ def production_estimates(initial, p, freqs, population: bool):
     return production[:, 0], stderr, projected, samples.shape[1] - n
 
 
-def run_sweep(config: SweepConfig) -> list[SweepRow]:
+def run_sweep(config: SweepConfig) -> np.recarray:
     """Evaluate every (p, alpha, r) grid point of the configured sweep.
 
-    Rows are ordered by (p, alpha, r); indeterminate points (p = 1 with a
-    divergent relative entropy) are flagged, not dropped, and draw nothing.
-    Experiment e draws all determinate rows, in row order, from the stream
+    Returns one SWEEP_DTYPE record per point, ordered by (p, alpha, r).
+    Indeterminate points (p = 1 with a divergent relative entropy) are
+    flagged, not dropped, hold NaN productions and draw nothing.  Experiment
+    e draws all determinate rows, in row order, from the stream
     `experiment_seed(config.seed, e)`; seed_used is config.seed.
     """
     alphas = config.alphas()
@@ -245,14 +219,15 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
     r = np.asarray(config.r_grid, dtype=float)[i_r]
     coherent = np.zeros((p.size, 3))
     coherent[:, 0] = np.array([math.cos(4.0 * a) for a in alphas])[i_a]
-    total, population, coherence = _budget(coherent, bloch.gad(coherent, p, r), p)
+    final = bloch.gad(coherent, p, r)
+    total, population = (_production(coherent, final, p, dephased) for dephased in (False, True))
     det = np.isfinite(total) & np.isfinite(population)
 
-    table = np.full((p.size, 13), np.nan)
-    table[:, 0], table[:, 1] = p, r
-    table[:, 2] = np.array([math.degrees(a) for a in alphas])[i_a]
-    table[:, 3] = np.abs(coherent[:, 0])
-    table[det, 4:7] = np.maximum(np.column_stack([total, population, coherence])[det], 0.0)
+    rows = np.zeros(p.size, SWEEP_DTYPE)
+    rows["p"], rows["r"] = p, r
+    rows["alpha_deg"] = np.array([math.degrees(a) for a in alphas])[i_a]
+    rows["coherence_initial"] = np.abs(coherent[:, 0])
+    rows["seed_used"], rows["indeterminate"] = config.seed, ~det
     # Experiment 1 (coherent) measures the total, experiment 2 (dephased) the population part.
     p_det, r_det, initial = p[det], r[det], coherent[det]
     (tot, tot_err, tot_proj, tot_bad), (pop, pop_err, pop_proj, pop_bad) = (
@@ -260,23 +235,20 @@ def run_sweep(config: SweepConfig) -> list[SweepRow]:
             bloch.born_probabilities(bloch.gad(prepared, p_det, r_det)), config.shots,
             experiment_seed(config.seed, e), config.n_bootstrap), population=e == 2)
         for e, prepared in enumerate((initial, bloch.dephase(initial)), start=1))
-    table[det, 7:] = np.column_stack([tot, tot_err, pop, pop_err, tot - pop,
-                                      np.hypot(tot_err, pop_err)])
-    counts = np.zeros((3, p.size), dtype=int)  # indeterminate, projected, nonfinite
-    counts[0] = ~det
-    counts[1:, det] = tot_proj + pop_proj, tot_bad + pop_bad
-    return list(map(SweepRow, *table.T.tolist(), itertools.repeat(config.seed), *counts.tolist()))
+    coherence = bloch.coherence(coherent) - bloch.coherence(final)
+    for name, values in zip(CSV_COLUMNS[4:13], (
+            *(np.maximum(v[det], 0.0) for v in (total, population, coherence)),
+            tot, tot_err, pop, pop_err, tot - pop, np.hypot(tot_err, pop_err))):
+        rows[name][~det] = np.nan
+        rows[name][det] = values
+    rows["projected"][det], rows["nonfinite"][det] = tot_proj + pop_proj, tot_bad + pop_bad
+    return rows.view(np.recarray)
 
 
-def _stack(getter, rows, width: int, dtype=float) -> np.ndarray:
-    """(rows, width) array of each row's `getter` values, streamed without a list."""
-    return np.fromiter(itertools.chain.from_iterable(map(getter, rows)), dtype).reshape(-1, width)
-
-
-def _counters(rows: list[SweepRow]) -> dict:
-    totals = _stack(_counted, rows, 3, int).sum(axis=0).tolist()
-    return dict(zip(("indeterminate_rows", "projected_reconstructions",
-                     "nonfinite_bootstrap_dropped"), totals))
+def _counters(rows) -> dict:
+    return {key: int(rows[name].sum()) for key, name in (
+        ("indeterminate_rows", "indeterminate"), ("projected_reconstructions", "projected"),
+        ("nonfinite_bootstrap_dropped", "nonfinite"))}
 
 
 def _write_atomic(path: str, lines) -> None:
@@ -292,7 +264,16 @@ def _write_atomic(path: str, lines) -> None:
             os.unlink(tmp)
 
 
-def emit_csv(rows: list[SweepRow], path: str, config: SweepConfig | None = None) -> None:
+def _csv_lines(rows):
+    """The header, then one line per record, formatted a block of rows at a time."""
+    yield ",".join(CSV_COLUMNS) + "\n"
+    rows = np.asarray(rows)  # a plain array: indexing a recarray runs Python code
+    for start in range(0, len(rows), _CSV_BLOCK):
+        block = rows[start:start + _CSV_BLOCK]
+        yield from map(_CSV_LINE.__mod__, zip(*(block[name].tolist() for name in CSV_COLUMNS)))
+
+
+def emit_csv(rows: np.ndarray, path: str, config: SweepConfig | None = None) -> None:
     """Write the sweep as UTF-8 CSV with a fixed column order.
 
     Floats carry 12 significant digits, so same-seed reruns on the same versions
@@ -301,10 +282,9 @@ def emit_csv(rows: list[SweepRow], path: str, config: SweepConfig | None = None)
     of `emit_summary`.  Each file is replaced atomically.
     """
     from . import __version__
-    if not rows:
+    if len(rows) == 0:
         raise IOError("refusing to write an empty sweep")
-    _write_atomic(path, itertools.chain([",".join(CSV_COLUMNS) + "\n"], (
-        _CSV_LINE % values for values in map(_csv_values, rows))))
+    _write_atomic(path, _csv_lines(rows))
     if config is not None:
         meta = {
             "versions": {"gadentropy": __version__, "numpy": np.__version__,
@@ -325,15 +305,23 @@ def emit_csv(rows: list[SweepRow], path: str, config: SweepConfig | None = None)
         _write_atomic(path + ".meta.json", [json.dumps(meta, indent=2, default=list), "\n"])
 
 
-def emit_summary(rows: list[SweepRow]) -> str:
+def emit_summary(rows: np.ndarray) -> str:
     """Human-readable consistency report over a finished sweep."""
-    if not rows:
+    if len(rows) == 0:
         raise IOError("no rows to summarize")
-    # Determinate rows' (total, pop, coh, total_tomo, total_err, pop_tomo, pop_err).
-    a = _stack(_summary_values, (r for r in rows if not r.indeterminate), 7)
-    # A leading (0 deviation, unit stderr) entry reports 0 stderr when nothing deviates.
-    dev = np.concatenate([[0.0], np.nan_to_num(np.abs(a[:, [3, 5]] - a[:, :2])).ravel()])
-    err = np.concatenate([[1.0], a[:, [4, 6]].ravel()])
+    rows = np.asarray(rows)  # a plain array: indexing a recarray runs Python code
+    det = rows[rows["indeterminate"] == 0]
+
+    def columns(*names):
+        return np.stack([det[name] for name in names], axis=-1)
+
+    analytic = columns("sigma_total", "sigma_pop", "sigma_coh")
+    # Per determinate row, the total then the population estimate.  A leading
+    # (0 deviation, unit stderr) entry reports 0 stderr when nothing deviates.
+    dev = np.concatenate([[0.0], np.nan_to_num(np.abs(
+        columns("sigma_total_tomo", "sigma_pop_tomo") - analytic[:, :2])).ravel()])
+    err = np.concatenate([[1.0], columns("sigma_total_tomo_stderr",
+                                         "sigma_pop_tomo_stderr").ravel()])
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(dev > 0.0, dev / err, 0.0)
     worst = int(np.argmax(dev))
@@ -344,9 +332,9 @@ def emit_summary(rows: list[SweepRow]) -> str:
     lines = [
         f"rows: {len(rows)} ({c['indeterminate_rows']} indeterminate)",
         f"max additivity violation (analytic): "
-        f"{np.max(np.abs(a[:, 0] - (a[:, 1] + a[:, 2])), initial=0.0):.3e}",
+        f"{np.max(np.abs(analytic[:, 0] - (analytic[:, 1] + analytic[:, 2])), initial=0.0):.3e}",
         # + 0.0 turns the -0.0 of rows at exactly zero into 0.0.
-        f"max negativity (analytic): {np.max(-a[:, :3], initial=0.0) + 0.0:.3e}",
+        f"max negativity (analytic): {np.max(-analytic, initial=0.0) + 0.0:.3e}",
         f"max |tomography - analytic|: {dev[worst]:.3e} ({z[worst]:.2f} stderr)",
         f"|tomography - analytic| / stderr over {zs.size} estimates: {spread}",
         f"reconstructions projected into the Bloch ball: {c['projected_reconstructions']}",

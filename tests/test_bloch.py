@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gadentropy import bloch
 from gadentropy.channel import GadChannel, apply
@@ -17,6 +19,15 @@ from gadentropy.qstate import (
 from gadentropy.tomography import project_to_physical
 
 TOL = 1e-12
+
+# Bloch vectors anywhere in the ball (centre and surface included), bath
+# weights p in [0.5, 1) and damping strengths r in [0, 1].
+BALL = st.builds(
+    lambda radius, theta, phi: radius * np.array([
+        math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]),
+    st.floats(0.0, 1.0), st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
+WEIGHT = st.floats(0.5, 1.0, exclude_max=True)
+STRENGTH = st.floats(0.0, 1.0)
 
 
 def random_vectors(rng, n, radius=(0.0, 1.0)):
@@ -120,3 +131,31 @@ def test_functions_broadcast_over_leading_axes():
     assert np.array_equal(bloch.entropy(vectors).ravel(), bloch.entropy(flat))
     assert bloch.born_probabilities(vectors).shape == (2, 3, 4, 4)
     assert bloch.relative_entropy_to_thermal(vectors, 0.8).shape == (2, 3, 4)
+
+
+def close(got, want) -> bool:
+    """Equal (infinities included) or within TOL."""
+    return got == want or abs(got - want) < TOL
+
+
+@given(BALL, WEIGHT, STRENGTH)
+def test_gad_matches_kraus_map_anywhere_in_the_ball(b, p, r):
+    got = bloch.gad(b, p, r)
+    want = apply(GadChannel(p, r), QubitState.from_bloch(*b))
+    assert np.max(np.abs(QubitState.from_bloch(*got).matrix - want.matrix)) < TOL
+    assert np.linalg.norm(got) <= 1.0 + TOL
+
+
+@given(BALL, WEIGHT)
+@example(np.zeros(3), 1.0 - 1e-10)  # a thermal weight just above the support cut-off
+def test_entropies_match_eigh_anywhere_in_the_ball(b, p):
+    state = QubitState.from_bloch(*b)
+    assert close(bloch.relative_entropy_to_thermal(b, p),
+                 relative_entropy(state, QubitState.diagonal(p, 1.0 - p)))
+    assert close(bloch.coherence(b), rel_entropy_coherence(state))
+
+
+@given(BALL, WEIGHT, STRENGTH)
+def test_gad_never_increases_relative_entropy_to_thermal(b, p, r):
+    before = bloch.relative_entropy_to_thermal(b, p)
+    assert bloch.relative_entropy_to_thermal(bloch.gad(b, p, r), p) <= before + 1e-10

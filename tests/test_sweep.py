@@ -15,9 +15,9 @@ from gadentropy.prep import PrepSetting, prepare
 from gadentropy.qstate import QubitState
 from gadentropy.sweep import (
     CSV_COLUMNS,
+    SWEEP_DTYPE,
     ConfigError,
     SweepConfig,
-    SweepRow,
     emit_csv,
     emit_summary,
     experiment_seed,
@@ -210,13 +210,22 @@ class TestEmit:
         for k in range(len(floats)):
             values = [floats[(k + i) % len(floats)] for i in range(13)]
             seed_used, indeterminate = ints[k % len(ints)]
-            rows.append(SweepRow(*values, seed_used, indeterminate, projected=k, nonfinite=3))
+            rows.append((*values, seed_used, indeterminate, k, 3))
             want.append(",".join([format(v, ".12g") for v in values]
                                  + [str(seed_used), str(indeterminate)]))
         out = tmp_path / "contract.csv"
-        emit_csv(rows, str(out))
+        emit_csv(np.array(rows, SWEEP_DTYPE), str(out))
         assert out.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
         assert sweep._CSV_LINE.count("%") == len(sweep._CSV_LINE.split(",")) == len(CSV_COLUMNS)
+
+    def test_seed_beyond_uint64_is_written_exactly(self, tmp_path):
+        cfg = fig2_config(**dict(SMALL, seed=2**70))
+        out = tmp_path / "big.csv"
+        emit_csv(run_sweep(cfg), str(out))
+        lines = out.read_text().splitlines()
+        seed_column = lines[0].split(",").index("seed_used")
+        assert len(lines) == 10
+        assert {line.split(",")[seed_column] for line in lines[1:]} == {str(2**70)}
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = fig2_config(**SMALL)
@@ -234,22 +243,22 @@ class TestEmit:
     def test_summary_reports_z_score_spread(self):
         def row(total_z, pop_z, indeterminate=0):
             # Analytic 1.0 and 0.5, stderr 0.1: the z-scores are total_z and pop_z.
-            return SweepRow(0.9, 0.5, 0.0, 1.0, 1.0, 0.5, 0.5, 1.0 - 0.1 * total_z, 0.1,
-                            0.5 + 0.1 * pop_z, 0.1, 0.5, 0.1, 7, indeterminate)
+            return (0.9, 0.5, 0.0, 1.0, 1.0, 0.5, 0.5, 1.0 - 0.1 * total_z, 0.1,
+                    0.5 + 0.1 * pop_z, 0.1, 0.5, 0.1, 7, indeterminate, 0, 0)
 
-        lines = emit_summary([row(0.5, 1.0), row(3.0, 0.0), row(2.5, 1.5),
-                              row(9.0, 9.0, indeterminate=1)]).splitlines()
+        lines = emit_summary(np.array([row(0.5, 1.0), row(3.0, 0.0), row(2.5, 1.5),
+                                       row(9.0, 9.0, indeterminate=1)], SWEEP_DTYPE)).splitlines()
         assert "max |tomography - analytic|: 3.000e-01 (3.00 stderr)" in lines
         assert ("|tomography - analytic| / stderr over 6 estimates: median 1.25, "
                 "fraction above 2: 0.333") in lines
-        only_p1 = emit_summary([row(9.0, 9.0, indeterminate=1)])
+        only_p1 = emit_summary(np.array([row(9.0, 9.0, indeterminate=1)], SWEEP_DTYPE))
         assert "/ stderr over 0 estimates: none" in only_p1
 
     def test_summary_negativity_is_positive_zero_at_r_zero(self):
         rows = run_sweep(fig2_config(**SMALL))
         assert any(row.r == 0.0 for row in rows)
-        zero = SweepRow(0.9, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.1, 0.0, 0.1, 0.0, 0.1, 7)
-        for sweep_rows in (rows, [zero], [zero, zero]):
+        zero = (0.9, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.1, 0.0, 0.1, 0.0, 0.1, 7, 0, 0, 0)
+        for sweep_rows in (rows, *(np.array([zero] * n, SWEEP_DTYPE) for n in (1, 2))):
             lines = emit_summary(sweep_rows).splitlines()
             assert "max negativity (analytic): 0.000e+00" in lines
 
@@ -481,6 +490,21 @@ class TestFailFast:
     def test_bad_flag_exits_1(self, capsys, flag):
         assert cli.main(["fig2"] + flag) == cli.EXIT_USAGE
         assert capsys.readouterr().err.count("\n") == 1
+
+    def test_negative_check_seed_exits_1_before_compute(self, capsys, monkeypatch):
+        def no_compute(seed):
+            raise AssertionError("property suite ran on a negative seed")
+
+        monkeypatch.setattr(cli.sw, "run_property_suite", no_compute)
+        assert cli.main(["check", "--seed", "-1"]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["fig2", "--shots", "abc"], ["check", "--seed", "abc"],
+                                      ["fig2", "--wibble"]])
+    def test_usage_errors_exit_1(self, capsys, argv):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
 
     def test_config_range_errors_are_config_errors(self):
         for kwargs in (dict(p_values=(0.9, 1.01)), dict(alpha_or_coherence=(-0.1,)),
