@@ -11,21 +11,18 @@ from .channel import (
     evolve_master_equation, kraus_operators, lindblad_derivative, p_from_temperature,
     r_from_time,
 )
-from .prep import (
-    PrepSetting, alpha_for_coherence, evolved_closed_form, hwp_phi_for_r,
-    hwp_theta_for_p, prepare,
-)
+from .check import run_property_suite
+from .prep import PrepSetting, alpha_for_coherence, prepare
 from .qstate import (
     QubitState, dephase, fidelity, l1_coherence, rel_entropy_coherence,
     relative_entropy, validate, von_neumann_entropy,
 )
 from .sweep import (
     SWEEP_DTYPE, SweepConfig, emit_csv, emit_summary, fig2_config, fig3_config,
-    load_config, run_property_suite, run_sweep,
+    load_config, run_sweep,
 )
 from .tomography import (
-    CountRecord, Reconstruction, linear_inversion, project_to_physical,
-    projector_probabilities, reconstruct_with_errors, simulate_counts,
+    Reconstruction, project_to_physical, projector_probabilities, reconstruct_with_errors,
 )
 
 __version__ = "0.3.0"

@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands: fig2, fig3 (preset sweeps), sweep --config <path> (custom grid),
-check (property suite).  Exit codes: 0 success, 1 usage/config error,
-2 property-suite failure, 3 I/O failure.
+Subcommands: fig2, fig3 (preset sweeps, `sweep.py`), sweep --config <path>
+(custom grid, `sweep.py`), check (the property suite of `check.py`, which
+holds the sweeps' Bloch closed forms to the density-matrix reference).
+Exit codes: 0 success, 1 usage/config error, 2 property-suite failure,
+3 I/O failure.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import dataclasses
 import os
 import sys
 
+from . import check
 from . import sweep as sw
 
 EXIT_OK = 0
@@ -107,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             if args.seed < 0:
                 raise sw.ConfigError(f"seed must be >= 0, got {args.seed}")
-            report = sw.run_property_suite(seed=args.seed)
+            report = check.run_property_suite(seed=args.seed)
             print(report.render())
             return EXIT_OK if report.passed else EXIT_PROPERTY_FAILURE
     except sw.ConfigError as exc:

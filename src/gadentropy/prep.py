@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GadChannel, ParameterOutOfRangeError
 from .qstate import QubitState
 
 ALPHA_MAX = math.pi / 4.0
@@ -60,31 +59,3 @@ def alpha_for_coherence(c: float) -> float:
     if not 0.0 <= c <= 1.0:
         raise CoherenceOutOfRangeError(f"coherence must be in [0, 1], got {c}")
     return math.acos(c) / 4.0
-
-
-def evolved_closed_form(setting: PrepSetting, ch: GadChannel) -> QubitState:
-    """Closed-form state after the GAD channel; oracle for the Kraus path.
-
-    p_g = p r + (1-r)/2, p_e = (1+r)/2 - p r, p_c = cos(4 alpha) sqrt(1-r)/2.
-    """
-    p_g = ch.p * ch.r + (1.0 - ch.r) / 2.0
-    p_e = (1.0 + ch.r) / 2.0 - ch.p * ch.r
-    if setting.dephased:
-        p_c = 0.0
-    else:
-        p_c = 0.5 * math.cos(4.0 * setting.alpha) * math.sqrt(1.0 - ch.r)
-    return QubitState(np.array([[p_g, p_c], [p_c, p_e]], dtype=np.complex128))
-
-
-def hwp_theta_for_p(p: float) -> float:
-    """Interferometer HWP angle realizing p = cos^2(2 theta)."""
-    if not 0.5 <= p <= 1.0:
-        raise ParameterOutOfRangeError(f"p must be in [0.5, 1], got {p}")
-    return math.acos(math.sqrt(p)) / 2.0
-
-
-def hwp_phi_for_r(r: float) -> float:
-    """Interferometer HWP angle realizing r = sin^2(2 phi)."""
-    if not 0.0 <= r <= 1.0:
-        raise ParameterOutOfRangeError(f"r must be in [0, 1], got {r}")
-    return math.asin(math.sqrt(r)) / 2.0

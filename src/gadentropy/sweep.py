@@ -1,4 +1,4 @@
-"""Figure-reproduction sweeps and the aggregated property suite.
+"""Figure-reproduction sweeps.
 
 Each grid point runs the two-experiment protocol: the coherent preparation
 gives the total entropy production, the dephased preparation gives the
@@ -9,17 +9,16 @@ analytic path and the shot-noise tomography path are recorded per row.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 import os
 import platform
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import bloch, prep, qstate, tomography
-from . import channel as chn
-from .budget import budget as entropy_budget
+from . import bloch, prep, tomography
 
 DEFAULT_SHOTS = 10_000
 DEFAULT_BOOTSTRAP = 200
@@ -119,29 +118,36 @@ _CONFIG_KEYS = {
 def load_config(path: str) -> SweepConfig:
     """Parse a flat key-value config file (key = value, '#' comments).
 
-    Unknown or repeated keys, two keys for one setting (alpha_deg and
-    coherence, r_grid and r_points) and unparseable values raise ConfigError.
+    Text that is not UTF-8, unknown or repeated keys, two keys for one setting
+    (alpha_deg and coherence, r_grid and r_points) and unparseable values
+    raise ConfigError.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        # newline=None splits lines as a text-mode file does (\n, \r, \r\n).
+        lines = io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     kwargs: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            name, parse = _CONFIG_KEYS[key]
-            if name in kwargs:
-                raise ConfigError(f"{path}:{lineno}: {key!r} repeats or conflicts with an earlier key")
-            try:
-                kwargs[name] = parse(value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-            if key in ("alpha_deg", "coherence"):
-                kwargs["units"] = "degrees" if key == "alpha_deg" else "coherence"
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        name, parse = _CONFIG_KEYS[key]
+        if name in kwargs:
+            raise ConfigError(f"{path}:{lineno}: {key!r} repeats or conflicts with an earlier key")
+        try:
+            kwargs[name] = parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+        if key in ("alpha_deg", "coherence"):
+            kwargs["units"] = "degrees" if key == "alpha_deg" else "coherence"
     try:
         return SweepConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -341,101 +347,3 @@ def emit_summary(rows: np.ndarray) -> str:
         f"non-finite bootstrap samples dropped: {c['nonfinite_bootstrap_dropped']}",
     ]
     return "\n".join(lines)
-
-
-@dataclass
-class PropertyResult:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass
-class PropertyReport:
-    results: list[PropertyResult] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def render(self) -> str:
-        lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}" for r in self.results]
-        lines.append("ALL PASS" if self.passed else "FAILURES PRESENT")
-        return "\n".join(lines)
-
-
-def _random_state(rng: np.random.Generator) -> qstate.QubitState:
-    v = rng.normal(size=3)
-    radius = rng.uniform() ** (1.0 / 3.0)
-    v = v / np.linalg.norm(v) * radius
-    return qstate.QubitState.from_bloch(*v)
-
-
-def run_property_suite(seed: int = 1234) -> PropertyReport:
-    """Run every module invariant on documented grids with a fixed seed."""
-    rng = np.random.default_rng(seed)
-    grid = [chn.GadChannel(p, r) for p in np.linspace(0.5, 1.0, 11)
-            for r in np.linspace(0.0, 1.0, 11)]
-    preps = [(s, prep.prepare(s))
-             for s in map(prep.PrepSetting, np.linspace(0.0, math.pi / 4.0, 9))]
-
-    def dev(a, b) -> float:
-        return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
-
-    def within(worst: float) -> tuple[bool, str]:
-        return worst < 1e-12, f"max deviation {worst:.3e}"
-
-    def random_channel(p: float | None = None) -> chn.GadChannel:
-        p = rng.uniform(0.5, 1.0 - 1e-9) if p is None else p
-        return chn.GadChannel(p, rng.uniform(0.0, 1.0))
-
-    def contractivity() -> tuple[bool, str]:
-        violations = 0
-        for _ in range(500):
-            state, ch = _random_state(rng), random_channel()
-            eq = chn.equilibrium_state(ch)
-            after = qstate.relative_entropy(chn.apply(ch, state), eq)
-            violations += after > qstate.relative_entropy(state, eq) + 1e-10
-        return violations == 0, f"{violations} violations"
-
-    def additivity() -> tuple[bool, str]:
-        gap = neg = 0.0
-        for _ in range(1000):
-            setting = prep.PrepSetting(rng.uniform(0.0, math.pi / 4.0))
-            b = entropy_budget(prep.prepare(setting), random_channel())
-            gap = max(gap, abs(b.total - (b.population + b.coherence)))
-            neg = max(neg, -min(b.total, b.population, b.coherence))
-        return (gap < 1e-10 and neg <= 0.0,
-                f"max additivity gap {gap:.3e}, max negativity {max(neg, 0.0):.3e}")
-
-    def composition(p: float) -> float:
-        ch1, ch2, state = random_channel(p), random_channel(p), _random_state(rng)
-        return dev(chn.apply(ch2, chn.apply(ch1, state)).matrix,
-                   chn.apply(chn.compose(ch1, ch2), state).matrix)
-
-    def round_trip(state: qstate.QubitState) -> float:
-        probs = tomography.projector_probabilities(state)
-        recon = tomography.project_to_physical(tomography.inversion_from_frequencies(probs))
-        return dev(recon.matrix, state.matrix)
-
-    checks = (
-        ("kraus completeness (11x11 grid)", lambda: within(max(
-            dev(sum(m.conj().T @ m for m in chn.kraus_operators(ch)), np.eye(2))
-            for ch in grid))),
-        ("equilibrium fixed point (11x11 grid)", lambda: within(max(
-            dev(chn.apply(ch, chn.equilibrium_state(ch)).matrix,
-                chn.equilibrium_state(ch).matrix) for ch in grid))),
-        ("closed-form evolved state (9x11x11 grid)", lambda: within(max(
-            dev(chn.apply(ch, state).matrix, prep.evolved_closed_form(setting, ch).matrix)
-            for setting, state in preps for ch in grid))),
-        ("relative-entropy contractivity (500 random cases)", contractivity),
-        ("budget additivity + non-negativity (1000 random triples)", additivity),
-        ("coherence decay sqrt(1-r), p-independent", lambda: within(max(
-            abs(float(chn.apply(ch, qstate.PLUS).matrix[0, 1].real)
-                - 0.5 * math.sqrt(1.0 - ch.r)) for ch in grid))),
-        ("semigroup composition (100 random cases)", lambda: within(max(
-            composition(rng.uniform(0.5, 1.0)) for _ in range(100)))),
-        ("tomography exact-frequency round trip (200 random states)", lambda: within(max(
-            round_trip(_random_state(rng)) for _ in range(200)))),
-    )
-    return PropertyReport([PropertyResult(name, *check()) for name, check in checks])

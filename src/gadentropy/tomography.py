@@ -27,25 +27,6 @@ _BOOTSTRAP_STREAM = 0xB007
 
 
 @dataclass(frozen=True)
-class CountRecord:
-    """Photon counts for the four projectors, all with the same shot budget."""
-
-    counts: tuple[int, int, int, int]
-    shots_per_basis: int
-    seed: int
-
-    def __post_init__(self):
-        if self.shots_per_basis < 1:
-            raise ValueError("shots_per_basis must be >= 1")
-        if any(c < 0 or c > self.shots_per_basis for c in self.counts):
-            raise ValueError(f"counts must lie in [0, shots], got {self.counts}")
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=float) / self.shots_per_basis
-
-
-@dataclass(frozen=True)
 class Reconstruction:
     """Reconstructed state with per-element bootstrap standard errors.
 
@@ -71,14 +52,6 @@ def projector_probabilities(state: QubitState) -> np.ndarray:
     return bloch.born_probabilities(state.bloch_vector())
 
 
-def simulate_counts(state: QubitState, shots: int, seed: int) -> CountRecord:
-    """Independent binomial draws per basis; deterministic given seed."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    counts = np.random.default_rng(seed).binomial(shots, projector_probabilities(state))
-    return CountRecord(counts=tuple(int(c) for c in counts), shots_per_basis=shots, seed=seed)
-
-
 def inversion_from_frequencies(frequencies) -> np.ndarray:
     """Linear inversion from (f_H, f_V, f_R, f_D) to a Hermitian unit-trace
     matrix; may be unphysical (see `bloch.invert`)."""
@@ -86,11 +59,6 @@ def inversion_from_frequencies(frequencies) -> np.ndarray:
     return 0.5 * np.array(
         [[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]], dtype=np.complex128
     )
-
-
-def linear_inversion(record: CountRecord) -> np.ndarray:
-    """Hermitian unit-trace estimate from counts; possibly indefinite."""
-    return inversion_from_frequencies(record.frequencies)
 
 
 def project_to_physical(m: np.ndarray) -> QubitState:
@@ -106,11 +74,6 @@ def project_to_physical(m: np.ndarray) -> QubitState:
     if length <= 1.0:
         return QubitState(m)
     return QubitState.from_bloch(x / length, y / length, z / length)
-
-
-def reconstruct_counts(record: CountRecord) -> QubitState:
-    """Linear inversion plus physicality projection."""
-    return project_to_physical(linear_inversion(record))
 
 
 def draw_frequencies(probs, shots: int, seed: int, n_bootstrap: int) -> np.ndarray:

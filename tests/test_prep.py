@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from gadentropy.channel import GadChannel, ParameterOutOfRangeError, apply
+from gadentropy import bloch
+from gadentropy.channel import GadChannel, apply
 from gadentropy.prep import (
     AngleOutOfRangeError,
     CoherenceOutOfRangeError,
     PrepSetting,
     alpha_for_coherence,
-    evolved_closed_form,
-    hwp_phi_for_r,
-    hwp_theta_for_p,
     prepare,
 )
 from gadentropy.qstate import (
@@ -89,57 +87,27 @@ class TestAlphaForCoherence:
 
 
 class TestEvolvedClosedForm:
+    """Prepared states through the sweep's GAD map, `bloch.gad`."""
+
     def test_r_zero_returns_prepared(self):
-        setting = PrepSetting(0.2)
-        out = evolved_closed_form(setting, GadChannel(0.8, 0.0))
-        assert out.isclose(prepare(setting))
+        prepared = prepare(PrepSetting(0.2)).bloch_vector()
+        assert np.allclose(bloch.gad(prepared, 0.8, 0.0), prepared, rtol=0.0, atol=1e-12)
 
     def test_r_one_returns_equilibrium(self):
-        out = evolved_closed_form(PrepSetting(0.1), GadChannel(0.75, 1.0))
-        assert out.isclose(
-            evolved_closed_form(PrepSetting(0.1, dephased=True), GadChannel(0.75, 1.0))
-        )
-        assert out.matrix[0, 0].real == pytest.approx(0.75, abs=1e-15)
+        for alpha, dephased in ((0.1, False), (0.1, True), (0.0, False)):
+            prepared = prepare(PrepSetting(alpha, dephased=dephased)).bloch_vector()
+            out = bloch.gad(prepared, 0.75, 1.0)
+            assert np.allclose(out, [0.0, 0.0, 0.5], rtol=0.0, atol=1e-15)
 
     def test_reference_point(self):
-        out = evolved_closed_form(PrepSetting(0.0), GadChannel(0.9, 0.5))
-        c = math.sqrt(0.5) / 2.0
-        assert np.allclose(out.matrix, [[0.7, c], [c, 0.3]], atol=1e-12)
+        out = bloch.gad(prepare(PrepSetting(0.0)).bloch_vector(), 0.9, 0.5)
+        assert np.allclose(out, [math.sqrt(0.5), 0.0, 0.4], rtol=0.0, atol=1e-12)
 
     def test_oracle_agreement_dense_grid(self):
+        ps, rs = np.linspace(0.5, 1.0, 11), np.linspace(0.0, 1.0, 11)
         for alpha in np.linspace(0.0, math.pi / 4.0, 9):
             for dephased in (False, True):
-                setting = PrepSetting(alpha, dephased=dephased)
-                state = prepare(setting)
-                for p in np.linspace(0.5, 1.0, 11):
-                    for r in np.linspace(0.0, 1.0, 11):
-                        ch = GadChannel(p, r)
-                        kraus = apply(ch, state)
-                        closed = evolved_closed_form(setting, ch)
-                        assert np.max(np.abs(kraus.matrix - closed.matrix)) < 1e-12
-
-
-class TestWavePlateConversions:
-    def test_theta_extremes(self):
-        assert hwp_theta_for_p(1.0) == 0.0
-
-    def test_phi_extremes(self):
-        assert hwp_phi_for_r(1.0) == pytest.approx(math.pi / 4.0, abs=1e-15)
-        assert hwp_phi_for_r(0.0) == 0.0
-
-    def test_theta_for_p09(self):
-        assert math.degrees(hwp_theta_for_p(0.9)) == pytest.approx(9.217, abs=1e-3)
-
-    def test_round_trips(self):
-        for p in np.linspace(0.5, 1.0, 11):
-            theta = hwp_theta_for_p(p)
-            assert math.cos(2.0 * theta) ** 2 == pytest.approx(p, abs=1e-12)
-        for r in np.linspace(0.0, 1.0, 11):
-            phi = hwp_phi_for_r(r)
-            assert math.sin(2.0 * phi) ** 2 == pytest.approx(r, abs=1e-12)
-
-    def test_out_of_range(self):
-        with pytest.raises(ParameterOutOfRangeError):
-            hwp_theta_for_p(0.4)
-        with pytest.raises(ParameterOutOfRangeError):
-            hwp_phi_for_r(1.2)
+                state = prepare(PrepSetting(alpha, dephased=dephased))
+                closed = bloch.gad(state.bloch_vector(), *np.meshgrid(ps, rs, indexing="ij"))
+                kraus = [[apply(GadChannel(p, r), state).bloch_vector() for r in rs] for p in ps]
+                assert np.max(np.abs(closed - kraus)) < 1e-12

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import gadentropy
 from gadentropy import bloch, cli, sweep
 from gadentropy.budget import budget as entropy_budget
 from gadentropy.budget import population_production, total_production
+from gadentropy.check import run_property_suite
 from gadentropy.channel import GadChannel, apply
 from gadentropy.prep import PrepSetting, prepare
 from gadentropy.qstate import QubitState
@@ -25,7 +28,6 @@ from gadentropy.sweep import (
     fig3_config,
     load_config,
     production_estimates,
-    run_property_suite,
     run_sweep,
 )
 from gadentropy.tomography import (
@@ -274,6 +276,26 @@ class TestPropertySuite:
         rendered = report.render()
         assert rendered.count("[PASS]") == len(report.results)
 
+    # `check` must fail when the Bloch closed forms the sweep runs drift by 1e-9.
+    @staticmethod
+    def failed_rows(capsys) -> list[str]:
+        assert cli.main(["check"]) == cli.EXIT_PROPERTY_FAILURE
+        return [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+                if line.startswith("[FAIL] ")]
+
+    def test_perturbed_gad_fails_the_closed_form_row(self, capsys, monkeypatch):
+        gad = bloch.gad
+        shrink_error = (1.0 + 1e-9, 1.0 + 1e-9, 1.0)
+        monkeypatch.setattr(bloch, "gad", lambda b, p, r: gad(b, p, r) * shrink_error)
+        assert self.failed_rows(capsys) == ["[FAIL] closed-form evolved state (9x11x11 grid)"]
+
+    @pytest.mark.parametrize("name", ["invert", "project"])
+    def test_perturbed_tomography_step_fails_the_round_trip_row(self, capsys, monkeypatch, name):
+        step = getattr(bloch, name)
+        monkeypatch.setattr(bloch, name, lambda a: step(a) + 1e-9)
+        assert self.failed_rows(capsys) == [
+            "[FAIL] tomography exact-frequency round trip (200 random states)"]
+
 
 class TestCli:
     def test_fig2_writes_csv(self, tmp_path, capsys):
@@ -324,7 +346,26 @@ class TestCli:
 
     def test_check_passes(self, capsys):
         assert cli.main(["check"]) == 0
-        assert "ALL PASS" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "ALL PASS"
+        # bench/run.py expects eight passing properties (CHECK_PROPERTIES).
+        assert sum(line.startswith("[PASS] ") for line in lines) == 8
+
+    def test_modules_and_names_the_benchmark_looks_up(self):
+        # bench/spans.py finds each layer in sys.modules after `import gadentropy,
+        # gadentropy.cli`; a fresh interpreter, because the tests import everything.
+        src = os.path.dirname(os.path.dirname(gadentropy.__file__))
+        loaded = subprocess.run(
+            [sys.executable, "-c", "import sys, gadentropy, gadentropy.cli; print(*sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src}).stdout.split()
+        for layer in ("qstate", "channel", "budget", "prep", "tomography", "sweep", "cli"):
+            assert f"gadentropy.{layer}" in loaded
+        # bench/worker.py calls these.
+        for layer, names in (("cli", ("main",)), ("qstate", ("PLUS",)), (
+                "channel", ("BathSpec", "evolve_master_equation", "apply", "channel_for"))):
+            for name in names:
+                assert hasattr(sys.modules[f"gadentropy.{layer}"], name), (layer, name)
 
 
 class TestArrayPathMatchesStates:
@@ -459,7 +500,7 @@ class TestErrorBarCoverage:
 def _write_config(tmp_path, body):
     path = tmp_path / "run.cfg"
     path.write_text(f"r_points = 3\nshots = 100\nn_bootstrap = 3\nout = {tmp_path / 'o.csv'}\n"
-                    + body)
+                    + body, encoding="utf-8", errors="surrogateescape")
     return path
 
 
@@ -472,6 +513,7 @@ class TestFailFast:
         ("shots = 200\n", "'shots'"),
         ("seed = 1.5\n", "'seed'"),
         ("seed = -1\n", "seed"),
+        ("# \udcff\n", "not UTF-8 text (invalid start byte at byte "),  # writes the byte 0xff
     ])
     def test_bad_config_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch, body, words):
         def no_compute(config):
@@ -495,7 +537,7 @@ class TestFailFast:
         def no_compute(seed):
             raise AssertionError("property suite ran on a negative seed")
 
-        monkeypatch.setattr(cli.sw, "run_property_suite", no_compute)
+        monkeypatch.setattr(cli.check, "run_property_suite", no_compute)
         assert cli.main(["check", "--seed", "-1"]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1

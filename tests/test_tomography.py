@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gadentropy import bloch
 from gadentropy.qstate import (
     MAXIMALLY_MIXED,
     PLUS,
@@ -11,14 +12,11 @@ from gadentropy.qstate import (
     validate,
 )
 from gadentropy.tomography import (
-    CountRecord,
+    draw_frequencies,
     inversion_from_frequencies,
-    linear_inversion,
     project_to_physical,
     projector_probabilities,
-    reconstruct_counts,
     reconstruct_with_errors,
-    simulate_counts,
 )
 
 
@@ -57,26 +55,24 @@ class TestProjectorProbabilities:
 
 
 class TestSimulateCounts:
+    """The observed run of `draw_frequencies` (index 0): one binomial draw per basis."""
+
     def test_certain_outcomes(self):
         ground = QubitState.diagonal(1.0, 0.0)
-        record = simulate_counts(ground, 1000, seed=5)
-        assert record.counts[0] == 1000  # p_H = 1
-        assert record.counts[1] == 0  # p_V = 0
+        observed = draw_frequencies(projector_probabilities(ground), 1000, 5, 2)[0]
+        assert observed[0] == 1.0  # p_H = 1
+        assert observed[1] == 0.0  # p_V = 0
 
     def test_deterministic_given_seed(self):
-        a = simulate_counts(PLUS, 10_000, seed=9)
-        b = simulate_counts(PLUS, 10_000, seed=9)
-        assert a == b
+        a = draw_frequencies(projector_probabilities(PLUS), 10_000, 9, 10)
+        b = draw_frequencies(projector_probabilities(PLUS), 10_000, 9, 10)
+        assert np.array_equal(a, b)
 
     def test_binomial_statistics(self):
-        record = simulate_counts(PLUS, 100_000, seed=10)
-        assert record.counts[3] == 100_000  # p_D = 1
+        counts = 100_000 * draw_frequencies(projector_probabilities(PLUS), 100_000, 10, 2)[0]
+        assert counts[3] == 100_000  # p_D = 1
         sigma = math.sqrt(100_000 * 0.25)
-        assert abs(record.counts[0] - 50_000) < 5 * sigma
-
-    def test_invalid_counts_rejected(self):
-        with pytest.raises(ValueError):
-            CountRecord(counts=(5, 0, 0, 0), shots_per_basis=4, seed=0)
+        assert abs(counts[0] - 50_000) < 5 * sigma
 
 
 class TestLinearInversion:
@@ -94,12 +90,6 @@ class TestLinearInversion:
         assert np.max(np.abs(m - m.conj().T)) < 1e-15
         assert np.trace(m).real == pytest.approx(1.0, abs=1e-15)
         assert np.linalg.eigvalsh(m)[0] < -1e-3
-
-    def test_from_count_record(self):
-        record = CountRecord(counts=(70, 30, 50, 85), shots_per_basis=100, seed=0)
-        m = linear_inversion(record)
-        assert m[0, 0].real == pytest.approx(0.7, abs=1e-12)
-        assert m[0, 1].real == pytest.approx(0.35, abs=1e-12)
 
     def test_round_trip_on_random_states(self):
         rng = np.random.default_rng(42)
@@ -168,14 +158,12 @@ class TestReconstructWithErrors:
 
 class TestStatisticalConsistency:
     def test_mean_bloch_vector_unbiased(self):
-        # Mean reconstructed Bloch vector over many seeds stays within
+        # Mean reconstructed Bloch vector over 1000 runs stays within
         # 5 standard errors of the truth, per component.
         state = QubitState.from_bloch(0.3, -0.2, 0.4)
         shots = 10_000
-        vectors = np.array([
-            reconstruct_counts(simulate_counts(state, shots, seed)).bloch_vector()
-            for seed in range(1000)
-        ])
+        runs = np.broadcast_to(projector_probabilities(state), (1000, 4))
+        vectors = bloch.project(bloch.invert(draw_frequencies(runs, shots, 0, 2)[:, 0]))
         mean = vectors.mean(axis=0)
         stderr = vectors.std(axis=0, ddof=1) / math.sqrt(len(vectors))
         for got, want, err in zip(mean, state.bloch_vector(), stderr):
