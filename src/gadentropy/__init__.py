@@ -21,8 +21,6 @@ from .sweep import (
     SWEEP_DTYPE, SweepConfig, emit_csv, emit_summary, fig2_config, fig3_config,
     load_config, run_sweep,
 )
-from .tomography import (
-    Reconstruction, project_to_physical, projector_probabilities, reconstruct_with_errors,
-)
+from .tomography import project_to_physical
 
 __version__ = "0.3.0"

@@ -41,16 +41,19 @@ class PrepSetting:
             )
 
 
+def coherent_bloch_x(alpha: float) -> float:
+    """Bloch x = cos(4 alpha) of the coherent preparation at HWP1 angle alpha
+    (y = z = 0).  Scalar `math.cos`, so the sweep and `prepare` get one float."""
+    return math.cos(4.0 * alpha)
+
+
 def prepare(setting: PrepSetting) -> QubitState:
     """The prepared photon state for a given wave-plate setting.
 
     Coherent: (|H><H| + |V><V|)/2 + cos(4 alpha)(|H><V| + |V><H|)/2.
     Dephased: the maximally mixed state.
     """
-    if setting.dephased:
-        off = 0.0
-    else:
-        off = 0.5 * math.cos(4.0 * setting.alpha)
+    off = 0.0 if setting.dephased else 0.5 * coherent_bloch_x(setting.alpha)
     return QubitState(np.array([[0.5, off], [off, 0.5]], dtype=np.complex128))
 
 

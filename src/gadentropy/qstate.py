@@ -83,8 +83,6 @@ class QubitState:
 
 
 # Common fixed states.
-GROUND = QubitState.diagonal(1.0, 0.0)  # |H><H|
-EXCITED = QubitState.diagonal(0.0, 1.0)  # |V><V|
 MAXIMALLY_MIXED = QubitState.diagonal(0.5, 0.5)
 PLUS = QubitState.pure([1.0, 1.0])  # |D><D|
 

@@ -42,7 +42,8 @@ class SweepConfig:
     p_values: tuple[float, ...] = FIG2_P_VALUES
     alpha_or_coherence: tuple[float, ...] = (1.0,)
     units: str = "coherence"  # "degrees" | "coherence"
-    r_grid: tuple[float, ...] = ()
+    r_grid: tuple[float, ...] = dataclasses.field(
+        default_factory=lambda: uniform_r_grid(DEFAULT_R_POINTS))
     shots: int = DEFAULT_SHOTS
     n_bootstrap: int = DEFAULT_BOOTSTRAP
     seed: int = DEFAULT_SEED
@@ -53,10 +54,8 @@ class SweepConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.units not in ("degrees", "coherence"):
             raise ConfigError(f"units must be 'degrees' or 'coherence', got {self.units!r}")
-        if not self.r_grid:
-            self.r_grid = uniform_r_grid(DEFAULT_R_POINTS)
-        if not self.p_values or not self.alpha_or_coherence:
-            raise ConfigError("p_values and alpha_or_coherence must be non-empty")
+        if not self.p_values or not self.alpha_or_coherence or not self.r_grid:
+            raise ConfigError("p_values, alpha_or_coherence and r_grid must be non-empty")
         degrees = self.units == "degrees"
         for name, values, low, high in (
             ("p_values", self.p_values, 0.5, 1.0),
@@ -67,8 +66,9 @@ class SweepConfig:
             bad = [v for v in values if not low <= v <= high]
             if bad:
                 raise ConfigError(f"{name} must lie in [{low:g}, {high:g}], got {float(bad[0]):g}")
-        if self.shots < 1 or self.n_bootstrap < 2 or self.seed < 0:
-            raise ConfigError("shots must be >= 1, n_bootstrap >= 2 and seed >= 0")
+        # numpy's binomial takes the shot count as a C long.
+        if not 1 <= self.shots <= np.iinfo(np.int64).max or self.n_bootstrap < 2 or self.seed < 0:
+            raise ConfigError("shots must be in [1, 2**63 - 1], n_bootstrap >= 2 and seed >= 0")
 
     def alphas(self) -> tuple[float, ...]:
         """HWP1 angles in radians for each configured initial state."""
@@ -224,7 +224,7 @@ def run_sweep(config: SweepConfig) -> np.recarray:
     p = np.asarray(config.p_values, dtype=float)[i_p]
     r = np.asarray(config.r_grid, dtype=float)[i_r]
     coherent = np.zeros((p.size, 3))
-    coherent[:, 0] = np.array([math.cos(4.0 * a) for a in alphas])[i_a]
+    coherent[:, 0] = np.array([prep.coherent_bloch_x(a) for a in alphas])[i_a]
     final = bloch.gad(coherent, p, r)
     total, population = (_production(coherent, final, p, dephased) for dephased in (False, True))
     det = np.isfinite(total) & np.isfinite(population)

@@ -10,6 +10,7 @@ from gadentropy.prep import (
     CoherenceOutOfRangeError,
     PrepSetting,
     alpha_for_coherence,
+    coherent_bloch_x,
     prepare,
 )
 from gadentropy.qstate import (
@@ -46,8 +47,8 @@ class TestPrepare:
 
     def test_l1_coherence_is_cos_4alpha(self):
         for alpha in np.linspace(0.0, math.pi / 4.0, 9):
-            got = l1_coherence(prepare(PrepSetting(alpha)))
-            assert got == pytest.approx(abs(math.cos(4.0 * alpha)), abs=1e-12)
+            for got in (l1_coherence(prepare(PrepSetting(alpha))), abs(coherent_bloch_x(alpha))):
+                assert got == pytest.approx(abs(math.cos(4.0 * alpha)), abs=1e-12)
 
     def test_dephase_matches_dephased_preparation(self):
         for alpha in np.linspace(0.0, math.pi / 4.0, 9):

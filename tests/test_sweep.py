@@ -30,12 +30,7 @@ from gadentropy.sweep import (
     production_estimates,
     run_sweep,
 )
-from gadentropy.tomography import (
-    draw_frequencies,
-    inversion_from_frequencies,
-    project_to_physical,
-    projector_probabilities,
-)
+from gadentropy.tomography import draw_frequencies, project_to_physical
 
 SMALL = dict(shots=500, n_bootstrap=5, seed=99, r_grid=(0.0, 0.5, 1.0))
 
@@ -374,11 +369,8 @@ class TestArrayPathMatchesStates:
     @staticmethod
     def per_state(initial, p, freqs, production):
         eq = QubitState.diagonal(p, 1.0 - p)
-        values = [
-            production(initial, project_to_physical(inversion_from_frequencies(f)), eq,
-                       clamp=False)
-            for f in freqs
-        ]
+        values = [production(initial, project_to_physical(QubitState.from_bloch(*v).matrix), eq,
+                             clamp=False) for v in bloch.invert(freqs)]
         return values[0], float(np.std(values[1:], ddof=1))
 
     @pytest.mark.parametrize("shots", [50, 10_000])
@@ -416,8 +408,8 @@ class TestArrayPathMatchesStates:
         )
         got = [[] for _ in rows]
         for e, initial, production in experiments:
-            probs = [projector_probabilities(apply(GadChannel(row.p, row.r), initial(row)))
-                     for row in rows]
+            probs = [bloch.born_probabilities(
+                apply(GadChannel(row.p, row.r), initial(row)).bloch_vector()) for row in rows]
             freqs = draw_frequencies(np.array(probs), cfg.shots, experiment_seed(cfg.seed, e),
                                      cfg.n_bootstrap)
             for k, row in enumerate(rows):
@@ -499,8 +491,8 @@ class TestErrorBarCoverage:
 
 def _write_config(tmp_path, body):
     path = tmp_path / "run.cfg"
-    path.write_text(f"r_points = 3\nshots = 100\nn_bootstrap = 3\nout = {tmp_path / 'o.csv'}\n"
-                    + body, encoding="utf-8", errors="surrogateescape")
+    path.write_text(f"shots = 100\nn_bootstrap = 3\nout = {tmp_path / 'o.csv'}\n" + body,
+                    encoding="utf-8", errors="surrogateescape")
     return path
 
 
@@ -514,6 +506,8 @@ class TestFailFast:
         ("seed = 1.5\n", "'seed'"),
         ("seed = -1\n", "seed"),
         ("# \udcff\n", "not UTF-8 text (invalid start byte at byte "),  # writes the byte 0xff
+        ("r_grid =\n", "r_grid"),
+        ("r_grid = ,\n", "r_grid"),
     ])
     def test_bad_config_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch, body, words):
         def no_compute(config):
@@ -528,7 +522,7 @@ class TestFailFast:
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("flag", [["--shots", "0"], ["--bootstrap", "1"], ["--seed", "-3"],
-                                      ["--r-points", "1"]])
+                                      ["--r-points", "1"], ["--shots", str(2**63)]])
     def test_bad_flag_exits_1(self, capsys, flag):
         assert cli.main(["fig2"] + flag) == cli.EXIT_USAGE
         assert capsys.readouterr().err.count("\n") == 1

@@ -11,13 +11,7 @@ from gadentropy.qstate import (
     fidelity,
     validate,
 )
-from gadentropy.tomography import (
-    draw_frequencies,
-    inversion_from_frequencies,
-    project_to_physical,
-    projector_probabilities,
-    reconstruct_with_errors,
-)
+from gadentropy.tomography import draw_frequencies, project_to_physical
 
 
 def random_state(rng):
@@ -26,30 +20,36 @@ def random_state(rng):
     return QubitState.from_bloch(*v)
 
 
+def reconstruct(state, shots, seed, n_bootstrap):
+    """The sweep's tomography of `state`: the run's Bloch vector, then its resamples."""
+    probs = bloch.born_probabilities(state.bloch_vector())
+    return bloch.project(bloch.invert(draw_frequencies(probs, shots, seed, n_bootstrap)))
+
+
 class TestProjectorProbabilities:
     def test_maximally_mixed(self):
-        assert np.allclose(projector_probabilities(MAXIMALLY_MIXED), 0.5)
+        assert np.allclose(bloch.born_probabilities(MAXIMALLY_MIXED.bloch_vector()), 0.5)
 
     def test_plus_state(self):
         assert np.allclose(
-            projector_probabilities(PLUS), [0.5, 0.5, 0.5, 1.0], atol=1e-12
+            bloch.born_probabilities(PLUS.bloch_vector()), [0.5, 0.5, 0.5, 1.0], atol=1e-12
         )
 
     def test_evolved_state(self):
         c = math.sqrt(0.5) / 2.0
         state = QubitState([[0.7, c], [c, 0.3]])
         expected = [0.7, 0.3, 0.5, 0.5 + c]
-        assert np.allclose(projector_probabilities(state), expected, atol=1e-12)
+        assert np.allclose(bloch.born_probabilities(state.bloch_vector()), expected, atol=1e-12)
 
     def test_r_basis_reads_imaginary_part(self):
         right = QubitState.pure([1.0, 1j])
-        probs = projector_probabilities(right)
+        probs = bloch.born_probabilities(right.bloch_vector())
         assert probs[2] == pytest.approx(1.0, abs=1e-12)
 
     def test_hv_sum_to_one(self):
         rng = np.random.default_rng(41)
         for _ in range(50):
-            probs = projector_probabilities(random_state(rng))
+            probs = bloch.born_probabilities(random_state(rng).bloch_vector())
             assert probs[0] + probs[1] == pytest.approx(1.0, abs=1e-12)
             assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
 
@@ -59,17 +59,19 @@ class TestSimulateCounts:
 
     def test_certain_outcomes(self):
         ground = QubitState.diagonal(1.0, 0.0)
-        observed = draw_frequencies(projector_probabilities(ground), 1000, 5, 2)[0]
+        probs = bloch.born_probabilities(ground.bloch_vector())
+        observed = draw_frequencies(probs, 1000, 5, 2)[0]
         assert observed[0] == 1.0  # p_H = 1
         assert observed[1] == 0.0  # p_V = 0
 
     def test_deterministic_given_seed(self):
-        a = draw_frequencies(projector_probabilities(PLUS), 10_000, 9, 10)
-        b = draw_frequencies(projector_probabilities(PLUS), 10_000, 9, 10)
-        assert np.array_equal(a, b)
+        probs = bloch.born_probabilities(PLUS.bloch_vector())
+        assert np.array_equal(draw_frequencies(probs, 10_000, 9, 10),
+                              draw_frequencies(probs, 10_000, 9, 10))
 
     def test_binomial_statistics(self):
-        counts = 100_000 * draw_frequencies(projector_probabilities(PLUS), 100_000, 10, 2)[0]
+        probs = bloch.born_probabilities(PLUS.bloch_vector())
+        counts = 100_000 * draw_frequencies(probs, 100_000, 10, 2)[0]
         assert counts[3] == 100_000  # p_D = 1
         sigma = math.sqrt(100_000 * 0.25)
         assert abs(counts[0] - 50_000) < 5 * sigma
@@ -77,16 +79,16 @@ class TestSimulateCounts:
 
 class TestLinearInversion:
     def test_exact_frequencies_identity(self):
-        m = inversion_from_frequencies([0.5, 0.5, 0.5, 0.5])
+        m = QubitState.from_bloch(*bloch.invert([0.5, 0.5, 0.5, 0.5])).matrix
         assert np.allclose(m, MAXIMALLY_MIXED.matrix, atol=1e-15)
 
     def test_exact_frequencies_plus(self):
-        m = inversion_from_frequencies([0.5, 0.5, 0.5, 1.0])
+        m = QubitState.from_bloch(*bloch.invert([0.5, 0.5, 0.5, 1.0])).matrix
         assert np.allclose(m, PLUS.matrix, atol=1e-15)
 
     def test_unphysical_intermediate_allowed(self):
         # f_H = 1 and f_D = 1 give a Bloch vector of length sqrt(2)
-        m = inversion_from_frequencies([1.0, 0.0, 0.5, 1.0])
+        m = QubitState.from_bloch(*bloch.invert([1.0, 0.0, 0.5, 1.0])).matrix
         assert np.max(np.abs(m - m.conj().T)) < 1e-15
         assert np.trace(m).real == pytest.approx(1.0, abs=1e-15)
         assert np.linalg.eigvalsh(m)[0] < -1e-3
@@ -95,8 +97,8 @@ class TestLinearInversion:
         rng = np.random.default_rng(42)
         for _ in range(100):
             state = random_state(rng)
-            probs = projector_probabilities(state)
-            recon = project_to_physical(inversion_from_frequencies(probs))
+            probs = bloch.born_probabilities(state.bloch_vector())
+            recon = project_to_physical(QubitState.from_bloch(*bloch.invert(probs)).matrix)
             assert np.max(np.abs(recon.matrix - state.matrix)) < 1e-12
 
 
@@ -132,28 +134,12 @@ class TestReconstructWithErrors:
     def test_convergence_at_large_shots(self):
         states = [PLUS, MAXIMALLY_MIXED, QubitState([[0.7, 0.353553], [0.353553, 0.3]])]
         for i, state in enumerate(states):
-            rec = reconstruct_with_errors(state, 100_000, seed=100 + i, n_bootstrap=2)
-            assert fidelity(rec.state, state) >= 0.999
-
-    def test_minimal_bootstrap_runs(self):
-        rec = reconstruct_with_errors(PLUS, 1000, seed=7, n_bootstrap=2)
-        assert rec.stderr.shape == (2, 2)
-        assert np.all(np.isfinite(rec.stderr))
+            estimate = QubitState.from_bloch(*reconstruct(state, 100_000, 100 + i, 2)[0])
+            assert fidelity(estimate, state) >= 0.999
 
     def test_pure_state_reconstruction_is_physical(self):
         for seed in range(20):
-            rec = reconstruct_with_errors(PLUS, 500, seed=seed, n_bootstrap=2)
-            validate(rec.state)
-
-    def test_deterministic_given_seed(self):
-        a = reconstruct_with_errors(PLUS, 2000, seed=3, n_bootstrap=10)
-        b = reconstruct_with_errors(PLUS, 2000, seed=3, n_bootstrap=10)
-        assert np.allclose(a.state.matrix, b.state.matrix)
-        assert np.allclose(a.stderr, b.stderr)
-
-    def test_rejects_tiny_bootstrap(self):
-        with pytest.raises(ValueError):
-            reconstruct_with_errors(PLUS, 100, seed=0, n_bootstrap=1)
+            validate(QubitState.from_bloch(*reconstruct(PLUS, 500, seed, 2)[0]))
 
 
 class TestStatisticalConsistency:
@@ -162,7 +148,7 @@ class TestStatisticalConsistency:
         # 5 standard errors of the truth, per component.
         state = QubitState.from_bloch(0.3, -0.2, 0.4)
         shots = 10_000
-        runs = np.broadcast_to(projector_probabilities(state), (1000, 4))
+        runs = np.broadcast_to(bloch.born_probabilities(state.bloch_vector()), (1000, 4))
         vectors = bloch.project(bloch.invert(draw_frequencies(runs, shots, 0, 2)[:, 0]))
         mean = vectors.mean(axis=0)
         stderr = vectors.std(axis=0, ddof=1) / math.sqrt(len(vectors))
@@ -173,11 +159,7 @@ class TestStatisticalConsistency:
         # stderr of <sigma_z> vs the analytic binomial scale at 1e4 shots
         state = QubitState.from_bloch(0.1, 0.05, 0.4)  # interior, projection inert
         shots = 10_000
-        rec = reconstruct_with_errors(state, shots, seed=77, n_bootstrap=400)
-        z_samples = [
-            (s.matrix[0, 0] - s.matrix[1, 1]).real for s in rec.bootstrap_states
-        ]
-        boot = float(np.std(z_samples, ddof=1))
+        boot = float(np.std(reconstruct(state, shots, 77, 400)[1:, 2], ddof=1))
         f = 0.7  # p_H for this state
         analytic = 2.0 * math.sqrt(f * (1.0 - f) / shots)
         assert analytic / 1.5 <= boot <= analytic * 1.5
