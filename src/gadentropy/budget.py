@@ -5,6 +5,11 @@ Total production is the drop in relative entropy to the equilibrium state;
 the population part is the same drop computed on dephased states, and the
 coherence part is the drop in relative entropy of coherence.  The three are
 additive: total = population + coherence.
+
+`total_productions`, `population_productions`, `coherence_productions` and
+`productions` give the raw signed values on stacked (..., 2, 2) density
+matrices; the per-state functions wrap them with the strict rules (clamp of
+round-off negatives, errors on inf - inf and on negativity).
 """
 
 from __future__ import annotations
@@ -12,8 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import GadChannel, apply, equilibrium_state
-from .qstate import QubitState, dephase, rel_entropy_coherence, relative_entropy
+import numpy as np
+
+from .channel import GadChannel, apply_kraus, equilibrium_states
+from .qstate import QubitState, dephased, rel_entropy_coherences, relative_entropies
 
 # Values in [-NEG_FLOOR, 0) are floating-point noise and clamp to 0; anything
 # more negative is a genuine positivity violation.
@@ -38,25 +45,53 @@ class EntropyBudget:
     coherence: float
 
 
-def _clamp(value: float, label: str) -> float:
-    if value < -NEG_FLOOR:
-        raise EntropyConsistencyError(f"{label} production is negative: {value:.3e}")
-    return max(value, 0.0)
+def total_productions(initial, final, eq) -> np.ndarray:
+    """Raw signed Sigma = D(initial || eq) - D(final || eq) of stacked
+    (..., 2, 2) density matrices: +inf where only D(initial || eq) is
+    infinite, -inf where only D(final || eq) is, and nan where both are."""
+    with np.errstate(invalid="ignore"):  # inf - inf is the indeterminate nan
+        return relative_entropies(initial, eq) - relative_entropies(final, eq)
 
 
-def _difference(d_initial: float, d_final: float, label: str, clamp: bool) -> float:
-    if math.isinf(d_initial) and math.isinf(d_final):
+def population_productions(initial, final, eq) -> np.ndarray:
+    """Raw signed Sigma_pop: `total_productions` of the dephased states."""
+    return total_productions(dephased(initial), dephased(final), eq)
+
+
+def coherence_productions(initial, final) -> np.ndarray:
+    """Raw signed Sigma_coh = C(initial) - C(final) of stacked (..., 2, 2)
+    density matrices, C the relative entropy of coherence."""
+    return rel_entropy_coherences(initial) - rel_entropy_coherences(final)
+
+
+def productions(initial, p, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw signed (Sigma, Sigma_pop, Sigma_coh) of stacked (..., 2, 2) initial
+    states under GAD(p, r), relative to the channel's own equilibrium; the
+    leading axes of initial, p and r broadcast."""
+    final = apply_kraus(initial, p, r)
+    eq = equilibrium_states(p)
+    return (total_productions(initial, final, eq), population_productions(initial, final, eq),
+            coherence_productions(initial, final))
+
+
+def _checked(value, label: str, clamp: bool = True) -> float:
+    """A raw relative-entropy drop as a float, with the per-state rules:
+    inf - inf raises IndeterminateEntropyError, a drop to -inf raises
+    EntropyConsistencyError, +inf passes, and a finite value is clamped."""
+    value = float(value)
+    if math.isnan(value):
         raise IndeterminateEntropyError(
             f"{label} production is inf - inf; restrict p < 1 or r > 0"
         )
-    if math.isinf(d_final):
+    if value == -math.inf:
         raise EntropyConsistencyError(
             f"{label}: relative entropy increased to infinity along the evolution"
         )
-    if math.isinf(d_initial):
-        return math.inf
-    diff = d_initial - d_final
-    return _clamp(diff, label) if clamp else diff
+    if value == math.inf or not clamp:
+        return value
+    if value < -NEG_FLOOR:
+        raise EntropyConsistencyError(f"{label} production is negative: {value:.3e}")
+    return max(value, 0.0)
 
 
 def total_production(
@@ -67,29 +102,22 @@ def total_production(
     With clamp=False the raw signed difference is returned; use it when the
     final state is a noisy estimate rather than an exact channel output.
     """
-    return _difference(
-        relative_entropy(initial, eq), relative_entropy(final, eq), "total", clamp
-    )
+    return _checked(total_productions(initial.matrix, final.matrix, eq.matrix), "total", clamp)
 
 
 def population_production(
     initial: QubitState, final: QubitState, eq: QubitState, clamp: bool = True
 ) -> float:
     """Sigma_pop = D(dephase(initial) || eq) - D(dephase(final) || eq) >= 0."""
-    return _difference(
-        relative_entropy(dephase(initial), eq),
-        relative_entropy(dephase(final), eq),
-        "population",
-        clamp,
-    )
+    return _checked(population_productions(initial.matrix, final.matrix, eq.matrix),
+                    "population", clamp)
 
 
 def coherence_production(
     initial: QubitState, final: QubitState, clamp: bool = True
 ) -> float:
     """Sigma_coh = C(initial) - C(final) with C the relative entropy of coherence."""
-    diff = rel_entropy_coherence(initial) - rel_entropy_coherence(final)
-    return _clamp(diff, "coherence") if clamp else diff
+    return _checked(coherence_productions(initial.matrix, final.matrix), "coherence", clamp)
 
 
 def budget(initial: QubitState, ch: GadChannel) -> EntropyBudget:
@@ -98,11 +126,9 @@ def budget(initial: QubitState, ch: GadChannel) -> EntropyBudget:
     The equilibrium reference is always taken from the channel itself.
     Verifies additivity total = population + coherence to 1e-10.
     """
-    final = apply(ch, initial)
-    eq = equilibrium_state(ch)
-    total = total_production(initial, final, eq)
-    population = population_production(initial, final, eq)
-    coherence = coherence_production(initial, final)
+    raw = productions(initial.matrix, ch.p, ch.r)
+    total, population, coherence = (
+        _checked(value, label) for value, label in zip(raw, ("total", "population", "coherence")))
     if math.isfinite(total) and math.isfinite(population):
         gap = abs(total - (population + coherence))
         if gap > ADDITIVITY_TOL:

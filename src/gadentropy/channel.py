@@ -76,31 +76,51 @@ class BathSpec:
         return 1.0 / math.expm1(self.omega_s / self.temperature)
 
 
+def kraus_stack(p, r) -> np.ndarray:
+    """The four GAD Kraus matrices M0..M3 (M0, M1 relaxation; M2, M3
+    excitation) as a (..., 4, 2, 2) stack over the broadcast p and r arrays,
+    p in [0.5, 1] and r in [0, 1]."""
+    p, r = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(r, dtype=float))
+    sp, sq, sr, s1r = np.sqrt(p), np.sqrt(1.0 - p), np.sqrt(r), np.sqrt(1.0 - r)
+    out = np.zeros(p.shape + (4, 2, 2), dtype=np.complex128)
+    out[..., 0, 0, 0] = sp
+    out[..., 0, 1, 1] = sp * s1r
+    out[..., 1, 0, 1] = sp * sr
+    out[..., 2, 0, 0] = sq * s1r
+    out[..., 2, 1, 1] = sq
+    out[..., 3, 1, 0] = sq * sr
+    return out
+
+
+def apply_kraus(rho, p, r) -> np.ndarray:
+    """rho -> sum_k M_k rho M_k^dagger on stacked (..., 2, 2) density
+    matrices; the leading axes of rho, p and r broadcast."""
+    kraus = kraus_stack(p, r)
+    return np.einsum("...kij,...jl,...kml->...im", kraus, rho, kraus.conj())
+
+
 def kraus_operators(ch: GadChannel) -> list[np.ndarray]:
     """The four GAD Kraus matrices M0..M3 (M0, M1 relaxation; M2, M3 excitation)."""
-    sp = math.sqrt(ch.p)
-    sq = math.sqrt(1.0 - ch.p)
-    sr = math.sqrt(ch.r)
-    s1r = math.sqrt(1.0 - ch.r)
-    m0 = sp * np.array([[1.0, 0.0], [0.0, s1r]], dtype=np.complex128)
-    m1 = sp * np.array([[0.0, sr], [0.0, 0.0]], dtype=np.complex128)
-    m2 = sq * np.array([[s1r, 0.0], [0.0, 1.0]], dtype=np.complex128)
-    m3 = sq * np.array([[0.0, 0.0], [sr, 0.0]], dtype=np.complex128)
-    return [m0, m1, m2, m3]
+    return list(kraus_stack(ch.p, ch.r))
 
 
 def apply(ch: GadChannel, state: QubitState) -> QubitState:
     """rho -> sum_k M_k rho M_k^dagger."""
-    rho = state.matrix
-    out = np.zeros((2, 2), dtype=np.complex128)
-    for m in kraus_operators(ch):
-        out += m @ rho @ m.conj().T
-    return QubitState(out)
+    return QubitState(apply_kraus(state.matrix, ch.p, ch.r))
+
+
+def equilibrium_states(p) -> np.ndarray:
+    """Thermal fixed points diag(p, 1 - p), shape (..., 2, 2), of a p array."""
+    p = np.asarray(p, dtype=float)
+    out = np.zeros(p.shape + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = p
+    out[..., 1, 1] = 1.0 - p
+    return out
 
 
 def equilibrium_state(ch: GadChannel) -> QubitState:
     """Thermal fixed point diag(p, 1 - p)."""
-    return QubitState.diagonal(ch.p, 1.0 - ch.p)
+    return QubitState(equilibrium_states(ch.p))
 
 
 def compose(ch1: GadChannel, ch2: GadChannel) -> GadChannel:

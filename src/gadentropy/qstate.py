@@ -2,6 +2,11 @@
 
 Basis convention throughout the package: index 0 = ground = |H>,
 index 1 = excited = |V>.  All entropies are in nats.
+
+The entropies and dephasing come in stacked forms on complex arrays of
+shape (..., 2, 2) (`bloch_matrices`, `dephased`, `von_neumann_entropies`,
+`relative_entropies`, `rel_entropy_coherences`), computed with batched
+`eigvalsh`/`eigh`; the per-state functions on `QubitState` wrap them.
 """
 
 from __future__ import annotations
@@ -54,12 +59,7 @@ class QubitState:
 
     @classmethod
     def from_bloch(cls, x: float, y: float, z: float) -> "QubitState":
-        return cls(
-            0.5
-            * np.array(
-                [[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]], dtype=np.complex128
-            )
-        )
+        return cls(bloch_matrices((x, y, z)))
 
     @classmethod
     def diagonal(cls, p_ground: float, p_excited: float) -> "QubitState":
@@ -101,17 +101,58 @@ def validate(state: QubitState) -> None:
         raise NegativeEigenvalueError("matrix has a negative eigenvalue", -min_eig)
 
 
-def eigenvalues(state: QubitState) -> np.ndarray:
-    """Ascending eigenvalues with sub-tolerance negatives clamped to 0."""
-    eigs = np.linalg.eigvalsh(state.matrix)
-    return np.clip(eigs, 0.0, None)
+def bloch_matrices(b) -> np.ndarray:
+    """Density matrices (I + x X + y Y + z Z) / 2, shape (..., 2, 2), of
+    Bloch vectors b of shape (..., 3)."""
+    x, y, z = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
+    out = np.empty(x.shape + (2, 2), dtype=np.complex128)
+    out[..., 0, 0] = 0.5 * (1.0 + z)
+    out[..., 0, 1] = 0.5 * (x - 1j * y)
+    out[..., 1, 0] = 0.5 * (x + 1j * y)
+    out[..., 1, 1] = 0.5 * (1.0 - z)
+    return out
+
+
+def _tr_x_ln_x(eigs) -> np.ndarray:
+    """sum lam ln lam over the last axis, with negatives clamped to 0 and 0 ln 0 := 0."""
+    eigs = np.clip(eigs, 0.0, None)
+    return np.sum(eigs * np.log(np.where(eigs > 0.0, eigs, 1.0)), axis=-1)
+
+
+def von_neumann_entropies(rho) -> np.ndarray:
+    """S(rho) = -tr(rho ln rho) of stacked (..., 2, 2) density matrices."""
+    return -_tr_x_ln_x(np.linalg.eigvalsh(rho))
+
+
+def relative_entropies(rho, sigma) -> np.ndarray:
+    """D(rho || sigma) = tr(rho ln rho - rho ln sigma) of stacked (..., 2, 2)
+    density matrices; the leading axes of rho and sigma broadcast.
+
+    +inf where the support of rho is not contained in the support of sigma:
+    an eigenvalue of sigma at most ATOL on which rho has weight above ATOL.
+    """
+    sigma_eigs, sigma_vecs = np.linalg.eigh(sigma)
+    # Weight of rho on each eigenvector of sigma.
+    weights = np.einsum("...ji,...jk,...ki->...i", sigma_vecs.conj(), rho, sigma_vecs).real
+    supported = sigma_eigs > ATOL
+    cross = np.where(supported, weights * np.log(np.where(supported, sigma_eigs, 1.0)),
+                     np.where(weights > ATOL, -np.inf, 0.0))
+    return _tr_x_ln_x(np.linalg.eigvalsh(rho)) - np.sum(cross, axis=-1)
+
+
+def dephased(rho) -> np.ndarray:
+    """Stacked (..., 2, 2) matrices with their off-diagonal elements removed."""
+    return rho * np.eye(2)
+
+
+def rel_entropy_coherences(rho) -> np.ndarray:
+    """C(rho) = S(dephased(rho)) - S(rho) of stacked (..., 2, 2) density matrices."""
+    return von_neumann_entropies(dephased(rho)) - von_neumann_entropies(rho)
 
 
 def von_neumann_entropy(state: QubitState) -> float:
     """S(rho) = -tr(rho ln rho) in nats, with 0 ln 0 := 0."""
-    eigs = eigenvalues(state)
-    nz = eigs[eigs > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
+    return float(von_neumann_entropies(state.matrix))
 
 
 def relative_entropy(rho: QubitState, sigma: QubitState) -> float:
@@ -121,27 +162,12 @@ def relative_entropy(rho: QubitState, sigma: QubitState) -> float:
     sigma (threshold 1e-12 on sigma's eigenvalues and on the corresponding
     weight of rho).
     """
-    rho_eigs = eigenvalues(rho)
-    nz = rho_eigs[rho_eigs > 0.0]
-    tr_rho_ln_rho = float(np.sum(nz * np.log(nz)))
-
-    sigma_eigs, sigma_vecs = np.linalg.eigh(sigma.matrix)
-    # Weight of rho on each eigenvector of sigma.
-    weights = np.real(np.einsum("ji,jk,ki->i", sigma_vecs.conj(), rho.matrix, sigma_vecs))
-    tr_rho_ln_sigma = 0.0
-    for s, w in zip(sigma_eigs, weights):
-        if s <= ATOL:
-            if w > ATOL:
-                return math.inf
-        else:
-            tr_rho_ln_sigma += w * math.log(s)
-    return tr_rho_ln_rho - tr_rho_ln_sigma
+    return float(relative_entropies(rho.matrix, sigma.matrix))
 
 
 def dephase(state: QubitState) -> QubitState:
     """Remove off-diagonal elements (energy-eigenbasis dephasing map)."""
-    m = state.matrix
-    return QubitState(np.diag(np.diag(m)))
+    return QubitState(dephased(state.matrix))
 
 
 def l1_coherence(state: QubitState) -> float:
@@ -151,7 +177,7 @@ def l1_coherence(state: QubitState) -> float:
 
 def rel_entropy_coherence(state: QubitState) -> float:
     """Relative entropy of coherence C(rho) = S(dephase(rho)) - S(rho)."""
-    return von_neumann_entropy(dephase(state)) - von_neumann_entropy(state)
+    return float(rel_entropy_coherences(state.matrix))
 
 
 def fidelity(rho: QubitState, sigma: QubitState) -> float:

@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import math
 import os
+import pathlib
 import platform
 import subprocess
 import sys
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import gadentropy
-from gadentropy import bloch, cli, sweep
+from gadentropy import bloch, cli, qstate, sweep
 from gadentropy.budget import budget as entropy_budget
 from gadentropy.budget import population_production, total_production
 from gadentropy.check import run_property_suite
@@ -290,6 +292,64 @@ class TestPropertySuite:
         monkeypatch.setattr(bloch, name, lambda a: step(a) + 1e-9)
         assert self.failed_rows(capsys) == [
             "[FAIL] tomography exact-frequency round trip (200 random states)"]
+
+    # A bad value in a stacked row fails that row and exits 2, never a traceback.
+    @pytest.mark.parametrize("perturb", [
+        lambda sigma: sigma + 1e-9, lambda sigma: sigma - 1e-9,
+        lambda sigma: np.where(np.arange(sigma.size) == 7, np.nan, sigma)],
+        ids=["drift", "negative", "nan"])
+    def test_perturbed_productions_fail_the_additivity_row(self, capsys, monkeypatch, perturb):
+        budget_module = sys.modules["gadentropy.budget"]
+        productions = budget_module.coherence_productions
+        monkeypatch.setattr(budget_module, "coherence_productions",
+                            lambda initial, final: perturb(productions(initial, final)))
+        assert self.failed_rows(capsys) == [
+            "[FAIL] budget additivity + non-negativity (1000 random triples)"]
+
+    @pytest.mark.parametrize("perturb", [
+        lambda d: -d, lambda d: np.where(np.arange(d.size) == 7, np.nan, d)],
+        ids=["sign", "nan"])
+    def test_perturbed_relative_entropy_fails_the_contractivity_row(self, capsys, monkeypatch,
+                                                                     perturb):
+        relative_entropies = qstate.relative_entropies
+        monkeypatch.setattr(qstate, "relative_entropies",
+                            lambda rho, sigma: perturb(relative_entropies(rho, sigma)))
+        assert self.failed_rows(capsys) == [
+            "[FAIL] relative-entropy contractivity (500 random cases)"]
+
+    def test_suite_passes_under_the_bench_tracer(self):
+        # The benchmark's tracer wraps every public function and reads the
+        # per-state results as Python floats (math.isfinite on each field).
+        spec = importlib.util.spec_from_file_location(
+            "spans", pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        with spans.Tracer() as tracer:
+            report = run_property_suite(seed=1)
+            gadentropy.budget(gadentropy.prepare(PrepSetting(0.0)), GadChannel(0.9, 0.5))
+            with pytest.raises(gadentropy.IndeterminateEntropyError):
+                gadentropy.budget(gadentropy.prepare(PrepSetting(0.0)), GadChannel(1.0, 0.5))
+        assert report.render().endswith("\nALL PASS"), report.render()
+        traced = tracer.report()
+        assert traced["functions"]["budget.budget"]["calls"] == 2
+        assert traced["functions"]["budget.productions"]["calls"] >= 3
+        assert traced["counters"]["budget.indeterminate"] == 1
+        assert traced["counters"].get("budget.nonfinite", 0) == 0
+
+    @pytest.mark.parametrize("seed", ["0", "1234", "2024"])
+    def test_check_in_a_fresh_interpreter(self, seed):
+        # Same-seed output is byte-identical, and `check` leaves numpy.random
+        # unloaded: its cases come from the stdlib random.Random(seed).
+        src = os.path.dirname(os.path.dirname(gadentropy.__file__))
+        code = ("import sys; from gadentropy import cli; rc = cli.main(sys.argv[1:]); "
+                "print('numpy.random' in sys.modules, file=sys.stderr); sys.exit(rc)")
+        runs = [subprocess.run([sys.executable, "-c", code, "check", "--seed", seed],
+                               capture_output=True, env={**os.environ, "PYTHONPATH": src})
+                for _ in range(2)]
+        for run in runs:
+            assert (run.returncode, run.stderr) == (0, b"False\n")
+            assert run.stdout.endswith(b"\nALL PASS\n")
+        assert runs[0].stdout == runs[1].stdout
 
 
 class TestCli:
