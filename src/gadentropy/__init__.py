@@ -23,4 +23,4 @@ from .sweep import (
 )
 from .tomography import project_to_physical
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

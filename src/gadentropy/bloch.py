@@ -54,8 +54,8 @@ def project(b) -> np.ndarray:
 
 def _entropy_of_length(length) -> np.ndarray:
     """-sum lam ln lam over lam = (1 +- length) / 2; a negative lam counts as 0."""
-    lam = np.maximum(0.5 * (1.0 + np.stack([-length, length], axis=-1)), 0.0)
-    return -np.sum(lam * np.log(np.where(lam > 0.0, lam, 1.0)), axis=-1)
+    low, high = np.maximum(0.5 * (1.0 - length), 0.0), 0.5 * (1.0 + length)
+    return -(low * np.log(np.where(low > 0.0, low, 1.0)) + high * np.log(high))
 
 
 def entropy(b) -> np.ndarray:
@@ -75,10 +75,17 @@ def relative_entropy_to_thermal(b, p) -> np.ndarray:
     is also at most ATOL, and makes D = +inf otherwise (the support rule of
     `qstate.relative_entropy`).
     """
-    z = np.asarray(b, dtype=float)[..., 2]
-    weights = 0.5 * np.stack([1.0 + z, 1.0 - z], axis=-1)
-    thermal = np.stack(np.broadcast_arrays(p, 1.0 - np.asarray(p, dtype=float)), axis=-1)
-    supported = thermal > ATOL
-    cross = np.where(supported, weights * np.log(np.where(supported, thermal, 1.0)),
-                     np.where(weights > ATOL, -np.inf, 0.0))
-    return -entropy(b) - cross.sum(axis=-1)
+    b = np.asarray(b, dtype=float)
+    return relative_entropy_of_length(np.linalg.norm(b, axis=-1), b[..., 2], p)
+
+
+def relative_entropy_of_length(length, z, p) -> np.ndarray:
+    """`relative_entropy_to_thermal` of the state with Bloch length `length` and
+    z component `z`; ln p and ln(1 - p) are taken once, on p's own shape."""
+    p = np.asarray(p, dtype=float)
+    cross = []
+    for weight, thermal in ((0.5 * (1.0 + z), p), (0.5 * (1.0 - z), 1.0 - p)):
+        supported = thermal > ATOL
+        cross.append(np.where(supported, weight * np.log(np.where(supported, thermal, 1.0)),
+                              np.where(weight > ATOL, -np.inf, 0.0)))
+    return -_entropy_of_length(length) - (cross[0] + cross[1])

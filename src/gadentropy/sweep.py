@@ -177,14 +177,18 @@ def experiment_seed(seed: int, experiment: int) -> int:
     return int(np.random.SeedSequence((seed, experiment)).generate_state(1, np.uint64)[0])
 
 
-def _production(initial, final, p, population: bool) -> np.ndarray:
+def _production(initial, final, p) -> np.ndarray:
     """Entropy production D(initial || eq) - D(final || eq), eq = diag(p, 1 - p),
-    on dephased states when `population`; not finite at p = 1."""
-    if population:
-        initial, final = bloch.dephase(initial), bloch.dephase(final)
+    of states given as (|b|, z) pairs; not finite at p = 1."""
     with np.errstate(invalid="ignore"):
-        return (bloch.relative_entropy_to_thermal(initial, p)
-                - bloch.relative_entropy_to_thermal(final, p))
+        return (bloch.relative_entropy_of_length(*initial, p)
+                - bloch.relative_entropy_of_length(*final, p))
+
+
+def _length_and_z(b, population: bool):
+    """(|b|, z) of Bloch vectors `b`, or (|z|, z) of their dephased states."""
+    z = b[..., 2]
+    return (np.abs(z) if population else np.linalg.norm(b, axis=-1)), z
 
 
 def production_estimates(initial, p, freqs, population: bool):
@@ -192,13 +196,16 @@ def production_estimates(initial, p, freqs, population: bool):
 
     `freqs` (rows, 1 + n_bootstrap, 4) holds the observed run, then its
     resamples.  Each is inverted, projected into the Bloch ball and scored by
-    `_production` from `initial`.  Non-finite bootstrap samples are left out
-    of the stderr.
+    `_production` from `initial`, on its dephased state when `population`.
+    Non-finite bootstrap samples are left out of the stderr.
     """
     estimate = bloch.invert(freqs)
-    projected = np.sum(np.linalg.norm(estimate, axis=-1) > 1.0, axis=1)
-    estimate = bloch.project(estimate)
-    production = _production(initial[:, None], estimate, p[:, None], population)
+    length = np.linalg.norm(estimate, axis=-1)
+    projected = np.sum(length > 1.0, axis=1)
+    # `bloch.project` on |b| and z: b / max(1, |b|) has length min(1, |b|).
+    z = estimate[..., 2] / np.maximum(length, 1.0)
+    length = np.abs(z) if population else np.minimum(length, 1.0)
+    production = _production(_length_and_z(initial[:, None], population), (length, z), p[:, None])
     samples = production[:, 1:]
     finite = np.isfinite(samples)
     n = finite.sum(axis=1)
@@ -226,7 +233,8 @@ def run_sweep(config: SweepConfig) -> np.recarray:
     coherent = np.zeros((p.size, 3))
     coherent[:, 0] = np.array([prep.coherent_bloch_x(a) for a in alphas])[i_a]
     final = bloch.gad(coherent, p, r)
-    total, population = (_production(coherent, final, p, dephased) for dephased in (False, True))
+    total, population = (_production(*(_length_and_z(b, dephased) for b in (coherent, final)), p)
+                         for dephased in (False, True))
     det = np.isfinite(total) & np.isfinite(population)
 
     rows = np.zeros(p.size, SWEEP_DTYPE)
@@ -235,6 +243,8 @@ def run_sweep(config: SweepConfig) -> np.recarray:
     rows["coherence_initial"] = np.abs(coherent[:, 0])
     rows["seed_used"], rows["indeterminate"] = config.seed, ~det
     # Experiment 1 (coherent) measures the total, experiment 2 (dephased) the population part.
+    # Both measure all four bases: experiment 2's R and D frequencies reach the population
+    # estimate through the radial projection when |b| > 1, so they are not skipped.
     p_det, r_det, initial = p[det], r[det], coherent[det]
     (tot, tot_err, tot_proj, tot_bad), (pop, pop_err, pop_proj, pop_bad) = (
         production_estimates(prepared, p_det, tomography.draw_frequencies(
@@ -299,7 +309,8 @@ def emit_csv(rows: np.ndarray, path: str, config: SweepConfig | None = None) -> 
             "rng_algorithm": tomography.RNG_ALGORITHM,
             "streams": {"derivation": "experiment e (1 coherent, 2 dephased) draws its "
                         "determinate rows' runs in CSV order from SeedSequence((config.seed, e)) "
-                        "hashed to one uint64, their resamples from SeedSequence((that, 0xB007))",
+                        "hashed to one uint64, their resamples from SeedSequence((that, 0xB007)), "
+                        "run by run and each basis's (H, V, R, D) back to back",
                         "experiment_seeds": [experiment_seed(config.seed, e) for e in (1, 2)]},
             "error_bars": (
                 "parametric bootstrap: per-basis binomial resampling at the "

@@ -3,8 +3,8 @@
 Projection bases are H, V, R, D with |R> = (|H> + i|V>)/sqrt(2) and
 |D> = (|H> + |V>)/sqrt(2).  Counts are per-basis binomial draws, and error
 bars come from a parametric bootstrap at the observed frequencies.  The
-sweeps invert and project the drawn frequencies with `bloch.invert` and
-`bloch.project`; `project_to_physical` is the matrix reference for the latter.
+sweeps invert the drawn frequencies with `bloch.invert` and project them as
+`bloch.project` does; `project_to_physical` is the matrix reference for that.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ def draw_frequencies(probs, shots: int, seed: int, n_bootstrap: int) -> np.ndarr
     """Frequencies (..., 1 + n_bootstrap, 4) of the runs with Born probabilities
     `probs` (..., 4): each run's observed frequencies (index 0, all runs drawn
     from `seed` in C order), then its parametric resamples at them (from a
-    separate stream of `seed`)."""
-    observed = (np.random.default_rng(seed).binomial(shots, probs) / shots)[..., None, :]
+    separate stream of `seed`, each basis's resamples back to back)."""
+    observed = np.random.default_rng(seed).binomial(shots, probs) / shots
     rng = np.random.default_rng(np.random.SeedSequence((seed, _BOOTSTRAP_STREAM)))
-    resampled = rng.binomial(shots, observed, size=observed.shape[:-2] + (n_bootstrap, 4))
-    return np.concatenate([observed, resampled / shots], axis=-2)
+    # Consecutive draws that share (shots, p) reuse numpy's binomial set-up.
+    resampled = rng.binomial(shots, observed[..., None], size=observed.shape + (n_bootstrap,))
+    return np.concatenate([observed[..., None, :], resampled.swapaxes(-1, -2) / shots], axis=-2)

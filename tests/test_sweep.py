@@ -543,8 +543,8 @@ class TestErrorBarCoverage:
         assert self.LOW <= total <= self.HIGH
         assert self.LOW <= population <= self.HIGH
 
-    @pytest.mark.xfail(strict=True, reason="population coverage is 0.912 here (0.919 over "
-                       "4000 trials): the bootstrap under-covers at 500 shots near r = 1")
+    @pytest.mark.xfail(strict=True, reason="population coverage is 0.909 here (0.912 with the "
+                       "0.3.0 resample order): the bootstrap under-covers at 500 shots near r = 1")
     def test_population_at_500_shots(self):
         assert self.LOW <= self.coverage(0.9, 1.0, 0.95, 500)[1] <= self.HIGH
 

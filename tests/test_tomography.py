@@ -163,3 +163,14 @@ class TestStatisticalConsistency:
         f = 0.7  # p_H for this state
         analytic = 2.0 * math.sqrt(f * (1.0 - f) / shots)
         assert analytic / 1.5 <= boot <= analytic * 1.5
+
+    def test_resamples_keep_each_basis_apart(self):
+        # Resamples are drawn basis by basis; each column must hold its own basis's
+        # binomial draws at that basis's observed frequency, with none mixed in.
+        shots, n = 1000, 5000
+        freqs = draw_frequencies(np.array([0.7, 0.3, 0.5, 0.9]), shots, 3, n)
+        observed, resampled = freqs[0], freqs[1:]
+        assert resampled.shape == (n, 4)
+        variance = observed * (1.0 - observed) / shots
+        assert np.all(np.abs(resampled.mean(axis=0) - observed) < 5.0 * np.sqrt(variance / n))
+        assert np.all(np.abs(resampled.var(axis=0, ddof=1) / variance - 1.0) < 0.1)
