@@ -8,7 +8,7 @@ additive: total = population + coherence.
 
 `total_productions`, `population_productions`, `coherence_productions` and
 `productions` give the raw signed values on stacked (..., 2, 2) density
-matrices; the per-state functions wrap them with the strict rules (clamp of
+matrices; `budget` scores one state with the strict rules (clamp of
 round-off negatives, errors on inf - inf and on negativity).
 """
 
@@ -74,8 +74,8 @@ def productions(initial, p, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             coherence_productions(initial, final))
 
 
-def _checked(value, label: str, clamp: bool = True) -> float:
-    """A raw relative-entropy drop as a float, with the per-state rules:
+def _checked(value, label: str) -> float:
+    """A raw relative-entropy drop as a float, with `budget`'s strict rules:
     inf - inf raises IndeterminateEntropyError, a drop to -inf raises
     EntropyConsistencyError, +inf passes, and a finite value is clamped."""
     value = float(value)
@@ -87,37 +87,11 @@ def _checked(value, label: str, clamp: bool = True) -> float:
         raise EntropyConsistencyError(
             f"{label}: relative entropy increased to infinity along the evolution"
         )
-    if value == math.inf or not clamp:
+    if value == math.inf:
         return value
     if value < -NEG_FLOOR:
         raise EntropyConsistencyError(f"{label} production is negative: {value:.3e}")
     return max(value, 0.0)
-
-
-def total_production(
-    initial: QubitState, final: QubitState, eq: QubitState, clamp: bool = True
-) -> float:
-    """Sigma = D(initial || eq) - D(final || eq) >= 0.
-
-    With clamp=False the raw signed difference is returned; use it when the
-    final state is a noisy estimate rather than an exact channel output.
-    """
-    return _checked(total_productions(initial.matrix, final.matrix, eq.matrix), "total", clamp)
-
-
-def population_production(
-    initial: QubitState, final: QubitState, eq: QubitState, clamp: bool = True
-) -> float:
-    """Sigma_pop = D(dephase(initial) || eq) - D(dephase(final) || eq) >= 0."""
-    return _checked(population_productions(initial.matrix, final.matrix, eq.matrix),
-                    "population", clamp)
-
-
-def coherence_production(
-    initial: QubitState, final: QubitState, clamp: bool = True
-) -> float:
-    """Sigma_coh = C(initial) - C(final) with C the relative entropy of coherence."""
-    return _checked(coherence_productions(initial.matrix, final.matrix), "coherence", clamp)
 
 
 def budget(initial: QubitState, ch: GadChannel) -> EntropyBudget:

@@ -99,11 +99,6 @@ def apply_kraus(rho, p, r) -> np.ndarray:
     return np.einsum("...kij,...jl,...kml->...im", kraus, rho, kraus.conj())
 
 
-def kraus_operators(ch: GadChannel) -> list[np.ndarray]:
-    """The four GAD Kraus matrices M0..M3 (M0, M1 relaxation; M2, M3 excitation)."""
-    return list(kraus_stack(ch.p, ch.r))
-
-
 def apply(ch: GadChannel, state: QubitState) -> QubitState:
     """rho -> sum_k M_k rho M_k^dagger."""
     return QubitState(apply_kraus(state.matrix, ch.p, ch.r))

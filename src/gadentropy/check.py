@@ -111,7 +111,7 @@ def run_property_suite(seed: int = 1234) -> PropertyReport:
 
     checks = (
         ("kraus completeness (11x11 grid)", lambda: within(max(
-            dev(sum(m.conj().T @ m for m in chn.kraus_operators(ch)), np.eye(2))
+            dev(sum(m.conj().T @ m for m in chn.kraus_stack(ch.p, ch.r)), np.eye(2))
             for ch in grid))),
         ("equilibrium fixed point (11x11 grid)", lambda: within(max(
             dev(chn.apply(ch, chn.equilibrium_state(ch)).matrix,

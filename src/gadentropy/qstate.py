@@ -3,41 +3,21 @@
 Basis convention throughout the package: index 0 = ground = |H>,
 index 1 = excited = |V>.  All entropies are in nats.
 
-The entropies and dephasing come in stacked forms on complex arrays of
-shape (..., 2, 2) (`bloch_matrices`, `dephased`, `von_neumann_entropies`,
+The entropies and dephasing act on stacked complex arrays of shape
+(..., 2, 2) (`bloch_matrices`, `dephased`, `von_neumann_entropies`,
 `relative_entropies`, `rel_entropy_coherences`), computed with batched
-`eigvalsh`/`eigh`; the per-state functions on `QubitState` wrap them.
+`eigvalsh`/`eigh`.  `QubitState` holds one such matrix, and
+`relative_entropy` scores a pair of them as a Python float.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# Shared numerical tolerance for validation and support checks.
+# Shared numerical tolerance for support checks and state comparisons.
 ATOL = 1e-12
-
-
-class StateValidationError(ValueError):
-    """A density-matrix invariant is violated; carries the violation size."""
-
-    def __init__(self, message: str, magnitude: float):
-        super().__init__(f"{message} (violation magnitude {magnitude:.3e})")
-        self.magnitude = magnitude
-
-
-class NotHermitianError(StateValidationError):
-    pass
-
-
-class TraceDeviationError(StateValidationError):
-    pass
-
-
-class NegativeEigenvalueError(StateValidationError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -85,20 +65,6 @@ class QubitState:
 # Common fixed states.
 MAXIMALLY_MIXED = QubitState.diagonal(0.5, 0.5)
 PLUS = QubitState.pure([1.0, 1.0])  # |D><D|
-
-
-def validate(state: QubitState) -> None:
-    """Raise the first violated invariant (Hermiticity, trace, positivity)."""
-    m = state.matrix
-    herm_dev = float(np.max(np.abs(m - m.conj().T)))
-    if herm_dev > ATOL:
-        raise NotHermitianError("matrix is not Hermitian", herm_dev)
-    trace_dev = abs(float(np.trace(m).real) - 1.0) + abs(float(np.trace(m).imag))
-    if trace_dev > ATOL:
-        raise TraceDeviationError("trace differs from 1", trace_dev)
-    min_eig = float(np.linalg.eigvalsh(m)[0])
-    if min_eig < -ATOL:
-        raise NegativeEigenvalueError("matrix has a negative eigenvalue", -min_eig)
 
 
 def bloch_matrices(b) -> np.ndarray:
@@ -150,11 +116,6 @@ def rel_entropy_coherences(rho) -> np.ndarray:
     return von_neumann_entropies(dephased(rho)) - von_neumann_entropies(rho)
 
 
-def von_neumann_entropy(state: QubitState) -> float:
-    """S(rho) = -tr(rho ln rho) in nats, with 0 ln 0 := 0."""
-    return float(von_neumann_entropies(state.matrix))
-
-
 def relative_entropy(rho: QubitState, sigma: QubitState) -> float:
     """D(rho || sigma) = tr(rho ln rho - rho ln sigma) in nats.
 
@@ -163,26 +124,3 @@ def relative_entropy(rho: QubitState, sigma: QubitState) -> float:
     weight of rho).
     """
     return float(relative_entropies(rho.matrix, sigma.matrix))
-
-
-def dephase(state: QubitState) -> QubitState:
-    """Remove off-diagonal elements (energy-eigenbasis dephasing map)."""
-    return QubitState(dephased(state.matrix))
-
-
-def l1_coherence(state: QubitState) -> float:
-    """Sum of absolute values of off-diagonal elements; 2|rho_01| for a qubit."""
-    return 2.0 * float(np.abs(state.matrix[0, 1]))
-
-
-def rel_entropy_coherence(state: QubitState) -> float:
-    """Relative entropy of coherence C(rho) = S(dephase(rho)) - S(rho)."""
-    return float(rel_entropy_coherences(state.matrix))
-
-
-def fidelity(rho: QubitState, sigma: QubitState) -> float:
-    """Uhlmann fidelity; closed form for qubits tr(rho sigma) + 2 sqrt(det rho det sigma)."""
-    overlap = float(np.trace(rho.matrix @ sigma.matrix).real)
-    det_prod = float(np.linalg.det(rho.matrix).real * np.linalg.det(sigma.matrix).real)
-    f = overlap + 2.0 * math.sqrt(max(det_prod, 0.0))
-    return min(max(f, 0.0), 1.0)

@@ -1,7 +1,41 @@
-"""Test-wide settings: hypothesis draws the same examples on every run and
-has no per-example deadline, so a slow host neither changes nor fails a test."""
+"""Test-wide settings and helpers.
 
+Hypothesis draws the same examples on every run and has no per-example
+deadline, so a slow host neither changes nor fails a test.  `violation`,
+`l1_coherence` and `fidelity` are test-side measures of 2x2 density matrices
+that the package itself does not need."""
+
+import numpy as np
 from hypothesis import settings
+
+from gadentropy.qstate import ATOL
 
 settings.register_profile("gadentropy", derandomize=True, deadline=None)
 settings.load_profile("gadentropy")
+
+
+def violation(m):
+    """The first density-matrix invariant that the 2x2 matrix m breaks by more
+    than ATOL, as (name, size), in the order Hermiticity, unit trace,
+    positivity; None for a valid state."""
+    m = np.asarray(m)
+    trace = complex(np.trace(m))
+    for name, size in (("not Hermitian", float(np.max(np.abs(m - m.conj().T)))),
+                       ("trace differs from 1", abs(trace.real - 1.0) + abs(trace.imag)),
+                       ("negative eigenvalue", -float(np.linalg.eigvalsh(m)[0]))):
+        if size > ATOL:
+            return name, size
+    return None
+
+
+def l1_coherence(rho):
+    """Sum of the off-diagonal moduli of stacked (..., 2, 2) matrices, 2 |rho_01|."""
+    return 2.0 * np.abs(np.asarray(rho)[..., 0, 1])
+
+
+def fidelity(rho, sigma):
+    """Uhlmann fidelity of stacked (..., 2, 2) qubit density matrices, in the
+    qubit closed form tr(rho sigma) + 2 sqrt(det rho det sigma), clipped to [0, 1]."""
+    overlap = np.einsum("...ij,...ji->...", rho, sigma).real
+    dets = np.linalg.det(rho).real * np.linalg.det(sigma).real
+    return np.clip(overlap + 2.0 * np.sqrt(np.maximum(dets, 0.0)), 0.0, 1.0)

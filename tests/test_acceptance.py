@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from conftest import fidelity
 
 from gadentropy import bloch, cli
-from gadentropy.budget import budget, total_production
+from gadentropy.budget import budget, total_productions
 from gadentropy.channel import (
     BathSpec,
     GadChannel,
@@ -15,10 +16,10 @@ from gadentropy.channel import (
     channel_for,
     equilibrium_state,
     evolve_master_equation,
-    kraus_operators,
+    kraus_stack,
 )
 from gadentropy.prep import PrepSetting, alpha_for_coherence, prepare
-from gadentropy.qstate import PLUS, QubitState, fidelity, relative_entropy
+from gadentropy.qstate import PLUS, QubitState, bloch_matrices, relative_entropy
 from gadentropy.tomography import draw_frequencies
 
 P_GRID_11 = np.linspace(0.5, 1.0, 11)
@@ -27,10 +28,9 @@ ALPHA_GRID_9 = np.linspace(0.0, math.pi / 4.0, 9)
 
 
 def _reconstruct(state, shots, seed, n_bootstrap):
-    """The sweep's tomography of `state`: the run, then its resamples, as states."""
+    """The sweep's tomography of `state`: the run's Bloch vector, then its resamples'."""
     probs = bloch.born_probabilities(state.bloch_vector())
-    vectors = bloch.project(bloch.invert(draw_frequencies(probs, shots, seed, n_bootstrap)))
-    return [QubitState.from_bloch(*v) for v in vectors]
+    return bloch.project(bloch.invert(draw_frequencies(probs, shots, seed, n_bootstrap)))
 
 
 def _report(name, passed, detail):
@@ -79,7 +79,7 @@ def test_criterion_1_kraus_completeness():
     worst = 0.0
     for p in P_GRID_11:
         for r in R_GRID_11:
-            total = sum(m.conj().T @ m for m in kraus_operators(GadChannel(p, r)))
+            total = sum(m.conj().T @ m for m in kraus_stack(p, r))
             worst = max(worst, float(np.max(np.abs(total - np.eye(2)))))
     _report("1 Kraus completeness (11x11 grid)", worst < 1e-12,
             f"max deviation {worst:.3e} < 1e-12")
@@ -199,24 +199,19 @@ def test_criterion_7_qualitative_claims():
 
 def test_criterion_8_tomography_fidelity():
     states = [PLUS, QubitState.diagonal(0.5, 0.5), apply(GadChannel(0.9, 0.5), PLUS)]
-    fidelities = []
-    for i, state in enumerate(states):
-        for seed in range(100):
-            estimate = _reconstruct(state, 100_000, 1000 * i + seed, 2)[0]
-            fidelities.append(fidelity(estimate, state))
-    mean_fid = float(np.mean(fidelities))
+    estimates = np.array([_reconstruct(state, 100_000, 1000 * i + seed, 2)[0]
+                          for i, state in enumerate(states) for seed in range(100)])
+    truths = np.repeat([state.matrix for state in states], 100, axis=0)
+    mean_fid = float(np.mean(fidelity(bloch_matrices(estimates), truths)))
 
     ch = GadChannel(0.9, 0.5)
-    eq = equilibrium_state(ch)
     evolved = apply(ch, PLUS)
-    sigma_true = total_production(PLUS, evolved, eq)
-    covered = 0
-    for seed in range(200):
-        estimate, *samples = (total_production(PLUS, s, eq, clamp=False)
-                              for s in _reconstruct(evolved, 10_000, seed, 200))
-        stderr = float(np.std(samples, ddof=1))
-        if abs(estimate - sigma_true) <= 3.0 * stderr:
-            covered += 1
+    sigma_true = budget(PLUS, ch).total
+    # (200 trials, run + 200 resamples), scored in one stack.
+    runs = np.array([_reconstruct(evolved, 10_000, seed, 200) for seed in range(200)])
+    sigma = total_productions(PLUS.matrix, bloch_matrices(runs), equilibrium_state(ch).matrix)
+    stderr = np.std(sigma[:, 1:], axis=1, ddof=1)
+    covered = int(np.sum(np.abs(sigma[:, 0] - sigma_true) <= 3.0 * stderr))
     ok = mean_fid >= 0.999 and covered >= 190
     _report("8 tomography fidelity + error-bar coverage", ok,
             f"mean fidelity {mean_fid:.5f} >= 0.999, "

@@ -12,9 +12,10 @@ from gadentropy import bloch
 from gadentropy.channel import GadChannel, apply
 from gadentropy.qstate import (
     QubitState,
-    rel_entropy_coherence,
+    bloch_matrices,
+    rel_entropy_coherences,
     relative_entropy,
-    von_neumann_entropy,
+    von_neumann_entropies,
 )
 from gadentropy.tomography import project_to_physical
 
@@ -54,12 +55,12 @@ def states(vectors):
 
 
 def test_entropy_matches_eigh(vectors):
-    want = [von_neumann_entropy(s) for s in states(vectors)]
+    want = von_neumann_entropies(bloch_matrices(vectors))
     assert np.max(np.abs(bloch.entropy(vectors) - want)) < TOL
 
 
 def test_coherence_matches_eigh(vectors):
-    want = [rel_entropy_coherence(s) for s in states(vectors)]
+    want = rel_entropy_coherences(bloch_matrices(vectors))
     assert np.max(np.abs(bloch.coherence(vectors) - want)) < TOL
 
 
@@ -152,7 +153,7 @@ def test_entropies_match_eigh_anywhere_in_the_ball(b, p):
     state = QubitState.from_bloch(*b)
     assert close(bloch.relative_entropy_to_thermal(b, p),
                  relative_entropy(state, QubitState.diagonal(p, 1.0 - p)))
-    assert close(bloch.coherence(b), rel_entropy_coherence(state))
+    assert close(bloch.coherence(b), rel_entropy_coherences(state.matrix))
 
 
 @given(BALL, WEIGHT, STRENGTH)

@@ -4,19 +4,23 @@ import numpy as np
 import pytest
 
 from gadentropy.budget import (
+    NEG_FLOOR,
     EntropyConsistencyError,
     IndeterminateEntropyError,
+    _checked,
     budget,
-    coherence_production,
-    population_production,
-    total_production,
+    coherence_productions,
+    population_productions,
+    total_productions,
 )
 from gadentropy.channel import GadChannel, apply
 from gadentropy.prep import PrepSetting, prepare
 from gadentropy.qstate import MAXIMALLY_MIXED, PLUS, QubitState
 
 LN2 = math.log(2.0)
-EQ_09 = QubitState.diagonal(0.9, 0.1)
+EQ_09 = QubitState.diagonal(0.9, 0.1).matrix
+GROUND = QubitState.diagonal(1.0, 0.0).matrix
+MIXED = MAXIMALLY_MIXED.matrix
 
 # Frozen oracle values at (alpha=0, p=0.9, r=1): computed from the
 # closed-form relative entropies of diagonal/pure qubit states.
@@ -25,74 +29,78 @@ SIGMA_POP_ANCHOR = 0.5108256237659907
 
 
 class TestTotalProduction:
+    """The raw signed productions, and the strict rules `budget` applies to them."""
+
     def test_no_evolution_no_production(self):
-        assert total_production(PLUS, PLUS, EQ_09) == pytest.approx(0.0, abs=1e-10)
+        assert total_productions(PLUS.matrix, PLUS.matrix, EQ_09) == pytest.approx(0.0, abs=1e-10)
 
     def test_full_decay_anchor(self):
-        got = total_production(PLUS, EQ_09, EQ_09)
+        got = total_productions(PLUS.matrix, EQ_09, EQ_09)
         assert got == pytest.approx(SIGMA_TOTAL_ANCHOR, abs=1e-12)
 
     def test_already_at_equilibrium(self):
-        assert total_production(
-            MAXIMALLY_MIXED, MAXIMALLY_MIXED, MAXIMALLY_MIXED
-        ) == pytest.approx(0.0, abs=1e-12)
+        assert total_productions(MIXED, MIXED, MIXED) == pytest.approx(0.0, abs=1e-12)
 
     def test_infinite_when_only_initial_diverges(self):
-        ground = QubitState.diagonal(1.0, 0.0)
-        assert total_production(MAXIMALLY_MIXED, ground, ground) == math.inf
+        assert total_productions(MIXED, GROUND, GROUND) == math.inf
 
     def test_indeterminate_when_both_diverge(self):
-        ground = QubitState.diagonal(1.0, 0.0)
+        raw = total_productions(MIXED, MIXED, GROUND)
+        assert math.isnan(raw)
         with pytest.raises(IndeterminateEntropyError):
-            total_production(MAXIMALLY_MIXED, MAXIMALLY_MIXED, ground)
+            _checked(raw, "total")
 
     def test_large_negative_raises(self):
-        with pytest.raises(EntropyConsistencyError):
-            total_production(EQ_09, PLUS, EQ_09)
+        # A drop below -NEG_FLOOR, and a drop to -inf (only the final state diverges).
+        drop_to_inf = total_productions(GROUND, MIXED, GROUND)
+        assert drop_to_inf == -math.inf
+        for raw in (total_productions(EQ_09, PLUS.matrix, EQ_09), drop_to_inf):
+            with pytest.raises(EntropyConsistencyError):
+                _checked(raw, "total")
 
     def test_unclamped_allows_negative(self):
-        got = total_production(EQ_09, PLUS, EQ_09, clamp=False)
-        assert got < 0.0
+        assert total_productions(EQ_09, PLUS.matrix, EQ_09) < 0.0
+
+    def test_round_off_negative_clamps_to_zero(self):
+        got = [_checked(raw, "total") for raw in (-NEG_FLOOR, -1e-12)]
+        assert got == [0.0, 0.0]
+        assert all(type(v) is float and math.copysign(1.0, v) == 1.0 for v in got)
 
 
 class TestPopulationProduction:
     def test_diagonal_fixed(self):
-        state = QubitState.diagonal(0.9, 0.1)
-        assert population_production(state, state, EQ_09) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        assert population_productions(EQ_09, EQ_09, EQ_09) == pytest.approx(0.0, abs=1e-12)
 
     def test_full_decay_anchor(self):
-        got = population_production(PLUS, EQ_09, EQ_09)
+        got = population_productions(PLUS.matrix, EQ_09, EQ_09)
         assert got == pytest.approx(SIGMA_POP_ANCHOR, abs=1e-12)
 
     def test_populations_starting_at_equilibrium(self):
-        # dephase(initial) = eq, so the population part vanishes for any r
+        # dephased(initial) = eq, so the population part vanishes for any r
         c = 0.2
         initial = QubitState([[0.9, c], [c, 0.1]])
-        for r in (0.2, 0.5, 1.0):
-            final = apply(GadChannel(0.9, r), initial)
-            assert population_production(initial, final, EQ_09) == pytest.approx(
-                0.0, abs=1e-10
-            )
+        final = np.array([apply(GadChannel(0.9, r), initial).matrix for r in (0.2, 0.5, 1.0)])
+        assert population_productions(initial.matrix, final, EQ_09) == pytest.approx(
+            np.zeros(3), abs=1e-10
+        )
 
 
 class TestCoherenceProduction:
     def test_diagonal_initial_no_coherence(self):
-        final = apply(GadChannel(0.9, 0.5), EQ_09)
-        assert coherence_production(EQ_09, final) == 0.0
+        final = apply(GadChannel(0.9, 0.5), QubitState(EQ_09))
+        assert coherence_productions(EQ_09, final.matrix) == 0.0
 
     def test_full_decay_of_plus(self):
-        assert coherence_production(PLUS, EQ_09) == pytest.approx(LN2, abs=1e-12)
+        assert coherence_productions(PLUS.matrix, EQ_09) == pytest.approx(LN2, abs=1e-12)
 
     def test_partial_decay_closed_form(self):
         c = math.sqrt(0.5) / 2.0
-        final = QubitState([[0.7, c], [c, 0.3]])
+        final = np.array([[0.7, c], [c, 0.3]], dtype=complex)
         gap = math.sqrt(0.04 + c * c)
         s_final = -sum(l * math.log(l) for l in (0.5 - gap, 0.5 + gap))
         s_pops = -(0.7 * math.log(0.7) + 0.3 * math.log(0.3))
         expected = LN2 - (s_pops - s_final)
-        got = coherence_production(PLUS, final)
+        got = coherence_productions(PLUS.matrix, final)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.3935211, abs=1e-6)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import violation
 
 from gadentropy.channel import (
     BathSpec,
@@ -14,12 +15,12 @@ from gadentropy.channel import (
     compose,
     equilibrium_state,
     evolve_master_equation,
-    kraus_operators,
+    kraus_stack,
     lindblad_derivative,
     p_from_temperature,
     r_from_time,
 )
-from gadentropy.qstate import PLUS, QubitState, relative_entropy, validate
+from gadentropy.qstate import PLUS, QubitState, relative_entropy
 
 P_GRID = np.linspace(0.5, 1.0, 11)
 R_GRID = np.linspace(0.0, 1.0, 11)
@@ -47,13 +48,13 @@ class TestChannelParameters:
 
 class TestKrausOperators:
     def test_identity_channel(self):
-        ops = kraus_operators(GadChannel(1.0, 0.0))
+        ops = kraus_stack(1.0, 0.0)
         assert np.allclose(ops[0], np.eye(2))
         for m in ops[1:]:
             assert np.allclose(m, 0.0)
 
     def test_full_damping_infinite_temperature(self):
-        m0, m1, m2, m3 = kraus_operators(GadChannel(0.5, 1.0))
+        m0, m1, m2, m3 = kraus_stack(0.5, 1.0)
         s = math.sqrt(0.5)
         assert np.allclose(m0, s * np.diag([1.0, 0.0]))
         assert np.allclose(m1, s * np.array([[0, 1], [0, 0]]))
@@ -61,11 +62,10 @@ class TestKrausOperators:
         assert np.allclose(m3, s * np.array([[0, 0], [1, 0]]))
 
     def test_completeness_on_grid(self):
-        for p in P_GRID:
-            for r in R_GRID:
-                ops = kraus_operators(GadChannel(p, r))
-                total = sum(m.conj().T @ m for m in ops)
-                assert np.max(np.abs(total - np.eye(2))) < 1e-12
+        ops = kraus_stack(*np.meshgrid(P_GRID, R_GRID, indexing="ij"))
+        total = np.einsum("...kji,...kjl->...il", ops.conj(), ops)
+        assert total.shape == (11, 11, 2, 2)
+        assert np.max(np.abs(total - np.eye(2))) < 1e-12
 
 
 class TestApply:
@@ -91,7 +91,7 @@ class TestApply:
         rng = np.random.default_rng(23)
         for _ in range(100):
             ch = GadChannel(rng.uniform(0.5, 1.0), rng.uniform(0.0, 1.0))
-            validate(apply(ch, random_state(rng)))
+            assert violation(apply(ch, random_state(rng)).matrix) is None
 
     def test_off_diagonal_decay_independent_of_p(self):
         for r in R_GRID:
@@ -259,7 +259,7 @@ class TestMasterEquationIntegration:
         rng = np.random.default_rng(27)
         for _ in range(5):
             out = evolve_master_equation(BATH_LN9, random_state(rng), 0.7)
-            validate(out)
+            assert violation(out.matrix) is None
 
 
 class TestBathSpecValidation:

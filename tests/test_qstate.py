@@ -2,21 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from conftest import fidelity, l1_coherence, violation
 
 from gadentropy.qstate import (
     MAXIMALLY_MIXED,
     PLUS,
-    NegativeEigenvalueError,
-    NotHermitianError,
     QubitState,
-    TraceDeviationError,
-    dephase,
-    fidelity,
-    l1_coherence,
-    rel_entropy_coherence,
+    dephased,
+    rel_entropy_coherences,
+    relative_entropies,
     relative_entropy,
-    validate,
-    von_neumann_entropy,
+    von_neumann_entropies,
 )
 
 LN2 = math.log(2.0)
@@ -26,6 +22,11 @@ def random_state(rng):
     v = rng.normal(size=3)
     v = v / np.linalg.norm(v) * rng.uniform() ** (1.0 / 3.0)
     return QubitState.from_bloch(*v)
+
+
+def random_matrices(rng, n):
+    """A (n, 2, 2) stack of `random_state` draws, in draw order."""
+    return np.array([random_state(rng).matrix for _ in range(n)])
 
 
 def closed_form_eigs(state):
@@ -38,25 +39,23 @@ def closed_form_eigs(state):
 
 class TestValidate:
     def test_maximally_mixed_is_valid(self):
-        validate(MAXIMALLY_MIXED)
+        assert violation(MAXIMALLY_MIXED.matrix) is None
 
     def test_classical_mixture_is_valid(self):
-        validate(QubitState.diagonal(0.9, 0.1))
+        assert violation(QubitState.diagonal(0.9, 0.1).matrix) is None
 
     def test_negative_eigenvalue_detected(self):
-        bad = QubitState([[0.5, 0.6], [0.6, 0.5]])
-        with pytest.raises(NegativeEigenvalueError) as excinfo:
-            validate(bad)
-        assert excinfo.value.magnitude == pytest.approx(0.1, abs=1e-12)
+        name, size = violation(QubitState([[0.5, 0.6], [0.6, 0.5]]).matrix)
+        assert name == "negative eigenvalue"
+        assert size == pytest.approx(0.1, abs=1e-12)
 
     def test_non_hermitian_detected(self):
-        with pytest.raises(NotHermitianError):
-            validate(QubitState([[0.5, 0.3], [0.1, 0.5]]))
+        assert violation(QubitState([[0.5, 0.3], [0.1, 0.5]]).matrix)[0] == "not Hermitian"
 
     def test_trace_deviation_detected(self):
-        with pytest.raises(TraceDeviationError) as excinfo:
-            validate(QubitState([[0.6, 0.0], [0.0, 0.5]]))
-        assert excinfo.value.magnitude == pytest.approx(0.1, abs=1e-12)
+        name, size = violation(QubitState([[0.6, 0.0], [0.0, 0.5]]).matrix)
+        assert name == "trace differs from 1"
+        assert size == pytest.approx(0.1, abs=1e-12)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -65,34 +64,27 @@ class TestValidate:
 
 class TestVonNeumannEntropy:
     def test_pure_state_zero(self):
-        assert von_neumann_entropy(PLUS) == pytest.approx(0.0, abs=1e-12)
+        assert von_neumann_entropies(PLUS.matrix) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_ln2(self):
-        assert von_neumann_entropy(MAXIMALLY_MIXED) == pytest.approx(LN2, abs=1e-12)
+        assert von_neumann_entropies(MAXIMALLY_MIXED.matrix) == pytest.approx(LN2, abs=1e-12)
 
     def test_classical_mixture_binary_entropy(self):
         # H(0.9) evaluated directly
         expected = -(0.9 * math.log(0.9) + 0.1 * math.log(0.1))
-        got = von_neumann_entropy(QubitState.diagonal(0.9, 0.1))
+        got = von_neumann_entropies(QubitState.diagonal(0.9, 0.1).matrix)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.325083, abs=1e-6)
 
     def test_range_on_random_states(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            s = von_neumann_entropy(random_state(rng))
-            assert -1e-12 <= s <= LN2 + 1e-12
+        s = von_neumann_entropies(random_matrices(np.random.default_rng(11), 100))
+        assert np.all((-1e-12 <= s) & (s <= LN2 + 1e-12))
 
     def test_agrees_with_closed_form(self):
-        rng = np.random.default_rng(12)
-        for _ in range(100):
-            state = random_state(rng)
-            lo, hi = closed_form_eigs(state)
-            expected = 0.0
-            for lam in (lo, hi):
-                if lam > 0:
-                    expected -= lam * math.log(lam)
-            assert von_neumann_entropy(state) == pytest.approx(expected, abs=1e-12)
+        rho = random_matrices(np.random.default_rng(12), 100)
+        expected = [-sum(lam * math.log(lam) for lam in closed_form_eigs(QubitState(m)) if lam > 0)
+                    for m in rho]
+        assert von_neumann_entropies(rho) == pytest.approx(expected, abs=1e-12)
 
 
 class TestRelativeEntropy:
@@ -124,39 +116,37 @@ class TestRelativeEntropy:
 
 class TestDephase:
     def test_plus_becomes_maximally_mixed(self):
-        assert dephase(PLUS).isclose(MAXIMALLY_MIXED)
+        assert QubitState(dephased(PLUS.matrix)).isclose(MAXIMALLY_MIXED)
 
     def test_idempotent_on_diagonal(self):
         state = QubitState.diagonal(0.3, 0.7)
-        assert dephase(state).isclose(state)
+        assert QubitState(dephased(state.matrix)).isclose(state)
 
     def test_off_diagonals_exactly_zero(self):
-        rng = np.random.default_rng(15)
-        for _ in range(20):
-            out = dephase(random_state(rng))
-            assert out.matrix[0, 1] == 0
-            assert out.matrix[1, 0] == 0
-            validate(out)
+        out = dephased(random_matrices(np.random.default_rng(15), 20))
+        assert np.all(out[:, 0, 1] == 0)
+        assert np.all(out[:, 1, 0] == 0)
+        assert [violation(m) for m in out] == [None] * 20
 
     def test_evolved_state_dephases_to_populations(self):
         state = QubitState([[0.7, 0.353553], [0.353553, 0.3]])
-        assert dephase(state).isclose(QubitState.diagonal(0.7, 0.3))
+        assert QubitState(dephased(state.matrix)).isclose(QubitState.diagonal(0.7, 0.3))
 
 
 class TestCoherenceMeasures:
     def test_l1_of_plus(self):
-        assert l1_coherence(PLUS) == pytest.approx(1.0, abs=1e-12)
+        assert l1_coherence(PLUS.matrix) == pytest.approx(1.0, abs=1e-12)
 
     def test_l1_of_diagonal(self):
-        assert l1_coherence(QubitState.diagonal(0.2, 0.8)) == 0.0
+        assert l1_coherence(QubitState.diagonal(0.2, 0.8).matrix) == 0.0
 
     def test_rel_entropy_coherence_diagonal_zero(self):
-        assert rel_entropy_coherence(QubitState.diagonal(0.4, 0.6)) == pytest.approx(
+        assert rel_entropy_coherences(QubitState.diagonal(0.4, 0.6).matrix) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_rel_entropy_coherence_of_plus(self):
-        assert rel_entropy_coherence(PLUS) == pytest.approx(LN2, abs=1e-12)
+        assert rel_entropy_coherences(PLUS.matrix) == pytest.approx(LN2, abs=1e-12)
 
     def test_rel_entropy_coherence_closed_form(self):
         # eigenvalues 0.5 +- sqrt(0.165) for the p=0.9, r=0.5 evolved state
@@ -167,52 +157,50 @@ class TestCoherenceMeasures:
         for lam in (0.5 - gap, 0.5 + gap):
             s_rho -= lam * math.log(lam)
         expected = -(0.7 * math.log(0.7) + 0.3 * math.log(0.3)) - s_rho
-        assert rel_entropy_coherence(state) == pytest.approx(expected, abs=1e-12)
-        assert rel_entropy_coherence(state) == pytest.approx(0.2996261, abs=1e-6)
+        got = rel_entropy_coherences(state.matrix)
+        assert got == pytest.approx(expected, abs=1e-12)
+        assert got == pytest.approx(0.2996261, abs=1e-6)
 
     def test_dephasing_never_lowers_entropy(self):
-        rng = np.random.default_rng(16)
-        for _ in range(100):
-            state = random_state(rng)
-            assert rel_entropy_coherence(state) >= -1e-12
+        c = rel_entropy_coherences(random_matrices(np.random.default_rng(16), 100))
+        assert np.all(c >= -1e-12)
 
 
 class TestDecompositionIdentity:
     def test_relative_entropy_splits(self):
-        # D(rho||sigma_diag) = D(dephase(rho)||sigma_diag) + C(rho)
+        # D(rho||sigma_diag) = D(dephased(rho)||sigma_diag) + C(rho)
         rng = np.random.default_rng(17)
+        rho, sigma = [], []
         for _ in range(100):
-            rho = random_state(rng)
+            rho.append(random_state(rng).matrix)
             w = rng.uniform(0.05, 0.95)
-            sigma = QubitState.diagonal(w, 1.0 - w)
-            lhs = relative_entropy(rho, sigma)
-            rhs = relative_entropy(dephase(rho), sigma) + rel_entropy_coherence(rho)
-            assert lhs == pytest.approx(rhs, abs=1e-10)
+            sigma.append(QubitState.diagonal(w, 1.0 - w).matrix)
+        rho, sigma = np.array(rho), np.array(sigma)
+        lhs = relative_entropies(rho, sigma)
+        rhs = relative_entropies(dephased(rho), sigma) + rel_entropy_coherences(rho)
+        assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 class TestFidelity:
     def test_self_fidelity(self):
-        rng = np.random.default_rng(18)
-        for _ in range(20):
-            state = random_state(rng)
-            assert fidelity(state, state) == pytest.approx(1.0, abs=1e-10)
+        rho = random_matrices(np.random.default_rng(18), 20)
+        assert fidelity(rho, rho) == pytest.approx(np.ones(20), abs=1e-10)
 
     def test_orthogonal_pure_states(self):
         h = QubitState.diagonal(1.0, 0.0)
         v = QubitState.diagonal(0.0, 1.0)
-        assert fidelity(h, v) == pytest.approx(0.0, abs=1e-12)
+        assert fidelity(h.matrix, v.matrix) == pytest.approx(0.0, abs=1e-12)
 
     def test_mixed_vs_pure(self):
         h = QubitState.diagonal(1.0, 0.0)
-        assert fidelity(MAXIMALLY_MIXED, h) == pytest.approx(0.5, abs=1e-12)
+        assert fidelity(MAXIMALLY_MIXED.matrix, h.matrix) == pytest.approx(0.5, abs=1e-12)
 
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(19)
-        for _ in range(50):
-            a, b = random_state(rng), random_state(rng)
-            f = fidelity(a, b)
-            assert 0.0 <= f <= 1.0
-            assert f == pytest.approx(fidelity(b, a), abs=1e-12)
+        pairs = np.array([[random_state(rng).matrix, random_state(rng).matrix] for _ in range(50)])
+        f = fidelity(pairs[:, 0], pairs[:, 1])
+        assert np.all((0.0 <= f) & (f <= 1.0))
+        assert f == pytest.approx(fidelity(pairs[:, 1], pairs[:, 0]), abs=1e-12)
 
 
 def test_qubitstate_is_immutable():

@@ -2,15 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from conftest import fidelity, violation
 
 from gadentropy import bloch
-from gadentropy.qstate import (
-    MAXIMALLY_MIXED,
-    PLUS,
-    QubitState,
-    fidelity,
-    validate,
-)
+from gadentropy.qstate import MAXIMALLY_MIXED, PLUS, QubitState, bloch_matrices
 from gadentropy.tomography import draw_frequencies, project_to_physical
 
 
@@ -134,12 +129,12 @@ class TestReconstructWithErrors:
     def test_convergence_at_large_shots(self):
         states = [PLUS, MAXIMALLY_MIXED, QubitState([[0.7, 0.353553], [0.353553, 0.3]])]
         for i, state in enumerate(states):
-            estimate = QubitState.from_bloch(*reconstruct(state, 100_000, 100 + i, 2)[0])
-            assert fidelity(estimate, state) >= 0.999
+            estimate = bloch_matrices(reconstruct(state, 100_000, 100 + i, 2)[0])
+            assert fidelity(estimate, state.matrix) >= 0.999
 
     def test_pure_state_reconstruction_is_physical(self):
         for seed in range(20):
-            validate(QubitState.from_bloch(*reconstruct(PLUS, 500, seed, 2)[0]))
+            assert violation(bloch_matrices(reconstruct(PLUS, 500, seed, 2)[0])) is None
 
 
 class TestStatisticalConsistency:
