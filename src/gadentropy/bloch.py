@@ -68,20 +68,15 @@ def coherence(b) -> np.ndarray:
     return _entropy_of_length(np.abs(np.asarray(b)[..., 2])) - entropy(b)
 
 
-def relative_entropy_to_thermal(b, p) -> np.ndarray:
-    """D(rho || diag(p, 1 - p)) = -S(rho) - rho_00 ln p - rho_11 ln(1 - p).
+def relative_entropy_of_length(length, z, p) -> np.ndarray:
+    """D(rho || diag(p, 1 - p)) = -S(rho) - rho_00 ln p - rho_11 ln(1 - p) of
+    the state with Bloch length `length` and z component `z`; ln p and
+    ln(1 - p) are taken once, on p's own shape.
 
     A thermal weight at most ATOL contributes nothing when rho's weight there
     is also at most ATOL, and makes D = +inf otherwise (the support rule of
-    `qstate.relative_entropy`).
+    `qstate.relative_entropies`).
     """
-    b = np.asarray(b, dtype=float)
-    return relative_entropy_of_length(np.linalg.norm(b, axis=-1), b[..., 2], p)
-
-
-def relative_entropy_of_length(length, z, p) -> np.ndarray:
-    """`relative_entropy_to_thermal` of the state with Bloch length `length` and
-    z component `z`; ln p and ln(1 - p) are taken once, on p's own shape."""
     p = np.asarray(p, dtype=float)
     cross = []
     for weight, thermal in ((0.5 * (1.0 + z), p), (0.5 * (1.0 - z), 1.0 - p)):

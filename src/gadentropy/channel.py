@@ -171,24 +171,19 @@ def lindblad_derivative(bath: BathSpec, state: QubitState) -> np.ndarray:
     return (_liouvillian(bath) @ state.matrix.reshape(4)).reshape(2, 2)
 
 
-def evolve_master_equation(
-    bath: BathSpec, initial: QubitState, t: float, dt: float | None = None
-) -> QubitState:
+def evolve_master_equation(bath: BathSpec, initial: QubitState, t: float) -> QubitState:
     """Fixed-step classical 4th-order integration of the master equation.
 
-    Default step is 1e-3 / [gamma0 (2 nbar + 1)]; the step count is rounded
-    up so the final step lands exactly on t.  The integrator knows only the
-    Lindblad generator, never the Kraus map, so it checks the latter.
+    The step is at most 1e-3 / [gamma0 (2 nbar + 1)]: t splits into the fewest
+    equal steps no longer than that, one step when t is shorter.  The
+    integrator knows only the Lindblad generator, never the Kraus map, so it
+    checks the latter.
     """
     if t < 0:
         raise StepSizeError(f"t must be >= 0, got {t}")
     if t == 0.0:
         return initial
-    if dt is None:
-        dt = 1e-3 / (bath.gamma0 * (2.0 * bath.mean_occupation + 1.0))
-    if not 0.0 < dt <= t:
-        raise StepSizeError(f"dt must satisfy 0 < dt <= t, got dt={dt}, t={t}")
-
+    dt = 1e-3 / (bath.gamma0 * (2.0 * bath.mean_occupation + 1.0))
     n_steps = max(1, math.ceil(t / dt - 1e-9))
     # For a linear generator one classical RK4 step is rho <- T(hL) rho, with
     # T the degree-4 Taylor polynomial of exp; n steps are its n-th power.

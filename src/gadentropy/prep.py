@@ -2,17 +2,15 @@
 
 A half-wave plate at angle alpha followed by an incoherent path split and a
 second half-wave plate fixed at pi/8 prepares a state with equal populations
-and off-diagonal element cos(4 alpha)/2.  The dephased variant models a path
-difference beyond the coherence length, which kills the off-diagonals
-entirely.  Angles are radians internally; the CLI converts from degrees.
+and off-diagonal element cos(4 alpha)/2.  The sweep's dephased preparation,
+a path difference beyond the coherence length, is `bloch.dephase` of this
+state.  Angles are radians internally; the CLI converts from degrees.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .qstate import QubitState
 
@@ -29,10 +27,9 @@ class CoherenceOutOfRangeError(ValueError):
 
 @dataclass(frozen=True)
 class PrepSetting:
-    """HWP1 angle alpha in [0, pi/4] and whether the preparation dephases."""
+    """HWP1 angle alpha in [0, pi/4]."""
 
     alpha: float
-    dephased: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= ALPHA_MAX + 1e-12:
@@ -48,13 +45,9 @@ def coherent_bloch_x(alpha: float) -> float:
 
 
 def prepare(setting: PrepSetting) -> QubitState:
-    """The prepared photon state for a given wave-plate setting.
-
-    Coherent: (|H><H| + |V><V|)/2 + cos(4 alpha)(|H><V| + |V><H|)/2.
-    Dephased: the maximally mixed state.
-    """
-    off = 0.0 if setting.dephased else 0.5 * coherent_bloch_x(setting.alpha)
-    return QubitState(np.array([[0.5, off], [off, 0.5]], dtype=np.complex128))
+    """The prepared photon state for a given wave-plate setting:
+    (|H><H| + |V><V|)/2 + cos(4 alpha)(|H><V| + |V><H|)/2."""
+    return QubitState.from_bloch(coherent_bloch_x(setting.alpha), 0.0, 0.0)
 
 
 def alpha_for_coherence(c: float) -> float:

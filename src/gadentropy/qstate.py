@@ -58,8 +58,8 @@ class QubitState:
             [2.0 * m[0, 1].real, -2.0 * m[0, 1].imag, (m[0, 0] - m[1, 1]).real]
         )
 
-    def isclose(self, other: "QubitState", atol: float = ATOL) -> bool:
-        return bool(np.allclose(self.matrix, other.matrix, atol=atol, rtol=0.0))
+    def isclose(self, other: "QubitState") -> bool:
+        return bool(np.allclose(self.matrix, other.matrix, atol=ATOL, rtol=0.0))
 
 
 # Common fixed states.

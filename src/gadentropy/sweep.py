@@ -24,6 +24,9 @@ DEFAULT_SHOTS = 10_000
 DEFAULT_BOOTSTRAP = 200
 DEFAULT_SEED = 20240
 DEFAULT_R_POINTS = 21
+# Most runs (grid rows x (1 + n_bootstrap)) one experiment may draw; at fig2's
+# 0.15 kB per run that is about 0.6 GB.
+MAX_RUNS = 2**22
 
 FIG2_P_VALUES = (0.9, 0.75, 0.6)
 FIG3_P_VALUES = (0.9,)
@@ -69,6 +72,10 @@ class SweepConfig:
         # numpy's binomial takes the shot count as a C long.
         if not 1 <= self.shots <= np.iinfo(np.int64).max or self.n_bootstrap < 2 or self.seed < 0:
             raise ConfigError("shots must be in [1, 2**63 - 1], n_bootstrap >= 2 and seed >= 0")
+        rows = len(self.p_values) * len(self.alpha_or_coherence) * len(self.r_grid)
+        if rows * (1 + self.n_bootstrap) > MAX_RUNS:
+            raise ConfigError(f"{rows} grid rows x (1 + n_bootstrap = {self.n_bootstrap}) "
+                              f"runs exceed the bound of {MAX_RUNS} runs per experiment")
 
     def alphas(self) -> tuple[float, ...]:
         """HWP1 angles in radians for each configured initial state."""
@@ -78,8 +85,8 @@ class SweepConfig:
 
 
 def uniform_r_grid(n_points: int) -> tuple[float, ...]:
-    if n_points < 2:
-        raise ConfigError("r grid needs at least 2 points")
+    if not 2 <= n_points <= MAX_RUNS:
+        raise ConfigError(f"r grid needs 2 to {MAX_RUNS} points, got {n_points}")
     return tuple(np.linspace(0.0, 1.0, n_points))
 
 
@@ -115,13 +122,32 @@ _CONFIG_KEYS = {
 }
 
 
-def load_config(path: str) -> SweepConfig:
-    """Parse a flat key-value config file (key = value, '#' comments).
+def settings(entries) -> dict:
+    """SweepConfig keyword arguments from (where, key, text) triples, where
+    `where` names the entry's source in error messages.
 
-    Text that is not UTF-8, unknown or repeated keys, two keys for one setting
-    (alpha_deg and coherence, r_grid and r_points) and unparseable values
-    raise ConfigError.
+    Unknown or repeated keys, two keys for one setting (alpha_deg and
+    coherence, r_grid and r_points) and unparseable values raise ConfigError.
     """
+    kwargs: dict = {}
+    for where, key, text in entries:
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        name, parse = _CONFIG_KEYS[key]
+        if name in kwargs:
+            raise ConfigError(f"{where}: {key!r} repeats or conflicts with an earlier key")
+        try:
+            kwargs[name] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
+        if key in ("alpha_deg", "coherence"):
+            kwargs["units"] = "degrees" if key == "alpha_deg" else "coherence"
+    return kwargs
+
+
+def load_config(path: str) -> SweepConfig:
+    """Parse a flat key-value config file (key = value, '#' comments) through
+    `settings`; text that is not UTF-8 or a line without '=' raises ConfigError."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -129,29 +155,18 @@ def load_config(path: str) -> SweepConfig:
         lines = io.StringIO(data.decode("utf-8"), newline=None)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
-    kwargs: dict = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        name, parse = _CONFIG_KEYS[key]
-        if name in kwargs:
-            raise ConfigError(f"{path}:{lineno}: {key!r} repeats or conflicts with an earlier key")
-        try:
-            kwargs[name] = parse(value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-        if key in ("alpha_deg", "coherence"):
-            kwargs["units"] = "degrees" if key == "alpha_deg" else "coherence"
-    try:
-        return SweepConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+
+    def entries():
+        for lineno, line in enumerate(lines, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            key, value = (part.strip() for part in line.split("=", 1))
+            yield f"{path}:{lineno}", key, value
+
+    return SweepConfig(**settings(entries()))
 
 
 # One record per grid point: the CSV columns in order, then two counters left
@@ -289,37 +304,37 @@ def _csv_lines(rows):
         yield from map(_CSV_LINE.__mod__, zip(*(block[name].tolist() for name in CSV_COLUMNS)))
 
 
-def emit_csv(rows: np.ndarray, path: str, config: SweepConfig | None = None) -> None:
-    """Write the sweep as UTF-8 CSV with a fixed column order.
+def emit_csv(rows: np.ndarray, path: str, config: SweepConfig) -> None:
+    """Write the sweep as UTF-8 CSV with a fixed column order, and its JSON
+    sidecar <path>.meta.json.
 
     Floats carry 12 significant digits, so same-seed reruns on the same versions
-    are byte-identical.  The JSON sidecar <path>.meta.json is the run manifest:
-    versions, configuration, RNG streams, error-bar procedure and the counters
-    of `emit_summary`.  Each file is replaced atomically.
+    are byte-identical.  The sidecar is the run manifest: versions,
+    configuration, RNG streams, error-bar procedure and the counters of
+    `emit_summary`.  Each file is replaced atomically.
     """
     from . import __version__
     if len(rows) == 0:
         raise IOError("refusing to write an empty sweep")
     _write_atomic(path, _csv_lines(rows))
-    if config is not None:
-        meta = {
-            "versions": {"gadentropy": __version__, "numpy": np.__version__,
-                         "python": platform.python_version()},
-            "config": dataclasses.asdict(config),
-            "rng_algorithm": tomography.RNG_ALGORITHM,
-            "streams": {"derivation": "experiment e (1 coherent, 2 dephased) draws its "
-                        "determinate rows' runs in CSV order from SeedSequence((config.seed, e)) "
-                        "hashed to one uint64, their resamples from SeedSequence((that, 0xB007)), "
-                        "run by run and each basis's (H, V, R, D) back to back",
-                        "experiment_seeds": [experiment_seed(config.seed, e) for e in (1, 2)]},
-            "error_bars": (
-                "parametric bootstrap: per-basis binomial resampling at the "
-                "observed frequencies, stderr = sample std over resampled "
-                "reconstructions; simulation-based, not a lab claim"
-            ),
-            "counters": _counters(rows),
-        }
-        _write_atomic(path + ".meta.json", [json.dumps(meta, indent=2, default=list), "\n"])
+    meta = {
+        "versions": {"gadentropy": __version__, "numpy": np.__version__,
+                     "python": platform.python_version()},
+        "config": dataclasses.asdict(config),
+        "rng_algorithm": tomography.RNG_ALGORITHM,
+        "streams": {"derivation": "experiment e (1 coherent, 2 dephased) draws its "
+                    "determinate rows' runs in CSV order from SeedSequence((config.seed, e)) "
+                    "hashed to one uint64, their resamples from SeedSequence((that, 0xB007)), "
+                    "run by run and each basis's (H, V, R, D) back to back",
+                    "experiment_seeds": [experiment_seed(config.seed, e) for e in (1, 2)]},
+        "error_bars": (
+            "parametric bootstrap: per-basis binomial resampling at the "
+            "observed frequencies, stderr = sample std over resampled "
+            "reconstructions; simulation-based, not a lab claim"
+        ),
+        "counters": _counters(rows),
+    }
+    _write_atomic(path + ".meta.json", [json.dumps(meta, indent=2, default=list), "\n"])
 
 
 def emit_summary(rows: np.ndarray) -> str:

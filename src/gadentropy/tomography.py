@@ -27,12 +27,11 @@ def project_to_physical(m: np.ndarray) -> QubitState:
     For unit-trace Hermitian 2x2 input this is the Frobenius-nearest valid
     state; physical input passes through unchanged.
     """
-    x = 2.0 * float(m[0, 1].real)
-    y = -2.0 * float(m[0, 1].imag)
-    z = float((m[0, 0] - m[1, 1]).real)
+    state = QubitState(m)
+    x, y, z = state.bloch_vector()
     length = np.sqrt(x * x + y * y + z * z)
     if length <= 1.0:
-        return QubitState(m)
+        return state
     return QubitState.from_bloch(x / length, y / length, z / length)
 
 

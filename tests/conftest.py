@@ -3,11 +3,13 @@
 Hypothesis draws the same examples on every run and has no per-example
 deadline, so a slow host neither changes nor fails a test.  `violation`,
 `l1_coherence` and `fidelity` are test-side measures of 2x2 density matrices
-that the package itself does not need."""
+that the package itself does not need; `relative_entropy_to_thermal` scores
+Bloch vectors with the sweep's closed form."""
 
 import numpy as np
 from hypothesis import settings
 
+from gadentropy import bloch
 from gadentropy.qstate import ATOL
 
 settings.register_profile("gadentropy", derandomize=True, deadline=None)
@@ -39,3 +41,10 @@ def fidelity(rho, sigma):
     overlap = np.einsum("...ij,...ji->...", rho, sigma).real
     dets = np.linalg.det(rho).real * np.linalg.det(sigma).real
     return np.clip(overlap + 2.0 * np.sqrt(np.maximum(dets, 0.0)), 0.0, 1.0)
+
+
+def relative_entropy_to_thermal(b, p):
+    """D(rho || diag(p, 1 - p)) of Bloch vectors b, shape (..., 3), by
+    `bloch.relative_entropy_of_length` on their length and z."""
+    b = np.asarray(b, dtype=float)
+    return bloch.relative_entropy_of_length(np.linalg.norm(b, axis=-1), b[..., 2], p)

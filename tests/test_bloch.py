@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import relative_entropy_to_thermal
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -68,7 +69,7 @@ def test_coherence_matches_eigh(vectors):
 def test_relative_entropy_matches_eigh(vectors, p):
     eq = QubitState.diagonal(p, 1.0 - p)
     want = [relative_entropy(s, eq) for s in states(vectors)]
-    assert np.max(np.abs(bloch.relative_entropy_to_thermal(vectors, p) - want)) < TOL
+    assert np.max(np.abs(relative_entropy_to_thermal(vectors, p) - want)) < TOL
 
 
 def test_relative_entropy_support_rule_at_p1():
@@ -77,7 +78,7 @@ def test_relative_entropy_support_rule_at_p1():
                         [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
     eq = QubitState.diagonal(1.0, 0.0)
     want = [relative_entropy(s, eq) for s in states(vectors)]
-    got = bloch.relative_entropy_to_thermal(vectors, 1.0)
+    got = relative_entropy_to_thermal(vectors, 1.0)
     assert np.isinf(want[2:]).all() and np.isinf(got[2:]).all()
     assert np.max(np.abs(got[:2] - want[:2])) < TOL
 
@@ -88,7 +89,7 @@ def test_relative_entropy_broadcasts_over_p():
     p = rng.uniform(0.5, 0.99, size=50)
     want = [relative_entropy(s, QubitState.diagonal(q, 1.0 - q))
             for s, q in zip(states(vectors), p)]
-    assert np.max(np.abs(bloch.relative_entropy_to_thermal(vectors, p) - want)) < TOL
+    assert np.max(np.abs(relative_entropy_to_thermal(vectors, p) - want)) < TOL
 
 
 def test_project_matches_matrix_projection(vectors):
@@ -131,7 +132,7 @@ def test_functions_broadcast_over_leading_axes():
     assert bloch.entropy(vectors).shape == (2, 3, 4)
     assert np.array_equal(bloch.entropy(vectors).ravel(), bloch.entropy(flat))
     assert bloch.born_probabilities(vectors).shape == (2, 3, 4, 4)
-    assert bloch.relative_entropy_to_thermal(vectors, 0.8).shape == (2, 3, 4)
+    assert relative_entropy_to_thermal(vectors, 0.8).shape == (2, 3, 4)
 
 
 def close(got, want) -> bool:
@@ -151,12 +152,12 @@ def test_gad_matches_kraus_map_anywhere_in_the_ball(b, p, r):
 @example(np.zeros(3), 1.0 - 1e-10)  # a thermal weight just above the support cut-off
 def test_entropies_match_eigh_anywhere_in_the_ball(b, p):
     state = QubitState.from_bloch(*b)
-    assert close(bloch.relative_entropy_to_thermal(b, p),
+    assert close(relative_entropy_to_thermal(b, p),
                  relative_entropy(state, QubitState.diagonal(p, 1.0 - p)))
     assert close(bloch.coherence(b), rel_entropy_coherences(state.matrix))
 
 
 @given(BALL, WEIGHT, STRENGTH)
 def test_gad_never_increases_relative_entropy_to_thermal(b, p, r):
-    before = bloch.relative_entropy_to_thermal(b, p)
-    assert bloch.relative_entropy_to_thermal(bloch.gad(b, p, r), p) <= before + 1e-10
+    before = relative_entropy_to_thermal(b, p)
+    assert relative_entropy_to_thermal(bloch.gad(b, p, r), p) <= before + 1e-10

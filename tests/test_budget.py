@@ -15,7 +15,7 @@ from gadentropy.budget import (
 )
 from gadentropy.channel import GadChannel, apply
 from gadentropy.prep import PrepSetting, prepare
-from gadentropy.qstate import MAXIMALLY_MIXED, PLUS, QubitState
+from gadentropy.qstate import MAXIMALLY_MIXED, PLUS, QubitState, dephased
 
 LN2 = math.log(2.0)
 EQ_09 = QubitState.diagonal(0.9, 0.1).matrix
@@ -147,8 +147,8 @@ class TestBudget:
                 previous = total
 
     def test_dephased_initial_gives_zero_coherence(self):
-        dephased = prepare(PrepSetting(0.1, dephased=True))
-        b = budget(dephased, GadChannel(0.8, 0.6))
+        initial = QubitState(dephased(prepare(PrepSetting(0.1)).matrix))
+        b = budget(initial, GadChannel(0.8, 0.6))
         assert b.coherence == 0.0
         assert b.total == pytest.approx(b.population, abs=1e-10)
 

@@ -85,7 +85,7 @@ class TestApply:
     def test_plus_state_at_p09_r05(self):
         out = apply(GadChannel(0.9, 0.5), PLUS)
         c = math.sqrt(0.5) / 2.0
-        assert out.isclose(QubitState([[0.7, c], [c, 0.3]]), atol=1e-12)
+        assert out.isclose(QubitState([[0.7, c], [c, 0.3]]))
 
     def test_output_always_valid(self):
         rng = np.random.default_rng(23)
@@ -251,9 +251,15 @@ class TestMasterEquationIntegration:
 
     def test_bad_step_size_rejected(self):
         with pytest.raises(StepSizeError):
-            evolve_master_equation(BATH_LN9, PLUS, 1.0, dt=2.0)
-        with pytest.raises(StepSizeError):
-            evolve_master_equation(BATH_LN9, PLUS, 1.0, dt=0.0)
+            evolve_master_equation(BATH_LN9, PLUS, -1e-3)
+
+    @pytest.mark.parametrize("t", [5e-4, 1e-5])
+    def test_time_shorter_than_one_step_takes_one_step(self, t):
+        # The default step at this bath is 1e-3, so t is covered by one step of t.
+        bath = BathSpec(omega_s=1.0, temperature=0.0, gamma0=1.0)
+        out = evolve_master_equation(bath, PLUS, t)
+        expected = apply(channel_for(bath, t), PLUS)
+        assert np.max(np.abs(out.matrix - expected.matrix)) < 1e-12
 
     def test_output_valid(self):
         rng = np.random.default_rng(27)

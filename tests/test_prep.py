@@ -17,6 +17,13 @@ from gadentropy.prep import (
 from gadentropy.qstate import MAXIMALLY_MIXED, PLUS, QubitState, dephased
 
 
+def prepared(alpha, dephase=False):
+    """The preparation at HWP1 angle alpha, with its off-diagonals removed
+    when `dephase` (the dephased preparation)."""
+    state = prepare(PrepSetting(alpha))
+    return QubitState(dephased(state.matrix)) if dephase else state
+
+
 class TestPrepare:
     def test_alpha_zero_gives_plus(self):
         assert prepare(PrepSetting(0.0)).isclose(PLUS)
@@ -31,7 +38,7 @@ class TestPrepare:
 
     def test_dephased_always_maximally_mixed(self):
         for alpha in np.linspace(0.0, math.pi / 4.0, 9):
-            assert prepare(PrepSetting(alpha, dephased=True)).isclose(MAXIMALLY_MIXED)
+            assert prepared(alpha, dephase=True).isclose(MAXIMALLY_MIXED)
 
     def test_equal_populations_and_validity(self):
         for alpha in np.linspace(0.0, math.pi / 4.0, 9):
@@ -47,10 +54,10 @@ class TestPrepare:
                 assert got == pytest.approx(abs(math.cos(4.0 * alpha)), abs=1e-12)
 
     def test_dephase_matches_dephased_preparation(self):
+        # The sweep dephases the preparation's Bloch vector with bloch.dephase.
         for alpha in np.linspace(0.0, math.pi / 4.0, 9):
-            a = QubitState(dephased(prepare(PrepSetting(alpha)).matrix))
-            b = prepare(PrepSetting(alpha, dephased=True))
-            assert a.isclose(b)
+            b = QubitState.from_bloch(*bloch.dephase(prepare(PrepSetting(alpha)).bloch_vector()))
+            assert prepared(alpha, dephase=True).isclose(b)
 
     def test_angle_out_of_range(self):
         with pytest.raises(AngleOutOfRangeError):
@@ -87,13 +94,12 @@ class TestEvolvedClosedForm:
     """Prepared states through the sweep's GAD map, `bloch.gad`."""
 
     def test_r_zero_returns_prepared(self):
-        prepared = prepare(PrepSetting(0.2)).bloch_vector()
-        assert np.allclose(bloch.gad(prepared, 0.8, 0.0), prepared, rtol=0.0, atol=1e-12)
+        initial = prepare(PrepSetting(0.2)).bloch_vector()
+        assert np.allclose(bloch.gad(initial, 0.8, 0.0), initial, rtol=0.0, atol=1e-12)
 
     def test_r_one_returns_equilibrium(self):
-        for alpha, dephased in ((0.1, False), (0.1, True), (0.0, False)):
-            prepared = prepare(PrepSetting(alpha, dephased=dephased)).bloch_vector()
-            out = bloch.gad(prepared, 0.75, 1.0)
+        for alpha, dephase in ((0.1, False), (0.1, True), (0.0, False)):
+            out = bloch.gad(prepared(alpha, dephase).bloch_vector(), 0.75, 1.0)
             assert np.allclose(out, [0.0, 0.0, 0.5], rtol=0.0, atol=1e-15)
 
     def test_reference_point(self):
@@ -103,8 +109,8 @@ class TestEvolvedClosedForm:
     def test_oracle_agreement_dense_grid(self):
         ps, rs = np.linspace(0.5, 1.0, 11), np.linspace(0.0, 1.0, 11)
         for alpha in np.linspace(0.0, math.pi / 4.0, 9):
-            for dephased in (False, True):
-                state = prepare(PrepSetting(alpha, dephased=dephased))
+            for dephase in (False, True):
+                state = prepared(alpha, dephase)
                 closed = bloch.gad(state.bloch_vector(), *np.meshgrid(ps, rs, indexing="ij"))
                 kraus = [[apply(GadChannel(p, r), state).bloch_vector() for r in rs] for p in ps]
                 assert np.max(np.abs(closed - kraus)) < 1e-12

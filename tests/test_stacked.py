@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import relative_entropy_to_thermal
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -62,7 +63,7 @@ def test_stacked_entropies_match_the_closed_forms(case):
     assert_close(qstate.von_neumann_entropies(rho), bloch.entropy(b), p.shape)
     assert_close(qstate.rel_entropy_coherences(rho), bloch.coherence(b), p.shape)
     eq = channel.equilibrium_states(p)
-    assert_close(qstate.relative_entropies(rho, eq), bloch.relative_entropy_to_thermal(b, p),
+    assert_close(qstate.relative_entropies(rho, eq), relative_entropy_to_thermal(b, p),
                  p.shape)
 
 
@@ -82,8 +83,8 @@ def test_stacked_kraus_map_and_productions_match_the_closed_forms(case):
             return f(b, *args) - f(final, *args)
 
     total, population, coherence = productions(rho, p, r)
-    assert_close(total, drop(bloch.relative_entropy_to_thermal, p), p.shape)
-    assert_close(population, drop(lambda v, q: bloch.relative_entropy_to_thermal(
+    assert_close(total, drop(relative_entropy_to_thermal, p), p.shape)
+    assert_close(population, drop(lambda v, q: relative_entropy_to_thermal(
         bloch.dephase(v), q), p), p.shape)
     assert_close(coherence, drop(bloch.coherence), p.shape)
 

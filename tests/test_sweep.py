@@ -170,9 +170,10 @@ class TestRunSweep:
 
 class TestEmit:
     def test_csv_layout(self, tmp_path):
-        rows = run_sweep(fig2_config(**SMALL))
+        cfg = fig2_config(**SMALL)
+        rows = run_sweep(cfg)
         out = tmp_path / "fig2.csv"
-        emit_csv(rows, str(out))
+        emit_csv(rows, str(out), cfg)
         lines = out.read_text().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 1 + len(rows)
@@ -180,7 +181,7 @@ class TestEmit:
     def test_empty_rows_rejected_and_no_file(self, tmp_path):
         out = tmp_path / "never.csv"
         with pytest.raises(IOError):
-            emit_csv([], str(out))
+            emit_csv([], str(out), SweepConfig())
         assert not out.exists()
 
     def test_metadata_sidecar(self, tmp_path):
@@ -214,14 +215,14 @@ class TestEmit:
             want.append(",".join([format(v, ".12g") for v in values]
                                  + [str(seed_used), str(indeterminate)]))
         out = tmp_path / "contract.csv"
-        emit_csv(np.array(rows, SWEEP_DTYPE), str(out))
+        emit_csv(np.array(rows, SWEEP_DTYPE), str(out), SweepConfig())
         assert out.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
         assert sweep._CSV_LINE.count("%") == len(sweep._CSV_LINE.split(",")) == len(CSV_COLUMNS)
 
     def test_seed_beyond_uint64_is_written_exactly(self, tmp_path):
         cfg = fig2_config(**dict(SMALL, seed=2**70))
         out = tmp_path / "big.csv"
-        emit_csv(run_sweep(cfg), str(out))
+        emit_csv(run_sweep(cfg), str(out), cfg)
         lines = out.read_text().splitlines()
         seed_column = lines[0].split(",").index("seed_used")
         assert len(lines) == 10
@@ -230,8 +231,8 @@ class TestEmit:
     def test_byte_identical_reruns(self, tmp_path):
         cfg = fig2_config(**SMALL)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(run_sweep(cfg), str(a))
-        emit_csv(run_sweep(cfg), str(b))
+        emit_csv(run_sweep(cfg), str(a), cfg)
+        emit_csv(run_sweep(cfg), str(b), cfg)
         assert a.read_bytes() == b.read_bytes()
 
     def test_summary_reports(self):
@@ -400,6 +401,21 @@ class TestCli:
         ])
         assert code == cli.EXIT_IO
 
+    @pytest.mark.parametrize("flag, key, value", [
+        ("--shots", "shots", "123"), ("--bootstrap", "n_bootstrap", "7"),
+        ("--seed", "seed", "5"), ("--out", "out", "x.csv"), ("--r-points", "r_points", "4")])
+    def test_each_flag_sets_what_its_config_key_sets(self, tmp_path, monkeypatch, flag, key,
+                                                     value):
+        base = "p_values = 0.8\ncoherence = 0.6\n"
+        with_key, plain = tmp_path / "key.cfg", tmp_path / "plain.cfg"
+        with_key.write_text(f"{base}{key} = {value}\n")
+        plain.write_text(base)
+        ran = []
+        monkeypatch.setattr(cli, "_run_and_emit", lambda config: ran.append(config) or 0)
+        assert cli.main(["sweep", "--config", str(plain), flag, value]) == 0
+        assert ran == [load_config(str(with_key))]
+        assert ran[0] != load_config(str(plain))
+
     def test_check_passes(self, capsys):
         assert cli.main(["check"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -473,7 +489,8 @@ class TestArrayPathMatchesStates:
         assert len(rows) == 18
         experiments = (
             (1, lambda row: prepare(PrepSetting(math.radians(row.alpha_deg))), total_productions),
-            (2, lambda row: prepare(PrepSetting(0.0, dephased=True)), population_productions),
+            (2, lambda row: QubitState(qstate.dephased(prepare(PrepSetting(0.0)).matrix)),
+             population_productions),
         )
         got = [[] for _ in rows]
         for e, initial, productions in experiments:
@@ -597,6 +614,39 @@ class TestFailFast:
     def test_bad_flag_exits_1(self, capsys, flag):
         assert cli.main(["fig2"] + flag) == cli.EXIT_USAGE
         assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, value", [("--shots", "abc"), ("--r-points", "1")])
+    def test_bad_flag_value_names_the_flag(self, capsys, flag, value):
+        assert cli.main(["fig2", flag, value]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {flag}:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, value", [("--r-points", "10000000000000"),
+                                             ("--bootstrap", "1000000000000")])
+    def test_sweep_too_large_to_hold_exits_1_before_compute(self, tmp_path, capsys,
+                                                            monkeypatch, flag, value):
+        # Without the bound, the r grid or the resample draw asks numpy for
+        # terabytes, which fails at once with a MemoryError traceback.
+        def no_compute(config):
+            raise AssertionError("sweep ran although it is too large to hold")
+
+        monkeypatch.setattr(cli.sw, "run_sweep", no_compute)
+        out = tmp_path / "o.csv"
+        assert cli.main(["fig2", flag, value, "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_runs_per_experiment_are_bounded(self):
+        # grid rows x (1 + n_bootstrap) runs, up to and including MAX_RUNS.
+        two_rows = dict(p_values=(0.9,), alpha_or_coherence=(1.0,), r_grid=(0.0, 1.0))
+        SweepConfig(**two_rows, n_bootstrap=sweep.MAX_RUNS // 2 - 1)
+        for kwargs in (dict(two_rows, n_bootstrap=sweep.MAX_RUNS // 2),
+                       dict(n_bootstrap=10**12), dict(r_grid=(0.5,) * 10**5)):
+            with pytest.raises(ConfigError, match="runs exceed"):
+                SweepConfig(**kwargs)
+        with pytest.raises(ConfigError, match="r grid needs"):
+            sweep.uniform_r_grid(10**13)
 
     def test_negative_check_seed_exits_1_before_compute(self, capsys, monkeypatch):
         def no_compute(seed):

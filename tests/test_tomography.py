@@ -105,7 +105,7 @@ class TestProjectToPhysical:
     def test_overlong_x_axis(self):
         m = 0.5 * np.array([[1.0, 1.2], [1.2, 1.0]], dtype=complex)
         out = project_to_physical(m)
-        assert out.isclose(PLUS, atol=1e-12)
+        assert out.isclose(PLUS)
 
     def test_general_direction_rescaled(self):
         m = QubitState.from_bloch(0.6, 0.8, 0.6).matrix  # length > 1
