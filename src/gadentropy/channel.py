@@ -14,17 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import ATOL, QubitState
+from .qstate import QubitState
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)  # |0><1|
 SIGMA_PLUS = SIGMA_MINUS.conj().T
 
 
 class ParameterOutOfRangeError(ValueError):
-    pass
-
-
-class MismatchedTemperatureError(ValueError):
     pass
 
 
@@ -118,13 +114,10 @@ def equilibrium_state(ch: GadChannel) -> QubitState:
     return QubitState(equilibrium_states(ch.p))
 
 
-def compose(ch1: GadChannel, ch2: GadChannel) -> GadChannel:
-    """Same-temperature semigroup composition: r12 = 1 - (1-r1)(1-r2)."""
-    if abs(ch1.p - ch2.p) > ATOL:
-        raise MismatchedTemperatureError(
-            f"cannot compose channels with p={ch1.p} and p={ch2.p}"
-        )
-    return GadChannel(ch1.p, 1.0 - (1.0 - ch1.r) * (1.0 - ch2.r))
+def compose(r1, r2):
+    """Same-temperature semigroup composition: the channel (p, r2) after (p, r1)
+    is the channel (p, r12), r12 = 1 - (1 - r1)(1 - r2), elementwise."""
+    return 1.0 - (1.0 - r1) * (1.0 - r2)
 
 
 def r_from_time(bath: BathSpec, t: float) -> float:

@@ -4,10 +4,10 @@ Each row holds a documented invariant on a fixed grid or on seeded random
 cases.  The GAD map and the tomography round trip are evaluated with the
 `bloch` closed forms that the sweeps run, and compared with the 2x2
 density-matrix reference (Kraus operators, eigh entropies), which computes
-the same quantities independently.  The random cases come from the stdlib
-`random.Random(seed)`, one case after another; the contractivity and
-additivity rows then score all their cases in one call of the reference's
-stacked forms, and the other rows run one state at a time.
+the same quantities independently.  Every row scores one stack: the grid rows
+run on (11, 11) p, r meshgrid arrays, and the random cases come from the
+stdlib `random.Random(seed)`, drawn one case after another, then scored in
+one call of the reference's stacked forms.
 """
 
 from __future__ import annotations
@@ -51,29 +51,31 @@ def _random_bloch(rng: random.Random) -> tuple[float, float, float]:
     return v[0] * scale, v[1] * scale, v[2] * scale
 
 
-def run_property_suite(seed: int = 1234) -> PropertyReport:
+def run_property_suite(seed: int) -> PropertyReport:
     """Run every module invariant on documented grids with a fixed seed."""
     rng = random.Random(seed)
-    ps, rs = np.linspace(0.5, 1.0, 11), np.linspace(0.0, 1.0, 11)
-    grid = [chn.GadChannel(p, r) for p in ps for r in rs]
-    preps = [prep.prepare(prep.PrepSetting(a)) for a in np.linspace(0.0, math.pi / 4.0, 9)]
+    p, r = np.meshgrid(np.linspace(0.5, 1.0, 11), np.linspace(0.0, 1.0, 11), indexing="ij")
 
     def dev(a, b) -> float:
-        return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+        return float(np.max(np.abs(a - b)))
 
     def within(worst: float) -> tuple[bool, str]:
         return worst < 1e-12, f"max deviation {worst:.3e}"
 
-    def random_pr(p: float | None = None) -> tuple[float, float]:
-        p = rng.uniform(0.5, 1.0 - 1e-9) if p is None else p
-        return p, rng.uniform(0.0, 1.0)
+    def random_pr() -> tuple[float, float]:
+        return rng.uniform(0.5, 1.0 - 1e-9), rng.uniform(0.0, 1.0)
+
+    def completeness() -> tuple[bool, str]:
+        kraus = chn.kraus_stack(p, r)
+        return within(dev(np.einsum("...kji,...kjl->...il", kraus.conj(), kraus), np.eye(2)))
 
     def closed_form() -> tuple[bool, str]:
-        # bloch.gad once on the stacked (9, 11, 11) grid, the Kraus map per state.
-        initial = np.array([state.bloch_vector() for state in preps])
-        closed = bloch.gad(initial[:, None, None], *np.meshgrid(ps, rs, indexing="ij"))
-        kraus = [chn.apply(ch, state).bloch_vector() for state in preps for ch in grid]
-        return within(dev(kraus, closed.reshape(-1, 3)))
+        # The nine wave-plate preparations through the Kraus map and through
+        # bloch.gad, both on the stacked (9, 11, 11) grid.
+        initial = np.array([(prep.coherent_bloch_x(a), 0.0, 0.0)
+                            for a in np.linspace(0.0, math.pi / 4.0, 9)])[:, None, None]
+        kraus = qstate.bloch_vectors(chn.apply_kraus(qstate.bloch_matrices(initial), p, r))
+        return within(dev(kraus, bloch.gad(initial, p, r)))
 
     def contractivity() -> tuple[bool, str]:
         # Cases drawn one by one (state, then p and r), scored in one stack;
@@ -97,11 +99,14 @@ def run_property_suite(seed: int = 1234) -> PropertyReport:
                 and neg <= NEG_FLOOR,
                 f"max additivity gap {gap:.3e}, max negativity {neg:.3e}")
 
-    def composition(p: float) -> float:
-        ch1, ch2 = chn.GadChannel(*random_pr(p)), chn.GadChannel(*random_pr(p))
-        state = qstate.QubitState.from_bloch(*_random_bloch(rng))
-        return dev(chn.apply(ch2, chn.apply(ch1, state)).matrix,
-                   chn.apply(chn.compose(ch1, ch2), state).matrix)
+    def composition() -> tuple[bool, str]:
+        # Cases drawn one by one (p, r1, r2, then the state), scored in one
+        # stack: two channels in sequence against their composition.
+        cases = np.array([(rng.uniform(0.5, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0),
+                           *_random_bloch(rng)) for _ in range(100)])
+        (p, r1, r2), states = cases[:, :3].T, qstate.bloch_matrices(cases[:, 3:])
+        return within(dev(chn.apply_kraus(chn.apply_kraus(states, p, r1), p, r2),
+                          chn.apply_kraus(states, p, chn.compose(r1, r2))))
 
     def round_trip() -> tuple[bool, str]:
         # The sweep's tomography path on the stacked states: Born
@@ -110,20 +115,15 @@ def run_property_suite(seed: int = 1234) -> PropertyReport:
         return within(dev(bloch.project(bloch.invert(bloch.born_probabilities(b))), b))
 
     checks = (
-        ("kraus completeness (11x11 grid)", lambda: within(max(
-            dev(sum(m.conj().T @ m for m in chn.kraus_stack(ch.p, ch.r)), np.eye(2))
-            for ch in grid))),
-        ("equilibrium fixed point (11x11 grid)", lambda: within(max(
-            dev(chn.apply(ch, chn.equilibrium_state(ch)).matrix,
-                chn.equilibrium_state(ch).matrix) for ch in grid))),
+        ("kraus completeness (11x11 grid)", completeness),
+        ("equilibrium fixed point (11x11 grid)", lambda: within(dev(
+            chn.apply_kraus(chn.equilibrium_states(p), p, r), chn.equilibrium_states(p)))),
         ("closed-form evolved state (9x11x11 grid)", closed_form),
         ("relative-entropy contractivity (500 random cases)", contractivity),
         ("budget additivity + non-negativity (1000 random triples)", additivity),
-        ("coherence decay sqrt(1-r), p-independent", lambda: within(max(
-            abs(float(chn.apply(ch, qstate.PLUS).matrix[0, 1].real)
-                - 0.5 * math.sqrt(1.0 - ch.r)) for ch in grid))),
-        ("semigroup composition (100 random cases)", lambda: within(max(
-            composition(rng.uniform(0.5, 1.0)) for _ in range(100)))),
+        ("coherence decay sqrt(1-r), p-independent", lambda: within(dev(
+            chn.apply_kraus(qstate.PLUS.matrix, p, r)[..., 0, 1].real, 0.5 * np.sqrt(1.0 - r)))),
+        ("semigroup composition (100 random cases)", composition),
         ("tomography exact-frequency round trip (200 random states)", round_trip),
     )
     return PropertyReport([PropertyResult(name, *check()) for name, check in checks])

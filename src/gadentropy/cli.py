@@ -34,8 +34,16 @@ _FLAGS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors print one line; its subparsers
+    are built from this class too."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gadentropy",
         description=(
             "Entropy-production sweeps for a qubit in a generalized "

@@ -4,10 +4,10 @@ Basis convention throughout the package: index 0 = ground = |H>,
 index 1 = excited = |V>.  All entropies are in nats.
 
 The entropies and dephasing act on stacked complex arrays of shape
-(..., 2, 2) (`bloch_matrices`, `dephased`, `von_neumann_entropies`,
-`relative_entropies`, `rel_entropy_coherences`), computed with batched
-`eigvalsh`/`eigh`.  `QubitState` holds one such matrix, and
-`relative_entropy` scores a pair of them as a Python float.
+(..., 2, 2) (`bloch_matrices` and its inverse `bloch_vectors`, `dephased`,
+`von_neumann_entropies`, `relative_entropies`, `rel_entropy_coherences`),
+computed with batched `eigvalsh`/`eigh`.  `QubitState` holds one such
+matrix, and `relative_entropy` scores a pair of them as a Python float.
 """
 
 from __future__ import annotations
@@ -53,10 +53,7 @@ class QubitState:
         return cls(np.outer(v, v.conj()))
 
     def bloch_vector(self) -> np.ndarray:
-        m = self.matrix
-        return np.array(
-            [2.0 * m[0, 1].real, -2.0 * m[0, 1].imag, (m[0, 0] - m[1, 1]).real]
-        )
+        return bloch_vectors(self.matrix)
 
     def isclose(self, other: "QubitState") -> bool:
         return bool(np.allclose(self.matrix, other.matrix, atol=ATOL, rtol=0.0))
@@ -77,6 +74,13 @@ def bloch_matrices(b) -> np.ndarray:
     out[..., 1, 0] = 0.5 * (x + 1j * y)
     out[..., 1, 1] = 0.5 * (1.0 - z)
     return out
+
+
+def bloch_vectors(rho) -> np.ndarray:
+    """Bloch vectors (x, y, z), shape (..., 3), of stacked (..., 2, 2) density
+    matrices: the inverse of `bloch_matrices`."""
+    return np.stack([2.0 * rho[..., 0, 1].real, -2.0 * rho[..., 0, 1].imag,
+                     (rho[..., 0, 0] - rho[..., 1, 1]).real], axis=-1)
 
 
 def _tr_x_ln_x(eigs) -> np.ndarray:

@@ -85,8 +85,10 @@ class SweepConfig:
 
 
 def uniform_r_grid(n_points: int) -> tuple[float, ...]:
-    if not 2 <= n_points <= MAX_RUNS:
-        raise ConfigError(f"r grid needs 2 to {MAX_RUNS} points, got {n_points}")
+    # Every grid row runs 1 + n_bootstrap >= 3 times, so SweepConfig refuses a
+    # grid longer than MAX_RUNS // 3; refusing it here skips building it first.
+    if not 2 <= n_points <= MAX_RUNS // 3:
+        raise ConfigError(f"r grid needs 2 to {MAX_RUNS // 3} points, got {n_points}")
     return tuple(np.linspace(0.0, 1.0, n_points))
 
 

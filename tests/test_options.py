@@ -15,7 +15,6 @@ import gadentropy
 _CONFIG_KEY = "a config-file key sets it (sweep._CONFIG_KEYS), and a CLI flag or preset may"
 
 OPTIONS = {
-    "check.run_property_suite.seed": "`gadentropy check --seed` sets it",
     "check.PropertyReport.results": "`run_property_suite` passes the suite's eight rows",
     "cli.main.argv": "the console script passes None (sys.argv); bench/worker.py passes a list",
     "sweep.SweepConfig.scenario": _CONFIG_KEY,

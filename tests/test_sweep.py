@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gadentropy
-from gadentropy import bloch, cli, qstate, sweep
+from gadentropy import bloch, channel, cli, qstate, sweep
 from gadentropy.budget import budget as entropy_budget
 from gadentropy.budget import population_productions, total_productions
 from gadentropy.check import run_property_suite
@@ -318,6 +318,38 @@ class TestPropertySuite:
                             lambda rho, sigma: perturb(relative_entropies(rho, sigma)))
         assert self.failed_rows(capsys) == [
             "[FAIL] relative-entropy contractivity (500 random cases)"]
+
+    # A grid or composition row fails when its input drifts by 1e-9.  The Kraus
+    # stack feeds every row that applies the channel, so each of those fails too.
+    @pytest.mark.parametrize("name, perturb, rows", [
+        ("kraus_stack", lambda f: lambda p, r: f(p, r) + 1e-9, [
+            "kraus completeness (11x11 grid)", "equilibrium fixed point (11x11 grid)",
+            "closed-form evolved state (9x11x11 grid)",
+            "coherence decay sqrt(1-r), p-independent",
+            "semigroup composition (100 random cases)"]),
+        ("equilibrium_states", lambda f: lambda p: f(p) + 1e-9,
+         ["equilibrium fixed point (11x11 grid)"]),
+        ("compose", lambda f: lambda r1, r2: f(r1, r2) + 1e-9,
+         ["semigroup composition (100 random cases)"])],
+        ids=["completeness", "fixed-point", "composition"])
+    def test_perturbed_channel_input_fails_its_row(self, capsys, monkeypatch, name, perturb,
+                                                   rows):
+        monkeypatch.setattr(channel, name, perturb(getattr(channel, name)))
+        assert self.failed_rows(capsys) == [f"[FAIL] {row}" for row in rows]
+
+    def test_perturbed_plus_state_fails_the_coherence_decay_row(self, capsys, monkeypatch):
+        monkeypatch.setattr(qstate, "PLUS", QubitState(qstate.PLUS.matrix + 1e-9))
+        assert self.failed_rows(capsys) == ["[FAIL] coherence decay sqrt(1-r), p-independent"]
+
+    def test_suite_builds_no_per_state_object(self, monkeypatch):
+        # Every row scores stacked arrays: no QubitState or GadChannel is built.
+        def refuse(obj):
+            raise AssertionError(f"the property suite built a {type(obj).__name__}")
+
+        for cls in (QubitState, GadChannel):
+            monkeypatch.setattr(cls, "__post_init__", refuse)
+        report = run_property_suite(seed=1234)
+        assert report.passed, report.render()
 
     def test_suite_passes_under_the_bench_tracer(self):
         # The benchmark's tracer wraps every public function and reads the
@@ -637,6 +669,17 @@ class TestFailFast:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_r_grid_too_long_to_run_exits_1_before_it_is_built(self, capsys, monkeypatch):
+        # 1 + n_bootstrap >= 3 runs per row, so a grid past MAX_RUNS // 3 can never run.
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the r grid was built although it is too long to run")
+
+        monkeypatch.setattr(sweep.np, "linspace", no_grid)
+        argv = ["fig2", "--r-points", str(sweep.MAX_RUNS // 3 + 1)]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_runs_per_experiment_are_bounded(self):
         # grid rows x (1 + n_bootstrap) runs, up to and including MAX_RUNS.
         two_rows = dict(p_values=(0.9,), alpha_or_coherence=(1.0,), r_grid=(0.0, 1.0))
@@ -658,10 +701,11 @@ class TestFailFast:
         assert err.startswith("config error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [["fig2", "--shots", "abc"], ["check", "--seed", "abc"],
-                                      ["fig2", "--wibble"]])
+                                      ["fig2", "--wibble"], ["sweep"], []])
     def test_usage_errors_exit_1(self, capsys, argv):
         assert cli.main(argv) == cli.EXIT_USAGE
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and err.count("\n") == 1
 
     def test_config_range_errors_are_config_errors(self):
         for kwargs in (dict(p_values=(0.9, 1.01)), dict(alpha_or_coherence=(-0.1,)),
