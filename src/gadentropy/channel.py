@@ -24,10 +24,6 @@ class ParameterOutOfRangeError(ValueError):
     pass
 
 
-class StepSizeError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class GadChannel:
     """Temperature weight p in [0.5, 1] and damping strength r in [0, 1]."""
@@ -173,7 +169,7 @@ def evolve_master_equation(bath: BathSpec, initial: QubitState, t: float) -> Qub
     checks the latter.
     """
     if t < 0:
-        raise StepSizeError(f"t must be >= 0, got {t}")
+        raise ParameterOutOfRangeError(f"t must be >= 0, got {t}")
     if t == 0.0:
         return initial
     dt = 1e-3 / (bath.gamma0 * (2.0 * bath.mean_occupation + 1.0))

@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 usage/config error, 2 property-suite failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -86,6 +85,17 @@ def _run_and_emit(config: sw.SweepConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
+        code = _main(argv)
+        sys.stdout.flush()  # so a reader that closed early shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so the flush at exit stays quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
+
+
+def _main(argv) -> int:
+    try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_USAGE if exc.code else EXIT_OK
@@ -100,13 +110,13 @@ def main(argv: list[str] | None = None) -> int:
                             if getattr(args, key) is not None)
         if args.command == "sweep":
             try:
-                config = sw.load_config(args.config)
+                config = sw.load_config(args.config, **flags)
             except OSError as exc:
                 print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
                 return EXIT_IO
         else:
-            config = sw.fig2_config() if args.command == "fig2" else sw.fig3_config()
-        return _run_and_emit(dataclasses.replace(config, **flags))
+            config = (sw.fig2_config if args.command == "fig2" else sw.fig3_config)(**flags)
+        return _run_and_emit(config)
     except sw.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

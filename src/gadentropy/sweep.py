@@ -45,8 +45,7 @@ class SweepConfig:
     p_values: tuple[float, ...] = FIG2_P_VALUES
     alpha_or_coherence: tuple[float, ...] = (1.0,)
     units: str = "coherence"  # "degrees" | "coherence"
-    r_grid: tuple[float, ...] = dataclasses.field(
-        default_factory=lambda: uniform_r_grid(DEFAULT_R_POINTS))
+    r_grid: tuple[float, ...] | int = DEFAULT_R_POINTS  # an int n: n uniform points on [0, 1]
     shots: int = DEFAULT_SHOTS
     n_bootstrap: int = DEFAULT_BOOTSTRAP
     seed: int = DEFAULT_SEED
@@ -57,6 +56,16 @@ class SweepConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.units not in ("degrees", "coherence"):
             raise ConfigError(f"units must be 'degrees' or 'coherence', got {self.units!r}")
+        # numpy's binomial takes the shot count as a C long.
+        if not 1 <= self.shots <= np.iinfo(np.int64).max or self.n_bootstrap < 2 or self.seed < 0:
+            raise ConfigError("shots must be in [1, 2**63 - 1], n_bootstrap >= 2 and seed >= 0")
+        points = self.r_grid if isinstance(self.r_grid, int) else len(self.r_grid)
+        rows = len(self.p_values) * len(self.alpha_or_coherence) * points
+        if rows * (1 + self.n_bootstrap) > MAX_RUNS:
+            raise ConfigError(f"{rows} grid rows x (1 + n_bootstrap = {self.n_bootstrap}) "
+                              f"runs exceed the bound of {MAX_RUNS} runs per experiment")
+        if isinstance(self.r_grid, int):  # built only once the bound has passed
+            self.r_grid = tuple(np.linspace(0.0, 1.0, self.r_grid))
         if not self.p_values or not self.alpha_or_coherence or not self.r_grid:
             raise ConfigError("p_values, alpha_or_coherence and r_grid must be non-empty")
         degrees = self.units == "degrees"
@@ -69,27 +78,12 @@ class SweepConfig:
             bad = [v for v in values if not low <= v <= high]
             if bad:
                 raise ConfigError(f"{name} must lie in [{low:g}, {high:g}], got {float(bad[0]):g}")
-        # numpy's binomial takes the shot count as a C long.
-        if not 1 <= self.shots <= np.iinfo(np.int64).max or self.n_bootstrap < 2 or self.seed < 0:
-            raise ConfigError("shots must be in [1, 2**63 - 1], n_bootstrap >= 2 and seed >= 0")
-        rows = len(self.p_values) * len(self.alpha_or_coherence) * len(self.r_grid)
-        if rows * (1 + self.n_bootstrap) > MAX_RUNS:
-            raise ConfigError(f"{rows} grid rows x (1 + n_bootstrap = {self.n_bootstrap}) "
-                              f"runs exceed the bound of {MAX_RUNS} runs per experiment")
 
     def alphas(self) -> tuple[float, ...]:
         """HWP1 angles in radians for each configured initial state."""
         if self.units == "degrees":
             return tuple(math.radians(a) for a in self.alpha_or_coherence)
         return tuple(prep.alpha_for_coherence(c) for c in self.alpha_or_coherence)
-
-
-def uniform_r_grid(n_points: int) -> tuple[float, ...]:
-    # Every grid row runs 1 + n_bootstrap >= 3 times, so SweepConfig refuses a
-    # grid longer than MAX_RUNS // 3; refusing it here skips building it first.
-    if not 2 <= n_points <= MAX_RUNS // 3:
-        raise ConfigError(f"r grid needs 2 to {MAX_RUNS // 3} points, got {n_points}")
-    return tuple(np.linspace(0.0, 1.0, n_points))
 
 
 def fig2_config(**overrides) -> SweepConfig:
@@ -109,6 +103,12 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
+def _r_points(text: str) -> int:
+    if int(text) < 2:
+        raise ValueError(f"a uniform r grid needs at least 2 points, got {text}")
+    return int(text)
+
+
 # Config-file key -> (SweepConfig field, parser of the value text).
 _CONFIG_KEYS = {
     "scenario": ("scenario", str),
@@ -116,7 +116,7 @@ _CONFIG_KEYS = {
     "alpha_deg": ("alpha_or_coherence", _floats),
     "coherence": ("alpha_or_coherence", _floats),
     "r_grid": ("r_grid", _floats),
-    "r_points": ("r_grid", lambda text: uniform_r_grid(int(text))),
+    "r_points": ("r_grid", _r_points),
     "shots": ("shots", int),
     "n_bootstrap": ("n_bootstrap", int),
     "seed": ("seed", int),
@@ -147,9 +147,10 @@ def settings(entries) -> dict:
     return kwargs
 
 
-def load_config(path: str) -> SweepConfig:
+def load_config(path: str, **overrides) -> SweepConfig:
     """Parse a flat key-value config file (key = value, '#' comments) through
-    `settings`; text that is not UTF-8 or a line without '=' raises ConfigError."""
+    `settings`, with `overrides` set over its entries; text that is not UTF-8
+    or a line without '=' raises ConfigError."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -168,30 +169,24 @@ def load_config(path: str) -> SweepConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             yield f"{path}:{lineno}", key, value
 
-    return SweepConfig(**settings(entries()))
+    return SweepConfig(**{**settings(entries()), **overrides})
 
 
 # One record per grid point: the CSV columns in order, then two counters left
 # out of the CSV.  `projected` counts reconstructions (both experiments, runs
 # and resamples) projected into the Bloch ball, `nonfinite` the bootstrap
-# samples dropped from the stderrs as non-finite.  seed_used holds a Python
-# int, because a seed may exceed 2**64 - 1.
+# samples dropped from the stderrs as non-finite.  The run's seed is no
+# column: the sidecar records it once.
 SWEEP_DTYPE = np.dtype([(name, float) for name in (
     "p", "r", "alpha_deg", "coherence_initial", "sigma_total", "sigma_pop", "sigma_coh",
     "sigma_total_tomo", "sigma_total_tomo_stderr", "sigma_pop_tomo", "sigma_pop_tomo_stderr",
     "sigma_coh_tomo", "sigma_coh_tomo_stderr",
-)] + [("seed_used", object), ("indeterminate", int), ("projected", int), ("nonfinite", int)])
-CSV_COLUMNS = SWEEP_DTYPE.names[:15]
+)] + [("indeterminate", int), ("projected", int), ("nonfinite", int)])
+CSV_COLUMNS = SWEEP_DTYPE.names[:14]
 # One CSV line per `%`: 12 significant digits for floats, ints as written.
 _CSV_LINE = ",".join("%.12g" if SWEEP_DTYPE[name] == float else "%d"
                      for name in CSV_COLUMNS) + "\n"
 _CSV_BLOCK = 4096  # rows turned into Python values at a time while the CSV streams
-
-
-def experiment_seed(seed: int, experiment: int) -> int:
-    """Stream seed of experiment 1 (coherent) or 2 (dephased): (seed, experiment)
-    hashed through SeedSequence, so no pair replays another's stream."""
-    return int(np.random.SeedSequence((seed, experiment)).generate_state(1, np.uint64)[0])
 
 
 def _production(initial, final, p) -> np.ndarray:
@@ -239,8 +234,8 @@ def run_sweep(config: SweepConfig) -> np.recarray:
     Returns one SWEEP_DTYPE record per point, ordered by (p, alpha, r).
     Indeterminate points (p = 1 with a divergent relative entropy) are
     flagged, not dropped, hold NaN productions and draw nothing.  Experiment
-    e draws all determinate rows, in row order, from the stream
-    `experiment_seed(config.seed, e)`; seed_used is config.seed.
+    e (1 coherent, 2 dephased) draws all its determinate rows, in row order,
+    from the one generator `default_rng((config.seed, e))`.
     """
     alphas = config.alphas()
     grid = np.indices((len(config.p_values), len(alphas), len(config.r_grid)))
@@ -258,7 +253,7 @@ def run_sweep(config: SweepConfig) -> np.recarray:
     rows["p"], rows["r"] = p, r
     rows["alpha_deg"] = np.array([math.degrees(a) for a in alphas])[i_a]
     rows["coherence_initial"] = np.abs(coherent[:, 0])
-    rows["seed_used"], rows["indeterminate"] = config.seed, ~det
+    rows["indeterminate"] = ~det
     # Experiment 1 (coherent) measures the total, experiment 2 (dephased) the population part.
     # Both measure all four bases: experiment 2's R and D frequencies reach the population
     # estimate through the radial projection when |b| > 1, so they are not skipped.
@@ -266,7 +261,7 @@ def run_sweep(config: SweepConfig) -> np.recarray:
     (tot, tot_err, tot_proj, tot_bad), (pop, pop_err, pop_proj, pop_bad) = (
         production_estimates(prepared, p_det, tomography.draw_frequencies(
             bloch.born_probabilities(bloch.gad(prepared, p_det, r_det)), config.shots,
-            experiment_seed(config.seed, e), config.n_bootstrap), population=e == 2)
+            (config.seed, e), config.n_bootstrap), population=e == 2)
         for e, prepared in enumerate((initial, bloch.dephase(initial)), start=1))
     coherence = bloch.coherence(coherent) - bloch.coherence(final)
     for name, values in zip(CSV_COLUMNS[4:13], (
@@ -312,8 +307,9 @@ def emit_csv(rows: np.ndarray, path: str, config: SweepConfig) -> None:
 
     Floats carry 12 significant digits, so same-seed reruns on the same versions
     are byte-identical.  The sidecar is the run manifest: versions,
-    configuration, RNG streams, error-bar procedure and the counters of
-    `emit_summary`.  Each file is replaced atomically.
+    configuration (the one record of the seed), RNG streams, error-bar
+    procedure and the counters of `emit_summary`.  Each file is replaced
+    atomically.
     """
     from . import __version__
     if len(rows) == 0:
@@ -324,11 +320,9 @@ def emit_csv(rows: np.ndarray, path: str, config: SweepConfig) -> None:
                      "python": platform.python_version()},
         "config": dataclasses.asdict(config),
         "rng_algorithm": tomography.RNG_ALGORITHM,
-        "streams": {"derivation": "experiment e (1 coherent, 2 dephased) draws its "
-                    "determinate rows' runs in CSV order from SeedSequence((config.seed, e)) "
-                    "hashed to one uint64, their resamples from SeedSequence((that, 0xB007)), "
-                    "run by run and each basis's (H, V, R, D) back to back",
-                    "experiment_seeds": [experiment_seed(config.seed, e) for e in (1, 2)]},
+        "streams": {"derivation": "experiment e (1 coherent, 2 dephased) draws from "
+                    "numpy.random.default_rng((config.seed, e)) its determinate rows' runs in "
+                    "CSV order, then all their resamples, each basis's (H, V, R, D) back to back"},
         "error_bars": (
             "parametric bootstrap: per-basis binomial resampling at the "
             "observed frequencies, stderr = sample std over resampled "

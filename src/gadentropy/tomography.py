@@ -17,9 +17,6 @@ from .qstate import QubitState
 # Cross-implementation bit-identity of draws is a non-goal.
 RNG_ALGORITHM = "numpy.random.Generator(PCG64)"
 
-# Stream tag separating bootstrap draws from count draws.
-_BOOTSTRAP_STREAM = 0xB007
-
 
 def project_to_physical(m: np.ndarray) -> QubitState:
     """Radially project a Bloch vector of length > 1 back to the sphere.
@@ -35,13 +32,13 @@ def project_to_physical(m: np.ndarray) -> QubitState:
     return QubitState.from_bloch(x / length, y / length, z / length)
 
 
-def draw_frequencies(probs, shots: int, seed: int, n_bootstrap: int) -> np.ndarray:
+def draw_frequencies(probs, shots: int, seed, n_bootstrap: int) -> np.ndarray:
     """Frequencies (..., 1 + n_bootstrap, 4) of the runs with Born probabilities
-    `probs` (..., 4): each run's observed frequencies (index 0, all runs drawn
-    from `seed` in C order), then its parametric resamples at them (from a
-    separate stream of `seed`, each basis's resamples back to back)."""
-    observed = np.random.default_rng(seed).binomial(shots, probs) / shots
-    rng = np.random.default_rng(np.random.SeedSequence((seed, _BOOTSTRAP_STREAM)))
+    `probs` (..., 4), all from one generator `default_rng(seed)`: first every
+    run's observed frequencies (index 0, runs in C order), then every run's
+    parametric resamples at them (each basis's resamples back to back)."""
+    rng = np.random.default_rng(seed)
+    observed = rng.binomial(shots, probs) / shots
     # Consecutive draws that share (shots, p) reuse numpy's binomial set-up.
     resampled = rng.binomial(shots, observed[..., None], size=observed.shape + (n_bootstrap,))
     return np.concatenate([observed[..., None, :], resampled.swapaxes(-1, -2) / shots], axis=-2)
