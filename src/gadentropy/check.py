@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ class PropertyResult:
 
 @dataclass
 class PropertyReport:
-    results: list[PropertyResult] = field(default_factory=list)
+    results: list[PropertyResult]
 
     @property
     def passed(self) -> bool:
@@ -73,7 +73,7 @@ def run_property_suite(seed: int) -> PropertyReport:
         # The nine wave-plate preparations through the Kraus map and through
         # bloch.gad, both on the stacked (9, 11, 11) grid.
         initial = np.array([(prep.coherent_bloch_x(a), 0.0, 0.0)
-                            for a in np.linspace(0.0, math.pi / 4.0, 9)])[:, None, None]
+                            for a in np.linspace(0.0, prep.ALPHA_MAX, 9)])[:, None, None]
         kraus = qstate.bloch_vectors(chn.apply_kraus(qstate.bloch_matrices(initial), p, r))
         return within(dev(kraus, bloch.gad(initial, p, r)))
 
@@ -90,7 +90,7 @@ def run_property_suite(seed: int) -> PropertyReport:
     def additivity() -> tuple[bool, str]:
         # Cases drawn one by one (wave-plate angle, then p and r), scored in
         # one stack of raw signed productions.
-        x, p, r = np.array([(prep.coherent_bloch_x(rng.uniform(0.0, math.pi / 4.0)), *random_pr())
+        x, p, r = np.array([(prep.coherent_bloch_x(rng.uniform(0.0, prep.ALPHA_MAX)), *random_pr())
                             for _ in range(1000)]).T
         sigma = np.stack(productions(qstate.bloch_matrices(x[:, None] * (1.0, 0.0, 0.0)), p, r))
         gap = float(np.max(np.abs(sigma[0] - (sigma[1] + sigma[2]))))
@@ -109,8 +109,8 @@ def run_property_suite(seed: int) -> PropertyReport:
                           chn.apply_kraus(states, p, chn.compose(r1, r2))))
 
     def round_trip() -> tuple[bool, str]:
-        # The sweep's tomography path on the stacked states: Born
-        # probabilities, linear inversion, projection into the Bloch ball.
+        # The Bloch tomography closed forms on the stacked states: Born
+        # probabilities, linear inversion, then `bloch.project` into the ball.
         b = np.array([_random_bloch(rng) for _ in range(200)])
         return within(dev(bloch.project(bloch.invert(bloch.born_probabilities(b))), b))
 

@@ -67,18 +67,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_and_emit(config: sw.SweepConfig) -> int:
-    out_dir = os.path.dirname(config.output_path) or "."
+    path = config.output_path
+    out_dir = os.path.dirname(path) or "."
+    problem = next((f"{t!r} names a directory, not a file" for t in (path, path + ".meta.json")
+                    if not os.path.basename(t) or os.path.isdir(t)), None)
     if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK | os.X_OK)):
-        print(f"error: cannot write {config.output_path}: {out_dir!r} is not a "
-              "writable directory", file=sys.stderr)
+        problem = f"{out_dir!r} is not a writable directory"
+    if problem:
+        print(f"error: cannot write {path!r}: {problem}", file=sys.stderr)
         return EXIT_IO
     rows = sw.run_sweep(config)
     try:
-        sw.emit_csv(rows, config.output_path, config)
+        sw.emit_csv(rows, path, config)
     except OSError as exc:
-        print(f"error: cannot write {config.output_path}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {len(rows)} rows to {config.output_path}")
+    print(f"wrote {len(rows)} rows to {path}")
     print(sw.emit_summary(rows))
     return EXIT_OK
 

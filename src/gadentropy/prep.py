@@ -4,7 +4,7 @@ A half-wave plate at angle alpha followed by an incoherent path split and a
 second half-wave plate fixed at pi/8 prepares a state with equal populations
 and off-diagonal element cos(4 alpha)/2.  The sweep's dephased preparation,
 a path difference beyond the coherence length, is `bloch.dephase` of this
-state.  Angles are radians internally; the CLI converts from degrees.
+state.  Angles are radians; `sweep` parses `alpha_deg` and `coherence`.
 """
 
 from __future__ import annotations

@@ -43,8 +43,7 @@ class SweepConfig:
 
     scenario: str = "custom"
     p_values: tuple[float, ...] = FIG2_P_VALUES
-    alpha_or_coherence: tuple[float, ...] = (1.0,)
-    units: str = "coherence"  # "degrees" | "coherence"
+    alphas: tuple[float, ...] = (0.0,)  # HWP1 angles in radians; 0 gives coherence 1
     r_grid: tuple[float, ...] | int = DEFAULT_R_POINTS  # an int n: n uniform points on [0, 1]
     shots: int = DEFAULT_SHOTS
     n_bootstrap: int = DEFAULT_BOOTSTRAP
@@ -54,53 +53,52 @@ class SweepConfig:
     def __post_init__(self):
         if self.scenario not in ("fig2", "fig3", "custom"):
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if self.units not in ("degrees", "coherence"):
-            raise ConfigError(f"units must be 'degrees' or 'coherence', got {self.units!r}")
         # numpy's binomial takes the shot count as a C long.
         if not 1 <= self.shots <= np.iinfo(np.int64).max or self.n_bootstrap < 2 or self.seed < 0:
             raise ConfigError("shots must be in [1, 2**63 - 1], n_bootstrap >= 2 and seed >= 0")
         points = self.r_grid if isinstance(self.r_grid, int) else len(self.r_grid)
-        rows = len(self.p_values) * len(self.alpha_or_coherence) * points
+        rows = len(self.p_values) * len(self.alphas) * points
         if rows * (1 + self.n_bootstrap) > MAX_RUNS:
             raise ConfigError(f"{rows} grid rows x (1 + n_bootstrap = {self.n_bootstrap}) "
                               f"runs exceed the bound of {MAX_RUNS} runs per experiment")
         if isinstance(self.r_grid, int):  # built only once the bound has passed
             self.r_grid = tuple(np.linspace(0.0, 1.0, self.r_grid))
-        if not self.p_values or not self.alpha_or_coherence or not self.r_grid:
-            raise ConfigError("p_values, alpha_or_coherence and r_grid must be non-empty")
-        degrees = self.units == "degrees"
+        if not self.p_values or not self.alphas or not self.r_grid:
+            raise ConfigError("p_values, alphas and r_grid must be non-empty")
         for name, values, low, high in (
             ("p_values", self.p_values, 0.5, 1.0),
-            ("alpha_deg" if degrees else "coherence", self.alpha_or_coherence, 0.0,
-             45.0 if degrees else 1.0),
+            ("alphas", self.alphas, 0.0, prep.ALPHA_MAX),
             ("r_grid", self.r_grid, 0.0, 1.0),
         ):
             bad = [v for v in values if not low <= v <= high]
             if bad:
                 raise ConfigError(f"{name} must lie in [{low:g}, {high:g}], got {float(bad[0]):g}")
 
-    def alphas(self) -> tuple[float, ...]:
-        """HWP1 angles in radians for each configured initial state."""
-        if self.units == "degrees":
-            return tuple(math.radians(a) for a in self.alpha_or_coherence)
-        return tuple(prep.alpha_for_coherence(c) for c in self.alpha_or_coherence)
-
 
 def fig2_config(**overrides) -> SweepConfig:
     """Maximum initial coherence, three bath temperatures."""
-    return SweepConfig(**{"scenario": "fig2", "p_values": FIG2_P_VALUES,
-                          "alpha_or_coherence": (1.0,), "output_path": "fig2.csv", **overrides})
+    return SweepConfig(**{"scenario": "fig2", "p_values": FIG2_P_VALUES, "alphas": (0.0,),
+                          "output_path": "fig2.csv", **overrides})
 
 
 def fig3_config(**overrides) -> SweepConfig:
     """Fixed bath temperature, three initial coherences."""
     return SweepConfig(**{"scenario": "fig3", "p_values": FIG3_P_VALUES,
-                          "alpha_or_coherence": FIG3_COHERENCES, "output_path": "fig3.csv",
-                          **overrides})
+                          "alphas": tuple(map(prep.alpha_for_coherence, FIG3_COHERENCES)),
+                          "output_path": "fig3.csv", **overrides})
 
 
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+def _alphas_from_degrees(text: str) -> tuple[float, ...]:
+    # Checked in degrees: radians() of a negative subnormal is -0.0, inside the range.
+    degrees, high = _floats(text), math.degrees(prep.ALPHA_MAX)
+    bad = [a for a in degrees if not 0.0 <= a <= high]
+    if bad:
+        raise ValueError(f"alpha_deg must lie in [0, {high:g}], got {bad[0]:g}")
+    return tuple(map(math.radians, degrees))
 
 
 def _r_points(text: str) -> int:
@@ -113,8 +111,8 @@ def _r_points(text: str) -> int:
 _CONFIG_KEYS = {
     "scenario": ("scenario", str),
     "p_values": ("p_values", _floats),
-    "alpha_deg": ("alpha_or_coherence", _floats),
-    "coherence": ("alpha_or_coherence", _floats),
+    "alpha_deg": ("alphas", _alphas_from_degrees),
+    "coherence": ("alphas", lambda text: tuple(map(prep.alpha_for_coherence, _floats(text)))),
     "r_grid": ("r_grid", _floats),
     "r_points": ("r_grid", _r_points),
     "shots": ("shots", int),
@@ -142,8 +140,6 @@ def settings(entries) -> dict:
             kwargs[name] = parse(text)
         except ValueError as exc:
             raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
-        if key in ("alpha_deg", "coherence"):
-            kwargs["units"] = "degrees" if key == "alpha_deg" else "coherence"
     return kwargs
 
 
@@ -237,13 +233,12 @@ def run_sweep(config: SweepConfig) -> np.recarray:
     e (1 coherent, 2 dephased) draws all its determinate rows, in row order,
     from the one generator `default_rng((config.seed, e))`.
     """
-    alphas = config.alphas()
-    grid = np.indices((len(config.p_values), len(alphas), len(config.r_grid)))
+    grid = np.indices((len(config.p_values), len(config.alphas), len(config.r_grid)))
     i_p, i_a, i_r = (g.ravel() for g in grid)
     p = np.asarray(config.p_values, dtype=float)[i_p]
     r = np.asarray(config.r_grid, dtype=float)[i_r]
     coherent = np.zeros((p.size, 3))
-    coherent[:, 0] = np.array([prep.coherent_bloch_x(a) for a in alphas])[i_a]
+    coherent[:, 0] = np.array([prep.coherent_bloch_x(a) for a in config.alphas])[i_a]
     final = bloch.gad(coherent, p, r)
     total, population = (_production(*(_length_and_z(b, dephased) for b in (coherent, final)), p)
                          for dephased in (False, True))
@@ -251,7 +246,7 @@ def run_sweep(config: SweepConfig) -> np.recarray:
 
     rows = np.zeros(p.size, SWEEP_DTYPE)
     rows["p"], rows["r"] = p, r
-    rows["alpha_deg"] = np.array([math.degrees(a) for a in alphas])[i_a]
+    rows["alpha_deg"] = np.array([math.degrees(a) for a in config.alphas])[i_a]
     rows["coherence_initial"] = np.abs(coherent[:, 0])
     rows["indeterminate"] = ~det
     # Experiment 1 (coherent) measures the total, experiment 2 (dephased) the population part.

@@ -15,12 +15,10 @@ import gadentropy
 _CONFIG_KEY = "a config-file key sets it (sweep._CONFIG_KEYS), and a CLI flag or preset may"
 
 OPTIONS = {
-    "check.PropertyReport.results": "`run_property_suite` passes the suite's eight rows",
     "cli.main.argv": "the console script passes None (sys.argv); bench/worker.py passes a list",
     "sweep.SweepConfig.scenario": _CONFIG_KEY,
     "sweep.SweepConfig.p_values": _CONFIG_KEY,
-    "sweep.SweepConfig.alpha_or_coherence": _CONFIG_KEY,
-    "sweep.SweepConfig.units": "the config file's choice of alpha_deg or coherence sets it",
+    "sweep.SweepConfig.alphas": _CONFIG_KEY,
     "sweep.SweepConfig.r_grid": _CONFIG_KEY,
     "sweep.SweepConfig.shots": _CONFIG_KEY,
     "sweep.SweepConfig.n_bootstrap": _CONFIG_KEY,

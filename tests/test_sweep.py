@@ -5,6 +5,7 @@ import operator
 import os
 import pathlib
 import platform
+import re
 import subprocess
 import sys
 
@@ -17,7 +18,7 @@ from gadentropy.budget import budget as entropy_budget
 from gadentropy.budget import population_productions, total_productions
 from gadentropy.check import run_property_suite
 from gadentropy.channel import GadChannel, apply
-from gadentropy.prep import PrepSetting, prepare
+from gadentropy.prep import PrepSetting, alpha_for_coherence, prepare
 from gadentropy.qstate import QubitState
 from gadentropy.sweep import (
     CSV_COLUMNS,
@@ -41,13 +42,13 @@ class TestConfig:
     def test_fig2_defaults(self):
         cfg = fig2_config()
         assert cfg.p_values == (0.9, 0.75, 0.6)
-        assert cfg.alpha_or_coherence == (1.0,)
+        assert cfg.alphas == (0.0,)
         assert len(cfg.r_grid) == 21
 
     def test_fig3_defaults(self):
         cfg = fig3_config()
         assert cfg.p_values == (0.9,)
-        assert cfg.alpha_or_coherence == (0.8, 0.6, 0.4)
+        assert cfg.alphas == tuple(math.acos(c) / 4.0 for c in (0.8, 0.6, 0.4))
 
     def test_bad_scenario_rejected(self):
         with pytest.raises(ConfigError):
@@ -57,9 +58,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SweepConfig(r_grid=(0.0, 1.5))
 
-    def test_degrees_units(self):
-        cfg = SweepConfig(alpha_or_coherence=(9.22,), units="degrees")
-        assert cfg.alphas()[0] == pytest.approx(math.radians(9.22), abs=1e-15)
+    def test_degrees_units(self, tmp_path):
+        path = tmp_path / "deg.cfg"
+        path.write_text("alpha_deg = 9.22, 45\n")
+        assert load_config(str(path)).alphas == (math.radians(9.22), math.pi / 4.0)
+
+    @pytest.mark.parametrize("line", ["coherence = 0.5, 1.5", "alpha_deg = 0, 45.5",
+                                      "alpha_deg = -5e-324"])
+    def test_out_of_range_angle_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"p_values = 0.9\n# angles\n{line}\n")
+        where = f"{re.escape(str(path))}:3: bad value for '{line.split()[0]}'"
+        with pytest.raises(ConfigError, match=f"^{where}"):
+            load_config(str(path))
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "sweep.cfg"
@@ -76,7 +87,7 @@ class TestConfig:
         )
         cfg = load_config(str(path))
         assert cfg.p_values == (0.9, 0.75)
-        assert cfg.units == "degrees"
+        assert cfg.alphas == (0.0, math.radians(9.22))
         assert len(cfg.r_grid) == 5
         assert cfg.shots == 2000
         assert cfg.seed == 17
@@ -143,8 +154,7 @@ class TestRunSweep:
 
     def test_p1_rows_flagged_indeterminate(self):
         cfg = SweepConfig(
-            scenario="custom", p_values=(1.0,), alpha_or_coherence=(1.0,),
-            units="coherence", **SMALL,
+            scenario="custom", p_values=(1.0,), alphas=(0.0,), **SMALL,
         )
         rows = run_sweep(cfg)
         assert all(row.indeterminate == 1 for row in rows)
@@ -531,7 +541,8 @@ class TestArrayPathMatchesStates:
     def test_rows_reproduce_from_config_seed(self):
         # Experiment e draws all determinate rows, in row order, from the one
         # generator default_rng((config.seed, e)); p = 1 rows draw nothing.
-        cfg = SweepConfig(p_values=(0.9, 1.0, 0.6), alpha_or_coherence=(0.8, 0.6, 0.4), **SMALL)
+        cfg = SweepConfig(p_values=(0.9, 1.0, 0.6),
+                          alphas=tuple(map(alpha_for_coherence, (0.8, 0.6, 0.4))), **SMALL)
         rows = [row for row in run_sweep(cfg) if not row.indeterminate]
         assert len(rows) == 18
         experiments = (
@@ -598,7 +609,7 @@ class TestErrorBarCoverage:
 
     @classmethod
     def coverage(cls, p, c, r, shots):
-        rows = run_sweep(SweepConfig(p_values=(p,) * cls.TRIALS, alpha_or_coherence=(c,),
+        rows = run_sweep(SweepConfig(p_values=(p,) * cls.TRIALS, alphas=(alpha_for_coherence(c),),
                                      r_grid=(r,), shots=shots, n_bootstrap=200, seed=2024))
         want = entropy_budget(QubitState.from_bloch(c, 0.0, 0.0), GadChannel(p, r))
         return tuple(
@@ -695,7 +706,7 @@ class TestFailFast:
 
     def test_runs_per_experiment_are_bounded(self):
         # grid rows x (1 + n_bootstrap) runs, up to and including MAX_RUNS.
-        two_rows = dict(p_values=(0.9,), alpha_or_coherence=(1.0,), r_grid=(0.0, 1.0))
+        two_rows = dict(p_values=(0.9,), alphas=(0.0,), r_grid=(0.0, 1.0))
         SweepConfig(**two_rows, n_bootstrap=sweep.MAX_RUNS // 2 - 1)
         for kwargs in (dict(two_rows, n_bootstrap=sweep.MAX_RUNS // 2),
                        dict(n_bootstrap=10**12), dict(r_grid=(0.5,) * 10**5)):
@@ -721,11 +732,11 @@ class TestFailFast:
         assert "error:" in err and err.count("\n") == 1
 
     def test_config_range_errors_are_config_errors(self):
-        for kwargs in (dict(p_values=(0.9, 1.01)), dict(alpha_or_coherence=(-0.1,)),
-                       dict(alpha_or_coherence=(45.5,), units="degrees")):
+        for kwargs in (dict(p_values=(0.9, 1.01)), dict(alphas=(-0.1,)),
+                       dict(alphas=(math.radians(45.5),))):
             with pytest.raises(ConfigError):
                 SweepConfig(**kwargs)
-        SweepConfig(alpha_or_coherence=(0.0, 45.0), units="degrees", p_values=(0.5, 1.0))
+        SweepConfig(alphas=(0.0, math.pi / 4.0), p_values=(0.5, 1.0))
 
     def test_unwritable_output_fails_before_compute(self, tmp_path, monkeypatch):
         def no_compute(config):
@@ -734,6 +745,24 @@ class TestFailFast:
         monkeypatch.setattr(cli.sw, "run_sweep", no_compute)
         code = cli.main(["fig2", "--out", str(tmp_path / "missing" / "out.csv")])
         assert code == cli.EXIT_IO
+
+    @pytest.mark.parametrize("out, directory", [("d", "d"), ("d/", "d"), ("", None),
+                                                ("x.csv", "x.csv.meta.json")])
+    def test_output_target_that_is_no_file_fails_before_compute(self, tmp_path, capsys,
+                                                                 monkeypatch, out, directory):
+        # Without the check, each ran the whole sweep and then failed to write,
+        # the last one after writing x.csv without its sidecar.
+        def no_compute(config):
+            raise AssertionError("sweep ran although the output cannot be written")
+
+        monkeypatch.setattr(cli.sw, "run_sweep", no_compute)
+        if directory:
+            (tmp_path / directory).mkdir()
+        code = cli.main(["fig2", "--out", os.path.join(str(tmp_path), out) if out else out])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_IO
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([directory] if directory else [])
 
 
 class TestAtomicOutput:
