@@ -32,7 +32,7 @@ class PrepSetting:
     alpha: float
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= ALPHA_MAX + 1e-12:
+        if not 0.0 <= self.alpha <= ALPHA_MAX:
             raise AngleOutOfRangeError(
                 f"alpha must be in [0, pi/4], got {self.alpha}"
             )

@@ -37,6 +37,18 @@ class ConfigError(ValueError):
     pass
 
 
+# The closed range of every entry of a list-valued setting.
+_RANGES = {"p_values": (0.5, 1.0), "alphas": (0.0, prep.ALPHA_MAX), "r_grid": (0.0, 1.0)}
+
+
+def _in_range(name: str, values, low: float, high: float):
+    """`values`, or ConfigError naming the first entry outside [low, high]."""
+    bad = [v for v in values if not low <= v <= high]
+    if bad:
+        raise ConfigError(f"{name} must lie in [{low:g}, {high:g}], got {float(bad[0]):g}")
+    return values
+
+
 @dataclass
 class SweepConfig:
     """Declarative description of a (p, alpha, r, shots, seed) grid."""
@@ -65,14 +77,8 @@ class SweepConfig:
             self.r_grid = tuple(np.linspace(0.0, 1.0, self.r_grid))
         if not self.p_values or not self.alphas or not self.r_grid:
             raise ConfigError("p_values, alphas and r_grid must be non-empty")
-        for name, values, low, high in (
-            ("p_values", self.p_values, 0.5, 1.0),
-            ("alphas", self.alphas, 0.0, prep.ALPHA_MAX),
-            ("r_grid", self.r_grid, 0.0, 1.0),
-        ):
-            bad = [v for v in values if not low <= v <= high]
-            if bad:
-                raise ConfigError(f"{name} must lie in [{low:g}, {high:g}], got {float(bad[0]):g}")
+        for name, (low, high) in _RANGES.items():
+            _in_range(name, getattr(self, name), low, high)
 
 
 def fig2_config(**overrides) -> SweepConfig:
@@ -92,12 +98,14 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
+def _ranged_floats(name: str):
+    """Parser of a list-valued setting that range-checks its entries."""
+    return lambda text: _in_range(name, _floats(text), *_RANGES[name])
+
+
 def _alphas_from_degrees(text: str) -> tuple[float, ...]:
     # Checked in degrees: radians() of a negative subnormal is -0.0, inside the range.
-    degrees, high = _floats(text), math.degrees(prep.ALPHA_MAX)
-    bad = [a for a in degrees if not 0.0 <= a <= high]
-    if bad:
-        raise ValueError(f"alpha_deg must lie in [0, {high:g}], got {bad[0]:g}")
+    degrees = _in_range("alpha_deg", _floats(text), 0.0, math.degrees(prep.ALPHA_MAX))
     return tuple(map(math.radians, degrees))
 
 
@@ -110,10 +118,10 @@ def _r_points(text: str) -> int:
 # Config-file key -> (SweepConfig field, parser of the value text).
 _CONFIG_KEYS = {
     "scenario": ("scenario", str),
-    "p_values": ("p_values", _floats),
+    "p_values": ("p_values", _ranged_floats("p_values")),
     "alpha_deg": ("alphas", _alphas_from_degrees),
     "coherence": ("alphas", lambda text: tuple(map(prep.alpha_for_coherence, _floats(text)))),
-    "r_grid": ("r_grid", _floats),
+    "r_grid": ("r_grid", _ranged_floats("r_grid")),
     "r_points": ("r_grid", _r_points),
     "shots": ("shots", int),
     "n_bootstrap": ("n_bootstrap", int),
@@ -168,16 +176,15 @@ def load_config(path: str, **overrides) -> SweepConfig:
     return SweepConfig(**{**settings(entries()), **overrides})
 
 
-# One record per grid point: the CSV columns in order, then two counters left
-# out of the CSV.  `projected` counts reconstructions (both experiments, runs
-# and resamples) projected into the Bloch ball, `nonfinite` the bootstrap
-# samples dropped from the stderrs as non-finite.  The run's seed is no
-# column: the sidecar records it once.
+# One record per grid point: the CSV columns in order, then the count of
+# reconstructions (both experiments, runs and resamples) projected into the
+# Bloch ball, left out of the CSV.  The run's seed is no column: the sidecar
+# records it once.
 SWEEP_DTYPE = np.dtype([(name, float) for name in (
     "p", "r", "alpha_deg", "coherence_initial", "sigma_total", "sigma_pop", "sigma_coh",
     "sigma_total_tomo", "sigma_total_tomo_stderr", "sigma_pop_tomo", "sigma_pop_tomo_stderr",
     "sigma_coh_tomo", "sigma_coh_tomo_stderr",
-)] + [("indeterminate", int), ("projected", int), ("nonfinite", int)])
+)] + [("indeterminate", int), ("projected", int)])
 CSV_COLUMNS = SWEEP_DTYPE.names[:14]
 # One CSV line per `%`: 12 significant digits for floats, ints as written.
 _CSV_LINE = ",".join("%.12g" if SWEEP_DTYPE[name] == float else "%d"
@@ -185,53 +192,48 @@ _CSV_LINE = ",".join("%.12g" if SWEEP_DTYPE[name] == float else "%d"
 _CSV_BLOCK = 4096  # rows turned into Python values at a time while the CSV streams
 
 
-def _production(initial, final, p) -> np.ndarray:
-    """Entropy production D(initial || eq) - D(final || eq), eq = diag(p, 1 - p),
-    of states given as (|b|, z) pairs; not finite at p = 1."""
+def _score(initial, final, p, population: bool) -> np.ndarray:
+    """Entropy production D(initial || eq) - D(final || eq), eq = diag(p, 1 - p).
+
+    The states are (|b|, z) pairs.  Each is projected into the Bloch ball as
+    (min(1, |b|), z / max(1, |b|)), `bloch.project` on |b| and z and the
+    identity inside the ball, then dephased to (|z|, z) when `population`.
+    Not finite at 1 - p <= ATOL, where the dephased initial state has D = +inf.
+    """
+    def divergence(length, z):
+        z = z / np.maximum(length, 1.0)
+        return bloch.relative_entropy_of_length(
+            np.abs(z) if population else np.minimum(length, 1.0), z, p)
+
     with np.errstate(invalid="ignore"):
-        return (bloch.relative_entropy_of_length(*initial, p)
-                - bloch.relative_entropy_of_length(*final, p))
-
-
-def _length_and_z(b, population: bool):
-    """(|b|, z) of Bloch vectors `b`, or (|z|, z) of their dephased states."""
-    z = b[..., 2]
-    return (np.abs(z) if population else np.linalg.norm(b, axis=-1)), z
+        return divergence(*initial) - divergence(*final)
 
 
 def production_estimates(initial, p, freqs, population: bool):
-    """Per-row (point, stderr, projected count, non-finite count) of a production.
+    """Per-row (point, stderr, projected count) of a production.
 
     `freqs` (rows, 1 + n_bootstrap, 4) holds the observed run, then its
-    resamples.  Each is inverted, projected into the Bloch ball and scored by
-    `_production` from `initial`, on its dephased state when `population`.
-    Non-finite bootstrap samples are left out of the stderr.
+    resamples.  Each is inverted and scored by `_score` from `initial`; its
+    length |b| is taken once, for the score and for the count of estimates
+    projected into the Bloch ball.  The stderr is the resamples' sample std.
     """
     estimate = bloch.invert(freqs)
     length = np.linalg.norm(estimate, axis=-1)
-    projected = np.sum(length > 1.0, axis=1)
-    # `bloch.project` on |b| and z: b / max(1, |b|) has length min(1, |b|).
-    z = estimate[..., 2] / np.maximum(length, 1.0)
-    length = np.abs(z) if population else np.minimum(length, 1.0)
-    production = _production(_length_and_z(initial[:, None], population), (length, z), p[:, None])
-    samples = production[:, 1:]
-    finite = np.isfinite(samples)
-    n = finite.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        dev = np.where(finite, samples - np.where(finite, samples, 0.0).sum(axis=1, keepdims=True)
-                       / n[:, None], 0.0)
-        stderr = np.where(n >= 2, np.sqrt((dev * dev).sum(axis=1) / (n - 1)), np.nan)
-    return production[:, 0], stderr, projected, samples.shape[1] - n
+    production = _score((np.linalg.norm(initial, axis=-1)[:, None], initial[:, None, 2]),
+                        (length, estimate[..., 2]), p[:, None], population)
+    return (production[:, 0], np.std(production[:, 1:], axis=1, ddof=1),
+            np.sum(length > 1.0, axis=1))
 
 
 def run_sweep(config: SweepConfig) -> np.recarray:
     """Evaluate every (p, alpha, r) grid point of the configured sweep.
 
     Returns one SWEEP_DTYPE record per point, ordered by (p, alpha, r).
-    Indeterminate points (p = 1 with a divergent relative entropy) are
-    flagged, not dropped, hold NaN productions and draw nothing.  Experiment
-    e (1 coherent, 2 dephased) draws all its determinate rows, in row order,
-    from the one generator `default_rng((config.seed, e))`.
+    Indeterminate points (1 - p <= ATOL, where the relative entropy diverges)
+    are flagged, not dropped, hold NaN productions and draw nothing; every
+    other row's columns are finite.  Experiment e (1 coherent, 2 dephased)
+    draws all its determinate rows, in row order, from the one generator
+    `default_rng((config.seed, e))`.
     """
     grid = np.indices((len(config.p_values), len(config.alphas), len(config.r_grid)))
     i_p, i_a, i_r = (g.ravel() for g in grid)
@@ -240,8 +242,8 @@ def run_sweep(config: SweepConfig) -> np.recarray:
     coherent = np.zeros((p.size, 3))
     coherent[:, 0] = np.array([prep.coherent_bloch_x(a) for a in config.alphas])[i_a]
     final = bloch.gad(coherent, p, r)
-    total, population = (_production(*(_length_and_z(b, dephased) for b in (coherent, final)), p)
-                         for dephased in (False, True))
+    ends = [(np.linalg.norm(b, axis=-1), b[:, 2]) for b in (coherent, final)]
+    total, population = (_score(*ends, p, dephased) for dephased in (False, True))
     det = np.isfinite(total) & np.isfinite(population)
 
     rows = np.zeros(p.size, SWEEP_DTYPE)
@@ -253,7 +255,7 @@ def run_sweep(config: SweepConfig) -> np.recarray:
     # Both measure all four bases: experiment 2's R and D frequencies reach the population
     # estimate through the radial projection when |b| > 1, so they are not skipped.
     p_det, r_det, initial = p[det], r[det], coherent[det]
-    (tot, tot_err, tot_proj, tot_bad), (pop, pop_err, pop_proj, pop_bad) = (
+    (tot, tot_err, tot_proj), (pop, pop_err, pop_proj) = (
         production_estimates(prepared, p_det, tomography.draw_frequencies(
             bloch.born_probabilities(bloch.gad(prepared, p_det, r_det)), config.shots,
             (config.seed, e), config.n_bootstrap), population=e == 2)
@@ -264,14 +266,13 @@ def run_sweep(config: SweepConfig) -> np.recarray:
             tot, tot_err, pop, pop_err, tot - pop, np.hypot(tot_err, pop_err))):
         rows[name][~det] = np.nan
         rows[name][det] = values
-    rows["projected"][det], rows["nonfinite"][det] = tot_proj + pop_proj, tot_bad + pop_bad
+    rows["projected"][det] = tot_proj + pop_proj
     return rows.view(np.recarray)
 
 
 def _counters(rows) -> dict:
     return {key: int(rows[name].sum()) for key, name in (
-        ("indeterminate_rows", "indeterminate"), ("projected_reconstructions", "projected"),
-        ("nonfinite_bootstrap_dropped", "nonfinite"))}
+        ("indeterminate_rows", "indeterminate"), ("projected_reconstructions", "projected"))}
 
 
 def _write_atomic(path: str, lines) -> None:
@@ -356,11 +357,8 @@ def emit_summary(rows: np.ndarray) -> str:
         f"rows: {len(rows)} ({c['indeterminate_rows']} indeterminate)",
         f"max additivity violation (analytic): "
         f"{np.max(np.abs(analytic[:, 0] - (analytic[:, 1] + analytic[:, 2])), initial=0.0):.3e}",
-        # + 0.0 turns the -0.0 of rows at exactly zero into 0.0.
-        f"max negativity (analytic): {np.max(-analytic, initial=0.0) + 0.0:.3e}",
         f"max |tomography - analytic|: {dev[worst]:.3e} ({z[worst]:.2f} stderr)",
         f"|tomography - analytic| / stderr over {zs.size} estimates: {spread}",
         f"reconstructions projected into the Bloch ball: {c['projected_reconstructions']}",
-        f"non-finite bootstrap samples dropped: {c['nonfinite_bootstrap_dropped']}",
     ]
     return "\n".join(lines)

@@ -7,6 +7,7 @@ from conftest import l1_coherence, violation
 from gadentropy import bloch
 from gadentropy.channel import GadChannel, apply
 from gadentropy.prep import (
+    ALPHA_MAX,
     AngleOutOfRangeError,
     CoherenceOutOfRangeError,
     PrepSetting,
@@ -64,6 +65,13 @@ class TestPrepare:
             PrepSetting(-0.1)
         with pytest.raises(AngleOutOfRangeError):
             PrepSetting(math.pi / 2.0)
+
+    def test_angle_bound_is_exact(self):
+        # radians(45) == pi / 4 exactly, so the bound needs no slack.
+        assert math.radians(45.0) == ALPHA_MAX
+        assert PrepSetting(ALPHA_MAX).alpha == ALPHA_MAX
+        with pytest.raises(AngleOutOfRangeError):
+            PrepSetting(math.nextafter(ALPHA_MAX, 1.0))
 
 
 class TestAlphaForCoherence:

@@ -64,10 +64,10 @@ class TestConfig:
         assert load_config(str(path)).alphas == (math.radians(9.22), math.pi / 4.0)
 
     @pytest.mark.parametrize("line", ["coherence = 0.5, 1.5", "alpha_deg = 0, 45.5",
-                                      "alpha_deg = -5e-324"])
+                                      "alpha_deg = -5e-324", "p_values = 0.3", "r_grid = 0, 2"])
     def test_out_of_range_angle_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
-        path.write_text(f"p_values = 0.9\n# angles\n{line}\n")
+        path.write_text(f"seed = 1\n# ranges\n{line}\n")
         where = f"{re.escape(str(path))}:3: bad value for '{line.split()[0]}'"
         with pytest.raises(ConfigError, match=f"^{where}"):
             load_config(str(path))
@@ -217,12 +217,13 @@ class TestEmit:
         for k in range(len(floats)):
             values = [floats[(k + i) % len(floats)] for i in range(13)]
             indeterminate = k % 2
-            rows.append((*values, indeterminate, k, 3))
+            rows.append((*values, indeterminate, k))
             want.append(",".join([format(v, ".12g") for v in values] + [str(indeterminate)]))
         out = tmp_path / "contract.csv"
         emit_csv(np.array(rows, SWEEP_DTYPE), str(out), SweepConfig())
         assert out.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
         assert sweep._CSV_LINE.count("%") == len(sweep._CSV_LINE.split(",")) == len(CSV_COLUMNS)
+        assert SWEEP_DTYPE.names == (*CSV_COLUMNS, "projected")
 
     def test_seed_beyond_uint64_is_written_exactly(self, tmp_path):
         cfg = fig2_config(**dict(SMALL, seed=2**70))
@@ -253,7 +254,7 @@ class TestEmit:
         def row(total_z, pop_z, indeterminate=0):
             # Analytic 1.0 and 0.5, stderr 0.1: the z-scores are total_z and pop_z.
             return (0.9, 0.5, 0.0, 1.0, 1.0, 0.5, 0.5, 1.0 - 0.1 * total_z, 0.1,
-                    0.5 + 0.1 * pop_z, 0.1, 0.5, 0.1, indeterminate, 0, 0)
+                    0.5 + 0.1 * pop_z, 0.1, 0.5, 0.1, indeterminate, 0)
 
         lines = emit_summary(np.array([row(0.5, 1.0), row(3.0, 0.0), row(2.5, 1.5),
                                        row(9.0, 9.0, indeterminate=1)], SWEEP_DTYPE)).splitlines()
@@ -262,14 +263,6 @@ class TestEmit:
                 "fraction above 2: 0.333") in lines
         only_p1 = emit_summary(np.array([row(9.0, 9.0, indeterminate=1)], SWEEP_DTYPE))
         assert "/ stderr over 0 estimates: none" in only_p1
-
-    def test_summary_negativity_is_positive_zero_at_r_zero(self):
-        rows = run_sweep(fig2_config(**SMALL))
-        assert any(row.r == 0.0 for row in rows)
-        zero = (0.9, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.1, 0.0, 0.1, 0.0, 0.1, 0, 0, 0)
-        for sweep_rows in (rows, *(np.array([zero] * n, SWEEP_DTYPE) for n in (1, 2))):
-            lines = emit_summary(sweep_rows).splitlines()
-            assert "max negativity (analytic): 0.000e+00" in lines
 
 
 class TestPropertySuite:
@@ -504,6 +497,29 @@ class TestCli:
                 operator.attrgetter(name)(sys.modules[f"gadentropy.{layer}"])
         assert callable(gadentropy.budget)
 
+    def test_config_keys_and_argv_the_benchmark_writes(self, tmp_path):
+        # bench/run.py (build_spec) writes this grid config and these argv shapes.
+        p_values = tuple(0.5 + 0.05 * i for i in range(10)) + (1.0,)
+        config = tmp_path / "grid.cfg"
+        config.write_text(
+            "scenario = custom\n"
+            f"p_values = {', '.join(repr(p) for p in p_values)}\n"
+            f"coherence = {', '.join(repr(c) for c in (1.0, 0.8, 0.6, 0.4, 0.2))}\n"
+            "r_points = 101\n"
+            "shots = 10000\n"
+            "n_bootstrap = 2\n"
+            "seed = 3\n"
+        )
+        cfg = load_config(str(config))
+        assert (cfg.scenario, cfg.p_values, len(cfg.alphas), len(cfg.r_grid)) == (
+            "custom", p_values, 5, 101)
+        assert (cfg.shots, cfg.n_bootstrap, cfg.seed) == (10_000, 2, 3)
+        parser = cli.build_parser()
+        for argv in (["fig2", "--seed", "3", "--out", "iter0.csv"],
+                     ["sweep", "--config", str(config), "--out", "iter0.csv"],
+                     ["check", "--seed", "3"]):
+            assert parser.parse_args(argv).command == argv[0]
+
 
 class TestArrayPathMatchesStates:
     """The sweep's vectorized estimates against the 2x2 matrix reference: each
@@ -530,8 +546,7 @@ class TestArrayPathMatchesStates:
         ):
             probs = bloch.born_probabilities(bloch.gad(initial, p, r))
             freqs = np.array([draw_frequencies(q, shots, 7 + k, 40) for k, q in enumerate(probs)])
-            point, stderr, _, dropped = production_estimates(initial, p, freqs, population)
-            assert not dropped.any()
+            point, stderr, _ = production_estimates(initial, p, freqs, population)
             for k in range(12):
                 want = self.per_state(QubitState.from_bloch(*initial[k]), p[k], freqs[k],
                                       productions)
@@ -562,18 +577,20 @@ class TestArrayPathMatchesStates:
                     row.sigma_pop_tomo, row.sigma_pop_tomo_stderr)
             assert values == pytest.approx(want, abs=1e-12)
 
-    def test_nonfinite_samples_are_dropped_and_counted(self):
-        # At p = 1 any weight on the excited state makes D infinite.
-        initial = np.array([[0.0, 0.0, 1.0]])
-        freqs = np.array([[[1.0, 0.0, 0.5, 0.5]] * 3 + [[0.9, 0.1, 0.5, 0.5]]])
-        point, stderr, projected, dropped = production_estimates(
-            initial, np.array([1.0]), freqs, False)
-        assert point[0] == 0.0 and stderr[0] == 0.0
-        assert dropped.tolist() == [1] and projected.tolist() == [0]
+    def test_determinate_rows_are_finite_next_to_p_one(self):
+        # A row is determinate once 1 - p > ATOL; every projected estimate then
+        # has a finite D, even at 3 shots, where many fall outside the ball.
+        tomo = [name for name in CSV_COLUMNS if "_tomo" in name]
+        rows = run_sweep(fig3_config(p_values=(1.0 - 2e-12,), shots=3))
+        assert len(tomo) == 6 and len(rows) == 63 and not rows.indeterminate.any()
+        assert all(np.isfinite(rows[name]).all() for name in tomo)
+        assert rows.projected.sum() > 0
+        rows = run_sweep(fig3_config(p_values=(1.0 - 1e-12,), shots=3))
+        assert rows.indeterminate.all() and rows.projected.sum() == 0
 
     def test_projections_are_counted(self):
         freqs = np.array([[[1.0, 0.0, 0.5, 1.0], [0.5, 0.5, 0.5, 0.5], [1.0, 0.0, 1.0, 1.0]]])
-        _, _, projected, _ = production_estimates(np.zeros((1, 3)), np.array([0.8]), freqs, True)
+        _, _, projected = production_estimates(np.zeros((1, 3)), np.array([0.8]), freqs, True)
         assert projected.tolist() == [2]
 
 
@@ -789,8 +806,7 @@ class TestAtomicOutput:
         counters = json.loads((tmp_path / "run.csv.meta.json").read_text())["counters"]
         assert counters["indeterminate_rows"] == 3
         assert counters["projected_reconstructions"] == sum(r.projected for r in rows) > 0
-        assert counters["nonfinite_bootstrap_dropped"] == 0
+        assert sorted(counters) == ["indeterminate_rows", "projected_reconstructions"]
         summary = emit_summary(rows)
         assert f"projected into the Bloch ball: {counters['projected_reconstructions']}" in summary
-        assert "non-finite bootstrap samples dropped: 0" in summary
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.csv.meta.json"]
