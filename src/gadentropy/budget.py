@@ -20,7 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import GadChannel, apply_kraus, equilibrium_states
-from .qstate import QubitState, dephased, rel_entropy_coherences, relative_entropies
+from .qstate import (
+    QubitState, cross_terms, dephased, rel_entropy_coherences, relative_entropies,
+    von_neumann_entropies,
+)
 
 # Values in [-NEG_FLOOR, 0) are floating-point noise and clamp to 0; anything
 # more negative is a genuine positivity violation.
@@ -69,9 +72,13 @@ def productions(initial, p, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     states under GAD(p, r), relative to the channel's own equilibrium; the
     leading axes of initial, p and r broadcast."""
     final = apply_kraus(initial, p, r)
-    eq = equilibrium_states(p)
-    return (total_productions(initial, final, eq), population_productions(initial, final, eq),
-            coherence_productions(initial, final))
+    # One spectrum per state of (initial, final, dephased initial, dephased final).
+    states = np.stack(np.broadcast_arrays(initial, final, dephased(initial), dephased(final)))
+    entropy = von_neumann_entropies(states)
+    relative = -entropy - cross_terms(states, *np.linalg.eigh(equilibrium_states(p)))
+    coherence = entropy[2:] - entropy[:2]  # C = S(dephased) - S
+    with np.errstate(invalid="ignore"):  # inf - inf is the indeterminate nan
+        return relative[0] - relative[1], relative[2] - relative[3], coherence[0] - coherence[1]
 
 
 def _checked(value, label: str) -> float:

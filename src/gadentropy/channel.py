@@ -5,6 +5,10 @@ damping strength r in [0, 1].  A matched Lindblad master-equation integrator
 is provided as an independent cross-check of the Kraus map; the two pictures
 are linked by r = 1 - exp[-(2 nbar + 1) gamma0 t] and
 p = 1 / (1 + exp(-omega/T)).
+
+Both pictures act as 4x4 superoperators on the row-major 4-vector vec(rho):
+the Kraus map as sum_k M_k kron M_k, the integrator's generator as a sum of
+two dissipators.
 """
 
 from __future__ import annotations
@@ -70,11 +74,11 @@ class BathSpec:
 
 def kraus_stack(p, r) -> np.ndarray:
     """The four GAD Kraus matrices M0..M3 (M0, M1 relaxation; M2, M3
-    excitation) as a (..., 4, 2, 2) stack over the broadcast p and r arrays,
-    p in [0.5, 1] and r in [0, 1]."""
+    excitation) as a real (..., 4, 2, 2) stack over the broadcast p and r
+    arrays, p in [0.5, 1] and r in [0, 1]."""
     p, r = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(r, dtype=float))
     sp, sq, sr, s1r = np.sqrt(p), np.sqrt(1.0 - p), np.sqrt(r), np.sqrt(1.0 - r)
-    out = np.zeros(p.shape + (4, 2, 2), dtype=np.complex128)
+    out = np.zeros(p.shape + (4, 2, 2))
     out[..., 0, 0, 0] = sp
     out[..., 0, 1, 1] = sp * s1r
     out[..., 1, 0, 1] = sp * sr
@@ -86,9 +90,16 @@ def kraus_stack(p, r) -> np.ndarray:
 
 def apply_kraus(rho, p, r) -> np.ndarray:
     """rho -> sum_k M_k rho M_k^dagger on stacked (..., 2, 2) density
-    matrices; the leading axes of rho, p and r broadcast."""
+    matrices; the leading axes of rho, p and r broadcast.
+
+    The Kraus matrices are real, so the map is the real 4x4 superoperator
+    sum_k M_k kron M_k acting on row-major vec(rho), as in `_liouvillian`.
+    """
     kraus = kraus_stack(p, r)
-    return np.einsum("...kij,...jl,...kml->...im", kraus, rho, kraus.conj())
+    superop = np.einsum("...kij,...klm->...iljm", kraus, kraus).reshape(kraus.shape[:-3] + (4, 4))
+    rho = np.asarray(rho)
+    out = superop @ rho.reshape(rho.shape[:-2] + (4, 1))
+    return out.reshape(out.shape[:-2] + (2, 2))
 
 
 def apply(ch: GadChannel, state: QubitState) -> QubitState:
@@ -135,23 +146,24 @@ def channel_for(bath: BathSpec, t: float) -> GadChannel:
     return GadChannel(p_from_temperature(bath), r_from_time(bath, t))
 
 
-def _liouvillian(bath: BathSpec) -> np.ndarray:
-    """The master equation's generator as a 4x4 matrix on row-major vec(rho).
-
-    d rho/dt = gamma0 (nbar+1) D[sigma-] rho + gamma0 nbar D[sigma+] rho,
-    with D[L] rho = L rho L^dag - (1/2){L^dag L, rho}, and
-    vec(A rho B) = (A kron B^T) vec(rho).
-    """
-    nbar = bath.mean_occupation
+def _dissipator(op: np.ndarray) -> np.ndarray:
+    """D[L] rho = L rho L^dag - (1/2){L^dag L, rho} as a 4x4 matrix on
+    row-major vec(rho), using vec(A rho B) = (A kron B^T) vec(rho)."""
+    # L^dag L by einsum: a matmul here, at import, would make every process
+    # allocate BLAS buffers, even one that never calls BLAS.
+    anti = np.einsum("ji,jk->ik", op.conj(), op)
     eye = np.eye(2)
-    out = np.zeros((4, 4), dtype=np.complex128)
-    for rate, op in (
-        (bath.gamma0 * (nbar + 1.0), SIGMA_MINUS),
-        (bath.gamma0 * nbar, SIGMA_PLUS),
-    ):
-        anti = op.conj().T @ op
-        out += rate * (np.kron(op, op.conj()) - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T)))
-    return out
+    return np.kron(op, op.conj()) - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
+
+
+_DECAY, _EXCITATION = _dissipator(SIGMA_MINUS), _dissipator(SIGMA_PLUS)
+
+
+def _liouvillian(bath: BathSpec) -> np.ndarray:
+    """The master equation's generator as a 4x4 matrix on row-major vec(rho):
+    d rho/dt = gamma0 (nbar+1) D[sigma-] rho + gamma0 nbar D[sigma+] rho."""
+    nbar = bath.mean_occupation
+    return bath.gamma0 * (nbar + 1.0) * _DECAY + bath.gamma0 * nbar * _EXCITATION
 
 
 def lindblad_derivative(bath: BathSpec, state: QubitState) -> np.ndarray:

@@ -5,9 +5,10 @@ index 1 = excited = |V>.  All entropies are in nats.
 
 The entropies and dephasing act on stacked complex arrays of shape
 (..., 2, 2) (`bloch_matrices` and its inverse `bloch_vectors`, `dephased`,
-`von_neumann_entropies`, `relative_entropies`, `rel_entropy_coherences`),
-computed with batched `eigvalsh`/`eigh`.  `QubitState` holds one such
-matrix, and `relative_entropy` scores a pair of them as a Python float.
+`von_neumann_entropies`, `relative_entropies` and its tr(rho ln sigma) part
+`cross_terms`, `rel_entropy_coherences`), computed with batched
+`eigvalsh`/`eigh`.  `QubitState` holds one such matrix, and
+`relative_entropy` scores a pair of them as a Python float.
 """
 
 from __future__ import annotations
@@ -101,13 +102,19 @@ def relative_entropies(rho, sigma) -> np.ndarray:
     +inf where the support of rho is not contained in the support of sigma:
     an eigenvalue of sigma at most ATOL on which rho has weight above ATOL.
     """
-    sigma_eigs, sigma_vecs = np.linalg.eigh(sigma)
+    return _tr_x_ln_x(np.linalg.eigvalsh(rho)) - cross_terms(rho, *np.linalg.eigh(sigma))
+
+
+def cross_terms(rho, sigma_eigs, sigma_vecs) -> np.ndarray:
+    """tr(rho ln sigma) of stacked (..., 2, 2) density matrices rho, given
+    sigma's `eigh` decomposition; the leading axes broadcast.  -inf where rho
+    has weight above ATOL on an eigenvalue of sigma at most ATOL."""
     # Weight of rho on each eigenvector of sigma.
     weights = np.einsum("...ji,...jk,...ki->...i", sigma_vecs.conj(), rho, sigma_vecs).real
     supported = sigma_eigs > ATOL
     cross = np.where(supported, weights * np.log(np.where(supported, sigma_eigs, 1.0)),
                      np.where(weights > ATOL, -np.inf, 0.0))
-    return _tr_x_ln_x(np.linalg.eigvalsh(rho)) - np.sum(cross, axis=-1)
+    return np.sum(cross, axis=-1)
 
 
 def dephased(rho) -> np.ndarray:

@@ -342,12 +342,13 @@ def emit_summary(rows: np.ndarray) -> str:
     analytic = columns("sigma_total", "sigma_pop", "sigma_coh")
     # Per determinate row, the total then the population estimate.  A leading
     # (0 deviation, unit stderr) entry reports 0 stderr when nothing deviates.
-    dev = np.concatenate([[0.0], np.nan_to_num(np.abs(
-        columns("sigma_total_tomo", "sigma_pop_tomo") - analytic[:, :2])).ravel()])
+    # A non-finite deviation stays nan or inf, and `argmax` reports the first nan.
+    dev = np.concatenate([[0.0], np.abs(
+        columns("sigma_total_tomo", "sigma_pop_tomo") - analytic[:, :2]).ravel()])
     err = np.concatenate([[1.0], columns("sigma_total_tomo_stderr",
                                          "sigma_pop_tomo_stderr").ravel()])
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(dev > 0.0, dev / err, 0.0)
+        z = np.where(dev == 0.0, 0.0, dev / err)
     worst = int(np.argmax(dev))
     zs = np.sort(z[1:])  # for the median; np.median would load numpy.ma (about 1 MB)
     spread = (f"median {(zs[(zs.size - 1) // 2] + zs[zs.size // 2]) / 2:.2f}, "

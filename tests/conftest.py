@@ -3,8 +3,9 @@
 Hypothesis draws the same examples on every run and has no per-example
 deadline, so a slow host neither changes nor fails a test.  `violation`,
 `l1_coherence` and `fidelity` are test-side measures of 2x2 density matrices
-that the package itself does not need; `relative_entropy_to_thermal` scores
-Bloch vectors with the sweep's closed form."""
+that the package itself does not need; `random_density_matrices` draws
+stacks of them; `relative_entropy_to_thermal` scores Bloch vectors with the
+sweep's closed form."""
 
 import numpy as np
 from hypothesis import settings
@@ -41,6 +42,14 @@ def fidelity(rho, sigma):
     overlap = np.einsum("...ij,...ji->...", rho, sigma).real
     dets = np.linalg.det(rho).real * np.linalg.det(sigma).real
     return np.clip(overlap + 2.0 * np.sqrt(np.maximum(dets, 0.0)), 0.0, 1.0)
+
+
+def random_density_matrices(rng, shape):
+    """A A^dag / tr(A A^dag) for complex Gaussian A, shape (*shape, 2, 2):
+    full-rank states with complex coherences (Bloch y != 0)."""
+    a = rng.normal(size=(*shape, 2, 2)) + 1j * rng.normal(size=(*shape, 2, 2))
+    m = a @ a.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1)[..., None, None]
 
 
 def relative_entropy_to_thermal(b, p):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import random_density_matrices
 
 from gadentropy.budget import (
     NEG_FLOOR,
@@ -11,9 +12,10 @@ from gadentropy.budget import (
     budget,
     coherence_productions,
     population_productions,
+    productions,
     total_productions,
 )
-from gadentropy.channel import GadChannel, apply
+from gadentropy.channel import GadChannel, apply, apply_kraus, equilibrium_states
 from gadentropy.prep import PrepSetting, prepare
 from gadentropy.qstate import MAXIMALLY_MIXED, PLUS, QubitState, dephased
 
@@ -103,6 +105,41 @@ class TestCoherenceProduction:
         got = coherence_productions(PLUS.matrix, final)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.3935211, abs=1e-6)
+
+
+class TestProductions:
+    """`productions` takes one spectrum per state and one `eigh` of the
+    equilibrium; the three separate functions score each term on its own."""
+
+    @pytest.mark.parametrize("rho_shape", [(60,), (9, 1, 1)], ids=["paired", "stack-on-grid"])
+    def test_matches_the_separate_productions(self, rho_shape):
+        rng = np.random.default_rng(40)
+        initial = random_density_matrices(rng, rho_shape)
+        # One channel per state, or the 11x11 grid; both hold p = 1 with r < 1
+        # and with r = 1.
+        if rho_shape == (60,):
+            p = np.where(np.arange(60) % 10 == 0, 1.0, rng.uniform(0.5, 1.0, 60))
+            r = np.where(np.arange(60) % 20 == 0, 1.0, rng.uniform(0.0, 1.0, 60))
+        else:
+            p, r = np.meshgrid(np.linspace(0.5, 1.0, 11), np.linspace(0.0, 1.0, 11),
+                               indexing="ij")
+        final, eq = apply_kraus(initial, p, r), equilibrium_states(p)
+        want = (total_productions(initial, final, eq), population_productions(initial, final, eq),
+                coherence_productions(initial, final))
+        got = productions(initial, p, r)
+        shape = np.broadcast_shapes(rho_shape, p.shape)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == shape
+            np.testing.assert_array_equal(g, w)
+        # At p = 1 the excited weight makes D(initial || eq) = +inf: inf - inf
+        # is nan while r < 1, and +inf at r = 1, where the final state is the
+        # ground state.  (The map never raises the excited weight at p = 1, so
+        # no drop reaches -inf.)
+        p, r = np.broadcast_to(p, shape), np.broadcast_to(r, shape)
+        for raw in got[:2]:
+            assert np.array_equal(np.isnan(raw), (p == 1.0) & (r < 1.0))
+            assert np.array_equal(np.isposinf(raw), (p == 1.0) & (r == 1.0))
+        assert np.all(np.isfinite(got[2]))
 
 
 class TestBudget:

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from conftest import violation
+from conftest import random_density_matrices, violation
 
 from gadentropy.channel import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
     BathSpec,
     GadChannel,
     ParameterOutOfRangeError,
+    _liouvillian,
     apply,
     apply_kraus,
     channel_for,
@@ -66,8 +69,26 @@ class TestKrausOperators:
         assert total.shape == (11, 11, 2, 2)
         assert np.max(np.abs(total - np.eye(2))) < 1e-12
 
+    def test_stack_is_real(self):
+        assert kraus_stack(*np.meshgrid(P_GRID, R_GRID, indexing="ij")).dtype == np.float64
+
 
 class TestApply:
+    # The shapes `check` applies the map at: one state on the (p, r) grid, a
+    # stack of states on that grid, and one channel per state.
+    @pytest.mark.parametrize("rho_shape, pr_shape", [
+        ((), (11, 11)), ((9, 1, 1), (11, 11)), ((100,), (100,))],
+        ids=["state-on-grid", "stack-on-grid", "paired"])
+    def test_superoperator_matches_the_kraus_sum(self, rho_shape, pr_shape):
+        rng = np.random.default_rng(20)
+        rho = random_density_matrices(rng, rho_shape)
+        p, r = rng.uniform(0.5, 1.0, pr_shape), rng.uniform(0.0, 1.0, pr_shape)
+        kraus = kraus_stack(p, r)
+        want = sum(m @ rho @ m.conj().swapaxes(-1, -2) for m in np.moveaxis(kraus, -3, 0))
+        got = apply_kraus(rho, p, r)
+        assert got.shape == np.broadcast_shapes(rho_shape, pr_shape) + (2, 2)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
     def test_r_zero_is_identity(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
@@ -223,6 +244,19 @@ class TestLindblad:
             )
             got = lindblad_derivative(BATH_LN9, QubitState(rho))
             assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("temperature", [0.0, 1.0, 20.0])
+    def test_generator_matches_the_kron_sum(self, temperature):
+        # Each dissipator as (L kron L*) - ((L^dag L) kron I + I kron (L^dag L)^T) / 2.
+        bath = BathSpec(omega_s=math.log(9.0), temperature=temperature, gamma0=0.7)
+        nbar, eye = bath.mean_occupation, np.eye(2)
+        want = np.zeros((4, 4), dtype=complex)
+        for rate, op in ((bath.gamma0 * (nbar + 1.0), SIGMA_MINUS),
+                         (bath.gamma0 * nbar, SIGMA_PLUS)):
+            anti = op.conj().T @ op
+            want += rate * (np.kron(op, op.conj())
+                            - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T)))
+        assert np.array_equal(_liouvillian(bath), want)
 
 
 class TestMasterEquationIntegration:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gadentropy
-from gadentropy import bloch, channel, cli, qstate, sweep
+from gadentropy import bloch, channel, check, cli, qstate, sweep
 from gadentropy.budget import budget as entropy_budget
 from gadentropy.budget import population_productions, total_productions
 from gadentropy.check import run_property_suite
@@ -264,6 +264,15 @@ class TestEmit:
         only_p1 = emit_summary(np.array([row(9.0, 9.0, indeterminate=1)], SWEEP_DTYPE))
         assert "/ stderr over 0 estimates: none" in only_p1
 
+    @pytest.mark.parametrize("bad, shown", [(math.nan, "nan (nan stderr)"),
+                                            (math.inf, "inf (inf stderr)")])
+    def test_summary_shows_a_nonfinite_deviation(self, bad, shown):
+        # Analytic 1.0 and 0.5, stderr 0.1; the second row's population estimate is `bad`.
+        rows = np.array([(0.9, 0.5, 0.0, 1.0, 1.0, 0.5, 0.5, 1.3, 0.1, 0.5, 0.1, 0.5, 0.1, 0, 0),
+                         (0.9, 0.5, 0.0, 1.0, 1.0, 0.5, 0.5, 1.0, 0.1, bad, 0.1, 0.5, 0.1, 0, 0)],
+                        SWEEP_DTYPE)
+        assert f"max |tomography - analytic|: {shown}" in emit_summary(rows).splitlines()
+
 
 class TestPropertySuite:
     def test_fresh_build_all_pass(self):
@@ -302,10 +311,13 @@ class TestPropertySuite:
         lambda sigma: np.where(np.arange(sigma.size) == 7, np.nan, sigma)],
         ids=["drift", "negative", "nan"])
     def test_perturbed_productions_fail_the_additivity_row(self, capsys, monkeypatch, perturb):
-        budget_module = sys.modules["gadentropy.budget"]
-        productions = budget_module.coherence_productions
-        monkeypatch.setattr(budget_module, "coherence_productions",
-                            lambda initial, final: perturb(productions(initial, final)))
+        productions = check.productions
+
+        def perturbed(initial, p, r):
+            total, population, coherence = productions(initial, p, r)
+            return total, population, perturb(coherence)
+
+        monkeypatch.setattr(check, "productions", perturbed)
         assert self.failed_rows(capsys) == [
             "[FAIL] budget additivity + non-negativity (1000 random triples)"]
 
