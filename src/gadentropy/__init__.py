@@ -16,4 +16,4 @@ from .sweep import (
 )
 from .tomography import project_to_physical
 
-__version__ = "0.6.1"
+__version__ = "0.6.2"

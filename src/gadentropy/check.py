@@ -5,9 +5,11 @@ cases.  The GAD map and the tomography round trip are evaluated with the
 `bloch` closed forms that the sweeps run, and compared with the 2x2
 density-matrix reference (Kraus operators, eigh entropies), which computes
 the same quantities independently.  Every row scores one stack: the grid rows
-run on (11, 11) p, r meshgrid arrays, and the random cases come from the
-stdlib `random.Random(seed)`, drawn one case after another, then scored in
-one call of the reference's stacked forms.
+run on (11, 11) p, r meshgrid arrays.  The random rows draw from one stdlib
+`random.Random(seed)`, in the order they are listed: each row takes all its
+uniforms in one `randbytes` call, maps them onto its cases with array
+arithmetic, and scores them in one call of the reference's stacked forms.
+`numpy.random` is never imported.
 """
 
 from __future__ import annotations
@@ -44,11 +46,20 @@ class PropertyReport:
         return "\n".join(lines)
 
 
-def _random_bloch(rng: random.Random) -> tuple[float, float, float]:
-    """A Bloch vector drawn uniformly from the unit ball."""
-    v = [rng.gauss(0.0, 1.0) for _ in range(3)]
-    scale = rng.random() ** (1.0 / 3.0) / math.hypot(*v)
-    return v[0] * scale, v[1] * scale, v[2] * scale
+def _uniforms(rng: random.Random, shape: tuple[int, ...]) -> np.ndarray:
+    """Doubles uniform in [0, 1), in multiples of 2**-53: the top 53 bits of
+    each little-endian 64-bit word of one `rng.randbytes` call."""
+    words = np.frombuffer(rng.randbytes(8 * math.prod(shape)), dtype="<u8")
+    return (words >> 11).reshape(shape) * 2.0 ** -53
+
+
+def _ball(u: np.ndarray) -> np.ndarray:
+    """(n, 3) Bloch vectors uniform in the unit ball, from (3, n) uniforms:
+    z = 2 u0 - 1 and azimuth 2 pi u1 give a uniform direction (Archimedes'
+    theorem), and the radius u2**(1/3) a uniform density in the volume."""
+    z, phi = 2.0 * u[0] - 1.0, 2.0 * np.pi * u[1]
+    s = np.sqrt(1.0 - z * z)
+    return np.cbrt(u[2])[:, None] * np.stack((s * np.cos(phi), s * np.sin(phi), z), axis=-1)
 
 
 def run_property_suite(seed: int) -> PropertyReport:
@@ -62,8 +73,8 @@ def run_property_suite(seed: int) -> PropertyReport:
     def within(worst: float) -> tuple[bool, str]:
         return worst < 1e-12, f"max deviation {worst:.3e}"
 
-    def random_pr() -> tuple[float, float]:
-        return rng.uniform(0.5, 1.0 - 1e-9), rng.uniform(0.0, 1.0)
+    def random_p(u: np.ndarray) -> np.ndarray:
+        return 0.5 + (0.5 - 1e-9) * u  # p in [0.5, 1 - 1e-9]: the equilibrium stays full rank
 
     def completeness() -> tuple[bool, str]:
         kraus = chn.kraus_stack(p, r)
@@ -78,20 +89,22 @@ def run_property_suite(seed: int) -> PropertyReport:
         return within(dev(kraus, bloch.gad(initial, p, r)))
 
     def contractivity() -> tuple[bool, str]:
-        # Cases drawn one by one (state, then p and r), scored in one stack;
-        # a non-finite relative entropy counts as a violation.
-        b, p, r = zip(*[(_random_bloch(rng), *random_pr()) for _ in range(500)])
-        states, eq = qstate.bloch_matrices(b), chn.equilibrium_states(p)
+        # 5 x 500 uniforms: three for the state, then p and r.  A non-finite
+        # relative entropy counts as a violation.
+        u = _uniforms(rng, (5, 500))
+        p, r = random_p(u[3]), u[4]
+        states, eq = qstate.bloch_matrices(_ball(u[:3])), chn.equilibrium_states(p)
         before = qstate.relative_entropies(states, eq)
         after = qstate.relative_entropies(chn.apply_kraus(states, p, r), eq)
         violations = int(np.sum(~(after <= before + 1e-10)))
         return violations == 0, f"{violations} violations"
 
     def additivity() -> tuple[bool, str]:
-        # Cases drawn one by one (wave-plate angle, then p and r), scored in
+        # 3 x 1000 uniforms: the wave-plate angle, then p and r.  Scored in
         # one stack of raw signed productions.
-        x, p, r = np.array([(prep.coherent_bloch_x(rng.uniform(0.0, prep.ALPHA_MAX)), *random_pr())
-                            for _ in range(1000)]).T
+        u = _uniforms(rng, (3, 1000))
+        x = np.array([prep.coherent_bloch_x(a) for a in (prep.ALPHA_MAX * u[0]).tolist()])
+        p, r = random_p(u[1]), u[2]
         sigma = np.stack(productions(qstate.bloch_matrices(x[:, None] * (1.0, 0.0, 0.0)), p, r))
         gap = float(np.max(np.abs(sigma[0] - (sigma[1] + sigma[2]))))
         neg = float(np.max(-sigma, initial=0.0))
@@ -100,18 +113,17 @@ def run_property_suite(seed: int) -> PropertyReport:
                 f"max additivity gap {gap:.3e}, max negativity {neg:.3e}")
 
     def composition() -> tuple[bool, str]:
-        # Cases drawn one by one (p, r1, r2, then the state), scored in one
-        # stack: two channels in sequence against their composition.
-        cases = np.array([(rng.uniform(0.5, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0),
-                           *_random_bloch(rng)) for _ in range(100)])
-        (p, r1, r2), states = cases[:, :3].T, qstate.bloch_matrices(cases[:, 3:])
+        # 6 x 100 uniforms: p in [0.5, 1], r1, r2, then three for the state.
+        # Two channels in sequence against their composition.
+        u = _uniforms(rng, (6, 100))
+        p, r1, r2, states = 0.5 + 0.5 * u[0], u[1], u[2], qstate.bloch_matrices(_ball(u[3:]))
         return within(dev(chn.apply_kraus(chn.apply_kraus(states, p, r1), p, r2),
                           chn.apply_kraus(states, p, chn.compose(r1, r2))))
 
     def round_trip() -> tuple[bool, str]:
-        # The Bloch tomography closed forms on the stacked states: Born
-        # probabilities, linear inversion, then `bloch.project` into the ball.
-        b = np.array([_random_bloch(rng) for _ in range(200)])
+        # 3 x 200 uniforms for the states, through the Bloch tomography closed
+        # forms: Born probabilities, linear inversion, then `bloch.project`.
+        b = _ball(_uniforms(rng, (3, 200)))
         return within(dev(bloch.project(bloch.invert(bloch.born_probabilities(b))), b))
 
     checks = (

@@ -66,8 +66,12 @@ class SweepConfig:
         if self.scenario not in ("fig2", "fig3", "custom"):
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         # numpy's binomial takes the shot count as a C long.
-        if not 1 <= self.shots <= np.iinfo(np.int64).max or self.n_bootstrap < 2 or self.seed < 0:
-            raise ConfigError("shots must be in [1, 2**63 - 1], n_bootstrap >= 2 and seed >= 0")
+        if not 1 <= self.shots <= np.iinfo(np.int64).max:
+            raise ConfigError(f"shots must be in [1, 2**63 - 1], got {self.shots}")
+        if self.n_bootstrap < 2:
+            raise ConfigError(f"n_bootstrap must be >= 2, got {self.n_bootstrap}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         points = self.r_grid if isinstance(self.r_grid, int) else len(self.r_grid)
         rows = len(self.p_values) * len(self.alphas) * points
         if rows * (1 + self.n_bootstrap) > MAX_RUNS:

@@ -16,12 +16,12 @@ import gadentropy
 from gadentropy import cli
 
 DIGESTS = {
-    ("0.6.1", "2.4.6"): {
+    ("0.6.2", "2.4.6"): {
         "fig2 csv": "9b9250757afe7f9cf7bdeda8af9268076b3b4859db3fb93cfd6405c523097239",
         "fig2 summary": "23be96ad4d363b36995931870ed8f511989afc674b153c6873d0fde0852e38a9",
         "fig3 csv": "da80455efc269cfb0bae326741e3a6ff8bd9305f80d4720dcee97fd04fd34e0f",
         "fig3 summary": "81e7d4c0cebcc00b260b395d8df29c51e8ef36824d07bdc25c31431e471552fe",
-        "check stdout": "e5d16097715d2f253b8a31d57c274c1b1fd6f37a263a71000c1e6f060f8eacc4",
+        "check stdout": "7f314eefa030c20da04519cb80d65a603400115fb78c54493c3de6865893ea83",
     },
 }
 

@@ -5,6 +5,7 @@ import operator
 import os
 import pathlib
 import platform
+import random
 import re
 import subprocess
 import sys
@@ -279,6 +280,12 @@ class TestPropertySuite:
         report = run_property_suite(seed=2024)
         assert report.passed, report.render()
 
+    def test_passes_at_every_seed_from_0_to_49(self):
+        # The benchmark runs `check` at arbitrary seeds: no drawn case may
+        # fail a row at its tolerance.
+        failed = [seed for seed in range(50) if not run_property_suite(seed).passed]
+        assert failed == []
+
     def test_report_has_one_line_per_invariant(self):
         report = run_property_suite(seed=2024)
         assert len(report.results) >= 7
@@ -397,6 +404,41 @@ class TestPropertySuite:
             assert (run.returncode, run.stderr) == (0, b"False\n")
             assert run.stdout.endswith(b"\nALL PASS\n")
         assert runs[0].stdout == runs[1].stdout
+
+
+class TestCaseDraws:
+    N = 20_000
+
+    @staticmethod
+    def ks_statistic(sample) -> float:
+        """Kolmogorov-Smirnov distance of the sample from U(0, 1)."""
+        x = np.sort(sample)
+        n = x.size
+        return float(max(np.max(np.arange(1, n + 1) / n - x), np.max(x - np.arange(n) / n)))
+
+    def test_same_seed_gives_the_same_arrays(self):
+        rng_a, rng_b = random.Random(5), random.Random(5)
+        for shape in ((3, 200), (5, 7)):
+            a, b = check._uniforms(rng_a, shape), check._uniforms(rng_b, shape)
+            assert a.shape == shape and np.array_equal(a, b)
+
+    def test_uniforms_are_53_bit_doubles_in_the_unit_interval(self):
+        u = check._uniforms(random.Random(11), (self.N,))
+        assert u.dtype == np.float64 and np.all((0.0 <= u) & (u < 1.0))
+        scaled = u * 2.0 ** 53
+        assert np.array_equal(scaled, np.floor(scaled))
+
+    def test_ball_draws_are_uniform_in_the_unit_ball(self):
+        b = check._ball(check._uniforms(random.Random(12), (3, self.N)))
+        radius = np.linalg.norm(b, axis=-1)
+        assert b.shape == (self.N, 3) and np.all(radius <= 1.0)
+        # In the uniform ball |b|^3 and (z + 1)/2, with z the direction's z
+        # component, are U(0, 1); 1.95/sqrt(n) is the KS distance's 0.1% point.
+        bound = 1.95 / math.sqrt(self.N)
+        assert self.ks_statistic(radius ** 3) < bound
+        assert self.ks_statistic((b[:, 2] / radius + 1.0) / 2.0) < bound
+        # E[x^2] = 1/5, so each mean has a standard error of 0.0032.
+        assert np.all(np.abs(b[:, :2].mean(axis=0)) < 0.02)
 
 
 class TestCli:
@@ -699,6 +741,19 @@ class TestFailFast:
     def test_bad_flag_exits_1(self, capsys, flag):
         assert cli.main(["fig2"] + flag) == cli.EXIT_USAGE
         assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--shots", "0", "shots must be in [1, 2**63 - 1], got 0"),
+        ("--bootstrap", "1", "n_bootstrap must be >= 2, got 1"),
+        ("--seed", "-1", "seed must be >= 0, got -1")])
+    def test_out_of_range_setting_is_named_before_compute(self, capsys, monkeypatch, flag,
+                                                          value, message):
+        def no_compute(config):
+            raise AssertionError("sweep ran on an out-of-range setting")
+
+        monkeypatch.setattr(cli.sw, "run_sweep", no_compute)
+        assert cli.main(["fig2", flag, value]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("flag, value", [("--shots", "abc"), ("--r-points", "1")])
     def test_bad_flag_value_names_the_flag(self, capsys, flag, value):
