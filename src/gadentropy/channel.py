@@ -7,8 +7,10 @@ are linked by r = 1 - exp[-(2 nbar + 1) gamma0 t] and
 p = 1 / (1 + exp(-omega/T)).
 
 Both pictures act as 4x4 superoperators on the row-major 4-vector vec(rho):
-the Kraus map as sum_k M_k kron M_k, the integrator's generator as a sum of
-two dissipators.
+the Kraus map as sum_k M_k kron M_k, built by one batched real matmul and
+applied to the real and imaginary parts of vec(rho) by another; the
+integrator's generator as a sum of two dissipators, stepped by the RK4
+polynomial in Horner form.
 """
 
 from __future__ import annotations
@@ -66,10 +68,14 @@ class BathSpec:
 
     @property
     def mean_occupation(self) -> float:
-        """Bose occupation nbar = 1 / (exp(omega/T) - 1); 0 at T = 0."""
+        """Bose occupation nbar = 1 / (exp(omega/T) - 1); 0 at T = 0.
+
+        Written as exp(-x) / (1 - exp(-x)), x = omega/T, which underflows to 0
+        for a cold bath where exp(x) would overflow."""
         if self.temperature == 0.0:
             return 0.0
-        return 1.0 / math.expm1(self.omega_s / self.temperature)
+        x = self.omega_s / self.temperature
+        return math.exp(-x) / -math.expm1(-x)
 
 
 def kraus_stack(p, r) -> np.ndarray:
@@ -94,12 +100,18 @@ def apply_kraus(rho, p, r) -> np.ndarray:
 
     The Kraus matrices are real, so the map is the real 4x4 superoperator
     sum_k M_k kron M_k acting on row-major vec(rho), as in `_liouvillian`.
+    It acts on the real and imaginary parts of vec(rho), the two columns of
+    one real matmul; the result is complex128.
     """
     kraus = kraus_stack(p, r)
-    superop = np.einsum("...kij,...klm->...iljm", kraus, kraus).reshape(kraus.shape[:-3] + (4, 4))
+    lead = kraus.shape[:-3]
+    flat = kraus.reshape(lead + (4, 4))  # (..., k, ij)
+    # (K^T K)[ij, lm] = sum_k M_k[i, j] M_k[l, m], reordered to [il, jm].
+    gram = flat.swapaxes(-1, -2) @ flat
+    superop = gram.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(lead + (4, 4))
     rho = np.asarray(rho)
-    out = superop @ rho.reshape(rho.shape[:-2] + (4, 1))
-    return out.reshape(out.shape[:-2] + (2, 2))
+    out = superop @ np.stack((rho.real, rho.imag), axis=-1).reshape(rho.shape[:-2] + (4, 2))
+    return out.view(np.complex128).reshape(out.shape[:-2] + (2, 2))
 
 
 def apply(ch: GadChannel, state: QubitState) -> QubitState:
@@ -128,8 +140,8 @@ def compose(r1, r2):
 
 
 def r_from_time(bath: BathSpec, t: float) -> float:
-    """r(t) = 1 - exp[-(2 nbar + 1) gamma0 t]."""
-    if t < 0:
+    """r(t) = 1 - exp[-(2 nbar + 1) gamma0 t]; 1 at t = inf."""
+    if not t >= 0:  # also refuses nan
         raise ParameterOutOfRangeError(f"t must be >= 0, got {t}")
     return -math.expm1(-(2.0 * bath.mean_occupation + 1.0) * bath.gamma0 * t)
 
@@ -172,24 +184,35 @@ def lindblad_derivative(bath: BathSpec, state: QubitState) -> np.ndarray:
     return (_liouvillian(bath) @ state.matrix.reshape(4)).reshape(2, 2)
 
 
+def _rk4_step(hl: np.ndarray) -> np.ndarray:
+    """The classical RK4 step rho <- T(hL) rho of a linear generator, as a
+    4x4 matrix: T is the degree-4 Taylor polynomial of exp, here in Horner
+    form I + hL (I + hL/2 (I + hL/3 (I + hL/4)))."""
+    eye = np.eye(4)
+    step = eye
+    for k in (4, 3, 2, 1):
+        step = eye + (hl / k) @ step
+    return step
+
+
 def evolve_master_equation(bath: BathSpec, initial: QubitState, t: float) -> QubitState:
     """Fixed-step classical 4th-order integration of the master equation.
 
     The step is at most 1e-3 / [gamma0 (2 nbar + 1)]: t splits into the fewest
-    equal steps no longer than that, one step when t is shorter.  The
-    integrator knows only the Lindblad generator, never the Kraus map, so it
-    checks the latter.
+    equal steps no longer than that, one step when t is shorter; t must be
+    finite and >= 0.  The integrator knows only the Lindblad generator, never
+    the Kraus map, so it checks the latter.
     """
-    if t < 0:
+    if not t >= 0:  # also refuses nan
         raise ParameterOutOfRangeError(f"t must be >= 0, got {t}")
+    if t == math.inf:
+        raise ParameterOutOfRangeError(f"t must be finite, got {t}")
     if t == 0.0:
         return initial
     dt = 1e-3 / (bath.gamma0 * (2.0 * bath.mean_occupation + 1.0))
     n_steps = max(1, math.ceil(t / dt - 1e-9))
-    # For a linear generator one classical RK4 step is rho <- T(hL) rho, with
-    # T the degree-4 Taylor polynomial of exp; n steps are its n-th power.
-    hl = (t / n_steps) * _liouvillian(bath)
-    step = sum(np.linalg.matrix_power(hl, k) / math.factorial(k) for k in range(5))
+    # n steps of a linear generator are the n-th power of one step.
+    step = _rk4_step((t / n_steps) * _liouvillian(bath))
     rho = (np.linalg.matrix_power(step, n_steps) @ initial.matrix.reshape(4)).reshape(2, 2)
     # Re-symmetrize to scrub integrator round-off.
     return QubitState(0.5 * (rho + rho.conj().T))

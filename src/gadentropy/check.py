@@ -9,6 +9,8 @@ run on (11, 11) p, r meshgrid arrays.  The random rows draw from one stdlib
 `random.Random(seed)`, in the order they are listed: each row takes all its
 uniforms in one `randbytes` call, maps them onto its cases with array
 arithmetic, and scores them in one call of the reference's stacked forms.
+Contractivity scores its states before and after the channel as one
+(2, 500) stack: one `eigvalsh`, and one `eigh` of the equilibria.
 `numpy.random` is never imported.
 """
 
@@ -93,9 +95,9 @@ def run_property_suite(seed: int) -> PropertyReport:
         # relative entropy counts as a violation.
         u = _uniforms(rng, (5, 500))
         p, r = random_p(u[3]), u[4]
-        states, eq = qstate.bloch_matrices(_ball(u[:3])), chn.equilibrium_states(p)
-        before = qstate.relative_entropies(states, eq)
-        after = qstate.relative_entropies(chn.apply_kraus(states, p, r), eq)
+        states = qstate.bloch_matrices(_ball(u[:3]))
+        before, after = qstate.relative_entropies(
+            np.stack((states, chn.apply_kraus(states, p, r))), chn.equilibrium_states(p))
         violations = int(np.sum(~(after <= before + 1e-10)))
         return violations == 0, f"{violations} violations"
 

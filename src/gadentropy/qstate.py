@@ -7,7 +7,8 @@ The entropies and dephasing act on stacked complex arrays of shape
 (..., 2, 2) (`bloch_matrices` and its inverse `bloch_vectors`, `dephased`,
 `von_neumann_entropies`, `relative_entropies` and its tr(rho ln sigma) part
 `cross_terms`, `rel_entropy_coherences`), computed with batched
-`eigvalsh`/`eigh`.  `QubitState` holds one such matrix, and
+`eigvalsh`/`eigh`; `cross_terms` takes the weights of rho on sigma's
+eigenvectors in one batched matmul.  `QubitState` holds one such matrix, and
 `relative_entropy` scores a pair of them as a Python float.
 """
 
@@ -109,8 +110,12 @@ def cross_terms(rho, sigma_eigs, sigma_vecs) -> np.ndarray:
     """tr(rho ln sigma) of stacked (..., 2, 2) density matrices rho, given
     sigma's `eigh` decomposition; the leading axes broadcast.  -inf where rho
     has weight above ATOL on an eigenvalue of sigma at most ATOL."""
-    # Weight of rho on each eigenvector of sigma.
-    weights = np.einsum("...ji,...jk,...ki->...i", sigma_vecs.conj(), rho, sigma_vecs).real
+    # Weight of rho on each eigenvector v_i of sigma, sum_jk rho_jk conj(v_ji) v_ki:
+    # vec(rho) as a (1, 4) row times the (4, 2) matrix of the products conj(v_ji) v_ki.
+    products = sigma_vecs.conj()[..., :, None, :] * sigma_vecs[..., None, :, :]
+    rho = np.asarray(rho)
+    weights = (rho.reshape(rho.shape[:-2] + (1, 4))
+               @ products.reshape(products.shape[:-3] + (4, 2)))[..., 0, :].real
     supported = sigma_eigs > ATOL
     cross = np.where(supported, weights * np.log(np.where(supported, sigma_eigs, 1.0)),
                      np.where(weights > ATOL, -np.inf, 0.0))

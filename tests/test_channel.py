@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import random_density_matrices, violation
 
+from gadentropy import channel
 from gadentropy.channel import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -11,6 +12,7 @@ from gadentropy.channel import (
     GadChannel,
     ParameterOutOfRangeError,
     _liouvillian,
+    _rk4_step,
     apply,
     apply_kraus,
     channel_for,
@@ -29,6 +31,15 @@ R_GRID = np.linspace(0.0, 1.0, 11)
 
 # omega/T = ln 9 gives nbar = 0.125 and p = 0.9
 BATH_LN9 = BathSpec(omega_s=math.log(9.0), temperature=1.0, gamma0=1.0)
+
+# The benchmark's Lindblad-vs-Kraus cases: omega = gamma0 = 1, a bath of
+# occupation nbar, and the time t.
+BENCH_RK4_CASES = [(nbar, t) for nbar in (0.0, 0.125, 1.0) for t in (0.1, 0.5, 1.0, 2.0)]
+
+
+def bath_of_occupation(nbar):
+    return BathSpec(omega_s=1.0, temperature=0.0 if nbar == 0.0 else 1.0 / math.log1p(1.0 / nbar),
+                    gamma0=1.0)
 
 
 def random_state(rng):
@@ -87,6 +98,22 @@ class TestApply:
         want = sum(m @ rho @ m.conj().swapaxes(-1, -2) for m in np.moveaxis(kraus, -3, 0))
         got = apply_kraus(rho, p, r)
         assert got.shape == np.broadcast_shapes(rho_shape, pr_shape) + (2, 2)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    # Strided views (every third state, and transposed, that is conjugated,
+    # states) and real float64 states go through the same real matmul.
+    @pytest.mark.parametrize("view", [
+        lambda rho: rho[::3], lambda rho: rho.swapaxes(-1, -2), lambda rho: rho.real],
+        ids=["strided", "transposed", "float64"])
+    def test_superoperator_matches_the_kraus_sum_on_any_layout(self, view):
+        rng = np.random.default_rng(28)
+        rho = view(random_density_matrices(rng, (300,)))
+        p, r = rng.uniform(0.5, 1.0, rho.shape[0]), rng.uniform(0.0, 1.0, rho.shape[0])
+        kraus = kraus_stack(p, r)
+        want = sum(m @ rho @ m.swapaxes(-1, -2) for m in np.moveaxis(kraus, -3, 0))
+        got = apply_kraus(rho, p, r)
+        assert got.dtype == np.complex128
+        assert got.shape == rho.shape
         assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_r_zero_is_identity(self):
@@ -198,6 +225,21 @@ class TestBathMappings:
         with pytest.raises(ParameterOutOfRangeError):
             r_from_time(BATH_LN9, -0.1)
 
+    def test_nan_time_rejected(self):
+        with pytest.raises(ParameterOutOfRangeError, match="t must be >= 0, got nan"):
+            r_from_time(BATH_LN9, math.nan)
+
+    def test_infinite_time_is_full_damping(self):
+        assert r_from_time(BATH_LN9, math.inf) == 1.0
+
+    def test_cold_bath_has_no_occupation(self):
+        # omega/T = 1000: exp(omega/T) overflows, exp(-omega/T) underflows to 0.
+        cold = BathSpec(omega_s=1.0, temperature=1e-3, gamma0=1.0)
+        zero = BathSpec(omega_s=1.0, temperature=0.0, gamma0=1.0)
+        assert cold.mean_occupation == 0.0
+        assert r_from_time(cold, 1.0) == r_from_time(zero, 1.0)
+        assert p_from_temperature(cold) == 1.0
+
     def test_p_high_temperature_limit(self):
         bath = BathSpec(omega_s=1.0, temperature=1e9, gamma0=1.0)
         assert p_from_temperature(bath) == pytest.approx(0.5, abs=1e-6)
@@ -277,6 +319,30 @@ class TestMasterEquationIntegration:
     def test_negative_time_rejected(self):
         with pytest.raises(ParameterOutOfRangeError, match="t must be >= 0"):
             evolve_master_equation(BATH_LN9, PLUS, -1e-3)
+
+    @pytest.mark.parametrize("t, message", [
+        (math.nan, "t must be >= 0, got nan"), (math.inf, "t must be finite, got inf")])
+    def test_non_finite_time_rejected(self, t, message):
+        with pytest.raises(ParameterOutOfRangeError, match=message):
+            evolve_master_equation(BATH_LN9, PLUS, t)
+
+    def test_cold_bath_matches_zero_temperature(self):
+        cold = BathSpec(omega_s=1.0, temperature=1e-3, gamma0=1.0)
+        zero = BathSpec(omega_s=1.0, temperature=0.0, gamma0=1.0)
+        assert np.array_equal(evolve_master_equation(cold, PLUS, 1.0).matrix,
+                              evolve_master_equation(zero, PLUS, 1.0).matrix)
+
+    @pytest.mark.parametrize("nbar, t", BENCH_RK4_CASES)
+    def test_horner_step_matches_the_taylor_sum(self, monkeypatch, nbar, t):
+        # The step the integrator takes, against sum_k (hL)^k / k!, k <= 4.
+        steps = []
+        monkeypatch.setattr(channel, "_rk4_step", lambda hl: steps.append(hl) or _rk4_step(hl))
+        bath = bath_of_occupation(nbar)
+        out = evolve_master_equation(bath, PLUS, t)
+        (hl,) = steps
+        want = sum(np.linalg.matrix_power(hl, k) / math.factorial(k) for k in range(5))
+        assert np.max(np.abs(_rk4_step(hl) - want)) <= 1e-15
+        assert np.max(np.abs(out.matrix - apply(channel_for(bath, t), PLUS).matrix)) < 1e-6
 
     @pytest.mark.parametrize("t", [5e-4, 1e-5])
     def test_time_shorter_than_one_step_takes_one_step(self, t):

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import fidelity, l1_coherence, violation
+from conftest import fidelity, l1_coherence, random_density_matrices, violation
 
 from gadentropy.qstate import (
     MAXIMALLY_MIXED,
     PLUS,
+    ATOL,
     QubitState,
+    cross_terms,
     dephased,
     rel_entropy_coherences,
     relative_entropies,
@@ -112,6 +114,37 @@ class TestRelativeEntropy:
             rho, sigma = random_state(rng), random_state(rng)
             d = relative_entropy(rho, sigma)
             assert d >= -1e-10
+
+
+class TestCrossTerms:
+    @staticmethod
+    def by_einsum(rho, sigma_eigs, sigma_vecs):
+        """tr(rho ln sigma) with the weights as one three-operand einsum."""
+        weights = np.einsum("...ji,...jk,...ki->...i", sigma_vecs.conj(), rho, sigma_vecs).real
+        supported = sigma_eigs > ATOL
+        return np.sum(np.where(supported, weights * np.log(np.where(supported, sigma_eigs, 1.0)),
+                               np.where(weights > ATOL, -np.inf, 0.0)), axis=-1)
+
+    # The stacks `productions` (4 states per sigma) and `check`'s contractivity
+    # row (2 states per sigma) score.  sigma 0-4 are diag(1, 0), off which the
+    # ground state rho[0, 0] is supported and every other rho is not.
+    @pytest.mark.parametrize("n_rho", [4, 2])
+    def test_matches_the_three_operand_einsum(self, n_rho):
+        rng = np.random.default_rng(15)
+        n = 60
+        rho = random_density_matrices(rng, (n_rho, n))
+        rho[0, 0] = np.diag([1.0, 0.0])
+        sigma = random_density_matrices(rng, (n,))
+        sigma[:5] = np.diag([1.0, 0.0])
+        eigs, vecs = np.linalg.eigh(sigma)
+        got, want = cross_terms(rho, eigs, vecs), self.by_einsum(rho, eigs, vecs)
+        assert got.shape == (n_rho, n)
+        infinite = np.zeros((n_rho, n), dtype=bool)
+        infinite[:, :5] = True
+        infinite[0, 0] = False
+        assert np.array_equal(np.isneginf(got), infinite)
+        assert np.array_equal(np.isneginf(want), infinite)
+        assert np.max(np.abs(got[~infinite] - want[~infinite])) <= 1e-14
 
 
 class TestDephase:

@@ -328,8 +328,10 @@ class TestPropertySuite:
         assert self.failed_rows(capsys) == [
             "[FAIL] budget additivity + non-negativity (1000 random triples)"]
 
+    # The row scores (before, after) as one (2, 500) stack: "nan" spoils case 7
+    # along the case axis.
     @pytest.mark.parametrize("perturb", [
-        lambda d: -d, lambda d: np.where(np.arange(d.size) == 7, np.nan, d)],
+        lambda d: -d, lambda d: np.where(np.arange(d.shape[-1]) == 7, np.nan, d)],
         ids=["sign", "nan"])
     def test_perturbed_relative_entropy_fails_the_contractivity_row(self, capsys, monkeypatch,
                                                                      perturb):
@@ -393,12 +395,13 @@ class TestPropertySuite:
     @pytest.mark.parametrize("seed", ["0", "1234", "2024"])
     def test_check_in_a_fresh_interpreter(self, seed):
         # Same-seed output is byte-identical, and `check` leaves numpy.random
-        # unloaded: its cases come from the stdlib random.Random(seed).
+        # unloaded: its cases come from the stdlib random.Random(seed).  Any
+        # warning, such as a RuntimeWarning from a kernel, is an error.
         src = os.path.dirname(os.path.dirname(gadentropy.__file__))
         code = ("import sys; from gadentropy import cli; rc = cli.main(sys.argv[1:]); "
                 "print('numpy.random' in sys.modules, file=sys.stderr); sys.exit(rc)")
-        runs = [subprocess.run([sys.executable, "-c", code, "check", "--seed", seed],
-                               capture_output=True, env={**os.environ, "PYTHONPATH": src})
+        argv = [sys.executable, "-W", "error", "-c", code, "check", "--seed", seed]
+        runs = [subprocess.run(argv, capture_output=True, env={**os.environ, "PYTHONPATH": src})
                 for _ in range(2)]
         for run in runs:
             assert (run.returncode, run.stderr) == (0, b"False\n")
