@@ -5,9 +5,9 @@ Every function takes Bloch vectors b = (x, y, z) as a float array of shape
 leading axes.  Index 0 is the ground state |H>, so rho_00 = (1 + z) / 2.  The
 eigenvalues of rho are (1 +- |b|) / 2, so each entropy is a function of |b|
 and z alone.  Entropies are in nats.  The 2x2 density-matrix code in
-`qstate` (eigh), `channel` (Kraus operators) and
-`tomography.project_to_physical` computes the same quantities by other means
-and serves as their reference.
+`qstate` (eigh) and `channel` (Kraus operators) computes the same quantities
+by other means and serves as their reference; the tests hold `project` to the
+Frobenius-nearest state found by `eigh`.
 """
 
 from __future__ import annotations

@@ -71,11 +71,15 @@ class BathSpec:
         """Bose occupation nbar = 1 / (exp(omega/T) - 1); 0 at T = 0.
 
         Written as exp(-x) / (1 - exp(-x)), x = omega/T, which underflows to 0
-        for a cold bath where exp(x) would overflow."""
+        for a cold bath where exp(x) would overflow; refused where nbar ~ 1/x
+        overflows."""
         if self.temperature == 0.0:
             return 0.0
         x = self.omega_s / self.temperature
-        return math.exp(-x) / -math.expm1(-x)
+        nbar = math.exp(-x) / -math.expm1(-x) if x > 0.0 else math.inf
+        if nbar == math.inf:
+            raise ParameterOutOfRangeError(f"nbar overflows at omega_s / temperature = {x}")
+        return nbar
 
 
 def kraus_stack(p, r) -> np.ndarray:
@@ -178,12 +182,6 @@ def _liouvillian(bath: BathSpec) -> np.ndarray:
     return bath.gamma0 * (nbar + 1.0) * _DECAY + bath.gamma0 * nbar * _EXCITATION
 
 
-def lindblad_derivative(bath: BathSpec, state: QubitState) -> np.ndarray:
-    """Right-hand side d rho/dt of the thermal master equation (see
-    `_liouvillian`).  Traceless, Hermitian."""
-    return (_liouvillian(bath) @ state.matrix.reshape(4)).reshape(2, 2)
-
-
 def _rk4_step(hl: np.ndarray) -> np.ndarray:
     """The classical RK4 step rho <- T(hL) rho of a linear generator, as a
     4x4 matrix: T is the degree-4 Taylor polynomial of exp, here in Horner
@@ -199,9 +197,9 @@ def evolve_master_equation(bath: BathSpec, initial: QubitState, t: float) -> Qub
     """Fixed-step classical 4th-order integration of the master equation.
 
     The step is at most 1e-3 / [gamma0 (2 nbar + 1)]: t splits into the fewest
-    equal steps no longer than that, one step when t is shorter; t must be
-    finite and >= 0.  The integrator knows only the Lindblad generator, never
-    the Kraus map, so it checks the latter.
+    equal steps no longer than that, one step when t is shorter; t >= 0 and
+    t / dt must be finite.  The integrator knows only the Lindblad generator,
+    never the Kraus map, so it checks the latter.
     """
     if not t >= 0:  # also refuses nan
         raise ParameterOutOfRangeError(f"t must be >= 0, got {t}")
@@ -210,7 +208,11 @@ def evolve_master_equation(bath: BathSpec, initial: QubitState, t: float) -> Qub
     if t == 0.0:
         return initial
     dt = 1e-3 / (bath.gamma0 * (2.0 * bath.mean_occupation + 1.0))
-    n_steps = max(1, math.ceil(t / dt - 1e-9))
+    # dt is 0 when the rate overflows; t / dt overflows for a long enough t.
+    steps = t / dt if dt > 0.0 else math.inf
+    if steps == math.inf:
+        raise ParameterOutOfRangeError(f"t = {t} takes more steps of {dt} than a float holds")
+    n_steps = max(1, math.ceil(steps - 1e-9))
     # n steps of a linear generator are the n-th power of one step.
     step = _rk4_step((t / n_steps) * _liouvillian(bath))
     rho = (np.linalg.matrix_power(step, n_steps) @ initial.matrix.reshape(4)).reshape(2, 2)

@@ -43,27 +43,14 @@ class QubitState:
     def from_bloch(cls, x: float, y: float, z: float) -> "QubitState":
         return cls(bloch_matrices((x, y, z)))
 
-    @classmethod
-    def diagonal(cls, p_ground: float, p_excited: float) -> "QubitState":
-        return cls(np.diag([p_ground, p_excited]).astype(np.complex128))
-
-    @classmethod
-    def pure(cls, ket) -> "QubitState":
-        """Projector |psi><psi| from a (normalized) 2-vector."""
-        v = np.asarray(ket, dtype=np.complex128).reshape(2)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()))
-
     def bloch_vector(self) -> np.ndarray:
         return bloch_vectors(self.matrix)
 
-    def isclose(self, other: "QubitState") -> bool:
-        return bool(np.allclose(self.matrix, other.matrix, atol=ATOL, rtol=0.0))
 
-
-# Common fixed states.
-MAXIMALLY_MIXED = QubitState.diagonal(0.5, 0.5)
-PLUS = QubitState.pure([1.0, 1.0])  # |D><D|
+# |D><D| from |D> = [1, 1] / ||[1, 1]||: each entry is the square of the rounded
+# amplitude, 0.4999999999999999, not the 0.5 that `from_bloch(1, 0, 0)` gives.
+_D = np.array([1.0, 1.0]) / np.linalg.norm([1.0, 1.0])
+PLUS = QubitState(np.outer(_D, _D))
 
 
 def bloch_matrices(b) -> np.ndarray:

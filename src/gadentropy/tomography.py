@@ -3,33 +3,17 @@
 Projection bases are H, V, R, D with |R> = (|H> + i|V>)/sqrt(2) and
 |D> = (|H> + |V>)/sqrt(2).  Counts are per-basis binomial draws, and error
 bars come from a parametric bootstrap at the observed frequencies.  The
-sweeps invert the drawn frequencies with `bloch.invert` and project them as
-`bloch.project` does; `project_to_physical` is the matrix reference for that.
+sweeps invert the drawn frequencies with `bloch.invert` and project them into
+the Bloch ball as `bloch.project` does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .qstate import QubitState
-
 # Identifier of the sampling RNG, recorded in harness output metadata.
 # Cross-implementation bit-identity of draws is a non-goal.
 RNG_ALGORITHM = "numpy.random.Generator(PCG64)"
-
-
-def project_to_physical(m: np.ndarray) -> QubitState:
-    """Radially project a Bloch vector of length > 1 back to the sphere.
-
-    For unit-trace Hermitian 2x2 input this is the Frobenius-nearest valid
-    state; physical input passes through unchanged.
-    """
-    state = QubitState(m)
-    x, y, z = state.bloch_vector()
-    length = np.sqrt(x * x + y * y + z * z)
-    if length <= 1.0:
-        return state
-    return QubitState.from_bloch(x / length, y / length, z / length)
 
 
 def draw_frequencies(probs, shots: int, seed, n_bootstrap: int) -> np.ndarray:

@@ -4,8 +4,9 @@ Hypothesis draws the same examples on every run and has no per-example
 deadline, so a slow host neither changes nor fails a test.  `violation`,
 `l1_coherence` and `fidelity` are test-side measures of 2x2 density matrices
 that the package itself does not need; `random_density_matrices` draws
-stacks of them; `relative_entropy_to_thermal` scores Bloch vectors with the
-sweep's closed form."""
+stacks of them; `nearest_states` projects them onto the valid states by `eigh`,
+the reference for the sweep's radial projection; `relative_entropy_to_thermal`
+scores Bloch vectors with the sweep's closed form."""
 
 import numpy as np
 from hypothesis import settings
@@ -50,6 +51,18 @@ def random_density_matrices(rng, shape):
     a = rng.normal(size=(*shape, 2, 2)) + 1j * rng.normal(size=(*shape, 2, 2))
     m = a @ a.conj().swapaxes(-1, -2)
     return m / np.trace(m, axis1=-2, axis2=-1)[..., None, None]
+
+
+def nearest_states(m):
+    """The Frobenius-nearest density matrices to stacked (..., 2, 2) Hermitian
+    matrices m: m's eigenvectors, with its eigenvalues projected onto the
+    probability simplex (shifted by one common amount, then clipped at 0)."""
+    eigs, vecs = np.linalg.eigh(m)
+    low, high = eigs[..., 0], eigs[..., 1]
+    # Both eigenvalues stay positive after the shift exactly when high - low < 1.
+    shift = np.where(high - low < 1.0, 0.5 * (low + high - 1.0), high - 1.0)
+    eigs = np.maximum(eigs - shift[..., None], 0.0)
+    return (vecs * eigs[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def relative_entropy_to_thermal(b, p):

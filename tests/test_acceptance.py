@@ -198,7 +198,7 @@ def test_criterion_7_qualitative_claims():
 
 
 def test_criterion_8_tomography_fidelity():
-    states = [PLUS, QubitState.diagonal(0.5, 0.5), apply(GadChannel(0.9, 0.5), PLUS)]
+    states = [PLUS, QubitState(np.eye(2) / 2), apply(GadChannel(0.9, 0.5), PLUS)]
     estimates = np.array([_reconstruct(state, 100_000, 1000 * i + seed, 2)[0]
                           for i, state in enumerate(states) for seed in range(100)])
     truths = np.repeat([state.matrix for state in states], 100, axis=0)

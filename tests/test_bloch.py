@@ -1,24 +1,23 @@
 """The closed-form Bloch-array functions against the 2x2 density-matrix path
-(eigh entropies, Kraus map, matrix projection), which stays their reference."""
+(eigh entropies, Kraus map, eigh projection), which stays their reference."""
 
 import math
 
 import numpy as np
 import pytest
-from conftest import relative_entropy_to_thermal
+from conftest import nearest_states, relative_entropy_to_thermal
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gadentropy import bloch
-from gadentropy.channel import GadChannel, apply
+from gadentropy.channel import GadChannel, apply, equilibrium_states
 from gadentropy.qstate import (
     QubitState,
     bloch_matrices,
     rel_entropy_coherences,
-    relative_entropy,
+    relative_entropies,
     von_neumann_entropies,
 )
-from gadentropy.tomography import project_to_physical
 
 TOL = 1e-12
 
@@ -51,10 +50,6 @@ def vectors(request):
     return random_vectors(rng, 300, (1.0, 1.6))
 
 
-def states(vectors):
-    return [QubitState.from_bloch(*v) for v in vectors]
-
-
 def test_entropy_matches_eigh(vectors):
     want = von_neumann_entropies(bloch_matrices(vectors))
     assert np.max(np.abs(bloch.entropy(vectors) - want)) < TOL
@@ -67,8 +62,7 @@ def test_coherence_matches_eigh(vectors):
 
 @pytest.mark.parametrize("p", [0.5, 0.6, 0.9, 1.0 - 1e-9])
 def test_relative_entropy_matches_eigh(vectors, p):
-    eq = QubitState.diagonal(p, 1.0 - p)
-    want = [relative_entropy(s, eq) for s in states(vectors)]
+    want = relative_entropies(bloch_matrices(vectors), equilibrium_states(p))
     assert np.max(np.abs(relative_entropy_to_thermal(vectors, p) - want)) < TOL
 
 
@@ -76,8 +70,7 @@ def test_relative_entropy_support_rule_at_p1():
     # Weight on the excited state diverges; the ground state does not.
     vectors = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0 - 1e-13], [0.6, 0.0, 0.8],
                         [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
-    eq = QubitState.diagonal(1.0, 0.0)
-    want = [relative_entropy(s, eq) for s in states(vectors)]
+    want = relative_entropies(bloch_matrices(vectors), equilibrium_states(1.0))
     got = relative_entropy_to_thermal(vectors, 1.0)
     assert np.isinf(want[2:]).all() and np.isinf(got[2:]).all()
     assert np.max(np.abs(got[:2] - want[:2])) < TOL
@@ -87,16 +80,14 @@ def test_relative_entropy_broadcasts_over_p():
     rng = np.random.default_rng(5)
     vectors = random_vectors(rng, 50)
     p = rng.uniform(0.5, 0.99, size=50)
-    want = [relative_entropy(s, QubitState.diagonal(q, 1.0 - q))
-            for s, q in zip(states(vectors), p)]
+    want = relative_entropies(bloch_matrices(vectors), equilibrium_states(p))
     assert np.max(np.abs(relative_entropy_to_thermal(vectors, p) - want)) < TOL
 
 
 def test_project_matches_matrix_projection(vectors):
     got = bloch.project(vectors)
-    for v, g in zip(vectors, got):
-        want = project_to_physical(QubitState.from_bloch(*v).matrix)
-        assert np.max(np.abs(QubitState.from_bloch(*g).matrix - want.matrix)) < TOL
+    want = nearest_states(bloch_matrices(vectors))
+    assert np.max(np.abs(bloch_matrices(got) - want)) < TOL
     assert np.all(np.linalg.norm(got, axis=-1) <= 1.0 + TOL)
 
 
@@ -151,10 +142,10 @@ def test_gad_matches_kraus_map_anywhere_in_the_ball(b, p, r):
 @given(BALL, WEIGHT)
 @example(np.zeros(3), 1.0 - 1e-10)  # a thermal weight just above the support cut-off
 def test_entropies_match_eigh_anywhere_in_the_ball(b, p):
-    state = QubitState.from_bloch(*b)
+    rho = bloch_matrices(b)
     assert close(relative_entropy_to_thermal(b, p),
-                 relative_entropy(state, QubitState.diagonal(p, 1.0 - p)))
-    assert close(bloch.coherence(b), rel_entropy_coherences(state.matrix))
+                 float(relative_entropies(rho, equilibrium_states(p))))
+    assert close(bloch.coherence(b), rel_entropy_coherences(rho))
 
 
 @given(BALL, WEIGHT, STRENGTH)

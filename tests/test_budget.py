@@ -17,12 +17,12 @@ from gadentropy.budget import (
 )
 from gadentropy.channel import GadChannel, apply, apply_kraus, equilibrium_states
 from gadentropy.prep import PrepSetting, prepare
-from gadentropy.qstate import MAXIMALLY_MIXED, PLUS, QubitState, dephased
+from gadentropy.qstate import PLUS, QubitState, dephased
 
 LN2 = math.log(2.0)
-EQ_09 = QubitState.diagonal(0.9, 0.1).matrix
-GROUND = QubitState.diagonal(1.0, 0.0).matrix
-MIXED = MAXIMALLY_MIXED.matrix
+EQ_09 = QubitState(np.diag([0.9, 0.1])).matrix
+GROUND = QubitState(np.diag([1.0, 0.0])).matrix
+MIXED = QubitState(np.eye(2) / 2).matrix
 
 # Frozen oracle values at (alpha=0, p=0.9, r=1): computed from the
 # closed-form relative entropies of diagonal/pure qubit states.
@@ -157,7 +157,7 @@ class TestBudget:
         assert b.total == pytest.approx(b.population + b.coherence, abs=1e-10)
 
     def test_equilibrium_initial_zero_budget(self):
-        b = budget(MAXIMALLY_MIXED, GadChannel(0.5, 0.7))
+        b = budget(QubitState(MIXED), GadChannel(0.5, 0.7))
         assert (b.total, b.population, b.coherence) == (0.0, 0.0, 0.0)
 
     def test_indeterminate_at_p1_r0(self):

@@ -18,9 +18,9 @@ from gadentropy.channel import (
     channel_for,
     compose,
     equilibrium_state,
+    equilibrium_states,
     evolve_master_equation,
     kraus_stack,
-    lindblad_derivative,
     p_from_temperature,
     r_from_time,
 )
@@ -121,18 +121,18 @@ class TestApply:
         for _ in range(20):
             state = random_state(rng)
             out = apply(GadChannel(rng.uniform(0.5, 1.0), 0.0), state)
-            assert out.isclose(state)
+            assert np.allclose(out.matrix, state.matrix, atol=ATOL, rtol=0.0)
 
     def test_full_damping_reaches_equilibrium(self):
         rng = np.random.default_rng(22)
         for p in P_GRID:
             out = apply(GadChannel(p, 1.0), random_state(rng))
-            assert out.isclose(QubitState.diagonal(p, 1.0 - p))
+            assert np.allclose(out.matrix, equilibrium_states(p), atol=ATOL, rtol=0.0)
 
     def test_plus_state_at_p09_r05(self):
         out = apply(GadChannel(0.9, 0.5), PLUS)
         c = math.sqrt(0.5) / 2.0
-        assert out.isclose(QubitState([[0.7, c], [c, 0.3]]))
+        assert np.allclose(out.matrix, [[0.7, c], [c, 0.3]], atol=ATOL, rtol=0.0)
 
     def test_output_always_valid(self):
         rng = np.random.default_rng(23)
@@ -160,25 +160,23 @@ class TestApply:
 
 class TestEquilibrium:
     def test_infinite_temperature(self):
-        assert equilibrium_state(GadChannel(0.5, 0.3)).isclose(
-            QubitState.diagonal(0.5, 0.5)
-        )
+        assert np.allclose(equilibrium_state(GadChannel(0.5, 0.3)).matrix, np.diag([0.5, 0.5]),
+                           atol=ATOL, rtol=0.0)
 
     def test_p09(self):
-        assert equilibrium_state(GadChannel(0.9, 0.3)).isclose(
-            QubitState.diagonal(0.9, 0.1)
-        )
+        assert np.allclose(equilibrium_state(GadChannel(0.9, 0.3)).matrix, np.diag([0.9, 0.1]),
+                           atol=ATOL, rtol=0.0)
 
     def test_zero_temperature_is_ground(self):
-        assert equilibrium_state(GadChannel(1.0, 0.3)).isclose(
-            QubitState.diagonal(1.0, 0.0)
-        )
+        assert np.allclose(equilibrium_state(GadChannel(1.0, 0.3)).matrix, np.diag([1.0, 0.0]),
+                           atol=ATOL, rtol=0.0)
 
     def test_fixed_point_on_grid(self):
         for p in P_GRID:
-            eq = QubitState.diagonal(p, 1.0 - p)
+            eq = QubitState(equilibrium_states(p))
             for r in R_GRID:
-                assert apply(GadChannel(p, r), eq).isclose(eq)
+                assert np.allclose(apply(GadChannel(p, r), eq).matrix, eq.matrix,
+                                   atol=ATOL, rtol=0.0)
 
 
 class TestCompose:
@@ -240,6 +238,14 @@ class TestBathMappings:
         assert r_from_time(cold, 1.0) == r_from_time(zero, 1.0)
         assert p_from_temperature(cold) == 1.0
 
+    def test_occupation_overflow_rejected(self):
+        # omega/T underflows to 0, so nbar ~ T/omega is not a float.
+        hot = BathSpec(omega_s=1e-200, temperature=1e200, gamma0=1.0)
+        for use in (lambda: hot.mean_occupation, lambda: r_from_time(hot, 1.0),
+                    lambda: channel_for(hot, 1.0), lambda: evolve_master_equation(hot, PLUS, 1.0)):
+            with pytest.raises(ParameterOutOfRangeError, match="nbar overflows"):
+                use()
+
     def test_p_high_temperature_limit(self):
         bath = BathSpec(omega_s=1.0, temperature=1e9, gamma0=1.0)
         assert p_from_temperature(bath) == pytest.approx(0.5, abs=1e-6)
@@ -254,22 +260,23 @@ class TestBathMappings:
 
 
 class TestLindblad:
+    """The generator d rho/dt = L vec(rho), read as a 2x2 matrix."""
+
     def test_stationary_at_equilibrium(self):
-        p = p_from_temperature(BATH_LN9)
-        eq = QubitState.diagonal(p, 1.0 - p)
-        deriv = lindblad_derivative(BATH_LN9, eq)
+        eq = equilibrium_states(p_from_temperature(BATH_LN9))
+        deriv = _liouvillian(BATH_LN9) @ eq.reshape(4)
         assert np.max(np.abs(deriv)) < 1e-12
 
     def test_spontaneous_emission_rate(self):
         bath = BathSpec(omega_s=1.0, temperature=0.0, gamma0=1.0)
-        excited = QubitState.diagonal(0.0, 1.0)
-        deriv = lindblad_derivative(bath, excited)
+        excited = np.diag([0.0, 1.0])
+        deriv = (_liouvillian(bath) @ excited.reshape(4)).reshape(2, 2)
         assert deriv[1, 1].real == pytest.approx(-1.0, abs=1e-12)
 
     def test_traceless_and_hermitian(self):
         rng = np.random.default_rng(26)
         for _ in range(50):
-            deriv = lindblad_derivative(BATH_LN9, random_state(rng))
+            deriv = (_liouvillian(BATH_LN9) @ random_state(rng).matrix.reshape(4)).reshape(2, 2)
             assert abs(np.trace(deriv)) < 1e-12
             assert np.max(np.abs(deriv - deriv.conj().T)) < 1e-12
 
@@ -284,7 +291,7 @@ class TestLindblad:
                 rate * (op @ rho @ op.T - 0.5 * (op.T @ op @ rho + rho @ op.T @ op))
                 for rate, op in ((nbar + 1.0, lower), (nbar, lower.T))
             )
-            got = lindblad_derivative(BATH_LN9, QubitState(rho))
+            got = (_liouvillian(BATH_LN9) @ rho.reshape(4)).reshape(2, 2)
             assert np.max(np.abs(got - want)) < 1e-12
 
     @pytest.mark.parametrize("temperature", [0.0, 1.0, 20.0])
@@ -311,8 +318,7 @@ class TestMasterEquationIntegration:
         assert np.max(np.abs(out.matrix - expected.matrix)) < 1e-6
 
     def test_equilibrium_unchanged(self):
-        p = p_from_temperature(BATH_LN9)
-        eq = QubitState.diagonal(p, 1.0 - p)
+        eq = QubitState(equilibrium_states(p_from_temperature(BATH_LN9)))
         out = evolve_master_equation(BATH_LN9, eq, 2.0)
         assert np.max(np.abs(out.matrix - eq.matrix)) < 1e-9
 
@@ -325,6 +331,20 @@ class TestMasterEquationIntegration:
     def test_non_finite_time_rejected(self, t, message):
         with pytest.raises(ParameterOutOfRangeError, match=message):
             evolve_master_equation(BATH_LN9, PLUS, t)
+
+    @pytest.mark.parametrize("bath, t", [
+        (BathSpec(1.0, 0.0, 1e300), 1e10),  # t / dt = 1e313
+        (BathSpec(1.0, 1e300, 1e10), 1.0),  # gamma0 (2 nbar + 1) overflows, so dt = 0
+    ], ids=["steps-overflow", "rate-overflows"])
+    def test_step_count_beyond_a_float_rejected(self, bath, t):
+        with pytest.raises(ParameterOutOfRangeError, match="more steps of"):
+            evolve_master_equation(bath, PLUS, t)
+
+    def test_huge_finite_step_count_still_integrates(self):
+        # 1e303 steps: the step's matrix power squares its way there.
+        bath = BathSpec(omega_s=1.0, temperature=0.0, gamma0=1.0)
+        out = evolve_master_equation(bath, PLUS, 1e300)
+        assert np.allclose(out.matrix, np.diag([1.0, 0.0]), atol=ATOL, rtol=0.0)
 
     def test_cold_bath_matches_zero_temperature(self):
         cold = BathSpec(omega_s=1.0, temperature=1e-3, gamma0=1.0)

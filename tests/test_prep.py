@@ -15,7 +15,9 @@ from gadentropy.prep import (
     coherent_bloch_x,
     prepare,
 )
-from gadentropy.qstate import MAXIMALLY_MIXED, PLUS, QubitState, dephased
+from gadentropy.qstate import ATOL, PLUS, QubitState, dephased
+
+MIXED = np.eye(2) / 2
 
 
 def prepared(alpha, dephase=False):
@@ -27,10 +29,11 @@ def prepared(alpha, dephase=False):
 
 class TestPrepare:
     def test_alpha_zero_gives_plus(self):
-        assert prepare(PrepSetting(0.0)).isclose(PLUS)
+        assert np.allclose(prepare(PrepSetting(0.0)).matrix, PLUS.matrix, atol=ATOL, rtol=0.0)
 
     def test_alpha_pi_over_8_gives_mixed(self):
-        assert prepare(PrepSetting(math.pi / 8.0)).isclose(MAXIMALLY_MIXED)
+        state = prepare(PrepSetting(math.pi / 8.0))
+        assert np.allclose(state.matrix, MIXED, atol=ATOL, rtol=0.0)
 
     def test_alpha_for_08_coherence(self):
         # 9.22 degrees prepares off-diagonal 0.400
@@ -39,7 +42,7 @@ class TestPrepare:
 
     def test_dephased_always_maximally_mixed(self):
         for alpha in np.linspace(0.0, math.pi / 4.0, 9):
-            assert prepared(alpha, dephase=True).isclose(MAXIMALLY_MIXED)
+            assert np.allclose(prepared(alpha, dephase=True).matrix, MIXED, atol=ATOL, rtol=0.0)
 
     def test_equal_populations_and_validity(self):
         for alpha in np.linspace(0.0, math.pi / 4.0, 9):
@@ -58,7 +61,7 @@ class TestPrepare:
         # The sweep dephases the preparation's Bloch vector with bloch.dephase.
         for alpha in np.linspace(0.0, math.pi / 4.0, 9):
             b = QubitState.from_bloch(*bloch.dephase(prepare(PrepSetting(alpha)).bloch_vector()))
-            assert prepared(alpha, dephase=True).isclose(b)
+            assert np.allclose(prepared(alpha, dephase=True).matrix, b.matrix, atol=ATOL, rtol=0.0)
 
     def test_angle_out_of_range(self):
         with pytest.raises(AngleOutOfRangeError):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from conftest import fidelity, l1_coherence, random_density_matrices, violation
 
+from gadentropy.channel import equilibrium_states
 from gadentropy.qstate import (
-    MAXIMALLY_MIXED,
     PLUS,
     ATOL,
     QubitState,
@@ -18,6 +18,7 @@ from gadentropy.qstate import (
 )
 
 LN2 = math.log(2.0)
+MIXED = np.eye(2) / 2
 
 
 def random_state(rng):
@@ -41,10 +42,10 @@ def closed_form_eigs(state):
 
 class TestValidate:
     def test_maximally_mixed_is_valid(self):
-        assert violation(MAXIMALLY_MIXED.matrix) is None
+        assert violation(MIXED) is None
 
     def test_classical_mixture_is_valid(self):
-        assert violation(QubitState.diagonal(0.9, 0.1).matrix) is None
+        assert violation(np.diag([0.9, 0.1])) is None
 
     def test_negative_eigenvalue_detected(self):
         name, size = violation(QubitState([[0.5, 0.6], [0.6, 0.5]]).matrix)
@@ -69,12 +70,12 @@ class TestVonNeumannEntropy:
         assert von_neumann_entropies(PLUS.matrix) == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_ln2(self):
-        assert von_neumann_entropies(MAXIMALLY_MIXED.matrix) == pytest.approx(LN2, abs=1e-12)
+        assert von_neumann_entropies(MIXED) == pytest.approx(LN2, abs=1e-12)
 
     def test_classical_mixture_binary_entropy(self):
         # H(0.9) evaluated directly
         expected = -(0.9 * math.log(0.9) + 0.1 * math.log(0.1))
-        got = von_neumann_entropies(QubitState.diagonal(0.9, 0.1).matrix)
+        got = von_neumann_entropies(np.diag([0.9, 0.1]))
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.325083, abs=1e-6)
 
@@ -98,12 +99,12 @@ class TestRelativeEntropy:
 
     def test_pure_vs_diagonal(self):
         expected = -(0.5 * math.log(0.9) + 0.5 * math.log(0.1))
-        got = relative_entropy(PLUS, QubitState.diagonal(0.9, 0.1))
+        got = relative_entropy(PLUS, QubitState(np.diag([0.9, 0.1])))
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(1.203973, abs=1e-6)
 
     def test_support_violation_infinite(self):
-        assert relative_entropy(MAXIMALLY_MIXED, QubitState.diagonal(1.0, 0.0)) == math.inf
+        assert relative_entropy(QubitState(MIXED), QubitState(np.diag([1.0, 0.0]))) == math.inf
 
     def test_support_match_on_pure_pair(self):
         assert relative_entropy(PLUS, PLUS) == pytest.approx(0.0, abs=1e-10)
@@ -149,11 +150,11 @@ class TestCrossTerms:
 
 class TestDephase:
     def test_plus_becomes_maximally_mixed(self):
-        assert QubitState(dephased(PLUS.matrix)).isclose(MAXIMALLY_MIXED)
+        assert np.allclose(dephased(PLUS.matrix), MIXED, atol=ATOL, rtol=0.0)
 
     def test_idempotent_on_diagonal(self):
-        state = QubitState.diagonal(0.3, 0.7)
-        assert QubitState(dephased(state.matrix)).isclose(state)
+        state = np.diag([0.3, 0.7])
+        assert np.allclose(dephased(state), state, atol=ATOL, rtol=0.0)
 
     def test_off_diagonals_exactly_zero(self):
         out = dephased(random_matrices(np.random.default_rng(15), 20))
@@ -162,8 +163,8 @@ class TestDephase:
         assert [violation(m) for m in out] == [None] * 20
 
     def test_evolved_state_dephases_to_populations(self):
-        state = QubitState([[0.7, 0.353553], [0.353553, 0.3]])
-        assert QubitState(dephased(state.matrix)).isclose(QubitState.diagonal(0.7, 0.3))
+        state = np.array([[0.7, 0.353553], [0.353553, 0.3]])
+        assert np.allclose(dephased(state), np.diag([0.7, 0.3]), atol=ATOL, rtol=0.0)
 
 
 class TestCoherenceMeasures:
@@ -171,10 +172,10 @@ class TestCoherenceMeasures:
         assert l1_coherence(PLUS.matrix) == pytest.approx(1.0, abs=1e-12)
 
     def test_l1_of_diagonal(self):
-        assert l1_coherence(QubitState.diagonal(0.2, 0.8).matrix) == 0.0
+        assert l1_coherence(np.diag([0.2, 0.8])) == 0.0
 
     def test_rel_entropy_coherence_diagonal_zero(self):
-        assert rel_entropy_coherences(QubitState.diagonal(0.4, 0.6).matrix) == pytest.approx(
+        assert rel_entropy_coherences(np.diag([0.4, 0.6])) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -207,7 +208,7 @@ class TestDecompositionIdentity:
         for _ in range(100):
             rho.append(random_state(rng).matrix)
             w = rng.uniform(0.05, 0.95)
-            sigma.append(QubitState.diagonal(w, 1.0 - w).matrix)
+            sigma.append(equilibrium_states(w))
         rho, sigma = np.array(rho), np.array(sigma)
         lhs = relative_entropies(rho, sigma)
         rhs = relative_entropies(dephased(rho), sigma) + rel_entropy_coherences(rho)
@@ -220,13 +221,11 @@ class TestFidelity:
         assert fidelity(rho, rho) == pytest.approx(np.ones(20), abs=1e-10)
 
     def test_orthogonal_pure_states(self):
-        h = QubitState.diagonal(1.0, 0.0)
-        v = QubitState.diagonal(0.0, 1.0)
-        assert fidelity(h.matrix, v.matrix) == pytest.approx(0.0, abs=1e-12)
+        h, v = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        assert fidelity(h, v) == pytest.approx(0.0, abs=1e-12)
 
     def test_mixed_vs_pure(self):
-        h = QubitState.diagonal(1.0, 0.0)
-        assert fidelity(MAXIMALLY_MIXED.matrix, h.matrix) == pytest.approx(0.5, abs=1e-12)
+        assert fidelity(MIXED, np.diag([1.0, 0.0])) == pytest.approx(0.5, abs=1e-12)
 
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(19)
@@ -237,6 +236,6 @@ class TestFidelity:
 
 
 def test_qubitstate_is_immutable():
-    state = QubitState.diagonal(0.5, 0.5)
+    state = QubitState(MIXED)
     with pytest.raises(ValueError):
         state.matrix[0, 0] = 2.0

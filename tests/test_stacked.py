@@ -101,7 +101,8 @@ def test_support_rule_at_p1(excited, phase):
     assert np.array_equal(np.isposinf(got), w > ATOL)
     finite = ~np.isinf(got)
     assert_close(got[finite], -qstate.von_neumann_entropies(rho[finite]), (finite.sum(),))
-    assert [qstate.relative_entropy(QubitState(m), QubitState.diagonal(1.0, 0.0)) == math.inf
+    ground = QubitState(channel.equilibrium_states(1.0))
+    assert [qstate.relative_entropy(QubitState(m), ground) == math.inf
             for m in rho] == list(w > ATOL)
 
 
@@ -124,6 +125,6 @@ def test_per_state_wrappers_return_python_floats_and_states():
     result = budget(PLUS, ch)
     floats = [result.total, result.population, result.coherence,
               qstate.relative_entropy(PLUS, eq), qstate.relative_entropy(final, eq),
-              qstate.relative_entropy(PLUS, QubitState.diagonal(1.0, 0.0))]
+              qstate.relative_entropy(PLUS, QubitState(channel.equilibrium_states(1.0)))]
     assert all(type(v) is float for v in floats)
     assert floats[5] == math.inf

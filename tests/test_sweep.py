@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import nearest_states
 
 import gadentropy
 from gadentropy import bloch, channel, check, cli, qstate, sweep
@@ -34,7 +35,7 @@ from gadentropy.sweep import (
     production_estimates,
     run_sweep,
 )
-from gadentropy.tomography import draw_frequencies, project_to_physical
+from gadentropy.tomography import draw_frequencies
 
 SMALL = dict(shots=500, n_bootstrap=5, seed=99, r_grid=(0.0, 0.5, 1.0))
 
@@ -553,6 +554,25 @@ class TestCli:
             for name in names:
                 operator.attrgetter(name)(sys.modules[f"gadentropy.{layer}"])
         assert callable(gadentropy.budget)
+        # ... and call them as bench calls them.  The worker's RK4 cases:
+        bath = channel.BathSpec(omega_s=1.0, temperature=1.0, gamma0=1.0)
+        for state in (channel.evolve_master_equation(bath, qstate.PLUS, 0.5),
+                      channel.apply(channel.channel_for(bath, 0.5), qstate.PLUS)):
+            assert state.matrix.shape == (2, 2) and np.isfinite(state.matrix).all()
+        # test_oracle's comparisons:
+        state = prepare(PrepSetting(alpha_for_coherence(0.6)))
+        ch = GadChannel(0.75, 0.3)
+        result = gadentropy.budget(state, ch)
+        assert math.isfinite(result.total + result.population + result.coherence)
+        assert math.isfinite(qstate.relative_entropy(state, channel.equilibrium_state(ch)))
+        assert channel.apply(ch, state).bloch_vector().shape == (3,)
+        ch = channel.channel_for(bath, 0.7)
+        assert (ch.p, ch.r) == (channel.p_from_temperature(bath), channel.r_from_time(bath, 0.7))
+        # PLUS keeps the bits of [1, 1] / ||[1, 1]|| squared (the RK4 matrices
+        # depend on them), and the per-state layer stays this small.
+        assert np.all(qstate.PLUS.matrix == (1 / math.sqrt(2)) ** 2)
+        assert {name for name in dir(QubitState) if not name.startswith("_")} == {
+            "from_bloch", "bloch_vector"}
 
     def test_config_keys_and_argv_the_benchmark_writes(self, tmp_path):
         # bench/run.py (build_spec) writes this grid config and these argv shapes.
@@ -580,14 +600,13 @@ class TestCli:
 
 class TestArrayPathMatchesStates:
     """The sweep's vectorized estimates against the 2x2 matrix reference: each
-    estimate projected with `project_to_physical`, all scored in one stack."""
+    estimate projected onto the Frobenius-nearest state by `eigh`
+    (`nearest_states`), all scored in one stack."""
 
     @staticmethod
     def per_state(initial, p, freqs, productions):
-        eq = QubitState.diagonal(p, 1.0 - p)
-        final = np.array([project_to_physical(QubitState.from_bloch(*v).matrix).matrix
-                          for v in bloch.invert(freqs)])
-        values = productions(initial.matrix, final, eq.matrix)
+        final = nearest_states(qstate.bloch_matrices(bloch.invert(freqs)))
+        values = productions(initial.matrix, final, channel.equilibrium_states(p))
         return float(values[0]), float(np.std(values[1:], ddof=1))
 
     @pytest.mark.parametrize("shots", [50, 10_000])

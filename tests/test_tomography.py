@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import fidelity, violation
+from conftest import fidelity, nearest_states, violation
 
 from gadentropy import bloch
-from gadentropy.qstate import MAXIMALLY_MIXED, PLUS, QubitState, bloch_matrices
-from gadentropy.tomography import draw_frequencies, project_to_physical
+from gadentropy.qstate import ATOL, PLUS, QubitState, bloch_matrices, bloch_vectors
+from gadentropy.tomography import draw_frequencies
+
+MIXED = np.eye(2) / 2
 
 
 def random_state(rng):
@@ -23,7 +25,7 @@ def reconstruct(state, shots, seed, n_bootstrap):
 
 class TestProjectorProbabilities:
     def test_maximally_mixed(self):
-        assert np.allclose(bloch.born_probabilities(MAXIMALLY_MIXED.bloch_vector()), 0.5)
+        assert np.allclose(bloch.born_probabilities(bloch_vectors(MIXED)), 0.5)
 
     def test_plus_state(self):
         assert np.allclose(
@@ -37,7 +39,8 @@ class TestProjectorProbabilities:
         assert np.allclose(bloch.born_probabilities(state.bloch_vector()), expected, atol=1e-12)
 
     def test_r_basis_reads_imaginary_part(self):
-        right = QubitState.pure([1.0, 1j])
+        ket = np.array([1.0, 1j]) / math.sqrt(2.0)
+        right = QubitState(np.outer(ket, ket.conj()))
         probs = bloch.born_probabilities(right.bloch_vector())
         assert probs[2] == pytest.approx(1.0, abs=1e-12)
 
@@ -53,8 +56,7 @@ class TestSimulateCounts:
     """The observed run of `draw_frequencies` (index 0): one binomial draw per basis."""
 
     def test_certain_outcomes(self):
-        ground = QubitState.diagonal(1.0, 0.0)
-        probs = bloch.born_probabilities(ground.bloch_vector())
+        probs = bloch.born_probabilities(bloch_vectors(np.diag([1.0, 0.0])))
         observed = draw_frequencies(probs, 1000, 5, 2)[0]
         assert observed[0] == 1.0  # p_H = 1
         assert observed[1] == 0.0  # p_V = 0
@@ -75,7 +77,7 @@ class TestSimulateCounts:
 class TestLinearInversion:
     def test_exact_frequencies_identity(self):
         m = QubitState.from_bloch(*bloch.invert([0.5, 0.5, 0.5, 0.5])).matrix
-        assert np.allclose(m, MAXIMALLY_MIXED.matrix, atol=1e-15)
+        assert np.allclose(m, MIXED, atol=1e-15)
 
     def test_exact_frequencies_plus(self):
         m = QubitState.from_bloch(*bloch.invert([0.5, 0.5, 0.5, 1.0])).matrix
@@ -92,42 +94,49 @@ class TestLinearInversion:
         rng = np.random.default_rng(42)
         for _ in range(100):
             state = random_state(rng)
-            probs = bloch.born_probabilities(state.bloch_vector())
-            recon = project_to_physical(QubitState.from_bloch(*bloch.invert(probs)).matrix)
-            assert np.max(np.abs(recon.matrix - state.matrix)) < 1e-12
+            inverted = bloch.invert(bloch.born_probabilities(state.bloch_vector()))
+            for recon in (bloch_matrices(bloch.project(inverted)),
+                          nearest_states(bloch_matrices(inverted))):
+                assert np.max(np.abs(recon - state.matrix)) < 1e-12
 
 
 class TestProjectToPhysical:
+    """`bloch.project`, the sweep's radial projection, against the
+    Frobenius-nearest state found by `eigh` (`nearest_states`)."""
+
     def test_physical_input_unchanged(self):
-        m = np.array(MAXIMALLY_MIXED.matrix)
-        assert project_to_physical(m).isclose(MAXIMALLY_MIXED)
+        rng = np.random.default_rng(44)
+        inside = np.concatenate([np.zeros((1, 3)), [PLUS.bloch_vector()],
+                                 [random_state(rng).bloch_vector() for _ in range(20)]])
+        assert np.array_equal(bloch.project(inside), inside)
+        m = bloch_matrices(inside)
+        assert np.allclose(nearest_states(m), m, atol=ATOL, rtol=0.0)
 
     def test_overlong_x_axis(self):
         m = 0.5 * np.array([[1.0, 1.2], [1.2, 1.0]], dtype=complex)
-        out = project_to_physical(m)
-        assert out.isclose(PLUS)
+        out = bloch_matrices(bloch.project(bloch_vectors(m)))
+        assert np.allclose(out, PLUS.matrix, atol=ATOL, rtol=0.0)
+        assert np.allclose(out, nearest_states(m), atol=ATOL, rtol=0.0)
 
     def test_general_direction_rescaled(self):
-        m = QubitState.from_bloch(0.6, 0.8, 0.6).matrix  # length > 1
-        out = project_to_physical(np.array(m))
-        v = out.bloch_vector()
+        overlong = np.array([0.6, 0.8, 0.6])  # length > 1
+        v = bloch.project(overlong)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(v / np.linalg.norm(v), np.array([0.6, 0.8, 0.6]) / np.linalg.norm([0.6, 0.8, 0.6]))
-        assert np.linalg.eigvalsh(out.matrix)[0] == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(v / np.linalg.norm(v), overlong / np.linalg.norm(overlong))
+        out = bloch_matrices(v)
+        assert np.linalg.eigvalsh(out)[0] == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(out, nearest_states(bloch_matrices(overlong)), atol=ATOL, rtol=0.0)
 
     def test_idempotent(self):
         rng = np.random.default_rng(43)
         for _ in range(50):
-            v = rng.normal(size=3) * 1.5
-            m = QubitState.from_bloch(*v).matrix
-            once = project_to_physical(np.array(m))
-            twice = project_to_physical(np.array(once.matrix))
-            assert once.isclose(twice)
+            once = bloch.project(rng.normal(size=3) * 1.5)
+            assert np.allclose(bloch.project(once), once, atol=ATOL, rtol=0.0)
 
 
 class TestReconstructWithErrors:
     def test_convergence_at_large_shots(self):
-        states = [PLUS, MAXIMALLY_MIXED, QubitState([[0.7, 0.353553], [0.353553, 0.3]])]
+        states = [PLUS, QubitState(MIXED), QubitState([[0.7, 0.353553], [0.353553, 0.3]])]
         for i, state in enumerate(states):
             estimate = bloch_matrices(reconstruct(state, 100_000, 100 + i, 2)[0])
             assert fidelity(estimate, state.matrix) >= 0.999
