@@ -6,10 +6,10 @@ the population part is the same drop computed on dephased states, and the
 coherence part is the drop in relative entropy of coherence.  The three are
 additive: total = population + coherence.
 
-`total_productions`, `population_productions`, `coherence_productions` and
-`productions` give the raw signed values on stacked (..., 2, 2) density
-matrices; `budget` scores one state with the strict rules (clamp of
-round-off negatives, errors on inf - inf and on negativity).
+`productions` applies the channel to stacked (..., 2, 2) density matrices
+and gives the three raw signed values from one spectrum per state; `budget`
+scores one state with it and applies the strict rules (clamp of round-off
+negatives, errors on inf - inf and on negativity).
 """
 
 from __future__ import annotations
@@ -20,10 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import GadChannel, apply_kraus, equilibrium_states
-from .qstate import (
-    QubitState, cross_terms, dephased, rel_entropy_coherences, relative_entropies,
-    von_neumann_entropies,
-)
+from .qstate import QubitState, cross_terms, dephased, von_neumann_entropies
 
 # Values in [-NEG_FLOOR, 0) are floating-point noise and clamp to 0; anything
 # more negative is a genuine positivity violation.
@@ -46,25 +43,6 @@ class EntropyBudget:
     total: float
     population: float
     coherence: float
-
-
-def total_productions(initial, final, eq) -> np.ndarray:
-    """Raw signed Sigma = D(initial || eq) - D(final || eq) of stacked
-    (..., 2, 2) density matrices: +inf where only D(initial || eq) is
-    infinite, -inf where only D(final || eq) is, and nan where both are."""
-    with np.errstate(invalid="ignore"):  # inf - inf is the indeterminate nan
-        return relative_entropies(initial, eq) - relative_entropies(final, eq)
-
-
-def population_productions(initial, final, eq) -> np.ndarray:
-    """Raw signed Sigma_pop: `total_productions` of the dephased states."""
-    return total_productions(dephased(initial), dephased(final), eq)
-
-
-def coherence_productions(initial, final) -> np.ndarray:
-    """Raw signed Sigma_coh = C(initial) - C(final) of stacked (..., 2, 2)
-    density matrices, C the relative entropy of coherence."""
-    return rel_entropy_coherences(initial) - rel_entropy_coherences(final)
 
 
 def productions(initial, p, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

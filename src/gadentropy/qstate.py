@@ -6,9 +6,10 @@ index 1 = excited = |V>.  All entropies are in nats.
 The entropies and dephasing act on stacked complex arrays of shape
 (..., 2, 2) (`bloch_matrices` and its inverse `bloch_vectors`, `dephased`,
 `von_neumann_entropies`, `relative_entropies` and its tr(rho ln sigma) part
-`cross_terms`, `rel_entropy_coherences`), computed with batched
-`eigvalsh`/`eigh`; `cross_terms` takes the weights of rho on sigma's
-eigenvectors in one batched matmul.  `QubitState` holds one such matrix, and
+`cross_terms`), computed with batched `eigvalsh`/`eigh`; `cross_terms` takes
+the weights of rho on sigma's eigenvectors in one batched matmul.  The
+relative entropy of coherence, S(dephased(rho)) - S(rho), is scored only
+inside `budget.productions`.  `QubitState` holds one such matrix, and
 `relative_entropy` scores a pair of them as a Python float.
 """
 
@@ -112,11 +113,6 @@ def cross_terms(rho, sigma_eigs, sigma_vecs) -> np.ndarray:
 def dephased(rho) -> np.ndarray:
     """Stacked (..., 2, 2) matrices with their off-diagonal elements removed."""
     return rho * np.eye(2)
-
-
-def rel_entropy_coherences(rho) -> np.ndarray:
-    """C(rho) = S(dephased(rho)) - S(rho) of stacked (..., 2, 2) density matrices."""
-    return von_neumann_entropies(dephased(rho)) - von_neumann_entropies(rho)
 
 
 def relative_entropy(rho: QubitState, sigma: QubitState) -> float:

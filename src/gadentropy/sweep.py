@@ -72,6 +72,8 @@ class SweepConfig:
             raise ConfigError(f"n_bootstrap must be >= 2, got {self.n_bootstrap}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if isinstance(self.r_grid, int) and self.r_grid < 2:
+            raise ConfigError(f"a uniform r grid needs at least 2 points, got {self.r_grid}")
         points = self.r_grid if isinstance(self.r_grid, int) else len(self.r_grid)
         rows = len(self.p_values) * len(self.alphas) * points
         if rows * (1 + self.n_bootstrap) > MAX_RUNS:

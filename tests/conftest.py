@@ -5,13 +5,15 @@ deadline, so a slow host neither changes nor fails a test.  `violation`,
 `l1_coherence` and `fidelity` are test-side measures of 2x2 density matrices
 that the package itself does not need; `random_density_matrices` draws
 stacks of them; `nearest_states` projects them onto the valid states by `eigh`,
-the reference for the sweep's radial projection; `relative_entropy_to_thermal`
+the reference for the sweep's radial projection; `coherences` takes their
+relative entropy of coherence from `productions`; `relative_entropy_to_thermal`
 scores Bloch vectors with the sweep's closed form."""
 
 import numpy as np
 from hypothesis import settings
 
 from gadentropy import bloch
+from gadentropy.budget import productions
 from gadentropy.qstate import ATOL
 
 settings.register_profile("gadentropy", derandomize=True, deadline=None)
@@ -63,6 +65,13 @@ def nearest_states(m):
     shift = np.where(high - low < 1.0, 0.5 * (low + high - 1.0), high - 1.0)
     eigs = np.maximum(eigs - shift[..., None], 0.0)
     return (vecs * eigs[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
+def coherences(rho):
+    """C(rho) = S(dephased(rho)) - S(rho) of stacked (..., 2, 2) matrices: the
+    coherence production of a full decay (r = 1), whose final state is diagonal
+    and so has C = 0."""
+    return productions(rho, 0.5, 1.0)[2]
 
 
 def relative_entropy_to_thermal(b, p):

@@ -8,7 +8,7 @@ import pytest
 from conftest import fidelity
 
 from gadentropy import bloch, cli
-from gadentropy.budget import budget, total_productions
+from gadentropy.budget import budget
 from gadentropy.channel import (
     BathSpec,
     GadChannel,
@@ -19,7 +19,13 @@ from gadentropy.channel import (
     kraus_stack,
 )
 from gadentropy.prep import PrepSetting, alpha_for_coherence, prepare
-from gadentropy.qstate import PLUS, QubitState, bloch_matrices, relative_entropy
+from gadentropy.qstate import (
+    PLUS,
+    QubitState,
+    bloch_matrices,
+    relative_entropies,
+    relative_entropy,
+)
 from gadentropy.tomography import draw_frequencies
 
 P_GRID_11 = np.linspace(0.5, 1.0, 11)
@@ -209,7 +215,8 @@ def test_criterion_8_tomography_fidelity():
     sigma_true = budget(PLUS, ch).total
     # (200 trials, run + 200 resamples), scored in one stack.
     runs = np.array([_reconstruct(evolved, 10_000, seed, 200) for seed in range(200)])
-    sigma = total_productions(PLUS.matrix, bloch_matrices(runs), equilibrium_state(ch).matrix)
+    eq = equilibrium_state(ch).matrix
+    sigma = relative_entropies(PLUS.matrix, eq) - relative_entropies(bloch_matrices(runs), eq)
     stderr = np.std(sigma[:, 1:], axis=1, ddof=1)
     covered = int(np.sum(np.abs(sigma[:, 0] - sigma_true) <= 3.0 * stderr))
     ok = mean_fid >= 0.999 and covered >= 190

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import nearest_states, relative_entropy_to_thermal
+from conftest import coherences, nearest_states, relative_entropy_to_thermal
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -14,7 +14,6 @@ from gadentropy.channel import GadChannel, apply, equilibrium_states
 from gadentropy.qstate import (
     QubitState,
     bloch_matrices,
-    rel_entropy_coherences,
     relative_entropies,
     von_neumann_entropies,
 )
@@ -56,7 +55,7 @@ def test_entropy_matches_eigh(vectors):
 
 
 def test_coherence_matches_eigh(vectors):
-    want = rel_entropy_coherences(bloch_matrices(vectors))
+    want = coherences(bloch_matrices(vectors))
     assert np.max(np.abs(bloch.coherence(vectors) - want)) < TOL
 
 
@@ -145,7 +144,7 @@ def test_entropies_match_eigh_anywhere_in_the_ball(b, p):
     rho = bloch_matrices(b)
     assert close(relative_entropy_to_thermal(b, p),
                  float(relative_entropies(rho, equilibrium_states(p))))
-    assert close(bloch.coherence(b), rel_entropy_coherences(rho))
+    assert close(bloch.coherence(b), coherences(rho))
 
 
 @given(BALL, WEIGHT, STRENGTH)

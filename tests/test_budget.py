@@ -10,18 +10,14 @@ from gadentropy.budget import (
     IndeterminateEntropyError,
     _checked,
     budget,
-    coherence_productions,
-    population_productions,
     productions,
-    total_productions,
 )
-from gadentropy.channel import GadChannel, apply, apply_kraus, equilibrium_states
+from gadentropy.channel import GadChannel, apply_kraus, equilibrium_states
 from gadentropy.prep import PrepSetting, prepare
-from gadentropy.qstate import PLUS, QubitState, dephased
+from gadentropy.qstate import PLUS, QubitState, dephased, relative_entropies, von_neumann_entropies
 
 LN2 = math.log(2.0)
 EQ_09 = QubitState(np.diag([0.9, 0.1])).matrix
-GROUND = QubitState(np.diag([1.0, 0.0])).matrix
 MIXED = QubitState(np.eye(2) / 2).matrix
 
 # Frozen oracle values at (alpha=0, p=0.9, r=1): computed from the
@@ -31,37 +27,34 @@ SIGMA_POP_ANCHOR = 0.5108256237659907
 
 
 class TestTotalProduction:
-    """The raw signed productions, and the strict rules `budget` applies to them."""
+    """The raw signed total production, and the strict rules `budget` applies to it."""
 
     def test_no_evolution_no_production(self):
-        assert total_productions(PLUS.matrix, PLUS.matrix, EQ_09) == pytest.approx(0.0, abs=1e-10)
+        assert productions(PLUS.matrix, 0.9, 0.0)[0] == pytest.approx(0.0, abs=1e-10)
 
     def test_full_decay_anchor(self):
-        got = total_productions(PLUS.matrix, EQ_09, EQ_09)
+        got = productions(PLUS.matrix, 0.9, 1.0)[0]
         assert got == pytest.approx(SIGMA_TOTAL_ANCHOR, abs=1e-12)
 
     def test_already_at_equilibrium(self):
-        assert total_productions(MIXED, MIXED, MIXED) == pytest.approx(0.0, abs=1e-12)
+        assert productions(MIXED, 0.5, 0.7)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_infinite_when_only_initial_diverges(self):
-        assert total_productions(MIXED, GROUND, GROUND) == math.inf
+        # At p = 1, r = 1 the mixed state decays to the ground state.
+        assert productions(MIXED, 1.0, 1.0)[0] == math.inf
 
     def test_indeterminate_when_both_diverge(self):
-        raw = total_productions(MIXED, MIXED, GROUND)
+        raw = productions(MIXED, 1.0, 0.0)[0]
         assert math.isnan(raw)
         with pytest.raises(IndeterminateEntropyError):
             _checked(raw, "total")
 
     def test_large_negative_raises(self):
-        # A drop below -NEG_FLOOR, and a drop to -inf (only the final state diverges).
-        drop_to_inf = total_productions(GROUND, MIXED, GROUND)
-        assert drop_to_inf == -math.inf
-        for raw in (total_productions(EQ_09, PLUS.matrix, EQ_09), drop_to_inf):
+        # A drop below -NEG_FLOOR, and a drop to -inf (only the final state
+        # diverges); no channel gives either, so the raw values are literal.
+        for raw in (-2.0 * NEG_FLOOR, -SIGMA_TOTAL_ANCHOR, -math.inf):
             with pytest.raises(EntropyConsistencyError):
                 _checked(raw, "total")
-
-    def test_unclamped_allows_negative(self):
-        assert total_productions(EQ_09, PLUS.matrix, EQ_09) < 0.0
 
     def test_round_off_negative_clamps_to_zero(self):
         got = [_checked(raw, "total") for raw in (-NEG_FLOOR, -1e-12)]
@@ -71,45 +64,46 @@ class TestTotalProduction:
 
 class TestPopulationProduction:
     def test_diagonal_fixed(self):
-        assert population_productions(EQ_09, EQ_09, EQ_09) == pytest.approx(0.0, abs=1e-12)
+        assert productions(EQ_09, 0.9, 0.5)[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_full_decay_anchor(self):
-        got = population_productions(PLUS.matrix, EQ_09, EQ_09)
+        got = productions(PLUS.matrix, 0.9, 1.0)[1]
         assert got == pytest.approx(SIGMA_POP_ANCHOR, abs=1e-12)
 
     def test_populations_starting_at_equilibrium(self):
         # dephased(initial) = eq, so the population part vanishes for any r
         c = 0.2
-        initial = QubitState([[0.9, c], [c, 0.1]])
-        final = np.array([apply(GadChannel(0.9, r), initial).matrix for r in (0.2, 0.5, 1.0)])
-        assert population_productions(initial.matrix, final, EQ_09) == pytest.approx(
+        initial = np.array([[0.9, c], [c, 0.1]], dtype=complex)
+        assert productions(initial, 0.9, np.array([0.2, 0.5, 1.0]))[1] == pytest.approx(
             np.zeros(3), abs=1e-10
         )
 
 
 class TestCoherenceProduction:
     def test_diagonal_initial_no_coherence(self):
-        final = apply(GadChannel(0.9, 0.5), QubitState(EQ_09))
-        assert coherence_productions(EQ_09, final.matrix) == 0.0
+        assert productions(EQ_09, 0.9, 0.5)[2] == 0.0
 
     def test_full_decay_of_plus(self):
-        assert coherence_productions(PLUS.matrix, EQ_09) == pytest.approx(LN2, abs=1e-12)
+        assert productions(PLUS.matrix, 0.9, 1.0)[2] == pytest.approx(LN2, abs=1e-12)
 
     def test_partial_decay_closed_form(self):
+        # PLUS at p = 0.9, r = 0.5 decays to [[0.7, c], [c, 0.3]].
         c = math.sqrt(0.5) / 2.0
-        final = np.array([[0.7, c], [c, 0.3]], dtype=complex)
+        assert np.allclose(apply_kraus(PLUS.matrix, 0.9, 0.5), [[0.7, c], [c, 0.3]],
+                           atol=1e-12, rtol=0.0)
         gap = math.sqrt(0.04 + c * c)
         s_final = -sum(l * math.log(l) for l in (0.5 - gap, 0.5 + gap))
         s_pops = -(0.7 * math.log(0.7) + 0.3 * math.log(0.3))
         expected = LN2 - (s_pops - s_final)
-        got = coherence_productions(PLUS.matrix, final)
+        got = productions(PLUS.matrix, 0.9, 0.5)[2]
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.3935211, abs=1e-6)
 
 
 class TestProductions:
     """`productions` takes one spectrum per state and one `eigh` of the
-    equilibrium; the three separate functions score each term on its own."""
+    equilibrium; here each term is scored on its own, from `relative_entropies`
+    and `von_neumann_entropies` of the initial and final states."""
 
     @pytest.mark.parametrize("rho_shape", [(60,), (9, 1, 1)], ids=["paired", "stack-on-grid"])
     def test_matches_the_separate_productions(self, rho_shape):
@@ -124,8 +118,16 @@ class TestProductions:
             p, r = np.meshgrid(np.linspace(0.5, 1.0, 11), np.linspace(0.0, 1.0, 11),
                                indexing="ij")
         final, eq = apply_kraus(initial, p, r), equilibrium_states(p)
-        want = (total_productions(initial, final, eq), population_productions(initial, final, eq),
-                coherence_productions(initial, final))
+
+        def drop(a, b):
+            with np.errstate(invalid="ignore"):  # inf - inf is the indeterminate nan
+                return relative_entropies(a, eq) - relative_entropies(b, eq)
+
+        def coherence(rho):
+            return von_neumann_entropies(dephased(rho)) - von_neumann_entropies(rho)
+
+        want = (drop(initial, final), drop(dephased(initial), dephased(final)),
+                coherence(initial) - coherence(final))
         got = productions(initial, p, r)
         shape = np.broadcast_shapes(rho_shape, p.shape)
         for g, w in zip(got, want):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import fidelity, l1_coherence, random_density_matrices, violation
+from conftest import coherences, fidelity, l1_coherence, random_density_matrices, violation
 
 from gadentropy.channel import equilibrium_states
 from gadentropy.qstate import (
@@ -11,7 +11,6 @@ from gadentropy.qstate import (
     QubitState,
     cross_terms,
     dephased,
-    rel_entropy_coherences,
     relative_entropies,
     relative_entropy,
     von_neumann_entropies,
@@ -175,12 +174,10 @@ class TestCoherenceMeasures:
         assert l1_coherence(np.diag([0.2, 0.8])) == 0.0
 
     def test_rel_entropy_coherence_diagonal_zero(self):
-        assert rel_entropy_coherences(np.diag([0.4, 0.6])) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        assert coherences(np.diag([0.4, 0.6])) == pytest.approx(0.0, abs=1e-12)
 
     def test_rel_entropy_coherence_of_plus(self):
-        assert rel_entropy_coherences(PLUS.matrix) == pytest.approx(LN2, abs=1e-12)
+        assert coherences(PLUS.matrix) == pytest.approx(LN2, abs=1e-12)
 
     def test_rel_entropy_coherence_closed_form(self):
         # eigenvalues 0.5 +- sqrt(0.165) for the p=0.9, r=0.5 evolved state
@@ -191,12 +188,12 @@ class TestCoherenceMeasures:
         for lam in (0.5 - gap, 0.5 + gap):
             s_rho -= lam * math.log(lam)
         expected = -(0.7 * math.log(0.7) + 0.3 * math.log(0.3)) - s_rho
-        got = rel_entropy_coherences(state.matrix)
+        got = coherences(state.matrix)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.2996261, abs=1e-6)
 
     def test_dephasing_never_lowers_entropy(self):
-        c = rel_entropy_coherences(random_matrices(np.random.default_rng(16), 100))
+        c = coherences(random_matrices(np.random.default_rng(16), 100))
         assert np.all(c >= -1e-12)
 
 
@@ -211,7 +208,7 @@ class TestDecompositionIdentity:
             sigma.append(equilibrium_states(w))
         rho, sigma = np.array(rho), np.array(sigma)
         lhs = relative_entropies(rho, sigma)
-        rhs = relative_entropies(dephased(rho), sigma) + rel_entropy_coherences(rho)
+        rhs = relative_entropies(dephased(rho), sigma) + coherences(rho)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import relative_entropy_to_thermal
+from conftest import coherences, relative_entropy_to_thermal
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -61,7 +61,7 @@ def test_stacked_entropies_match_the_closed_forms(case):
     rho = qstate.bloch_matrices(b)
     assert_close(rho, pauli_matrices(b), b.shape[:-1] + (2, 2))
     assert_close(qstate.von_neumann_entropies(rho), bloch.entropy(b), p.shape)
-    assert_close(qstate.rel_entropy_coherences(rho), bloch.coherence(b), p.shape)
+    assert_close(coherences(rho), bloch.coherence(b), p.shape)
     eq = channel.equilibrium_states(p)
     assert_close(qstate.relative_entropies(rho, eq), relative_entropy_to_thermal(b, p),
                  p.shape)

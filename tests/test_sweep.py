@@ -17,7 +17,6 @@ from conftest import nearest_states
 import gadentropy
 from gadentropy import bloch, channel, check, cli, qstate, sweep
 from gadentropy.budget import budget as entropy_budget
-from gadentropy.budget import population_productions, total_productions
 from gadentropy.check import run_property_suite
 from gadentropy.channel import GadChannel, apply
 from gadentropy.prep import PrepSetting, alpha_for_coherence, prepare
@@ -59,6 +58,11 @@ class TestConfig:
     def test_bad_r_grid_rejected(self):
         with pytest.raises(ConfigError):
             SweepConfig(r_grid=(0.0, 1.5))
+
+    @pytest.mark.parametrize("points", [-1, 0, 1, True])
+    def test_r_grid_count_below_two_rejected(self, points):
+        with pytest.raises(ConfigError, match="at least 2 points"):
+            SweepConfig(r_grid=points)
 
     def test_degrees_units(self, tmp_path):
         path = tmp_path / "deg.cfg"
@@ -601,12 +605,16 @@ class TestCli:
 class TestArrayPathMatchesStates:
     """The sweep's vectorized estimates against the 2x2 matrix reference: each
     estimate projected onto the Frobenius-nearest state by `eigh`
-    (`nearest_states`), all scored in one stack."""
+    (`nearest_states`), all scored in one stack as D(initial || eq) -
+    D(estimate || eq), of the dephased states for the population part."""
 
     @staticmethod
-    def per_state(initial, p, freqs, productions):
-        final = nearest_states(qstate.bloch_matrices(bloch.invert(freqs)))
-        values = productions(initial.matrix, final, channel.equilibrium_states(p))
+    def per_state(initial, p, freqs, population):
+        initial, final = initial.matrix, nearest_states(qstate.bloch_matrices(bloch.invert(freqs)))
+        if population:
+            initial, final = qstate.dephased(initial), qstate.dephased(final)
+        eq = channel.equilibrium_states(p)
+        values = qstate.relative_entropies(initial, eq) - qstate.relative_entropies(final, eq)
         return float(values[0]), float(np.std(values[1:], ddof=1))
 
     @pytest.mark.parametrize("shots", [50, 10_000])
@@ -616,16 +624,13 @@ class TestArrayPathMatchesStates:
         r = rng.uniform(0.0, 1.0, size=12)
         coherent = np.zeros((12, 3))
         coherent[:, 0] = rng.uniform(-1.0, 1.0, size=12)
-        for initial, population, productions in (
-            (coherent, False, total_productions),
-            (np.zeros_like(coherent), True, population_productions),
-        ):
+        for initial, population in ((coherent, False), (np.zeros_like(coherent), True)):
             probs = bloch.born_probabilities(bloch.gad(initial, p, r))
             freqs = np.array([draw_frequencies(q, shots, 7 + k, 40) for k, q in enumerate(probs)])
             point, stderr, _ = production_estimates(initial, p, freqs, population)
             for k in range(12):
                 want = self.per_state(QubitState.from_bloch(*initial[k]), p[k], freqs[k],
-                                      productions)
+                                      population)
                 assert point[k] == pytest.approx(want[0], abs=1e-12)
                 assert stderr[k] == pytest.approx(want[1], abs=1e-12)
 
@@ -637,17 +642,16 @@ class TestArrayPathMatchesStates:
         rows = [row for row in run_sweep(cfg) if not row.indeterminate]
         assert len(rows) == 18
         experiments = (
-            (1, lambda row: prepare(PrepSetting(math.radians(row.alpha_deg))), total_productions),
-            (2, lambda row: QubitState(qstate.dephased(prepare(PrepSetting(0.0)).matrix)),
-             population_productions),
+            (1, lambda row: prepare(PrepSetting(math.radians(row.alpha_deg))), False),
+            (2, lambda row: QubitState(qstate.dephased(prepare(PrepSetting(0.0)).matrix)), True),
         )
         got = [[] for _ in rows]
-        for e, initial, productions in experiments:
+        for e, initial, population in experiments:
             probs = [bloch.born_probabilities(
                 apply(GadChannel(row.p, row.r), initial(row)).bloch_vector()) for row in rows]
             freqs = draw_frequencies(np.array(probs), cfg.shots, (cfg.seed, e), cfg.n_bootstrap)
             for k, row in enumerate(rows):
-                got[k] += self.per_state(initial(row), row.p, freqs[k], productions)
+                got[k] += self.per_state(initial(row), row.p, freqs[k], population)
         for row, values in zip(rows, got):
             want = (row.sigma_total_tomo, row.sigma_total_tomo_stderr,
                     row.sigma_pop_tomo, row.sigma_pop_tomo_stderr)
