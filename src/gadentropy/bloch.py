@@ -1,13 +1,13 @@
 """Closed-form single-qubit quantities on stacked Bloch vectors.
 
-Every function takes Bloch vectors b = (x, y, z) as a float array of shape
-(..., 3), with rho = (I + x X + y Y + z Z) / 2, and broadcasts over the
+Bloch vectors b = (x, y, z) are float arrays of shape (..., 3), with
+rho = (I + x X + y Y + z Z) / 2, and every function broadcasts over the
 leading axes.  Index 0 is the ground state |H>, so rho_00 = (1 + z) / 2.  The
-eigenvalues of rho are (1 +- |b|) / 2, so each entropy is a function of |b|
-and z alone.  Entropies are in nats.  The 2x2 density-matrix code in
-`qstate` (eigh) and `channel` (Kraus operators) computes the same quantities
-by other means and serves as their reference; the tests hold `project` to the
-Frobenius-nearest state found by `eigh`.
+eigenvalues of rho are (1 +- |b|) / 2, so the entropy functions take a state
+as its length |b| and z alone.  Entropies are in nats.  The 2x2 matrix code
+in `qstate` (eigh) and `channel` (Kraus operators) computes the same
+quantities by other means and serves as their reference; the tests hold the
+sweeps' scorer `production` to it, projection into the Bloch ball included.
 """
 
 from __future__ import annotations
@@ -40,16 +40,10 @@ def born_probabilities(b) -> np.ndarray:
 def invert(freqs) -> np.ndarray:
     """Linear inversion of (f_H, f_V, f_R, f_D): b = (2 f_D - 1, 2 f_R - 1, f_H - f_V).
 
-    Shot noise can leave the result outside the unit ball; see `project`.
+    Shot noise can leave the result outside the unit ball; see `production`.
     """
     f_h, f_v, f_r, f_d = np.moveaxis(np.asarray(freqs, dtype=float), -1, 0)
     return np.stack([2.0 * f_d - 1.0, 2.0 * f_r - 1.0, f_h - f_v], axis=-1)
-
-
-def project(b) -> np.ndarray:
-    """Radial projection b / max(1, |b|): the Frobenius-nearest state."""
-    b = np.asarray(b, dtype=float)
-    return b / np.maximum(np.linalg.norm(b, axis=-1), 1.0)[..., None]
 
 
 def _entropy_of_length(length) -> np.ndarray:
@@ -58,14 +52,9 @@ def _entropy_of_length(length) -> np.ndarray:
     return -(low * np.log(np.where(low > 0.0, low, 1.0)) + high * np.log(high))
 
 
-def entropy(b) -> np.ndarray:
-    """Von Neumann entropy S(rho)."""
-    return _entropy_of_length(np.linalg.norm(b, axis=-1))
-
-
-def coherence(b) -> np.ndarray:
-    """Relative entropy of coherence S(dephase(rho)) - S(rho)."""
-    return _entropy_of_length(np.abs(np.asarray(b)[..., 2])) - entropy(b)
+def coherence(length, z) -> np.ndarray:
+    """Relative entropy of coherence S(dephase(rho)) - S(rho), of (|b|, z) = (length, z)."""
+    return _entropy_of_length(np.abs(z)) - _entropy_of_length(length)
 
 
 def relative_entropy_of_length(length, z, p) -> np.ndarray:
@@ -84,3 +73,20 @@ def relative_entropy_of_length(length, z, p) -> np.ndarray:
         cross.append(np.where(supported, weight * np.log(np.where(supported, thermal, 1.0)),
                               np.where(weight > ATOL, -np.inf, 0.0)))
     return -_entropy_of_length(length) - (cross[0] + cross[1])
+
+
+def production(initial, final, p, population: bool) -> np.ndarray:
+    """Entropy production D(initial || eq) - D(final || eq), eq = diag(p, 1 - p).
+
+    The states are (|b|, z) pairs, projected into the Bloch ball as
+    (min(1, |b|), z / max(1, |b|)), the radial projection to the
+    Frobenius-nearest state, then dephased to (|z|, z) when `population`.
+    Not finite at 1 - p <= ATOL, where the dephased initial state has D = +inf.
+    """
+    def divergence(length, z):
+        z = z / np.maximum(length, 1.0)
+        return relative_entropy_of_length(
+            np.abs(z) if population else np.minimum(length, 1.0), z, p)
+
+    with np.errstate(invalid="ignore"):
+        return divergence(*initial) - divergence(*final)

@@ -1,17 +1,17 @@
 """The property suite behind `gadentropy check`.
 
 Each row holds a documented invariant on a fixed grid or on seeded random
-cases.  The GAD map and the tomography round trip are evaluated with the
-`bloch` closed forms that the sweeps run, and compared with the 2x2
-density-matrix reference (Kraus operators, eigh entropies), which computes
-the same quantities independently.  Every row scores one stack: the grid rows
-run on (11, 11) p, r meshgrid arrays.  The random rows draw from one stdlib
-`random.Random(seed)`, in the order they are listed: each row takes all its
-uniforms in one `randbytes` call, maps them onto its cases with array
-arithmetic, and scores them in one call of the reference's stacked forms.
-Contractivity scores its states before and after the channel as one
-(2, 500) stack: one `eigvalsh`, and one `eigh` of the equilibria.
-`numpy.random` is never imported.
+cases.  The `bloch` closed forms that the sweeps run are checked: the GAD
+map against the 2x2 density-matrix reference (Kraus operators), which
+computes it independently, and the tomography round trip `invert` of
+`born_probabilities` against the states it starts from.  Every row scores
+one stack: the grid rows run on (11, 11) p, r meshgrid arrays.  The random
+rows draw from one stdlib `random.Random(seed)`, in the order they are
+listed: each row takes all its uniforms in one `randbytes` call, maps them
+onto its cases with array arithmetic, and scores them in one call of the
+reference's stacked forms.  Contractivity scores its states before and after
+the channel as one (2, 500) stack: one `eigvalsh`, and one `eigh` of the
+equilibria.  `numpy.random` is never imported.
 """
 
 from __future__ import annotations
@@ -124,9 +124,9 @@ def run_property_suite(seed: int) -> PropertyReport:
 
     def round_trip() -> tuple[bool, str]:
         # 3 x 200 uniforms for the states, through the Bloch tomography closed
-        # forms: Born probabilities, linear inversion, then `bloch.project`.
+        # forms: Born probabilities, then linear inversion.
         b = _ball(_uniforms(rng, (3, 200)))
-        return within(dev(bloch.project(bloch.invert(bloch.born_probabilities(b))), b))
+        return within(dev(bloch.invert(bloch.born_probabilities(b)), b))
 
     checks = (
         ("kraus completeness (11x11 grid)", completeness),

@@ -12,6 +12,7 @@ import dataclasses
 import io
 import json
 import math
+import numbers
 import os
 import platform
 from dataclasses import dataclass
@@ -65,6 +66,11 @@ class SweepConfig:
     def __post_init__(self):
         if self.scenario not in ("fig2", "fig3", "custom"):
             raise ConfigError(f"unknown scenario {self.scenario!r}")
+        for name in ("shots", "n_bootstrap", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         # numpy's binomial takes the shot count as a C long.
         if not 1 <= self.shots <= np.iinfo(np.int64).max:
             raise ConfigError(f"shots must be in [1, 2**63 - 1], got {self.shots}")
@@ -72,16 +78,20 @@ class SweepConfig:
             raise ConfigError(f"n_bootstrap must be >= 2, got {self.n_bootstrap}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if isinstance(self.r_grid, int) and self.r_grid < 2:
+        count = isinstance(self.r_grid, numbers.Integral)
+        if count and self.r_grid < 2:
             raise ConfigError(f"a uniform r grid needs at least 2 points, got {self.r_grid}")
-        points = self.r_grid if isinstance(self.r_grid, int) else len(self.r_grid)
+        if not count and np.ndim(self.r_grid) != 1:
+            raise ConfigError(f"r_grid must be a point count or a list of points, "
+                              f"got {self.r_grid!r}")
+        points = int(self.r_grid) if count else len(self.r_grid)
         rows = len(self.p_values) * len(self.alphas) * points
         if rows * (1 + self.n_bootstrap) > MAX_RUNS:
             raise ConfigError(f"{rows} grid rows x (1 + n_bootstrap = {self.n_bootstrap}) "
                               f"runs exceed the bound of {MAX_RUNS} runs per experiment")
-        if isinstance(self.r_grid, int):  # built only once the bound has passed
-            self.r_grid = tuple(np.linspace(0.0, 1.0, self.r_grid))
-        if not self.p_values or not self.alphas or not self.r_grid:
+        if count:  # built only once the bound has passed
+            self.r_grid = tuple(np.linspace(0.0, 1.0, points))
+        if min(len(self.p_values), len(self.alphas), len(self.r_grid)) == 0:
             raise ConfigError("p_values, alphas and r_grid must be non-empty")
         for name, (low, high) in _RANGES.items():
             _in_range(name, getattr(self, name), low, high)
@@ -198,35 +208,18 @@ _CSV_LINE = ",".join("%.12g" if SWEEP_DTYPE[name] == float else "%d"
 _CSV_BLOCK = 4096  # rows turned into Python values at a time while the CSV streams
 
 
-def _score(initial, final, p, population: bool) -> np.ndarray:
-    """Entropy production D(initial || eq) - D(final || eq), eq = diag(p, 1 - p).
-
-    The states are (|b|, z) pairs.  Each is projected into the Bloch ball as
-    (min(1, |b|), z / max(1, |b|)), `bloch.project` on |b| and z and the
-    identity inside the ball, then dephased to (|z|, z) when `population`.
-    Not finite at 1 - p <= ATOL, where the dephased initial state has D = +inf.
-    """
-    def divergence(length, z):
-        z = z / np.maximum(length, 1.0)
-        return bloch.relative_entropy_of_length(
-            np.abs(z) if population else np.minimum(length, 1.0), z, p)
-
-    with np.errstate(invalid="ignore"):
-        return divergence(*initial) - divergence(*final)
-
-
 def production_estimates(initial, p, freqs, population: bool):
     """Per-row (point, stderr, projected count) of a production.
 
     `freqs` (rows, 1 + n_bootstrap, 4) holds the observed run, then its
-    resamples.  Each is inverted and scored by `_score` from `initial`; its
-    length |b| is taken once, for the score and for the count of estimates
-    projected into the Bloch ball.  The stderr is the resamples' sample std.
+    resamples.  Each is inverted and scored by `bloch.production` from
+    `initial`; its length |b| is taken once, for the score and for the count
+    of estimates projected into the Bloch ball.  The stderr is the sample std.
     """
     estimate = bloch.invert(freqs)
     length = np.linalg.norm(estimate, axis=-1)
-    production = _score((np.linalg.norm(initial, axis=-1)[:, None], initial[:, None, 2]),
-                        (length, estimate[..., 2]), p[:, None], population)
+    start = (np.linalg.norm(initial, axis=-1)[:, None], initial[:, None, 2])
+    production = bloch.production(start, (length, estimate[..., 2]), p[:, None], population)
     return (production[:, 0], np.std(production[:, 1:], axis=1, ddof=1),
             np.sum(length > 1.0, axis=1))
 
@@ -249,7 +242,7 @@ def run_sweep(config: SweepConfig) -> np.recarray:
     coherent[:, 0] = np.array([prep.coherent_bloch_x(a) for a in config.alphas])[i_a]
     final = bloch.gad(coherent, p, r)
     ends = [(np.linalg.norm(b, axis=-1), b[:, 2]) for b in (coherent, final)]
-    total, population = (_score(*ends, p, dephased) for dephased in (False, True))
+    total, population = (bloch.production(*ends, p, dephased) for dephased in (False, True))
     det = np.isfinite(total) & np.isfinite(population)
 
     rows = np.zeros(p.size, SWEEP_DTYPE)
@@ -266,7 +259,7 @@ def run_sweep(config: SweepConfig) -> np.recarray:
             bloch.born_probabilities(bloch.gad(prepared, p_det, r_det)), config.shots,
             (config.seed, e), config.n_bootstrap), population=e == 2)
         for e, prepared in enumerate((initial, bloch.dephase(initial)), start=1))
-    coherence = bloch.coherence(coherent) - bloch.coherence(final)
+    coherence = bloch.coherence(*ends[0]) - bloch.coherence(*ends[1])
     for name, values in zip(CSV_COLUMNS[4:13], (
             *(np.maximum(v[det], 0.0) for v in (total, population, coherence)),
             tot, tot_err, pop, pop_err, tot - pop, np.hypot(tot_err, pop_err))):

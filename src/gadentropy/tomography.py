@@ -3,8 +3,8 @@
 Projection bases are H, V, R, D with |R> = (|H> + i|V>)/sqrt(2) and
 |D> = (|H> + |V>)/sqrt(2).  Counts are per-basis binomial draws, and error
 bars come from a parametric bootstrap at the observed frequencies.  The
-sweeps invert the drawn frequencies with `bloch.invert` and project them into
-the Bloch ball as `bloch.project` does.
+sweeps invert the drawn frequencies with `bloch.invert` and score them with
+`bloch.production`, which projects them into the Bloch ball.
 """
 
 from __future__ import annotations

@@ -5,16 +5,18 @@ deadline, so a slow host neither changes nor fails a test.  `violation`,
 `l1_coherence` and `fidelity` are test-side measures of 2x2 density matrices
 that the package itself does not need; `random_density_matrices` draws
 stacks of them; `nearest_states` projects them onto the valid states by `eigh`,
-the reference for the sweep's radial projection; `coherences` takes their
-relative entropy of coherence from `productions`; `relative_entropy_to_thermal`
-scores Bloch vectors with the sweep's closed form."""
+the reference for the sweep's radial projection, and `nearest_vectors` does the
+same to Bloch vectors; `coherences` takes their relative entropy of coherence
+from `productions`; `length_z` gives the (|b|, z) pairs that the `bloch`
+entropy functions take, and `relative_entropy_to_thermal` scores Bloch vectors
+with the sweep's closed form."""
 
 import numpy as np
 from hypothesis import settings
 
 from gadentropy import bloch
 from gadentropy.budget import productions
-from gadentropy.qstate import ATOL
+from gadentropy.qstate import ATOL, bloch_matrices, bloch_vectors
 
 settings.register_profile("gadentropy", derandomize=True, deadline=None)
 settings.load_profile("gadentropy")
@@ -67,6 +69,11 @@ def nearest_states(m):
     return (vecs * eigs[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
+def nearest_vectors(b):
+    """The Bloch vectors of the `nearest_states` to those of b, shape (..., 3)."""
+    return bloch_vectors(nearest_states(bloch_matrices(b)))
+
+
 def coherences(rho):
     """C(rho) = S(dephased(rho)) - S(rho) of stacked (..., 2, 2) matrices: the
     coherence production of a full decay (r = 1), whose final state is diagonal
@@ -74,8 +81,13 @@ def coherences(rho):
     return productions(rho, 0.5, 1.0)[2]
 
 
+def length_z(b):
+    """(|b|, z) of Bloch vectors b, shape (..., 3)."""
+    b = np.asarray(b, dtype=float)
+    return np.linalg.norm(b, axis=-1), b[..., 2]
+
+
 def relative_entropy_to_thermal(b, p):
     """D(rho || diag(p, 1 - p)) of Bloch vectors b, shape (..., 3), by
     `bloch.relative_entropy_of_length` on their length and z."""
-    b = np.asarray(b, dtype=float)
-    return bloch.relative_entropy_of_length(np.linalg.norm(b, axis=-1), b[..., 2], p)
+    return bloch.relative_entropy_of_length(*length_z(b), p)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import fidelity
+from conftest import fidelity, nearest_vectors
 
 from gadentropy import bloch, cli
 from gadentropy.budget import budget
@@ -34,9 +34,10 @@ ALPHA_GRID_9 = np.linspace(0.0, math.pi / 4.0, 9)
 
 
 def _reconstruct(state, shots, seed, n_bootstrap):
-    """The sweep's tomography of `state`: the run's Bloch vector, then its resamples'."""
+    """The tomography of `state`, projected into the ball by `eigh` as the
+    sweep's scorer does radially: the run's Bloch vector, then its resamples'."""
     probs = bloch.born_probabilities(state.bloch_vector())
-    return bloch.project(bloch.invert(draw_frequencies(probs, shots, seed, n_bootstrap)))
+    return nearest_vectors(bloch.invert(draw_frequencies(probs, shots, seed, n_bootstrap)))
 
 
 def _report(name, passed, detail):

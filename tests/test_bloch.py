@@ -1,11 +1,19 @@
 """The closed-form Bloch-array functions against the 2x2 density-matrix path
-(eigh entropies, Kraus map, eigh projection), which stays their reference."""
+(eigh entropies, Kraus map, eigh projection), which stays their reference.
+Fixture vectors outside the ball are put into it by the eigh projection
+(`nearest_vectors`) where a function needs a state."""
 
 import math
 
 import numpy as np
 import pytest
-from conftest import coherences, nearest_states, relative_entropy_to_thermal
+from conftest import (
+    coherences,
+    length_z,
+    nearest_states,
+    nearest_vectors,
+    relative_entropy_to_thermal,
+)
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -14,6 +22,7 @@ from gadentropy.channel import GadChannel, apply, equilibrium_states
 from gadentropy.qstate import (
     QubitState,
     bloch_matrices,
+    dephased,
     relative_entropies,
     von_neumann_entropies,
 )
@@ -50,13 +59,14 @@ def vectors(request):
 
 
 def test_entropy_matches_eigh(vectors):
+    # S(rho) = ln 2 - D(rho || I/2): the entropy inside the closed forms.
     want = von_neumann_entropies(bloch_matrices(vectors))
-    assert np.max(np.abs(bloch.entropy(vectors) - want)) < TOL
+    assert np.max(np.abs(math.log(2.0) - relative_entropy_to_thermal(vectors, 0.5) - want)) < TOL
 
 
 def test_coherence_matches_eigh(vectors):
     want = coherences(bloch_matrices(vectors))
-    assert np.max(np.abs(bloch.coherence(vectors) - want)) < TOL
+    assert np.max(np.abs(bloch.coherence(*length_z(vectors)) - want)) < TOL
 
 
 @pytest.mark.parametrize("p", [0.5, 0.6, 0.9, 1.0 - 1e-9])
@@ -84,14 +94,20 @@ def test_relative_entropy_broadcasts_over_p():
 
 
 def test_project_matches_matrix_projection(vectors):
-    got = bloch.project(vectors)
-    want = nearest_states(bloch_matrices(vectors))
-    assert np.max(np.abs(bloch_matrices(got) - want)) < TOL
-    assert np.all(np.linalg.norm(got, axis=-1) <= 1.0 + TOL)
+    # `production` projects each final state into the ball before scoring it;
+    # the reference scores the eigh projection of its matrix, dephased for the
+    # population part.
+    initial, p = np.array([0.6, 0.0, 0.3]), 0.8
+    eq = equilibrium_states(p)
+    for population, part in ((False, lambda m: m), (True, dephased)):
+        got = bloch.production(length_z(initial), length_z(vectors), p, population)
+        want = (relative_entropies(part(bloch_matrices(initial)), eq)
+                - relative_entropies(part(nearest_states(bloch_matrices(vectors))), eq))
+        assert np.max(np.abs(got - want)) < TOL
 
 
 def test_born_probabilities_match_projectors(vectors):
-    inside = bloch.project(vectors)
+    inside = nearest_vectors(vectors)
     s = 1.0 / math.sqrt(2.0)
     kets = np.array([[1.0, 0.0], [0.0, 1.0], [s, 1j * s], [s, s]])  # H, V, R, D
     for v, got in zip(inside, bloch.born_probabilities(inside)):
@@ -101,12 +117,12 @@ def test_born_probabilities_match_projectors(vectors):
 
 
 def test_inversion_round_trip(vectors):
-    inside = bloch.project(vectors)
+    inside = nearest_vectors(vectors)
     assert np.max(np.abs(bloch.invert(bloch.born_probabilities(inside)) - inside)) < TOL
 
 
 def test_gad_matches_kraus_map(vectors):
-    inside = bloch.project(vectors)
+    inside = nearest_vectors(vectors)
     for p in (0.5, 0.75, 1.0):
         for r in (0.0, 0.3, 1.0):
             got = bloch.gad(inside, p, r)
@@ -119,8 +135,9 @@ def test_functions_broadcast_over_leading_axes():
     rng = np.random.default_rng(9)
     vectors = random_vectors(rng, 24).reshape(2, 3, 4, 3)
     flat = vectors.reshape(-1, 3)
-    assert bloch.entropy(vectors).shape == (2, 3, 4)
-    assert np.array_equal(bloch.entropy(vectors).ravel(), bloch.entropy(flat))
+    assert bloch.coherence(*length_z(vectors)).shape == (2, 3, 4)
+    assert np.array_equal(bloch.coherence(*length_z(vectors)).ravel(),
+                          bloch.coherence(*length_z(flat)))
     assert bloch.born_probabilities(vectors).shape == (2, 3, 4, 4)
     assert relative_entropy_to_thermal(vectors, 0.8).shape == (2, 3, 4)
 
@@ -144,7 +161,7 @@ def test_entropies_match_eigh_anywhere_in_the_ball(b, p):
     rho = bloch_matrices(b)
     assert close(relative_entropy_to_thermal(b, p),
                  float(relative_entropies(rho, equilibrium_states(p))))
-    assert close(bloch.coherence(b), coherences(rho))
+    assert close(bloch.coherence(*length_z(b)), coherences(rho))
 
 
 @given(BALL, WEIGHT, STRENGTH)

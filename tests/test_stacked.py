@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import coherences, relative_entropy_to_thermal
+from conftest import coherences, length_z, relative_entropy_to_thermal
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -60,8 +60,10 @@ def test_stacked_entropies_match_the_closed_forms(case):
     b, p, _ = case
     rho = qstate.bloch_matrices(b)
     assert_close(rho, pauli_matrices(b), b.shape[:-1] + (2, 2))
-    assert_close(qstate.von_neumann_entropies(rho), bloch.entropy(b), p.shape)
-    assert_close(coherences(rho), bloch.coherence(b), p.shape)
+    # S(rho) = ln 2 - D(rho || I/2): the entropy inside the closed forms.
+    assert_close(qstate.von_neumann_entropies(rho),
+                 math.log(2.0) - relative_entropy_to_thermal(b, 0.5), p.shape)
+    assert_close(coherences(rho), bloch.coherence(*length_z(b)), p.shape)
     eq = channel.equilibrium_states(p)
     assert_close(qstate.relative_entropies(rho, eq), relative_entropy_to_thermal(b, p),
                  p.shape)
@@ -86,7 +88,10 @@ def test_stacked_kraus_map_and_productions_match_the_closed_forms(case):
     assert_close(total, drop(relative_entropy_to_thermal, p), p.shape)
     assert_close(population, drop(lambda v, q: relative_entropy_to_thermal(
         bloch.dephase(v), q), p), p.shape)
-    assert_close(coherence, drop(bloch.coherence), p.shape)
+    assert_close(coherence, drop(lambda v: bloch.coherence(*length_z(v))), p.shape)
+    # The sweeps' scorer, on (|b|, z) pairs.
+    for part, dephased in ((total, False), (population, True)):
+        assert_close(part, bloch.production(length_z(b), length_z(final), p, dephased), p.shape)
 
 
 @given(st.lists(st.one_of(st.floats(0.0, 1e-11), st.floats(0.0, 1.0)), min_size=1,

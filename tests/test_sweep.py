@@ -64,6 +64,31 @@ class TestConfig:
         with pytest.raises(ConfigError, match="at least 2 points"):
             SweepConfig(r_grid=points)
 
+    @pytest.mark.parametrize("field, value", [("shots", 2.5), ("n_bootstrap", 2.5),
+                                              ("seed", 1.5)])
+    def test_non_integer_setting_rejected(self, field, value):
+        # A float shot count would draw binomials at int(shots) and divide by shots.
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            SweepConfig(**{field: value})
+
+    def test_numpy_integer_settings_accepted(self, tmp_path):
+        cfg = SweepConfig(shots=np.int64(500), n_bootstrap=np.int64(5), seed=np.int64(99),
+                          r_grid=np.int64(5), output_path=str(tmp_path / "np.csv"))
+        plain = SweepConfig(shots=500, n_bootstrap=5, seed=99, r_grid=5)
+        assert (cfg.shots, cfg.n_bootstrap, cfg.seed, cfg.r_grid) == (500, 5, 99, plain.r_grid)
+        rows = run_sweep(cfg)
+        assert rows.tobytes() == run_sweep(plain).tobytes()
+        emit_csv(rows, cfg.output_path, cfg)  # the sidecar's JSON takes the settings
+
+    def test_non_integer_r_grid_count_rejected(self):
+        with pytest.raises(ConfigError, match="point count or a list of points"):
+            SweepConfig(r_grid=5.0)
+
+    def test_array_valued_lists_run_like_tuples(self):
+        rows = run_sweep(fig2_config(**{**SMALL, "p_values": np.array([0.9, 0.75])}))
+        want = run_sweep(fig2_config(**{**SMALL, "p_values": (0.9, 0.75)}))
+        assert rows.tobytes() == want.tobytes()
+
     def test_degrees_units(self, tmp_path):
         path = tmp_path / "deg.cfg"
         path.write_text("alpha_deg = 9.22, 45\n")
@@ -310,7 +335,7 @@ class TestPropertySuite:
         monkeypatch.setattr(bloch, "gad", lambda b, p, r: gad(b, p, r) * shrink_error)
         assert self.failed_rows(capsys) == ["[FAIL] closed-form evolved state (9x11x11 grid)"]
 
-    @pytest.mark.parametrize("name", ["invert", "project"])
+    @pytest.mark.parametrize("name", ["invert", "born_probabilities"])
     def test_perturbed_tomography_step_fails_the_round_trip_row(self, capsys, monkeypatch, name):
         step = getattr(bloch, name)
         monkeypatch.setattr(bloch, name, lambda a: step(a) + 1e-9)

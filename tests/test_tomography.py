@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from conftest import fidelity, nearest_states, violation
+from conftest import fidelity, length_z, nearest_states, nearest_vectors, violation
 
 from gadentropy import bloch
-from gadentropy.qstate import ATOL, PLUS, QubitState, bloch_matrices, bloch_vectors
+from gadentropy.channel import equilibrium_states
+from gadentropy.qstate import (
+    ATOL,
+    PLUS,
+    QubitState,
+    bloch_matrices,
+    bloch_vectors,
+    dephased,
+    relative_entropies,
+)
 from gadentropy.tomography import draw_frequencies
 
 MIXED = np.eye(2) / 2
@@ -18,9 +27,10 @@ def random_state(rng):
 
 
 def reconstruct(state, shots, seed, n_bootstrap):
-    """The sweep's tomography of `state`: the run's Bloch vector, then its resamples."""
+    """The tomography of `state`, projected into the ball by `eigh` as the
+    sweep's scorer does radially: the run's Bloch vector, then its resamples."""
     probs = bloch.born_probabilities(state.bloch_vector())
-    return bloch.project(bloch.invert(draw_frequencies(probs, shots, seed, n_bootstrap)))
+    return nearest_vectors(bloch.invert(draw_frequencies(probs, shots, seed, n_bootstrap)))
 
 
 class TestProjectorProbabilities:
@@ -95,43 +105,64 @@ class TestLinearInversion:
         for _ in range(100):
             state = random_state(rng)
             inverted = bloch.invert(bloch.born_probabilities(state.bloch_vector()))
-            for recon in (bloch_matrices(bloch.project(inverted)),
-                          nearest_states(bloch_matrices(inverted))):
+            for recon in (bloch_matrices(inverted), nearest_states(bloch_matrices(inverted))):
                 assert np.max(np.abs(recon - state.matrix)) < 1e-12
 
 
 class TestProjectToPhysical:
-    """`bloch.project`, the sweep's radial projection, against the
-    Frobenius-nearest state found by `eigh` (`nearest_states`)."""
+    """The projection inside `bloch.production`, the sweep's scorer, against
+    the Frobenius-nearest state found by `eigh` (`nearest_states`): both
+    parts of the production from a fixed initial state score the final
+    state's projection."""
+
+    INITIAL, P = np.array([0.6, 0.0, 0.3]), 0.8
+
+    def scores(self, final):
+        """(total, population) of `bloch.production` from INITIAL to Bloch vectors `final`."""
+        return [bloch.production(length_z(self.INITIAL), length_z(final), self.P, population)
+                for population in (False, True)]
+
+    def reference(self, final):
+        """(total, population) scored by eigh from INITIAL to the density matrices
+        `final`, dephased for the population part."""
+        eq = equilibrium_states(self.P)
+        return [relative_entropies(part(bloch_matrices(self.INITIAL)), eq)
+                - relative_entropies(part(final), eq) for part in (lambda m: m, dephased)]
+
+    def assert_scores(self, final, want):
+        for got, expected in zip(self.scores(final), self.reference(want)):
+            assert np.allclose(got, expected, atol=ATOL, rtol=0.0)
 
     def test_physical_input_unchanged(self):
         rng = np.random.default_rng(44)
         inside = np.concatenate([np.zeros((1, 3)), [PLUS.bloch_vector()],
                                  [random_state(rng).bloch_vector() for _ in range(20)]])
-        assert np.array_equal(bloch.project(inside), inside)
         m = bloch_matrices(inside)
         assert np.allclose(nearest_states(m), m, atol=ATOL, rtol=0.0)
+        self.assert_scores(inside, m)
 
     def test_overlong_x_axis(self):
         m = 0.5 * np.array([[1.0, 1.2], [1.2, 1.0]], dtype=complex)
-        out = bloch_matrices(bloch.project(bloch_vectors(m)))
-        assert np.allclose(out, PLUS.matrix, atol=ATOL, rtol=0.0)
-        assert np.allclose(out, nearest_states(m), atol=ATOL, rtol=0.0)
+        assert np.allclose(nearest_states(m), PLUS.matrix, atol=ATOL, rtol=0.0)
+        self.assert_scores(bloch_vectors(m), PLUS.matrix)
+        self.assert_scores(bloch_vectors(m), nearest_states(m))
 
     def test_general_direction_rescaled(self):
         overlong = np.array([0.6, 0.8, 0.6])  # length > 1
-        v = bloch.project(overlong)
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(v / np.linalg.norm(v), overlong / np.linalg.norm(overlong))
-        out = bloch_matrices(v)
-        assert np.linalg.eigvalsh(out)[0] == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(out, nearest_states(bloch_matrices(overlong)), atol=ATOL, rtol=0.0)
+        nearest = nearest_states(bloch_matrices(overlong))
+        assert np.linalg.eigvalsh(nearest)[0] == pytest.approx(0.0, abs=1e-12)
+        self.assert_scores(overlong, bloch_matrices(overlong / np.linalg.norm(overlong)))
+        self.assert_scores(overlong, nearest)
 
     def test_idempotent(self):
+        # Projecting first changes no score.
         rng = np.random.default_rng(43)
         for _ in range(50):
-            once = bloch.project(rng.normal(size=3) * 1.5)
-            assert np.allclose(bloch.project(once), once, atol=ATOL, rtol=0.0)
+            raw = rng.normal(size=3) * 1.5
+            once = nearest_vectors(raw)
+            for got, again, want in zip(self.scores(raw), self.scores(once),
+                                        self.reference(bloch_matrices(once))):
+                assert np.allclose([got, again], want, atol=ATOL, rtol=0.0)
 
 
 class TestReconstructWithErrors:
@@ -153,7 +184,7 @@ class TestStatisticalConsistency:
         state = QubitState.from_bloch(0.3, -0.2, 0.4)
         shots = 10_000
         runs = np.broadcast_to(bloch.born_probabilities(state.bloch_vector()), (1000, 4))
-        vectors = bloch.project(bloch.invert(draw_frequencies(runs, shots, 0, 2)[:, 0]))
+        vectors = nearest_vectors(bloch.invert(draw_frequencies(runs, shots, 0, 2)[:, 0]))
         mean = vectors.mean(axis=0)
         stderr = vectors.std(axis=0, ddof=1) / math.sqrt(len(vectors))
         for got, want, err in zip(mean, state.bloch_vector(), stderr):
