@@ -94,7 +94,9 @@ class SweepConfig:
         if min(len(self.p_values), len(self.alphas), len(self.r_grid)) == 0:
             raise ConfigError("p_values, alphas and r_grid must be non-empty")
         for name, (low, high) in _RANGES.items():
-            _in_range(name, getattr(self, name), low, high)
+            # + 0.0 turns -0.0, which passes the range checks, into 0.0, so it is written as 0.
+            setattr(self, name, _in_range(name, tuple(v + 0.0 for v in getattr(self, name)),
+                                          low, high))
 
 
 def fig2_config(**overrides) -> SweepConfig:
@@ -169,13 +171,14 @@ def settings(entries) -> dict:
 
 def load_config(path: str, **overrides) -> SweepConfig:
     """Parse a flat key-value config file (key = value, '#' comments) through
-    `settings`, with `overrides` set over its entries; text that is not UTF-8
-    or a line without '=' raises ConfigError."""
+    `settings`, with `overrides` set over its entries; a leading byte-order
+    mark is skipped, and text that is not UTF-8 or a line without '=' raises
+    ConfigError."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         # newline=None splits lines as a text-mode file does (\n, \r, \r\n).
-        lines = io.StringIO(data.decode("utf-8"), newline=None)
+        lines = io.StringIO(data.decode("utf-8-sig"), newline=None)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
@@ -202,8 +205,13 @@ SWEEP_DTYPE = np.dtype([(name, float) for name in (
     "sigma_coh_tomo", "sigma_coh_tomo_stderr",
 )] + [("indeterminate", int), ("projected", int)])
 CSV_COLUMNS = SWEEP_DTYPE.names[:14]
-# One CSV line per `%`: 12 significant digits for floats, ints as written.
-_CSV_LINE = ",".join("%.12g" if SWEEP_DTYPE[name] == float else "%d"
+# The grid axes repeat a few values over many rows; `_axis_text` formats each
+# once per block.
+_AXIS_COLUMNS, _VALUE_COLUMNS = CSV_COLUMNS[:4], CSV_COLUMNS[4:]
+# One CSV line per `%`: 12 significant digits for floats, ints as written, and
+# the axis columns as the text `_axis_text` made.
+_CSV_LINE = ",".join("%s" if name in _AXIS_COLUMNS else
+                     "%.12g" if SWEEP_DTYPE[name] == float else "%d"
                      for name in CSV_COLUMNS) + "\n"
 _CSV_BLOCK = 4096  # rows turned into Python values at a time while the CSV streams
 
@@ -287,13 +295,27 @@ def _write_atomic(path: str, lines) -> None:
             os.unlink(tmp)
 
 
+def _axis_text(block: np.ndarray) -> list:
+    """The grid-axis columns of a block as '%.12g' text, one list per column,
+    each distinct bit pattern formatted once: matched by bits, not by value,
+    -0.0 keeps its own text beside 0.0, and a NaN, unequal to itself, still
+    finds its string."""
+    bits = np.stack([block[name] for name in _AXIS_COLUMNS]).view(np.int64)
+    ordered = np.sort(bits, axis=None)  # np.unique would load numpy.ma (about 1 MB)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    text = np.array(["%.12g" % v for v in distinct.view(float).tolist()], dtype=object)
+    return text[np.searchsorted(distinct, bits)].tolist()
+
+
 def _csv_lines(rows):
-    """The header, then one line per record, formatted a block of rows at a time."""
+    """The header, then one line per record, formatted a block of rows at a
+    time; each block formats its distinct grid-axis values once."""
     yield ",".join(CSV_COLUMNS) + "\n"
     rows = np.asarray(rows)  # a plain array: indexing a recarray runs Python code
     for start in range(0, len(rows), _CSV_BLOCK):
         block = rows[start:start + _CSV_BLOCK]
-        yield from map(_CSV_LINE.__mod__, zip(*(block[name].tolist() for name in CSV_COLUMNS)))
+        yield from map(_CSV_LINE.__mod__, zip(
+            *_axis_text(block), *(block[name].tolist() for name in _VALUE_COLUMNS)))
 
 
 def emit_csv(rows: np.ndarray, path: str, config: SweepConfig) -> None:
@@ -301,7 +323,9 @@ def emit_csv(rows: np.ndarray, path: str, config: SweepConfig) -> None:
     sidecar <path>.meta.json.
 
     Floats carry 12 significant digits, so same-seed reruns on the same versions
-    are byte-identical.  The sidecar is the run manifest: versions,
+    are byte-identical.  Rows are formatted in blocks of `_CSV_BLOCK`; each
+    block formats its distinct grid values (p, r, alpha_deg,
+    coherence_initial) once.  The sidecar is the run manifest: versions,
     configuration (the one record of the seed), RNG streams, error-bar
     procedure and the counters of `emit_summary`.  Each file is replaced
     atomically.

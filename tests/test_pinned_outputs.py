@@ -1,7 +1,8 @@
 """Same-seed outputs pinned per (gadentropy version, numpy version).
 
 The default `fig2` and `fig3` CSVs, the stdout of those runs with the output
-path written as `<out>`, and the stdout of `gadentropy check` are hashed and
+path written as `<out>`, the stdout of `gadentropy check`, and the CSV of a
+5555-row custom grid that spans two of the CSV's 4096-row blocks are hashed and
 compared with the sha256 digests recorded for the running version pair.  A
 change that moves them either bumps the version and records new digests, or
 explains the change in CHANGES.md.  Bit-identity across numpy versions is
@@ -22,8 +23,18 @@ DIGESTS = {
         "fig3 csv": "da80455efc269cfb0bae326741e3a6ff8bd9305f80d4720dcee97fd04fd34e0f",
         "fig3 summary": "81e7d4c0cebcc00b260b395d8df29c51e8ef36824d07bdc25c31431e471552fe",
         "check stdout": "7f314eefa030c20da04519cb80d65a603400115fb78c54493c3de6865893ea83",
+        "grid csv": "c6d4e26ac670bc5db3b82e225188d0bc10c7187bcd3cee8350029d9a285ff007",
     },
 }
+
+
+# 11 p (505 rows at p = 1) x 5 coherences x 101 r = 5555 rows, 2 resamples.
+GRID_CONFIG = (
+    f"p_values = {', '.join(repr(0.5 + 0.05 * i) for i in range(10))}, 1.0\n"
+    "coherence = 1, 0.8, 0.6, 0.4, 0.2\n"
+    "r_points = 101\n"
+    "n_bootstrap = 2\n"
+)
 
 
 def sha256(data: bytes) -> str:
@@ -44,6 +55,13 @@ def test_default_outputs_match_the_recorded_digests(tmp_path, capsys):
         got[f"{figure} summary"] = sha256(stdout.replace(str(out), "<out>").encode())
     assert cli.main(["check"]) == 0
     got["check stdout"] = sha256(capsys.readouterr().out.encode())
+    config, out = tmp_path / "grid.cfg", tmp_path / "grid.csv"
+    config.write_text(GRID_CONFIG, encoding="utf-8")
+    assert cli.main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    data = out.read_bytes()
+    assert data.count(b"\n") == 1 + 5555
+    got["grid csv"] = sha256(data)
     assert got == DIGESTS[key]
 
 

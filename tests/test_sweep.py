@@ -124,6 +124,39 @@ class TestConfig:
         assert cfg.seed == 17
         assert cfg.output_path == "run.csv"
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        text = "p_values = 0.9, 0.75\nalpha_deg = 0, 9.22\nr_points = 5\nseed = 17\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(str(marked)) == load_config(str(plain))
+
+    @pytest.mark.parametrize("text, words", [
+        ("p_values = \ufeff0.9\n", "bad value for 'p_values'"),
+        ("seed = 1\n\ufeffp_values = 0.9\n", r"unknown key '\ufeffp_values'"),
+    ])
+    def test_byte_order_mark_past_the_start_is_refused(self, tmp_path, text, words):
+        path = tmp_path / "bom.cfg"
+        path.write_text(text, encoding="utf-8-sig")
+        with pytest.raises(ConfigError, match=re.escape(words)):
+            load_config(str(path))
+
+    def test_negative_zero_entries_read_as_zero(self, tmp_path):
+        path = tmp_path / "zero.cfg"
+        path.write_text(f"p_values = 0.9\nalpha_deg = -0\nr_grid = -0, 1\nshots = 100\n"
+                        f"n_bootstrap = 2\nout = {tmp_path / 'zero.csv'}\n")
+        cfg = load_config(str(path))
+        emit_csv(run_sweep(cfg), cfg.output_path, cfg)
+        header, first, _ = (line.split(",") for line in (tmp_path / "zero.csv").read_text()
+                            .splitlines())
+        assert [first[header.index(name)] for name in ("r", "alpha_deg")] == ["0", "0"]
+        meta = json.loads((tmp_path / "zero.csv.meta.json").read_text())["config"]
+        api = SweepConfig(p_values=(0.9,), alphas=(-0.0,), r_grid=(-0.0, 1.0))
+        for alphas, r_grid in ((cfg.alphas, cfg.r_grid), (meta["alphas"], meta["r_grid"]),
+                               (api.alphas, api.r_grid)):
+            assert [math.copysign(1.0, v) for v in (*alphas, *r_grid)] == [1.0] * 3
+
     def test_load_config_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("wibble = 3\n")
@@ -255,6 +288,28 @@ class TestEmit:
         assert out.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
         assert sweep._CSV_LINE.count("%") == len(sweep._CSV_LINE.split(",")) == len(CSV_COLUMNS)
         assert SWEEP_DTYPE.names == (*CSV_COLUMNS, "projected")
+
+    def test_csv_bytes_across_blocks_follow_the_number_format(self, tmp_path):
+        # The grid-axis columns cycle through one pool with a different stride
+        # each, so every block, the short last one too, repeats values of the
+        # others.  0.3 and 0.1 + 0.2, and 1 and 1 + 1e-13, differ in their bits
+        # but print alike; the NaNs carry three bit patterns.
+        nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000],
+                        dtype=np.uint64).view(float).tolist()
+        pool = [-0.0, 0.0, *nans, math.inf, -math.inf, 0.3, 0.1 + 0.2, 1.0, 1.0 + 1e-13,
+                1.0 / 3.0, 5e-324, 0.55]
+        n = 2 * sweep._CSV_BLOCK + 3
+        rows, want = np.zeros(n, SWEEP_DTYPE), [",".join(CSV_COLUMNS)]
+        for k, name in enumerate(CSV_COLUMNS[:4]):
+            rows[name] = [pool[(i * (2 * k + 1) + k) % len(pool)] for i in range(n)]
+        for k, name in enumerate(CSV_COLUMNS[4:13]):
+            rows[name] = np.arange(n) * (k + 0.1) / 7.0
+        rows["indeterminate"] = np.arange(n) % 3 == 0
+        for record in rows.tolist():
+            want.append(",".join([format(v, ".12g") for v in record[:13]] + [str(record[13])]))
+        out = tmp_path / "blocks.csv"
+        emit_csv(rows, str(out), SweepConfig())
+        assert out.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
 
     def test_seed_beyond_uint64_is_written_exactly(self, tmp_path):
         cfg = fig2_config(**dict(SMALL, seed=2**70))

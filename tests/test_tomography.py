@@ -33,7 +33,7 @@ def reconstruct(state, shots, seed, n_bootstrap):
     return nearest_vectors(bloch.invert(draw_frequencies(probs, shots, seed, n_bootstrap)))
 
 
-class TestProjectorProbabilities:
+class TestBornProbabilities:
     def test_maximally_mixed(self):
         assert np.allclose(bloch.born_probabilities(bloch_vectors(MIXED)), 0.5)
 
@@ -62,7 +62,7 @@ class TestProjectorProbabilities:
             assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
 
 
-class TestSimulateCounts:
+class TestObservedDraw:
     """The observed run of `draw_frequencies` (index 0): one binomial draw per basis."""
 
     def test_certain_outcomes(self):
@@ -84,7 +84,7 @@ class TestSimulateCounts:
         assert abs(counts[0] - 50_000) < 5 * sigma
 
 
-class TestLinearInversion:
+class TestInvert:
     def test_exact_frequencies_identity(self):
         m = QubitState.from_bloch(*bloch.invert([0.5, 0.5, 0.5, 0.5])).matrix
         assert np.allclose(m, MIXED, atol=1e-15)
@@ -109,7 +109,7 @@ class TestLinearInversion:
                 assert np.max(np.abs(recon - state.matrix)) < 1e-12
 
 
-class TestProjectToPhysical:
+class TestRadialProjection:
     """The projection inside `bloch.production`, the sweep's scorer, against
     the Frobenius-nearest state found by `eigh` (`nearest_states`): both
     parts of the production from a fixed initial state score the final
@@ -165,7 +165,7 @@ class TestProjectToPhysical:
                 assert np.allclose([got, again], want, atol=ATOL, rtol=0.0)
 
 
-class TestReconstructWithErrors:
+class TestTomographyEstimates:
     def test_convergence_at_large_shots(self):
         states = [PLUS, QubitState(MIXED), QubitState([[0.7, 0.353553], [0.353553, 0.3]])]
         for i, state in enumerate(states):
