@@ -101,7 +101,7 @@ class TestAlphaForCoherence:
             alpha_for_coherence(-0.1)
 
 
-class TestGadClosedForm:
+class TestEvolvedClosedForm:
     """Prepared states through the sweep's GAD map, `bloch.gad`."""
 
     def test_r_zero_returns_prepared(self):

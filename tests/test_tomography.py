@@ -84,7 +84,7 @@ class TestObservedDraw:
         assert abs(counts[0] - 50_000) < 5 * sigma
 
 
-class TestInvert:
+class TestLinearInversion:
     def test_exact_frequencies_identity(self):
         m = QubitState.from_bloch(*bloch.invert([0.5, 0.5, 0.5, 0.5])).matrix
         assert np.allclose(m, MIXED, atol=1e-15)
@@ -109,7 +109,7 @@ class TestInvert:
                 assert np.max(np.abs(recon - state.matrix)) < 1e-12
 
 
-class TestRadialProjection:
+class TestProjectToPhysical:
     """The projection inside `bloch.production`, the sweep's scorer, against
     the Frobenius-nearest state found by `eigh` (`nearest_states`): both
     parts of the production from a fixed initial state score the final
