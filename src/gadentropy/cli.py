@@ -22,8 +22,8 @@ EXIT_PROPERTY_FAILURE = 2
 EXIT_IO = 3
 
 
-# Sweep flag, the config-file key it sets (its text parses as that key's
-# does, through `sweep.settings`), and its help.
+# Sweep flag, the config-file key it sets and its help; `sweep.settings` parses
+# and checks its text as that key's, and `check --seed`'s as `seed`'s.
 _FLAGS = (
     ("--shots", "shots", "tomography shots per projection basis"),
     ("--bootstrap", "n_bootstrap", "bootstrap resamples for error bars"),
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, dest=key, metavar="PATH" if key == "out" else "N",
                            help=flag_help)
     p = sub.add_parser("check", help="run the aggregated property suite")
-    p.add_argument("--seed", type=int, default=1234, help="master RNG seed")
+    p.add_argument("--seed", metavar="N", default="1234", help="master RNG seed")
     return parser
 
 
@@ -104,14 +104,12 @@ def _main(argv) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        flags = sw.settings((flag, key, getattr(args, key)) for flag, key, _ in _FLAGS
+                            if getattr(args, key, None) is not None)
         if args.command == "check":
-            if args.seed < 0:
-                raise sw.ConfigError(f"seed must be >= 0, got {args.seed}")
-            report = check.run_property_suite(seed=args.seed)
+            report = check.run_property_suite(seed=flags["seed"])
             print(report.render())
             return EXIT_OK if report.passed else EXIT_PROPERTY_FAILURE
-        flags = sw.settings((flag, key, getattr(args, key)) for flag, key, _ in _FLAGS
-                            if getattr(args, key) is not None)
         if args.command == "sweep":
             try:
                 config = sw.load_config(args.config, **flags)

@@ -46,8 +46,39 @@ def _in_range(name: str, values, low: float, high: float):
     """`values`, or ConfigError naming the first entry outside [low, high]."""
     bad = [v for v in values if not low <= v <= high]
     if bad:
-        raise ConfigError(f"{name} must lie in [{low:g}, {high:g}], got {float(bad[0]):g}")
+        raise ConfigError(f"{name} must lie in [{low:g}, {high:g}], got {bad[0]}")
     return values
+
+
+def _checked(name: str, value):
+    """`value` as SweepConfig stores its field `name`, or ConfigError saying why
+    it cannot be stored; the one check of each setting."""
+    if name == "scenario" and not (isinstance(value, str) and value in ("fig2", "fig3", "custom")):
+        raise ConfigError(f"unknown scenario {value!r}")
+    if name in ("shots", "n_bootstrap", "seed"):
+        if not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+        # numpy's binomial takes the shot count as a C long.
+        if name == "shots" and not 1 <= value <= np.iinfo(np.int64).max:
+            raise ConfigError(f"shots must be in [1, 2**63 - 1], got {value}")
+        if name != "shots" and value < (least := 2 if name == "n_bootstrap" else 0):
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
+    if name == "r_grid" and isinstance(value, numbers.Integral):
+        if value < 2:
+            raise ConfigError(f"a uniform r grid needs at least 2 points, got {value}")
+        return int(value)  # __post_init__ builds the grid once the run bound has passed
+    if name in _RANGES:
+        values = tuple(value) if np.iterable(value) else None
+        if values is None or not all(isinstance(v, numbers.Real) for v in values):
+            kind = ("a point count or a list of points" if name == "r_grid"
+                    else "a list of real numbers")
+            raise ConfigError(f"{name} must be {kind}, got {value!r}")
+        if not values:
+            raise ConfigError(f"{name} must be non-empty")
+        # + 0.0 turns -0.0, which passes the range check, into 0.0, so it is written as 0.
+        return tuple(float(v) + 0.0 for v in _in_range(name, values, *_RANGES[name]))
+    return value
 
 
 @dataclass
@@ -64,39 +95,16 @@ class SweepConfig:
     output_path: str = "sweep.csv"
 
     def __post_init__(self):
-        if self.scenario not in ("fig2", "fig3", "custom"):
-            raise ConfigError(f"unknown scenario {self.scenario!r}")
-        for name in ("shots", "n_bootstrap", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
-        # numpy's binomial takes the shot count as a C long.
-        if not 1 <= self.shots <= np.iinfo(np.int64).max:
-            raise ConfigError(f"shots must be in [1, 2**63 - 1], got {self.shots}")
-        if self.n_bootstrap < 2:
-            raise ConfigError(f"n_bootstrap must be >= 2, got {self.n_bootstrap}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        count = isinstance(self.r_grid, numbers.Integral)
-        if count and self.r_grid < 2:
-            raise ConfigError(f"a uniform r grid needs at least 2 points, got {self.r_grid}")
-        if not count and np.ndim(self.r_grid) != 1:
-            raise ConfigError(f"r_grid must be a point count or a list of points, "
-                              f"got {self.r_grid!r}")
-        points = int(self.r_grid) if count else len(self.r_grid)
+        for field in dataclasses.fields(self):
+            setattr(self, field.name, _checked(field.name, getattr(self, field.name)))
+        count = isinstance(self.r_grid, int)
+        points = self.r_grid if count else len(self.r_grid)
         rows = len(self.p_values) * len(self.alphas) * points
         if rows * (1 + self.n_bootstrap) > MAX_RUNS:
             raise ConfigError(f"{rows} grid rows x (1 + n_bootstrap = {self.n_bootstrap}) "
                               f"runs exceed the bound of {MAX_RUNS} runs per experiment")
         if count:  # built only once the bound has passed
             self.r_grid = tuple(np.linspace(0.0, 1.0, points))
-        if min(len(self.p_values), len(self.alphas), len(self.r_grid)) == 0:
-            raise ConfigError("p_values, alphas and r_grid must be non-empty")
-        for name, (low, high) in _RANGES.items():
-            # + 0.0 turns -0.0, which passes the range checks, into 0.0, so it is written as 0.
-            setattr(self, name, _in_range(name, tuple(v + 0.0 for v in getattr(self, name)),
-                                          low, high))
 
 
 def fig2_config(**overrides) -> SweepConfig:
@@ -116,31 +124,20 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
-def _ranged_floats(name: str):
-    """Parser of a list-valued setting that range-checks its entries."""
-    return lambda text: _in_range(name, _floats(text), *_RANGES[name])
-
-
 def _alphas_from_degrees(text: str) -> tuple[float, ...]:
     # Checked in degrees: radians() of a negative subnormal is -0.0, inside the range.
     degrees = _in_range("alpha_deg", _floats(text), 0.0, math.degrees(prep.ALPHA_MAX))
     return tuple(map(math.radians, degrees))
 
 
-def _r_points(text: str) -> int:
-    if int(text) < 2:
-        raise ValueError(f"a uniform r grid needs at least 2 points, got {text}")
-    return int(text)
-
-
 # Config-file key -> (SweepConfig field, parser of the value text).
 _CONFIG_KEYS = {
     "scenario": ("scenario", str),
-    "p_values": ("p_values", _ranged_floats("p_values")),
+    "p_values": ("p_values", _floats),
     "alpha_deg": ("alphas", _alphas_from_degrees),
     "coherence": ("alphas", lambda text: tuple(map(prep.alpha_for_coherence, _floats(text)))),
-    "r_grid": ("r_grid", _ranged_floats("r_grid")),
-    "r_points": ("r_grid", _r_points),
+    "r_grid": ("r_grid", _floats),
+    "r_points": ("r_grid", int),
     "shots": ("shots", int),
     "n_bootstrap": ("n_bootstrap", int),
     "seed": ("seed", int),
@@ -153,7 +150,7 @@ def settings(entries) -> dict:
     `where` names the entry's source in error messages.
 
     Unknown or repeated keys, two keys for one setting (alpha_deg and
-    coherence, r_grid and r_points) and unparseable values raise ConfigError.
+    coherence, r_grid and r_points) and bad values raise ConfigError.
     """
     kwargs: dict = {}
     for where, key, text in entries:
@@ -163,7 +160,7 @@ def settings(entries) -> dict:
         if name in kwargs:
             raise ConfigError(f"{where}: {key!r} repeats or conflicts with an earlier key")
         try:
-            kwargs[name] = parse(text)
+            kwargs[name] = _checked(name, parse(text))
         except ValueError as exc:
             raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
     return kwargs

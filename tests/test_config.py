@@ -1,7 +1,9 @@
-"""Property tests of the config-file parser: it returns a SweepConfig or
-raises ConfigError, and it refuses every out-of-range number."""
+"""Property tests of the config-file parser and of SweepConfig: each returns a
+SweepConfig or raises ConfigError, and each refuses every out-of-range number."""
 
+import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,11 @@ def parse(path, lines):
     return load_config(str(path))
 
 
+def first_line_error(path, key):
+    """The start of the message of a bad value for `key` on the file's line 1."""
+    return f"^{re.escape(str(path))}:1: bad value for '{key}'"
+
+
 @settings(max_examples=100)
 @given(ENTRIES)
 def test_any_text_gives_config_or_config_error(config_path, entries):
@@ -58,7 +65,7 @@ def outside(low, high):
 def test_out_of_range_list_entry_is_refused(config_path, key, low, high, data):
     values = data.draw(st.lists(st.floats(low, high), max_size=3))
     values.insert(data.draw(st.integers(0, len(values))), data.draw(outside(low, high)))
-    with pytest.raises(ConfigError, match=key):
+    with pytest.raises(ConfigError, match=first_line_error(config_path, key)):
         parse(config_path, [f"{key} = {', '.join(map(repr, values))}"])
 
 
@@ -67,5 +74,25 @@ def test_out_of_range_list_entry_is_refused(config_path, key, low, high, data):
 @given(data=st.data())
 def test_out_of_range_count_is_refused(config_path, key, low, data):
     value = data.draw(st.integers(max_value=low - 1))
-    with pytest.raises(ConfigError, match=key):
+    with pytest.raises(ConfigError, match=first_line_error(config_path, key)):
         parse(config_path, [f"{key} = {value}"])
+
+
+# Values of any type: None, bools, ints past int64, floats with nan and the
+# infinities, complex numbers, text, and lists and tuples nesting them.
+ANY_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([2**63, -(10**400), 10**400])
+    | st.floats() | st.complex_numbers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner), max_leaves=6)
+
+
+@pytest.mark.parametrize("field", [field.name for field in dataclasses.fields(SweepConfig)])
+@settings(max_examples=25)
+@given(value=ANY_VALUE)
+def test_any_value_of_a_field_gives_config_or_config_error(field, value):
+    try:
+        config = SweepConfig(**{field: value})
+    except ConfigError:
+        return
+    # What is stored passes the check again unchanged.
+    assert SweepConfig(**dataclasses.asdict(config)) == config

@@ -72,9 +72,11 @@ class TestConfig:
             SweepConfig(**{field: value})
 
     def test_numpy_integer_settings_accepted(self, tmp_path):
+        # A float32 entry is stored as a Python float, which the sidecar's JSON can write.
         cfg = SweepConfig(shots=np.int64(500), n_bootstrap=np.int64(5), seed=np.int64(99),
-                          r_grid=np.int64(5), output_path=str(tmp_path / "np.csv"))
-        plain = SweepConfig(shots=500, n_bootstrap=5, seed=99, r_grid=5)
+                          r_grid=np.int64(5), p_values=(np.float32(0.75),),
+                          output_path=str(tmp_path / "np.csv"))
+        plain = SweepConfig(shots=500, n_bootstrap=5, seed=99, r_grid=5, p_values=(0.75,))
         assert (cfg.shots, cfg.n_bootstrap, cfg.seed, cfg.r_grid) == (500, 5, 99, plain.r_grid)
         rows = run_sweep(cfg)
         assert rows.tobytes() == run_sweep(plain).tobytes()
@@ -95,10 +97,12 @@ class TestConfig:
         assert load_config(str(path)).alphas == (math.radians(9.22), math.pi / 4.0)
 
     @pytest.mark.parametrize("line", ["coherence = 0.5, 1.5", "alpha_deg = 0, 45.5",
-                                      "alpha_deg = -5e-324", "p_values = 0.3", "r_grid = 0, 2"])
+                                      "alpha_deg = -5e-324", "p_values = 0.3", "r_grid = 0, 2",
+                                      "shots = 0", "n_bootstrap = 1", "seed = -1",
+                                      "scenario = fig9", "p_values = ,"])
     def test_out_of_range_angle_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
-        path.write_text(f"seed = 1\n# ranges\n{line}\n")
+        path.write_text(f"out = run.csv\n# ranges\n{line}\n")
         where = f"{re.escape(str(path))}:3: bad value for '{line.split()[0]}'"
         with pytest.raises(ConfigError, match=f"^{where}"):
             load_config(str(path))
@@ -859,7 +863,9 @@ class TestFailFast:
 
         monkeypatch.setattr(cli.sw, "run_sweep", no_compute)
         assert cli.main(["fig2", flag, value]) == cli.EXIT_USAGE
-        assert capsys.readouterr().err == f"config error: {message}\n"
+        key = {name: key for name, key, _ in cli._FLAGS}[flag]
+        err = capsys.readouterr().err
+        assert err == f"config error: {flag}: bad value for '{key}': {message}\n"
 
     @pytest.mark.parametrize("flag, value", [("--shots", "abc"), ("--r-points", "1")])
     def test_bad_flag_value_names_the_flag(self, capsys, flag, value):
@@ -927,6 +933,14 @@ class TestFailFast:
             with pytest.raises(ConfigError):
                 SweepConfig(**kwargs)
         SweepConfig(alphas=(0.0, math.pi / 4.0), p_values=(0.5, 1.0))
+
+    @pytest.mark.parametrize("field, value", [
+        ("p_values", ("0.9",)), ("r_grid", (None, 1.0)), ("alphas", (0.1j,)), ("p_values", 0.9),
+        ("p_values", [[0.9]]), ("alphas", "ab")])
+    def test_list_setting_of_non_numbers_is_a_config_error(self, field, value):
+        kind = "a point count or a list of points" if field == "r_grid" else "a list of real"
+        with pytest.raises(ConfigError, match=f"^{field} must be {kind}"):
+            SweepConfig(**{field: value})
 
     def test_unwritable_output_fails_before_compute(self, tmp_path, monkeypatch):
         def no_compute(config):

@@ -109,7 +109,7 @@ class TestLinearInversion:
                 assert np.max(np.abs(recon - state.matrix)) < 1e-12
 
 
-class TestProjectToPhysical:
+class TestRadialProjection:
     """The projection inside `bloch.production`, the sweep's scorer, against
     the Frobenius-nearest state found by `eigh` (`nearest_states`): both
     parts of the production from a fixed initial state score the final
