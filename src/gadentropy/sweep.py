@@ -25,8 +25,10 @@ DEFAULT_SHOTS = 10_000
 DEFAULT_BOOTSTRAP = 200
 DEFAULT_SEED = 20240
 DEFAULT_R_POINTS = 21
-# Most runs (grid rows x (1 + n_bootstrap)) one experiment may draw; at fig2's
-# 0.15 kB per run that is about 0.6 GB.
+# Most runs (grid rows x (1 + n_bootstrap)) one experiment may draw.  They are
+# scored a block at a time, so the per-row arrays set the peak: a sweep at the
+# bound peaks at 45 MB RSS with fig2's 201 runs per row (20,700 rows) and at
+# 650 MB with 3 runs per row (1,375,000 rows).
 MAX_RUNS = 2**22
 
 FIG2_P_VALUES = (0.9, 0.75, 0.6)
@@ -42,11 +44,27 @@ class ConfigError(ValueError):
 _RANGES = {"p_values": (0.5, 1.0), "alphas": (0.0, prep.ALPHA_MAX), "r_grid": (0.0, 1.0)}
 
 
+def _shown(value, form=repr) -> str:
+    """`value` as an error message shows it, by `form`, except an integer of
+    more than 20 digits, shown by its digit count: str() refuses one of more
+    than 4300 digits, and so does `form` of anything that holds one."""
+    if isinstance(value, numbers.Integral) and abs(value) >= 10**20:
+        size = abs(int(value))
+        digits = max(0, int((size.bit_length() - 1) * math.log10(2)) - 1)  # a lower bound
+        while 10**digits <= size:
+            digits += 1
+        return f"a {'negative ' if value < 0 else ''}{digits}-digit integer"
+    try:
+        return form(value)
+    except ValueError:
+        return f"a {type(value).__name__} holding an integer too long to print"
+
+
 def _in_range(name: str, values, low: float, high: float):
     """`values`, or ConfigError naming the first entry outside [low, high]."""
     bad = [v for v in values if not low <= v <= high]
     if bad:
-        raise ConfigError(f"{name} must lie in [{low:g}, {high:g}], got {bad[0]}")
+        raise ConfigError(f"{name} must lie in [{low:g}, {high:g}], got {_shown(bad[0], str)}")
     return values
 
 
@@ -54,26 +72,26 @@ def _checked(name: str, value):
     """`value` as SweepConfig stores its field `name`, or ConfigError saying why
     it cannot be stored; the one check of each setting."""
     if name == "scenario" and not (isinstance(value, str) and value in ("fig2", "fig3", "custom")):
-        raise ConfigError(f"unknown scenario {value!r}")
+        raise ConfigError(f"unknown scenario {_shown(value)}")
     if name in ("shots", "n_bootstrap", "seed"):
         if not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+            raise ConfigError(f"{name} must be an integer, got {_shown(value)}")
         value = int(value)
         # numpy's binomial takes the shot count as a C long.
         if name == "shots" and not 1 <= value <= np.iinfo(np.int64).max:
-            raise ConfigError(f"shots must be in [1, 2**63 - 1], got {value}")
+            raise ConfigError(f"shots must be in [1, 2**63 - 1], got {_shown(value)}")
         if name != "shots" and value < (least := 2 if name == "n_bootstrap" else 0):
-            raise ConfigError(f"{name} must be >= {least}, got {value}")
+            raise ConfigError(f"{name} must be >= {least}, got {_shown(value)}")
     if name == "r_grid" and isinstance(value, numbers.Integral):
         if value < 2:
-            raise ConfigError(f"a uniform r grid needs at least 2 points, got {value}")
+            raise ConfigError(f"a uniform r grid needs at least 2 points, got {_shown(value)}")
         return int(value)  # __post_init__ builds the grid once the run bound has passed
     if name in _RANGES:
         values = tuple(value) if np.iterable(value) else None
         if values is None or not all(isinstance(v, numbers.Real) for v in values):
             kind = ("a point count or a list of points" if name == "r_grid"
                     else "a list of real numbers")
-            raise ConfigError(f"{name} must be {kind}, got {value!r}")
+            raise ConfigError(f"{name} must be {kind}, got {_shown(value)}")
         if not values:
             raise ConfigError(f"{name} must be non-empty")
         # + 0.0 turns -0.0, which passes the range check, into 0.0, so it is written as 0.
@@ -101,10 +119,11 @@ class SweepConfig:
         points = self.r_grid if count else len(self.r_grid)
         rows = len(self.p_values) * len(self.alphas) * points
         if rows * (1 + self.n_bootstrap) > MAX_RUNS:
-            raise ConfigError(f"{rows} grid rows x (1 + n_bootstrap = {self.n_bootstrap}) "
-                              f"runs exceed the bound of {MAX_RUNS} runs per experiment")
+            raise ConfigError(f"{_shown(rows)} grid rows x (1 + n_bootstrap = "
+                              f"{_shown(self.n_bootstrap)}) runs exceed the bound of "
+                              f"{MAX_RUNS} runs per experiment")
         if count:  # built only once the bound has passed
-            self.r_grid = tuple(np.linspace(0.0, 1.0, points))
+            self.r_grid = tuple(np.linspace(0.0, 1.0, points).tolist())
 
 
 def fig2_config(**overrides) -> SweepConfig:
@@ -216,7 +235,8 @@ _CSV_BLOCK = 4096  # rows turned into Python values at a time while the CSV stre
 def production_estimates(initial, p, freqs, population: bool):
     """Per-row (point, stderr, projected count) of a production.
 
-    `freqs` (rows, 1 + n_bootstrap, 4) holds the observed run, then its
+    `freqs` (rows, 1 + n_bootstrap, 4), one block of
+    `tomography.draw_frequencies`, holds each row's observed run, then its
     resamples.  Each is inverted and scored by `bloch.production` from
     `initial`; its length |b| is taken once, for the score and for the count
     of estimates projected into the Bloch ball.  The stderr is the sample std.
@@ -237,7 +257,9 @@ def run_sweep(config: SweepConfig) -> np.recarray:
     are flagged, not dropped, hold NaN productions and draw nothing; every
     other row's columns are finite.  Experiment e (1 coherent, 2 dephased)
     draws all its determinate rows, in row order, from the one generator
-    `default_rng((config.seed, e))`.
+    `default_rng((config.seed, e))`, and scores them one block of at most
+    `tomography.BLOCK_RUNS` runs at a time, so only per-row values grow with
+    the grid and none with `n_bootstrap`.
     """
     grid = np.indices((len(config.p_values), len(config.alphas), len(config.r_grid)))
     i_p, i_a, i_r = (g.ravel() for g in grid)
@@ -259,11 +281,17 @@ def run_sweep(config: SweepConfig) -> np.recarray:
     # Both measure all four bases: experiment 2's R and D frequencies reach the population
     # estimate through the radial projection when |b| > 1, so they are not skipped.
     p_det, r_det, initial = p[det], r[det], coherent[det]
-    (tot, tot_err, tot_proj), (pop, pop_err, pop_proj) = (
-        production_estimates(prepared, p_det, tomography.draw_frequencies(
-            bloch.born_probabilities(bloch.gad(prepared, p_det, r_det)), config.shots,
-            (config.seed, e), config.n_bootstrap), population=e == 2)
-        for e, prepared in enumerate((initial, bloch.dephase(initial)), start=1))
+    estimates = np.empty((2, 3, p_det.size))  # experiment, (point, stderr, projected), row
+    for e, prepared in enumerate((initial, bloch.dephase(initial)), start=1):
+        start = 0
+        for freqs in tomography.draw_frequencies(
+                bloch.born_probabilities(bloch.gad(prepared, p_det, r_det)), config.shots,
+                (config.seed, e), config.n_bootstrap):
+            block = slice(start, start + len(freqs))
+            estimates[e - 1, :, block] = production_estimates(
+                prepared[block], p_det[block], freqs, population=e == 2)
+            start = block.stop
+    (tot, tot_err, tot_proj), (pop, pop_err, pop_proj) = estimates
     coherence = bloch.coherence(*ends[0]) - bloch.coherence(*ends[1])
     for name, values in zip(CSV_COLUMNS[4:13], (
             *(np.maximum(v[det], 0.0) for v in (total, population, coherence)),

@@ -14,15 +14,27 @@ import numpy as np
 # Identifier of the sampling RNG, recorded in harness output metadata.
 # Cross-implementation bit-identity of draws is a non-goal.
 RNG_ALGORITHM = "numpy.random.Generator(PCG64)"
+# Most runs (rows x (1 + n_bootstrap)) one block of `draw_frequencies` holds,
+# unless one row alone has more: 2**12 runs of 4 frequencies are 128 kB.
+BLOCK_RUNS = 2**12
 
 
-def draw_frequencies(probs, shots: int, seed, n_bootstrap: int) -> np.ndarray:
-    """Frequencies (..., 1 + n_bootstrap, 4) of the runs with Born probabilities
-    `probs` (..., 4), all from one generator `default_rng(seed)`: first every
-    run's observed frequencies (index 0, runs in C order), then every run's
-    parametric resamples at them (each basis's resamples back to back)."""
+def draw_frequencies(probs, shots: int, seed, n_bootstrap: int):
+    """Yield the frequencies of the runs with Born probabilities `probs`
+    (rows, 4) as blocks (block rows, 1 + n_bootstrap, 4), rows in order, each
+    of at most `BLOCK_RUNS` runs (at least one row): per row, the observed
+    frequencies (index 0), then its parametric resamples at them.
+
+    All come from one generator `default_rng(seed)`: first every row's
+    observed frequencies, then every row's resamples, each basis's back to
+    back.  numpy draws an array of binomials in C order, so the stream does
+    not depend on the block size.
+    """
     rng = np.random.default_rng(seed)
     observed = rng.binomial(shots, probs) / shots
-    # Consecutive draws that share (shots, p) reuse numpy's binomial set-up.
-    resampled = rng.binomial(shots, observed[..., None], size=observed.shape + (n_bootstrap,))
-    return np.concatenate([observed[..., None, :], resampled.swapaxes(-1, -2) / shots], axis=-2)
+    rows = max(1, BLOCK_RUNS // (1 + n_bootstrap))
+    for start in range(0, len(observed), rows):
+        block = observed[start:start + rows]
+        # Consecutive draws that share (shots, p) reuse numpy's binomial set-up.
+        resampled = rng.binomial(shots, block[..., None], size=block.shape + (n_bootstrap,))
+        yield np.concatenate([block[:, None, :], resampled.swapaxes(-1, -2) / shots], axis=1)

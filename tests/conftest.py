@@ -9,7 +9,8 @@ the reference for the sweep's radial projection, and `nearest_vectors` does the
 same to Bloch vectors; `coherences` takes their relative entropy of coherence
 from `productions`; `length_z` gives the (|b|, z) pairs that the `bloch`
 entropy functions take, and `relative_entropy_to_thermal` scores Bloch vectors
-with the sweep's closed form."""
+with the sweep's closed form; `frequencies` joins the blocks of
+`draw_frequencies` into one stack."""
 
 import numpy as np
 from hypothesis import settings
@@ -17,6 +18,7 @@ from hypothesis import settings
 from gadentropy import bloch
 from gadentropy.budget import productions
 from gadentropy.qstate import ATOL, bloch_matrices, bloch_vectors
+from gadentropy.tomography import draw_frequencies
 
 settings.register_profile("gadentropy", derandomize=True, deadline=None)
 settings.load_profile("gadentropy")
@@ -91,3 +93,12 @@ def relative_entropy_to_thermal(b, p):
     """D(rho || diag(p, 1 - p)) of Bloch vectors b, shape (..., 3), by
     `bloch.relative_entropy_of_length` on their length and z."""
     return bloch.relative_entropy_of_length(*length_z(b), p)
+
+
+def frequencies(probs, shots, seed, n_bootstrap):
+    """The blocks that `draw_frequencies` yields for Born probabilities `probs`
+    (..., 4), joined into one stack (..., 1 + n_bootstrap, 4)."""
+    probs = np.asarray(probs, dtype=float)
+    blocks = draw_frequencies(probs.reshape(-1, 4), shots, seed, n_bootstrap)
+    stack = np.concatenate(list(blocks))
+    return stack.reshape(probs.shape[:-1] + stack.shape[1:])

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import fidelity, nearest_vectors
+from conftest import fidelity, frequencies, nearest_vectors
 
 from gadentropy import bloch, cli
 from gadentropy.budget import budget
@@ -26,7 +26,6 @@ from gadentropy.qstate import (
     relative_entropies,
     relative_entropy,
 )
-from gadentropy.tomography import draw_frequencies
 
 P_GRID_11 = np.linspace(0.5, 1.0, 11)
 R_GRID_11 = np.linspace(0.0, 1.0, 11)
@@ -37,7 +36,7 @@ def _reconstruct(state, shots, seed, n_bootstrap):
     """The tomography of `state`, projected into the ball by `eigh` as the
     sweep's scorer does radially: the run's Bloch vector, then its resamples'."""
     probs = bloch.born_probabilities(state.bloch_vector())
-    return nearest_vectors(bloch.invert(draw_frequencies(probs, shots, seed, n_bootstrap)))
+    return nearest_vectors(bloch.invert(frequencies(probs, shots, seed, n_bootstrap)))
 
 
 def _report(name, passed, detail):

@@ -96,3 +96,17 @@ def test_any_value_of_a_field_gives_config_or_config_error(field, value):
         return
     # What is stored passes the check again unchanged.
     assert SweepConfig(**dataclasses.asdict(config)) == config
+
+
+@pytest.mark.parametrize("setting, shown", [
+    (dict(shots=10**5000), "got a 5001-digit integer"),
+    (dict(seed=-10**5000), "got a negative 5001-digit integer"),
+    (dict(n_bootstrap=10**5000), "n_bootstrap = a 5001-digit integer"),
+    (dict(r_grid=10**5000), "^a 5001-digit integer grid rows"),
+    (dict(p_values=(10**5000,)), "got a 5001-digit integer"),
+    (dict(alphas=(10**5000, "x")), "got a tuple holding an integer too long to print"),
+], ids=["shots", "seed", "n_bootstrap", "r_grid", "p_values", "alphas"])
+def test_oversized_integer_is_refused_by_its_digit_count(setting, shown):
+    # str() refuses an int of more than 4300 digits, so the message counts them.
+    with pytest.raises(ConfigError, match=shown):
+        SweepConfig(**setting)

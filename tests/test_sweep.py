@@ -12,10 +12,10 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import nearest_states
+from conftest import frequencies, nearest_states
 
 import gadentropy
-from gadentropy import bloch, channel, check, cli, qstate, sweep
+from gadentropy import bloch, channel, check, cli, qstate, sweep, tomography
 from gadentropy.budget import budget as entropy_budget
 from gadentropy.check import run_property_suite
 from gadentropy.channel import GadChannel, apply
@@ -34,7 +34,6 @@ from gadentropy.sweep import (
     production_estimates,
     run_sweep,
 )
-from gadentropy.tomography import draw_frequencies
 
 SMALL = dict(shots=500, n_bootstrap=5, seed=99, r_grid=(0.0, 0.5, 1.0))
 
@@ -58,6 +57,12 @@ class TestConfig:
     def test_bad_r_grid_rejected(self):
         with pytest.raises(ConfigError):
             SweepConfig(r_grid=(0.0, 1.5))
+
+    def test_r_point_count_is_stored_as_floats(self):
+        # As every other list setting is, so the config's repr shows plain numbers.
+        cfg = SweepConfig(r_grid=3)
+        assert cfg.r_grid == (0.0, 0.5, 1.0) and all(type(r) is float for r in cfg.r_grid)
+        assert "r_grid=(0.0, 0.5, 1.0)," in repr(cfg)
 
     @pytest.mark.parametrize("points", [-1, 0, 1, True])
     def test_r_grid_count_below_two_rejected(self, points):
@@ -710,7 +715,7 @@ class TestArrayPathMatchesStates:
         coherent[:, 0] = rng.uniform(-1.0, 1.0, size=12)
         for initial, population in ((coherent, False), (np.zeros_like(coherent), True)):
             probs = bloch.born_probabilities(bloch.gad(initial, p, r))
-            freqs = np.array([draw_frequencies(q, shots, 7 + k, 40) for k, q in enumerate(probs)])
+            freqs = np.array([frequencies(q, shots, 7 + k, 40) for k, q in enumerate(probs)])
             point, stderr, _ = production_estimates(initial, p, freqs, population)
             for k in range(12):
                 want = self.per_state(QubitState.from_bloch(*initial[k]), p[k], freqs[k],
@@ -733,7 +738,7 @@ class TestArrayPathMatchesStates:
         for e, initial, population in experiments:
             probs = [bloch.born_probabilities(
                 apply(GadChannel(row.p, row.r), initial(row)).bloch_vector()) for row in rows]
-            freqs = draw_frequencies(np.array(probs), cfg.shots, (cfg.seed, e), cfg.n_bootstrap)
+            freqs = frequencies(np.array(probs), cfg.shots, (cfg.seed, e), cfg.n_bootstrap)
             for k, row in enumerate(rows):
                 got[k] += self.per_state(initial(row), row.p, freqs[k], population)
         for row, values in zip(rows, got):
@@ -762,18 +767,43 @@ class TestStreams:
     PROBS = np.array([0.7, 0.3, 0.5, 0.6])
 
     def test_stacked_draw_matches_single_run(self):
-        single = draw_frequencies(self.PROBS, 500, 11, 7)
+        single = frequencies(self.PROBS, 500, 11, 7)
         assert single.shape == (8, 4)
-        assert np.array_equal(draw_frequencies(self.PROBS[None], 500, 11, 7)[0], single)
+        assert np.array_equal(frequencies(self.PROBS[None], 500, 11, 7)[0], single)
 
     @pytest.mark.parametrize("seed", [0, 99, 20240])
     def test_experiments_draw_from_distinct_streams(self, seed):
         def stream(master, e):
-            return draw_frequencies(np.tile(self.PROBS, (20, 1)), 10_000, (master, e), 3)
+            return frequencies(np.tile(self.PROBS, (20, 1)), 10_000, (master, e), 3)
 
         assert not np.array_equal(stream(seed, 1), stream(seed, 2))
         # A seed + e scheme would replay (seed + 1, 1) as (seed, 2).
         assert not np.array_equal(stream(seed, 2), stream(seed + 1, 1))
+
+    @pytest.mark.parametrize("block_runs", [1, 8, 100, 2**20])
+    def test_blocks_join_to_one_stream_at_any_block_size(self, monkeypatch, block_runs):
+        # 50 rows of 1 + 7 runs: blocks of max(1, block_runs // 8) rows, the last one short.
+        probs = np.random.default_rng(5).uniform(size=(50, 4))
+        want = frequencies(probs, 500, 11, 7)
+        monkeypatch.setattr(tomography, "BLOCK_RUNS", block_runs)
+        blocks = list(tomography.draw_frequencies(probs, 500, 11, 7))
+        rows = max(1, block_runs // 8)
+        assert all(len(block) == rows for block in blocks[:-1]) and 0 < len(blocks[-1]) <= rows
+        assert np.array_equal(np.concatenate(blocks), want)
+
+    def test_sweep_holds_one_block_of_runs_at_a_time(self, monkeypatch):
+        # 32 runs per row, and rows for more than three blocks per experiment.
+        runs = []
+
+        def spy(initial, p, freqs, population):
+            runs.append(freqs.shape[0] * freqs.shape[1])
+            return production_estimates(initial, p, freqs, population)
+
+        monkeypatch.setattr(sweep, "production_estimates", spy)
+        config = SweepConfig(p_values=(0.9,), r_grid=3 * tomography.BLOCK_RUNS // 32 + 5,
+                             shots=100, n_bootstrap=31)
+        run_sweep(config)
+        assert len(runs) >= 2 * 4 and max(runs) <= tomography.BLOCK_RUNS
 
 
 class TestErrorBarCoverage:

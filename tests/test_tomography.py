@@ -2,7 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import fidelity, length_z, nearest_states, nearest_vectors, violation
+from conftest import (
+    fidelity,
+    frequencies,
+    length_z,
+    nearest_states,
+    nearest_vectors,
+    violation,
+)
 
 from gadentropy import bloch
 from gadentropy.channel import equilibrium_states
@@ -15,7 +22,6 @@ from gadentropy.qstate import (
     dephased,
     relative_entropies,
 )
-from gadentropy.tomography import draw_frequencies
 
 MIXED = np.eye(2) / 2
 
@@ -30,7 +36,7 @@ def reconstruct(state, shots, seed, n_bootstrap):
     """The tomography of `state`, projected into the ball by `eigh` as the
     sweep's scorer does radially: the run's Bloch vector, then its resamples."""
     probs = bloch.born_probabilities(state.bloch_vector())
-    return nearest_vectors(bloch.invert(draw_frequencies(probs, shots, seed, n_bootstrap)))
+    return nearest_vectors(bloch.invert(frequencies(probs, shots, seed, n_bootstrap)))
 
 
 class TestBornProbabilities:
@@ -67,24 +73,24 @@ class TestObservedDraw:
 
     def test_certain_outcomes(self):
         probs = bloch.born_probabilities(bloch_vectors(np.diag([1.0, 0.0])))
-        observed = draw_frequencies(probs, 1000, 5, 2)[0]
+        observed = frequencies(probs, 1000, 5, 2)[0]
         assert observed[0] == 1.0  # p_H = 1
         assert observed[1] == 0.0  # p_V = 0
 
     def test_deterministic_given_seed(self):
         probs = bloch.born_probabilities(PLUS.bloch_vector())
-        assert np.array_equal(draw_frequencies(probs, 10_000, 9, 10),
-                              draw_frequencies(probs, 10_000, 9, 10))
+        assert np.array_equal(frequencies(probs, 10_000, 9, 10),
+                              frequencies(probs, 10_000, 9, 10))
 
     def test_binomial_statistics(self):
         probs = bloch.born_probabilities(PLUS.bloch_vector())
-        counts = 100_000 * draw_frequencies(probs, 100_000, 10, 2)[0]
+        counts = 100_000 * frequencies(probs, 100_000, 10, 2)[0]
         assert counts[3] == 100_000  # p_D = 1
         sigma = math.sqrt(100_000 * 0.25)
         assert abs(counts[0] - 50_000) < 5 * sigma
 
 
-class TestLinearInversion:
+class TestInvert:
     def test_exact_frequencies_identity(self):
         m = QubitState.from_bloch(*bloch.invert([0.5, 0.5, 0.5, 0.5])).matrix
         assert np.allclose(m, MIXED, atol=1e-15)
@@ -184,7 +190,7 @@ class TestStatisticalConsistency:
         state = QubitState.from_bloch(0.3, -0.2, 0.4)
         shots = 10_000
         runs = np.broadcast_to(bloch.born_probabilities(state.bloch_vector()), (1000, 4))
-        vectors = nearest_vectors(bloch.invert(draw_frequencies(runs, shots, 0, 2)[:, 0]))
+        vectors = nearest_vectors(bloch.invert(frequencies(runs, shots, 0, 2)[:, 0]))
         mean = vectors.mean(axis=0)
         stderr = vectors.std(axis=0, ddof=1) / math.sqrt(len(vectors))
         for got, want, err in zip(mean, state.bloch_vector(), stderr):
@@ -203,7 +209,7 @@ class TestStatisticalConsistency:
         # Resamples are drawn basis by basis; each column must hold its own basis's
         # binomial draws at that basis's observed frequency, with none mixed in.
         shots, n = 1000, 5000
-        freqs = draw_frequencies(np.array([0.7, 0.3, 0.5, 0.9]), shots, 3, n)
+        freqs = frequencies(np.array([0.7, 0.3, 0.5, 0.9]), shots, 3, n)
         observed, resampled = freqs[0], freqs[1:]
         assert resampled.shape == (n, 4)
         variance = observed * (1.0 - observed) / shots
