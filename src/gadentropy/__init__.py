@@ -15,4 +15,4 @@ from .sweep import (
     load_config, run_sweep,
 )
 
-__version__ = "0.6.2"
+__version__ = "0.6.3"

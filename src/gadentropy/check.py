@@ -126,7 +126,7 @@ def run_property_suite(seed: int) -> PropertyReport:
         # 3 x 200 uniforms for the states, through the Bloch tomography closed
         # forms: Born probabilities, then linear inversion.
         b = _ball(_uniforms(rng, (3, 200)))
-        return within(dev(bloch.invert(bloch.born_probabilities(b)), b))
+        return within(dev(np.stack(bloch.invert(bloch.born_probabilities(b)), axis=-1), b))
 
     checks = (
         ("kraus completeness (11x11 grid)", completeness),

@@ -235,16 +235,17 @@ _CSV_BLOCK = 4096  # rows turned into Python values at a time while the CSV stre
 def production_estimates(initial, p, freqs, population: bool):
     """Per-row (point, stderr, projected count) of a production.
 
-    `freqs` (rows, 1 + n_bootstrap, 4), one block of
+    `freqs` (rows, 4, 1 + n_bootstrap), one basis-major block of
     `tomography.draw_frequencies`, holds each row's observed run, then its
-    resamples.  Each is inverted and scored by `bloch.production` from
-    `initial`; its length |b| is taken once, for the score and for the count
-    of estimates projected into the Bloch ball.  The stderr is the sample std.
+    resamples.  Its contiguous basis planes invert into Bloch component
+    planes, whose (|b|, z) `bloch.production` scores from `initial`; |b| also
+    counts the estimates projected into the Bloch ball.  The stderr is the
+    sample std.
     """
-    estimate = bloch.invert(freqs)
-    length = np.linalg.norm(estimate, axis=-1)
+    x, y, z = bloch.invert(freqs.swapaxes(1, 2))
+    length = np.sqrt(x * x + y * y + z * z)
     start = (np.linalg.norm(initial, axis=-1)[:, None], initial[:, None, 2])
-    production = bloch.production(start, (length, estimate[..., 2]), p[:, None], population)
+    production = bloch.production(start, (length, z), p[:, None], population)
     return (production[:, 0], np.std(production[:, 1:], axis=1, ddof=1),
             np.sum(length > 1.0, axis=1))
 

@@ -9,8 +9,8 @@ the reference for the sweep's radial projection, and `nearest_vectors` does the
 same to Bloch vectors; `coherences` takes their relative entropy of coherence
 from `productions`; `length_z` gives the (|b|, z) pairs that the `bloch`
 entropy functions take, and `relative_entropy_to_thermal` scores Bloch vectors
-with the sweep's closed form; `frequencies` joins the blocks of
-`draw_frequencies` into one stack."""
+with the sweep's scorer `bloch.production`; `frequencies` joins the
+basis-major blocks of `draw_frequencies` into one stack."""
 
 import numpy as np
 from hypothesis import settings
@@ -90,14 +90,16 @@ def length_z(b):
 
 
 def relative_entropy_to_thermal(b, p):
-    """D(rho || diag(p, 1 - p)) of Bloch vectors b, shape (..., 3), by
-    `bloch.relative_entropy_of_length` on their length and z."""
-    return bloch.relative_entropy_of_length(*length_z(b), p)
+    """D(rho || diag(p, 1 - p)) of Bloch vectors b, shape (..., 3), projected
+    into the ball: `bloch.production` from b to the thermal state (0, 0, 2p - 1),
+    whose own D is 0, also at p = 1."""
+    thermal = 2.0 * np.asarray(p, dtype=float) - 1.0
+    return bloch.production(length_z(b), (np.abs(thermal), thermal), p, population=False)
 
 
 def frequencies(probs, shots, seed, n_bootstrap):
     """The blocks that `draw_frequencies` yields for Born probabilities `probs`
-    (..., 4), joined into one stack (..., 1 + n_bootstrap, 4)."""
+    (..., 4), joined into one basis-major stack (..., 4, 1 + n_bootstrap)."""
     probs = np.asarray(probs, dtype=float)
     blocks = draw_frequencies(probs.reshape(-1, 4), shots, seed, n_bootstrap)
     stack = np.concatenate(list(blocks))

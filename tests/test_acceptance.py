@@ -36,7 +36,8 @@ def _reconstruct(state, shots, seed, n_bootstrap):
     """The tomography of `state`, projected into the ball by `eigh` as the
     sweep's scorer does radially: the run's Bloch vector, then its resamples'."""
     probs = bloch.born_probabilities(state.bloch_vector())
-    return nearest_vectors(bloch.invert(frequencies(probs, shots, seed, n_bootstrap)))
+    freqs = frequencies(probs, shots, seed, n_bootstrap).T
+    return nearest_vectors(np.stack(bloch.invert(freqs), axis=-1))
 
 
 def _report(name, passed, detail):

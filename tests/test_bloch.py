@@ -1,7 +1,8 @@
 """The closed-form Bloch-array functions against the 2x2 density-matrix path
 (eigh entropies, Kraus map, eigh projection), which stays their reference.
 Fixture vectors outside the ball are put into it by the eigh projection
-(`nearest_vectors`) where a function needs a state."""
+(`nearest_vectors`, `nearest_states`) where a function needs a state, as
+`bloch.production` puts them radially."""
 
 import math
 
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from gadentropy import bloch
 from gadentropy.channel import GadChannel, apply, equilibrium_states
 from gadentropy.qstate import (
+    ATOL,
     QubitState,
     bloch_matrices,
     dephased,
@@ -60,7 +62,7 @@ def vectors(request):
 
 def test_entropy_matches_eigh(vectors):
     # S(rho) = ln 2 - D(rho || I/2): the entropy inside the closed forms.
-    want = von_neumann_entropies(bloch_matrices(vectors))
+    want = von_neumann_entropies(nearest_states(bloch_matrices(vectors)))
     assert np.max(np.abs(math.log(2.0) - relative_entropy_to_thermal(vectors, 0.5) - want)) < TOL
 
 
@@ -71,18 +73,36 @@ def test_coherence_matches_eigh(vectors):
 
 @pytest.mark.parametrize("p", [0.5, 0.6, 0.9, 1.0 - 1e-9])
 def test_relative_entropy_matches_eigh(vectors, p):
-    want = relative_entropies(bloch_matrices(vectors), equilibrium_states(p))
+    want = relative_entropies(nearest_states(bloch_matrices(vectors)), equilibrium_states(p))
     assert np.max(np.abs(relative_entropy_to_thermal(vectors, p) - want)) < TOL
 
 
 def test_relative_entropy_support_rule_at_p1():
-    # Weight on the excited state diverges; the ground state does not.
+    # Weight on the excited state diverges; the ground state does not.  The
+    # production to the thermal state |0>, whose own D is 0, is D itself.
     vectors = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0 - 1e-13], [0.6, 0.0, 0.8],
                         [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
     want = relative_entropies(bloch_matrices(vectors), equilibrium_states(1.0))
-    got = relative_entropy_to_thermal(vectors, 1.0)
-    assert np.isinf(want[2:]).all() and np.isinf(got[2:]).all()
+    got = bloch.production(length_z(vectors), (1.0, 1.0), 1.0, population=False)
+    assert np.isposinf(want[2:]).all() and np.isposinf(got[2:]).all()
     assert np.max(np.abs(got[:2] - want[:2])) < TOL
+    # Between |0>-pole states of excited weight 0, ATOL and 2 ATOL, at and just
+    # inside the cut-off: finite where neither state diverges, +-inf where one
+    # does, nan (inf - inf) where both do.
+    z = 1.0 - 2.0 * np.array([0.0, ATOL, 2.0 * ATOL])
+    poles = bloch_matrices(z[:, None] * (0.0, 0.0, 1.0))
+    for p in (1.0, 1.0 - 1e-13):
+        d = relative_entropies(poles, equilibrium_states(p))
+        with np.errstate(invalid="ignore"):
+            want = d[:, None] - d[None, :]
+        for population in (False, True):
+            got = bloch.production((np.abs(z)[:, None], z[:, None]), (np.abs(z), z), p,
+                                   population)
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.array_equal(got[np.isinf(got)], want[np.isinf(got)])
+            finite = np.isfinite(want)
+            assert np.isfinite(got[finite]).all()
+            assert np.max(np.abs(got[finite] - want[finite])) < TOL
 
 
 def test_relative_entropy_broadcasts_over_p():
@@ -96,14 +116,16 @@ def test_relative_entropy_broadcasts_over_p():
 def test_project_matches_matrix_projection(vectors):
     # `production` projects each final state into the ball before scoring it;
     # the reference scores the eigh projection of its matrix, dephased for the
-    # population part.
-    initial, p = np.array([0.6, 0.0, 0.3]), 0.8
-    eq = equilibrium_states(p)
-    for population, part in ((False, lambda m: m), (True, dephased)):
-        got = bloch.production(length_z(initial), length_z(vectors), p, population)
-        want = (relative_entropies(part(bloch_matrices(initial)), eq)
-                - relative_entropies(part(nearest_states(bloch_matrices(vectors))), eq))
-        assert np.max(np.abs(got - want)) < TOL
+    # population part.  The weights next to 1 approach the support cut-off
+    # 1 - p <= ATOL, where the flux coefficient k = ln(p / (1 - p)) / 2 is largest.
+    initial = np.array([0.6, 0.0, 0.3])
+    for p in (0.8, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 2e-12):
+        eq = equilibrium_states(p)
+        for population, part in ((False, lambda m: m), (True, dephased)):
+            got = bloch.production(length_z(initial), length_z(vectors), p, population)
+            want = (relative_entropies(part(bloch_matrices(initial)), eq)
+                    - relative_entropies(part(nearest_states(bloch_matrices(vectors))), eq))
+            assert np.max(np.abs(got - want)) < TOL
 
 
 def test_born_probabilities_match_projectors(vectors):
@@ -118,7 +140,8 @@ def test_born_probabilities_match_projectors(vectors):
 
 def test_inversion_round_trip(vectors):
     inside = nearest_vectors(vectors)
-    assert np.max(np.abs(bloch.invert(bloch.born_probabilities(inside)) - inside)) < TOL
+    inverted = np.stack(bloch.invert(bloch.born_probabilities(inside)), axis=-1)
+    assert np.max(np.abs(inverted - inside)) < TOL
 
 
 def test_gad_matches_kraus_map(vectors):
@@ -166,5 +189,5 @@ def test_entropies_match_eigh_anywhere_in_the_ball(b, p):
 
 @given(BALL, WEIGHT, STRENGTH)
 def test_gad_never_increases_relative_entropy_to_thermal(b, p, r):
-    before = relative_entropy_to_thermal(b, p)
-    assert relative_entropy_to_thermal(bloch.gad(b, p, r), p) <= before + 1e-10
+    # D(b || eq) - D(gad(b) || eq) >= 0: the production of a GAD step.
+    assert bloch.production(length_z(b), length_z(bloch.gad(b, p, r)), p, False) >= -1e-10

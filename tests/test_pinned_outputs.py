@@ -17,13 +17,13 @@ import gadentropy
 from gadentropy import cli
 
 DIGESTS = {
-    ("0.6.2", "2.4.6"): {
+    ("0.6.3", "2.4.6"): {
         "fig2 csv": "9b9250757afe7f9cf7bdeda8af9268076b3b4859db3fb93cfd6405c523097239",
-        "fig2 summary": "23be96ad4d363b36995931870ed8f511989afc674b153c6873d0fde0852e38a9",
-        "fig3 csv": "da80455efc269cfb0bae326741e3a6ff8bd9305f80d4720dcee97fd04fd34e0f",
+        "fig2 summary": "68cee1b869e13654d289db03b59f74b46f916ac3bdbf198b0f40b33799c79200",
+        "fig3 csv": "dfe76ef01a41dbfee53247fbd176aac70db788684e4721a50a7a539a4aa3588d",
         "fig3 summary": "81e7d4c0cebcc00b260b395d8df29c51e8ef36824d07bdc25c31431e471552fe",
         "check stdout": "7f314eefa030c20da04519cb80d65a603400115fb78c54493c3de6865893ea83",
-        "grid csv": "c6d4e26ac670bc5db3b82e225188d0bc10c7187bcd3cee8350029d9a285ff007",
+        "grid csv": "4e7c134ddff014430ad1a49dec2fd56e0c50c4a10e49affe49f479408ae0a222",
     },
 }
 

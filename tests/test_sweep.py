@@ -402,7 +402,7 @@ class TestPropertySuite:
     @pytest.mark.parametrize("name", ["invert", "born_probabilities"])
     def test_perturbed_tomography_step_fails_the_round_trip_row(self, capsys, monkeypatch, name):
         step = getattr(bloch, name)
-        monkeypatch.setattr(bloch, name, lambda a: step(a) + 1e-9)
+        monkeypatch.setattr(bloch, name, lambda a: np.add(step(a), 1e-9))
         assert self.failed_rows(capsys) == [
             "[FAIL] tomography exact-frequency round trip (200 random states)"]
 
@@ -699,7 +699,9 @@ class TestArrayPathMatchesStates:
 
     @staticmethod
     def per_state(initial, p, freqs, population):
-        initial, final = initial.matrix, nearest_states(qstate.bloch_matrices(bloch.invert(freqs)))
+        """(point, stderr) from one row's basis-major frequencies (4, runs)."""
+        final = nearest_states(qstate.bloch_matrices(np.stack(bloch.invert(freqs.T), axis=-1)))
+        initial = initial.matrix
         if population:
             initial, final = qstate.dephased(initial), qstate.dephased(final)
         eq = channel.equilibrium_states(p)
@@ -758,7 +760,8 @@ class TestArrayPathMatchesStates:
         assert rows.indeterminate.all() and rows.projected.sum() == 0
 
     def test_projections_are_counted(self):
-        freqs = np.array([[[1.0, 0.0, 0.5, 1.0], [0.5, 0.5, 0.5, 0.5], [1.0, 0.0, 1.0, 1.0]]])
+        runs = np.array([[1.0, 0.0, 0.5, 1.0], [0.5, 0.5, 0.5, 0.5], [1.0, 0.0, 1.0, 1.0]])
+        freqs = runs.T[None]  # one row of three runs, basis-major
         _, _, projected = production_estimates(np.zeros((1, 3)), np.array([0.8]), freqs, True)
         assert projected.tolist() == [2]
 
@@ -768,7 +771,7 @@ class TestStreams:
 
     def test_stacked_draw_matches_single_run(self):
         single = frequencies(self.PROBS, 500, 11, 7)
-        assert single.shape == (8, 4)
+        assert single.shape == (4, 8)
         assert np.array_equal(frequencies(self.PROBS[None], 500, 11, 7)[0], single)
 
     @pytest.mark.parametrize("seed", [0, 99, 20240])
@@ -791,12 +794,23 @@ class TestStreams:
         assert all(len(block) == rows for block in blocks[:-1]) and 0 < len(blocks[-1]) <= rows
         assert np.array_equal(np.concatenate(blocks), want)
 
+    def test_stream_is_the_documented_order_of_binomial_draws(self):
+        # One scalar draw at a time: every row's observed count per basis, then
+        # per row and basis its resamples at the observed frequency.
+        probs = np.random.default_rng(5).uniform(size=(3, 4))
+        rng = np.random.default_rng(11)
+        counts = np.array([[rng.binomial(500, q) for q in row] for row in probs])
+        resampled = np.array([[[rng.binomial(500, n / 500) for _ in range(7)] for n in row]
+                              for row in counts])
+        want = np.concatenate([counts[..., None], resampled], axis=-1) / 500
+        assert np.array_equal(frequencies(probs, 500, 11, 7), want)
+
     def test_sweep_holds_one_block_of_runs_at_a_time(self, monkeypatch):
         # 32 runs per row, and rows for more than three blocks per experiment.
         runs = []
 
         def spy(initial, p, freqs, population):
-            runs.append(freqs.shape[0] * freqs.shape[1])
+            runs.append(freqs.shape[0] * freqs.shape[2])
             return production_estimates(initial, p, freqs, population)
 
         monkeypatch.setattr(sweep, "production_estimates", spy)

@@ -36,7 +36,8 @@ def reconstruct(state, shots, seed, n_bootstrap):
     """The tomography of `state`, projected into the ball by `eigh` as the
     sweep's scorer does radially: the run's Bloch vector, then its resamples."""
     probs = bloch.born_probabilities(state.bloch_vector())
-    return nearest_vectors(bloch.invert(frequencies(probs, shots, seed, n_bootstrap)))
+    freqs = frequencies(probs, shots, seed, n_bootstrap).T
+    return nearest_vectors(np.stack(bloch.invert(freqs), axis=-1))
 
 
 class TestBornProbabilities:
@@ -69,11 +70,11 @@ class TestBornProbabilities:
 
 
 class TestObservedDraw:
-    """The observed run of `draw_frequencies` (index 0): one binomial draw per basis."""
+    """The observed run of `draw_frequencies` (run index 0): one binomial draw per basis."""
 
     def test_certain_outcomes(self):
         probs = bloch.born_probabilities(bloch_vectors(np.diag([1.0, 0.0])))
-        observed = frequencies(probs, 1000, 5, 2)[0]
+        observed = frequencies(probs, 1000, 5, 2)[:, 0]
         assert observed[0] == 1.0  # p_H = 1
         assert observed[1] == 0.0  # p_V = 0
 
@@ -84,7 +85,7 @@ class TestObservedDraw:
 
     def test_binomial_statistics(self):
         probs = bloch.born_probabilities(PLUS.bloch_vector())
-        counts = 100_000 * frequencies(probs, 100_000, 10, 2)[0]
+        counts = 100_000 * frequencies(probs, 100_000, 10, 2)[:, 0]
         assert counts[3] == 100_000  # p_D = 1
         sigma = math.sqrt(100_000 * 0.25)
         assert abs(counts[0] - 50_000) < 5 * sigma
@@ -110,7 +111,7 @@ class TestInvert:
         rng = np.random.default_rng(42)
         for _ in range(100):
             state = random_state(rng)
-            inverted = bloch.invert(bloch.born_probabilities(state.bloch_vector()))
+            inverted = np.stack(bloch.invert(bloch.born_probabilities(state.bloch_vector())))
             for recon in (bloch_matrices(inverted), nearest_states(bloch_matrices(inverted))):
                 assert np.max(np.abs(recon - state.matrix)) < 1e-12
 
@@ -190,7 +191,8 @@ class TestStatisticalConsistency:
         state = QubitState.from_bloch(0.3, -0.2, 0.4)
         shots = 10_000
         runs = np.broadcast_to(bloch.born_probabilities(state.bloch_vector()), (1000, 4))
-        vectors = nearest_vectors(bloch.invert(frequencies(runs, shots, 0, 2)[:, 0]))
+        observed = frequencies(runs, shots, 0, 2)[..., 0]
+        vectors = nearest_vectors(np.stack(bloch.invert(observed), axis=-1))
         mean = vectors.mean(axis=0)
         stderr = vectors.std(axis=0, ddof=1) / math.sqrt(len(vectors))
         for got, want, err in zip(mean, state.bloch_vector(), stderr):
@@ -209,7 +211,7 @@ class TestStatisticalConsistency:
         # Resamples are drawn basis by basis; each column must hold its own basis's
         # binomial draws at that basis's observed frequency, with none mixed in.
         shots, n = 1000, 5000
-        freqs = frequencies(np.array([0.7, 0.3, 0.5, 0.9]), shots, 3, n)
+        freqs = frequencies(np.array([0.7, 0.3, 0.5, 0.9]), shots, 3, n).T
         observed, resampled = freqs[0], freqs[1:]
         assert resampled.shape == (n, 4)
         variance = observed * (1.0 - observed) / shots
