@@ -15,4 +15,4 @@ from .sweep import (
     load_config, run_sweep,
 )
 
-__version__ = "0.6.3"
+__version__ = "0.6.4"

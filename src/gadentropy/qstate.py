@@ -8,8 +8,9 @@ The entropies and dephasing act on stacked complex arrays of shape
 `von_neumann_entropies`, `relative_entropies` and its tr(rho ln sigma) part
 `cross_terms`), computed with batched `eigvalsh`/`eigh`; `cross_terms` takes
 the weights of rho on sigma's eigenvectors in one batched matmul.  The
-relative entropy of coherence, S(dephased(rho)) - S(rho), is scored only
-inside `budget.productions`.  `QubitState` holds one such matrix, and
+relative entropy of coherence, S(dephased(rho)) - S(rho), is scored on
+matrices inside `budget.productions`, and for the sweeps in closed form by
+`bloch.coherence`.  `QubitState` holds one such matrix, and
 `relative_entropy` scores a pair of them as a Python float.
 """
 

@@ -232,24 +232,6 @@ _CSV_LINE = ",".join("%s" if name in _AXIS_COLUMNS else
 _CSV_BLOCK = 4096  # rows turned into Python values at a time while the CSV streams
 
 
-def production_estimates(initial, p, freqs, population: bool):
-    """Per-row (point, stderr, projected count) of a production.
-
-    `freqs` (rows, 4, 1 + n_bootstrap), one basis-major block of
-    `tomography.draw_frequencies`, holds each row's observed run, then its
-    resamples.  Its contiguous basis planes invert into Bloch component
-    planes, whose (|b|, z) `bloch.production` scores from `initial`; |b| also
-    counts the estimates projected into the Bloch ball.  The stderr is the
-    sample std.
-    """
-    x, y, z = bloch.invert(freqs.swapaxes(1, 2))
-    length = np.sqrt(x * x + y * y + z * z)
-    start = (np.linalg.norm(initial, axis=-1)[:, None], initial[:, None, 2])
-    production = bloch.production(start, (length, z), p[:, None], population)
-    return (production[:, 0], np.std(production[:, 1:], axis=1, ddof=1),
-            np.sum(length > 1.0, axis=1))
-
-
 def run_sweep(config: SweepConfig) -> np.recarray:
     """Evaluate every (p, alpha, r) grid point of the configured sweep.
 
@@ -257,10 +239,8 @@ def run_sweep(config: SweepConfig) -> np.recarray:
     Indeterminate points (1 - p <= ATOL, where the relative entropy diverges)
     are flagged, not dropped, hold NaN productions and draw nothing; every
     other row's columns are finite.  Experiment e (1 coherent, 2 dephased)
-    draws all its determinate rows, in row order, from the one generator
-    `default_rng((config.seed, e))`, and scores them one block of at most
-    `tomography.BLOCK_RUNS` runs at a time, so only per-row values grow with
-    the grid and none with `n_bootstrap`.
+    is one `tomography.estimates` call over the determinate rows, seeded
+    (config.seed, e).
     """
     grid = np.indices((len(config.p_values), len(config.alphas), len(config.r_grid)))
     i_p, i_a, i_r = (g.ravel() for g in grid)
@@ -282,17 +262,10 @@ def run_sweep(config: SweepConfig) -> np.recarray:
     # Both measure all four bases: experiment 2's R and D frequencies reach the population
     # estimate through the radial projection when |b| > 1, so they are not skipped.
     p_det, r_det, initial = p[det], r[det], coherent[det]
-    estimates = np.empty((2, 3, p_det.size))  # experiment, (point, stderr, projected), row
-    for e, prepared in enumerate((initial, bloch.dephase(initial)), start=1):
-        start = 0
-        for freqs in tomography.draw_frequencies(
-                bloch.born_probabilities(bloch.gad(prepared, p_det, r_det)), config.shots,
-                (config.seed, e), config.n_bootstrap):
-            block = slice(start, start + len(freqs))
-            estimates[e - 1, :, block] = production_estimates(
-                prepared[block], p_det[block], freqs, population=e == 2)
-            start = block.stop
-    (tot, tot_err, tot_proj), (pop, pop_err, pop_proj) = estimates
+    (tot, tot_err, tot_proj), (pop, pop_err, pop_proj) = (
+        tomography.estimates(prepared, p_det, r_det, config.shots, (config.seed, e),
+                             config.n_bootstrap, population=e == 2)
+        for e, prepared in enumerate((initial, bloch.dephase(initial)), start=1))
     coherence = bloch.coherence(*ends[0]) - bloch.coherence(*ends[1])
     for name, values in zip(CSV_COLUMNS[4:13], (
             *(np.maximum(v[det], 0.0) for v in (total, population, coherence)),

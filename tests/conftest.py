@@ -9,8 +9,8 @@ the reference for the sweep's radial projection, and `nearest_vectors` does the
 same to Bloch vectors; `coherences` takes their relative entropy of coherence
 from `productions`; `length_z` gives the (|b|, z) pairs that the `bloch`
 entropy functions take, and `relative_entropy_to_thermal` scores Bloch vectors
-with the sweep's scorer `bloch.production`; `frequencies` joins the
-basis-major blocks of `draw_frequencies` into one stack."""
+with the sweep's scorer `bloch.production`; `frequencies` states one
+experiment's stream of draws on its own, without the package's sampler."""
 
 import numpy as np
 from hypothesis import settings
@@ -18,7 +18,6 @@ from hypothesis import settings
 from gadentropy import bloch
 from gadentropy.budget import productions
 from gadentropy.qstate import ATOL, bloch_matrices, bloch_vectors
-from gadentropy.tomography import draw_frequencies
 
 settings.register_profile("gadentropy", derandomize=True, deadline=None)
 settings.load_profile("gadentropy")
@@ -98,9 +97,11 @@ def relative_entropy_to_thermal(b, p):
 
 
 def frequencies(probs, shots, seed, n_bootstrap):
-    """The blocks that `draw_frequencies` yields for Born probabilities `probs`
-    (..., 4), joined into one basis-major stack (..., 4, 1 + n_bootstrap)."""
-    probs = np.asarray(probs, dtype=float)
-    blocks = draw_frequencies(probs.reshape(-1, 4), shots, seed, n_bootstrap)
-    stack = np.concatenate(list(blocks))
-    return stack.reshape(probs.shape[:-1] + stack.shape[1:])
+    """The documented stream of one experiment at Born probabilities `probs`
+    (..., 4), as a basis-major stack (..., 4, 1 + n_bootstrap) of frequencies:
+    from `default_rng(seed)`, one binomial draw of every run's observed
+    counts, then one draw of all their resamples at the observed frequencies."""
+    rng = np.random.default_rng(seed)
+    counts = rng.binomial(shots, np.asarray(probs, dtype=float))[..., None]
+    resampled = rng.binomial(shots, counts / shots, size=counts.shape[:-1] + (n_bootstrap,))
+    return np.concatenate([counts, resampled], axis=-1) / shots

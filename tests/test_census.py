@@ -104,3 +104,31 @@ def test_reference_imports_none_of_the_closed_forms():
     for module in ("qstate", "channel", "budget"):
         found = _imported_names(SRC / f"{module}.py") & {"bloch", "sweep", "tomography"}
         assert not found, f"{module}.py imports {sorted(found)}"
+
+
+def _draws(path):
+    """Whether the module references `numpy.random`: by importing it or a name
+    from it, or by an attribute `random` of a name bound to numpy."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    numpy = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[:2] == ["numpy", "random"]:
+                    return True
+                if parts[0] == "numpy":
+                    numpy.add(alias.asname or "numpy")
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[:2] == ["numpy", "random"] or (
+                    node.module == "numpy" and any(a.name == "random" for a in node.names)):
+                return True
+    return any(isinstance(node, ast.Attribute) and node.attr == "random"
+               and isinstance(node.value, ast.Name) and node.value.id in numpy
+               for node in ast.walk(tree))
+
+
+def test_only_tomography_draws():
+    # Each experiment's shots and resamples come from one generator in
+    # `tomography.estimates`; a draw anywhere else would not be in that stream.
+    assert {path.stem for path in SRC.glob("*.py") if _draws(path)} == {"tomography"}

@@ -17,7 +17,7 @@ import gadentropy
 from gadentropy import cli
 
 DIGESTS = {
-    ("0.6.3", "2.4.6"): {
+    ("0.6.4", "2.4.6"): {
         "fig2 csv": "9b9250757afe7f9cf7bdeda8af9268076b3b4859db3fb93cfd6405c523097239",
         "fig2 summary": "68cee1b869e13654d289db03b59f74b46f916ac3bdbf198b0f40b33799c79200",
         "fig3 csv": "dfe76ef01a41dbfee53247fbd176aac70db788684e4721a50a7a539a4aa3588d",

@@ -31,7 +31,6 @@ from gadentropy.sweep import (
     fig2_config,
     fig3_config,
     load_config,
-    production_estimates,
     run_sweep,
 )
 
@@ -716,9 +715,8 @@ class TestArrayPathMatchesStates:
         coherent = np.zeros((12, 3))
         coherent[:, 0] = rng.uniform(-1.0, 1.0, size=12)
         for initial, population in ((coherent, False), (np.zeros_like(coherent), True)):
-            probs = bloch.born_probabilities(bloch.gad(initial, p, r))
-            freqs = np.array([frequencies(q, shots, 7 + k, 40) for k, q in enumerate(probs)])
-            point, stderr, _ = production_estimates(initial, p, freqs, population)
+            freqs = frequencies(bloch.born_probabilities(bloch.gad(initial, p, r)), shots, 7, 40)
+            point, stderr, _ = tomography.estimates(initial, p, r, shots, 7, 40, population)
             for k in range(12):
                 want = self.per_state(QubitState.from_bloch(*initial[k]), p[k], freqs[k],
                                       population)
@@ -760,10 +758,17 @@ class TestArrayPathMatchesStates:
         assert rows.indeterminate.all() and rows.projected.sum() == 0
 
     def test_projections_are_counted(self):
-        runs = np.array([[1.0, 0.0, 0.5, 1.0], [0.5, 0.5, 0.5, 0.5], [1.0, 0.0, 1.0, 1.0]])
-        freqs = runs.T[None]  # one row of three runs, basis-major
-        _, _, projected = production_estimates(np.zeros((1, 3)), np.array([0.8]), freqs, True)
-        assert projected.tolist() == [2]
+        # At 2 shots every Bloch component is a multiple of 1/2, so runs fall
+        # inside the ball, exactly on its surface (not projected) and outside it.
+        p, r = np.full(20, 0.8), np.linspace(0.0, 1.0, 20)
+        prepared = np.zeros((20, 3))
+        prepared[:, 0] = 1.0
+        freqs = frequencies(bloch.born_probabilities(bloch.gad(prepared, p, r)), 2, 5, 6)
+        x, y, z = bloch.invert(freqs.swapaxes(-1, -2))
+        squared = x * x + y * y + z * z
+        assert (squared < 1.0).any() and (squared == 1.0).any() and (squared > 1.0).any()
+        _, _, projected = tomography.estimates(prepared, p, r, 2, 5, 6, True)
+        assert projected.tolist() == np.sum(squared > 1.0, axis=-1).tolist()
 
 
 class TestStreams:
@@ -786,13 +791,25 @@ class TestStreams:
     @pytest.mark.parametrize("block_runs", [1, 8, 100, 2**20])
     def test_blocks_join_to_one_stream_at_any_block_size(self, monkeypatch, block_runs):
         # 50 rows of 1 + 7 runs: blocks of max(1, block_runs // 8) rows, the last one short.
-        probs = np.random.default_rng(5).uniform(size=(50, 4))
-        want = frequencies(probs, 500, 11, 7)
+        rng = np.random.default_rng(5)
+        prepared = rng.uniform(-0.5, 0.5, size=(50, 3))
+        p, r = rng.uniform(0.5, 0.99, size=50), rng.uniform(size=50)
+        want = [tomography.estimates(prepared, p, r, 500, 11, 7, population)
+                for population in (False, True)]
+        blocks, invert = [], bloch.invert
+
+        def spy(freqs):
+            blocks.append(len(freqs))
+            return invert(freqs)
+
         monkeypatch.setattr(tomography, "BLOCK_RUNS", block_runs)
-        blocks = list(tomography.draw_frequencies(probs, 500, 11, 7))
-        rows = max(1, block_runs // 8)
-        assert all(len(block) == rows for block in blocks[:-1]) and 0 < len(blocks[-1]) <= rows
-        assert np.array_equal(np.concatenate(blocks), want)
+        monkeypatch.setattr(bloch, "invert", spy)
+        for population, expected in zip((False, True), want):
+            blocks.clear()
+            got = tomography.estimates(prepared, p, r, 500, 11, 7, population)
+            rows = max(1, block_runs // 8)
+            assert all(size == rows for size in blocks[:-1]) and 0 < blocks[-1] <= rows
+            assert sum(blocks) == 50 and np.array_equal(got, expected)
 
     def test_stream_is_the_documented_order_of_binomial_draws(self):
         # One scalar draw at a time: every row's observed count per basis, then
@@ -807,13 +824,13 @@ class TestStreams:
 
     def test_sweep_holds_one_block_of_runs_at_a_time(self, monkeypatch):
         # 32 runs per row, and rows for more than three blocks per experiment.
-        runs = []
+        runs, invert = [], bloch.invert
 
-        def spy(initial, p, freqs, population):
-            runs.append(freqs.shape[0] * freqs.shape[2])
-            return production_estimates(initial, p, freqs, population)
+        def spy(freqs):
+            runs.append(freqs.size // 4)
+            return invert(freqs)
 
-        monkeypatch.setattr(sweep, "production_estimates", spy)
+        monkeypatch.setattr(bloch, "invert", spy)
         config = SweepConfig(p_values=(0.9,), r_grid=3 * tomography.BLOCK_RUNS // 32 + 5,
                              shots=100, n_bootstrap=31)
         run_sweep(config)

@@ -70,7 +70,7 @@ class TestBornProbabilities:
 
 
 class TestObservedDraw:
-    """The observed run of `draw_frequencies` (run index 0): one binomial draw per basis."""
+    """The observed run of the documented stream (run index 0): one binomial draw per basis."""
 
     def test_certain_outcomes(self):
         probs = bloch.born_probabilities(bloch_vectors(np.diag([1.0, 0.0])))
