@@ -66,13 +66,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output_problem(path: str) -> str | None:
+    """Why the CSV `path` or its `.meta.json` sidecar cannot be written, or None."""
+    out_dir = os.path.dirname(path) or "."
+    if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK | os.X_OK)):
+        return f"{out_dir!r} is not a writable directory"
+    limit = os.pathconf(out_dir, "PC_NAME_MAX")  # -1: no limit
+    for target in (path, path + ".meta.json"):
+        size = len(os.fsencode(os.path.basename(target)))
+        if not size or os.path.isdir(target):
+            return f"{target!r} names a directory, not a file"
+        if 0 < limit < size:
+            return (f"the file name of {target!r} is {size} bytes, "
+                    f"over the {limit}-byte limit of {out_dir!r}")
+    return None
+
+
 def _run_and_emit(config: sw.SweepConfig) -> int:
     path = config.output_path
-    out_dir = os.path.dirname(path) or "."
-    problem = next((f"{t!r} names a directory, not a file" for t in (path, path + ".meta.json")
-                    if not os.path.basename(t) or os.path.isdir(t)), None)
-    if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK | os.X_OK)):
-        problem = f"{out_dir!r} is not a writable directory"
+    problem = _output_problem(path)
     if problem:
         print(f"error: cannot write {path!r}: {problem}", file=sys.stderr)
         return EXIT_IO

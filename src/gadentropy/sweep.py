@@ -283,8 +283,11 @@ def _counters(rows) -> dict:
 
 def _write_atomic(path: str, lines) -> None:
     """Write the lines through a temporary file in the same directory, then
-    rename it over `path`, so a reader never sees a half-written file."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+    rename it over `path`, so a reader never sees a half-written file.  The
+    temporary name, `.<first 32 characters of the file name>.<pid>.tmp`, stays
+    short, so only the target's own name can be too long for the directory."""
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name[:32]}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(lines)

@@ -1,23 +1,30 @@
 """Test-wide settings and helpers.
 
 Hypothesis draws the same examples on every run and has no per-example
-deadline, so a slow host neither changes nor fails a test.  `violation`,
-`l1_coherence` and `fidelity` are test-side measures of 2x2 density matrices
-that the package itself does not need; `random_density_matrices` draws
-stacks of them; `nearest_states` projects them onto the valid states by `eigh`,
-the reference for the sweep's radial projection, and `nearest_vectors` does the
-same to Bloch vectors; `coherences` takes their relative entropy of coherence
-from `productions`; `length_z` gives the (|b|, z) pairs that the `bloch`
-entropy functions take, and `relative_entropy_to_thermal` scores Bloch vectors
-with the sweep's scorer `bloch.production`; `frequencies` states one
-experiment's stream of draws on its own, without the package's sampler."""
+deadline, so a slow host neither changes nor fails a test.  The helpers:
+
+- `violation`, `l1_coherence` and `fidelity` measure 2x2 density matrices in
+  ways the package itself does not need;
+- `random_density_matrices` draws stacks of full-rank states, and
+  `random_state` one `QubitState` uniform in the Bloch ball;
+- `nearest_states` projects matrices onto the valid states by `eigh`, the
+  reference for the sweep's radial projection, and `nearest_vectors` does the
+  same to Bloch vectors;
+- `coherences` takes the relative entropy of coherence of matrices from
+  `productions`;
+- `length_z` gives the (|b|, z) pairs that the `bloch` entropy functions take,
+  and `relative_entropy_to_thermal` scores Bloch vectors with the sweep's
+  scorer `bloch.production`;
+- `frequencies` states one experiment's stream of draws on its own, without
+  the package's sampler, and `reconstruct` inverts one state's stream and
+  projects it by `eigh`."""
 
 import numpy as np
 from hypothesis import settings
 
 from gadentropy import bloch
 from gadentropy.budget import productions
-from gadentropy.qstate import ATOL, bloch_matrices, bloch_vectors
+from gadentropy.qstate import ATOL, QubitState, bloch_matrices, bloch_vectors
 
 settings.register_profile("gadentropy", derandomize=True, deadline=None)
 settings.load_profile("gadentropy")
@@ -56,6 +63,13 @@ def random_density_matrices(rng, shape):
     a = rng.normal(size=(*shape, 2, 2)) + 1j * rng.normal(size=(*shape, 2, 2))
     m = a @ a.conj().swapaxes(-1, -2)
     return m / np.trace(m, axis1=-2, axis2=-1)[..., None, None]
+
+
+def random_state(rng):
+    """A `QubitState` drawn uniformly from the Bloch ball."""
+    v = rng.normal(size=3)
+    v = v / np.linalg.norm(v) * rng.uniform() ** (1.0 / 3.0)
+    return QubitState.from_bloch(*v)
 
 
 def nearest_states(m):
@@ -105,3 +119,10 @@ def frequencies(probs, shots, seed, n_bootstrap):
     counts = rng.binomial(shots, np.asarray(probs, dtype=float))[..., None]
     resampled = rng.binomial(shots, counts / shots, size=counts.shape[:-1] + (n_bootstrap,))
     return np.concatenate([counts, resampled], axis=-1) / shots
+
+
+def reconstruct(state, shots, seed, n_bootstrap):
+    """The tomography of `state`, projected into the ball by `eigh` as the
+    sweep's scorer does radially: the run's Bloch vector, then its resamples'."""
+    freqs = frequencies(bloch.born_probabilities(state.bloch_vector()), shots, seed, n_bootstrap)
+    return nearest_vectors(np.stack(bloch.invert(freqs.T), axis=-1))

@@ -5,9 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from conftest import fidelity, frequencies, nearest_vectors
+from conftest import fidelity, reconstruct
 
-from gadentropy import bloch, cli
+from gadentropy import cli, tomography
 from gadentropy.budget import budget
 from gadentropy.channel import (
     BathSpec,
@@ -23,21 +23,12 @@ from gadentropy.qstate import (
     PLUS,
     QubitState,
     bloch_matrices,
-    relative_entropies,
     relative_entropy,
 )
 
 P_GRID_11 = np.linspace(0.5, 1.0, 11)
 R_GRID_11 = np.linspace(0.0, 1.0, 11)
 ALPHA_GRID_9 = np.linspace(0.0, math.pi / 4.0, 9)
-
-
-def _reconstruct(state, shots, seed, n_bootstrap):
-    """The tomography of `state`, projected into the ball by `eigh` as the
-    sweep's scorer does radially: the run's Bloch vector, then its resamples'."""
-    probs = bloch.born_probabilities(state.bloch_vector())
-    freqs = frequencies(probs, shots, seed, n_bootstrap).T
-    return nearest_vectors(np.stack(bloch.invert(freqs), axis=-1))
 
 
 def _report(name, passed, detail):
@@ -206,20 +197,16 @@ def test_criterion_7_qualitative_claims():
 
 def test_criterion_8_tomography_fidelity():
     states = [PLUS, QubitState(np.eye(2) / 2), apply(GadChannel(0.9, 0.5), PLUS)]
-    estimates = np.array([_reconstruct(state, 100_000, 1000 * i + seed, 2)[0]
+    estimates = np.array([reconstruct(state, 100_000, 1000 * i + seed, 2)[0]
                           for i, state in enumerate(states) for seed in range(100)])
     truths = np.repeat([state.matrix for state in states], 100, axis=0)
     mean_fid = float(np.mean(fidelity(bloch_matrices(estimates), truths)))
 
-    ch = GadChannel(0.9, 0.5)
-    evolved = apply(ch, PLUS)
-    sigma_true = budget(PLUS, ch).total
-    # (200 trials, run + 200 resamples), scored in one stack.
-    runs = np.array([_reconstruct(evolved, 10_000, seed, 200) for seed in range(200)])
-    eq = equilibrium_state(ch).matrix
-    sigma = relative_entropies(PLUS.matrix, eq) - relative_entropies(bloch_matrices(runs), eq)
-    stderr = np.std(sigma[:, 1:], axis=1, ddof=1)
-    covered = int(np.sum(np.abs(sigma[:, 0] - sigma_true) <= 3.0 * stderr))
+    # 200 trials of PLUS at p = 0.9, r = 0.5, as the sweep measures them.
+    sigma_true = budget(PLUS, GadChannel(0.9, 0.5)).total
+    sigma, stderr, _ = tomography.estimates(np.tile(PLUS.bloch_vector(), (200, 1)),
+                                            np.full(200, 0.9), 0.5, 10_000, 0, 200, False)
+    covered = int(np.sum(np.abs(sigma - sigma_true) <= 3.0 * stderr))
     ok = mean_fid >= 0.999 and covered >= 190
     _report("8 tomography fidelity + error-bar coverage", ok,
             f"mean fidelity {mean_fid:.5f} >= 0.999, "

@@ -1,8 +1,12 @@
-"""The closed-form Bloch-array functions against the 2x2 density-matrix path
-(eigh entropies, Kraus map, eigh projection), which stays their reference.
-Fixture vectors outside the ball are put into it by the eigh projection
-(`nearest_vectors`, `nearest_states`) where a function needs a state, as
-`bloch.production` puts them radially."""
+"""The one home of the comparisons between the closed forms of `bloch` and
+the 2x2 density-matrix path (eigh entropies, Kraus map, eigh projection),
+which stays their reference: `gad`, `born_probabilities`, `invert`,
+`coherence`, and `production` with its projection into the ball and its
+p = 1 support rule, on fixture vectors and anywhere in the ball; and on
+stacks of any leading shape, the matrix forms `qstate.bloch_matrices` and
+`budget.productions` against them.  Fixture vectors outside the ball are put
+into it by the eigh projection (`nearest_vectors`, `nearest_states`) where a
+function needs a state, as `bloch.production` puts them radially."""
 
 import math
 
@@ -19,7 +23,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gadentropy import bloch
-from gadentropy.channel import GadChannel, apply, equilibrium_states
+from gadentropy.budget import productions
+from gadentropy.channel import GadChannel, apply, apply_kraus, equilibrium_states
 from gadentropy.qstate import (
     ATOL,
     QubitState,
@@ -31,14 +36,53 @@ from gadentropy.qstate import (
 
 TOL = 1e-12
 
-# Bloch vectors anywhere in the ball (centre and surface included), bath
-# weights p in [0.5, 1) and damping strengths r in [0, 1].
+# Bloch vectors anywhere in the ball, centre and pure states (radius 1)
+# included, bath weights p in [0.5, 1) and damping strengths r in [0, 1].
 BALL = st.builds(
     lambda radius, theta, phi: radius * np.array([
         math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]),
-    st.floats(0.0, 1.0), st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
+    st.one_of(st.just(1.0), st.floats(0.0, 1.0)), st.floats(0.0, math.pi),
+    st.floats(0.0, 2.0 * math.pi))
 WEIGHT = st.floats(0.5, 1.0, exclude_max=True)
 STRENGTH = st.floats(0.0, 1.0)
+LEADING = st.one_of(st.just(()), st.tuples(st.integers(1, 6)),
+                    st.tuples(st.integers(1, 3), st.integers(1, 3)))
+
+
+@st.composite
+def stacks(draw):
+    """Bloch vectors of shape (*lead, 3) in BALL, with p in WEIGHT and r in
+    STRENGTH of shape lead, for lead = (), (n,) or (a, b)."""
+    lead = draw(LEADING)
+    n = math.prod(lead)
+
+    def column(elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n))).reshape(lead)
+
+    b = np.array(draw(st.lists(BALL, min_size=n, max_size=n))).reshape(lead + (3,))
+    return b, column(WEIGHT), column(STRENGTH)
+
+
+def close(got, want) -> bool:
+    """Equal (infinities and nan included) or within TOL, element by element."""
+    got, want = np.asarray(got), np.asarray(want)
+    with np.errstate(invalid="ignore"):  # inf - inf where both are infinite
+        near = np.abs(got - want) < TOL
+    return bool(np.all((got == want) | (np.isnan(got) & np.isnan(want)) | near))
+
+
+def pauli_matrices(b):
+    """(I + x X + y Y + z Z) / 2, written out with the Pauli matrices."""
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    return 0.5 * (np.eye(2) + np.einsum("...i,ijk->...jk", b, paulis))
+
+
+def projector_frequencies(b):
+    """<k| rho |k> for the kets k of H, V, R, D and the matrices rho of Bloch
+    vectors b, which need not be states: shape (..., 4)."""
+    s = 1.0 / math.sqrt(2.0)
+    kets = np.array([[1.0, 0.0], [0.0, 1.0], [s, 1j * s], [s, s]])  # H, V, R, D
+    return np.einsum("ki,...ij,kj->...k", kets.conj(), bloch_matrices(b), kets).real
 
 
 def random_vectors(rng, n, radius=(0.0, 1.0)):
@@ -130,18 +174,17 @@ def test_project_matches_matrix_projection(vectors):
 
 def test_born_probabilities_match_projectors(vectors):
     inside = nearest_vectors(vectors)
-    s = 1.0 / math.sqrt(2.0)
-    kets = np.array([[1.0, 0.0], [0.0, 1.0], [s, 1j * s], [s, s]])  # H, V, R, D
-    for v, got in zip(inside, bloch.born_probabilities(inside)):
-        m = QubitState.from_bloch(*v).matrix
-        want = [np.real(k.conj() @ m @ k) for k in kets]
-        assert np.max(np.abs(got - want)) < TOL
+    got = bloch.born_probabilities(inside)
+    assert np.max(np.abs(got - projector_frequencies(inside))) < TOL
 
 
 def test_inversion_round_trip(vectors):
     inside = nearest_vectors(vectors)
     inverted = np.stack(bloch.invert(bloch.born_probabilities(inside)), axis=-1)
     assert np.max(np.abs(inverted - inside)) < TOL
+    # Outside the ball too, where shot noise puts estimates: no clipping.
+    inverted = np.stack(bloch.invert(projector_frequencies(vectors)), axis=-1)
+    assert np.max(np.abs(inverted - vectors)) < TOL
 
 
 def test_gad_matches_kraus_map(vectors):
@@ -149,9 +192,9 @@ def test_gad_matches_kraus_map(vectors):
     for p in (0.5, 0.75, 1.0):
         for r in (0.0, 0.3, 1.0):
             got = bloch.gad(inside, p, r)
-            for v, g in zip(inside, got):
-                want = apply(GadChannel(p, r), QubitState.from_bloch(*v))
-                assert np.max(np.abs(QubitState.from_bloch(*g).matrix - want.matrix)) < TOL
+            want = apply_kraus(bloch_matrices(inside), p, r)
+            assert np.max(np.abs(bloch_matrices(got) - want)) < TOL
+            assert np.max(np.linalg.norm(got, axis=-1)) <= 1.0 + TOL
 
 
 def test_functions_broadcast_over_leading_axes():
@@ -163,11 +206,6 @@ def test_functions_broadcast_over_leading_axes():
                           bloch.coherence(*length_z(flat)))
     assert bloch.born_probabilities(vectors).shape == (2, 3, 4, 4)
     assert relative_entropy_to_thermal(vectors, 0.8).shape == (2, 3, 4)
-
-
-def close(got, want) -> bool:
-    """Equal (infinities included) or within TOL."""
-    return got == want or abs(got - want) < TOL
 
 
 @given(BALL, WEIGHT, STRENGTH)
@@ -191,3 +229,26 @@ def test_entropies_match_eigh_anywhere_in_the_ball(b, p):
 def test_gad_never_increases_relative_entropy_to_thermal(b, p, r):
     # D(b || eq) - D(gad(b) || eq) >= 0: the production of a GAD step.
     assert bloch.production(length_z(b), length_z(bloch.gad(b, p, r)), p, False) >= -1e-10
+
+
+@given(stacks())
+def test_stacked_matrices_and_productions_match_the_closed_forms(case):
+    # `bloch_matrices` is the Pauli sum, and `productions` (eigh entropies of
+    # the Kraus-mapped stack) scores what the closed forms score on (|b|, z).
+    b, p, r = case
+    rho = bloch_matrices(b)
+    assert rho.shape == p.shape + (2, 2) and close(rho, pauli_matrices(b))
+    final = bloch.gad(b, p, r)
+
+    def drop(f, *args):
+        with np.errstate(invalid="ignore"):  # inf - inf near p = 1, as in `productions`
+            return f(b, *args) - f(final, *args)
+
+    total, population, coherence = productions(rho, p, r)
+    assert total.shape == population.shape == coherence.shape == p.shape
+    assert close(total, drop(relative_entropy_to_thermal, p))
+    assert close(population, drop(lambda v, q: relative_entropy_to_thermal(
+        bloch.dephase(v), q), p))
+    assert close(coherence, drop(lambda v: bloch.coherence(*length_z(v))))
+    assert close(total, bloch.production(length_z(b), length_z(final), p, False))
+    assert close(population, bloch.production(length_z(b), length_z(final), p, True))

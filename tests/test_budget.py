@@ -12,9 +12,22 @@ from gadentropy.budget import (
     budget,
     productions,
 )
-from gadentropy.channel import GadChannel, apply_kraus, equilibrium_states
+from gadentropy.channel import (
+    GadChannel,
+    apply,
+    apply_kraus,
+    equilibrium_state,
+    equilibrium_states,
+)
 from gadentropy.prep import PrepSetting, prepare
-from gadentropy.qstate import PLUS, QubitState, dephased, relative_entropies, von_neumann_entropies
+from gadentropy.qstate import (
+    PLUS,
+    QubitState,
+    dephased,
+    relative_entropies,
+    relative_entropy,
+    von_neumann_entropies,
+)
 
 LN2 = math.log(2.0)
 EQ_09 = QubitState(np.diag([0.9, 0.1])).matrix
@@ -202,3 +215,18 @@ class TestCoherencePSpread:
         assert got_09 == pytest.approx(0.3935210974934994, abs=1e-10)
         assert got_06 == pytest.approx(0.4152526599202312, abs=1e-10)
         assert abs(got_06 - got_09) == pytest.approx(0.0217, abs=5e-4)
+
+
+def test_per_state_wrappers_return_python_floats_and_states():
+    # The benchmark reads these per-state results as Python floats and states.
+    ch = GadChannel(0.9, 0.5)
+    eq = equilibrium_state(ch)
+    final = apply(ch, PLUS)
+    assert type(final) is QubitState
+    assert type(eq) is QubitState
+    result = budget(PLUS, ch)
+    floats = [result.total, result.population, result.coherence,
+              relative_entropy(PLUS, eq), relative_entropy(final, eq),
+              relative_entropy(PLUS, QubitState(equilibrium_states(1.0)))]
+    assert all(type(v) is float for v in floats)
+    assert floats[5] == math.inf

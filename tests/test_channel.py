@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_density_matrices, violation
+from conftest import random_density_matrices, random_state, violation
 
 from gadentropy import channel
 from gadentropy.channel import (
@@ -40,12 +40,6 @@ BENCH_RK4_CASES = [(nbar, t) for nbar in (0.0, 0.125, 1.0) for t in (0.1, 0.5, 1
 def bath_of_occupation(nbar):
     return BathSpec(omega_s=1.0, temperature=0.0 if nbar == 0.0 else 1.0 / math.log1p(1.0 / nbar),
                     gamma0=1.0)
-
-
-def random_state(rng):
-    v = rng.normal(size=3)
-    v = v / np.linalg.norm(v) * rng.uniform() ** (1.0 / 3.0)
-    return QubitState.from_bloch(*v)
 
 
 class TestChannelParameters:

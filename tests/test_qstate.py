@@ -2,7 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from conftest import coherences, fidelity, l1_coherence, random_density_matrices, violation
+from conftest import (
+    coherences,
+    fidelity,
+    l1_coherence,
+    random_density_matrices,
+    random_state,
+    violation,
+)
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gadentropy.channel import equilibrium_states
 from gadentropy.qstate import (
@@ -18,12 +27,6 @@ from gadentropy.qstate import (
 
 LN2 = math.log(2.0)
 MIXED = np.eye(2) / 2
-
-
-def random_state(rng):
-    v = rng.normal(size=3)
-    v = v / np.linalg.norm(v) * rng.uniform() ** (1.0 / 3.0)
-    return QubitState.from_bloch(*v)
 
 
 def random_matrices(rng, n):
@@ -114,6 +117,23 @@ class TestRelativeEntropy:
             rho, sigma = random_state(rng), random_state(rng)
             d = relative_entropy(rho, sigma)
             assert d >= -1e-10
+
+    @given(st.lists(st.one_of(st.floats(0.0, 1e-11), st.floats(0.0, 1.0)), min_size=1,
+                    max_size=8), st.floats(0.0, 1.0))
+    @example([0.0, ATOL, math.nextafter(ATOL, 1.0), 2 * ATOL, 0.5, 1.0], 1.0)
+    def test_support_rule_at_p1(self, excited, phase):
+        # rho = [[1 - w, c], [c*, w]] against diag(1, 0): +inf exactly when w > ATOL.
+        w = np.array(excited)
+        c = np.sqrt(w * (1.0 - w)) * phase
+        rho = np.stack([np.stack([1.0 - w, c], -1), np.stack([c, w], -1)], -2).astype(complex)
+        got = relative_entropies(rho, equilibrium_states(1.0))
+        assert np.array_equal(np.isposinf(got), w > ATOL)
+        finite = ~np.isinf(got)
+        gap = np.abs(got[finite] + von_neumann_entropies(rho[finite]))
+        assert np.max(gap, initial=0.0) < 1e-12
+        ground = QubitState(equilibrium_states(1.0))
+        assert [relative_entropy(QubitState(m), ground) == math.inf
+                for m in rho] == list(w > ATOL)
 
 
 class TestCrossTerms:

@@ -485,21 +485,29 @@ class TestPropertySuite:
         assert traced["counters"]["budget.indeterminate"] == 1
         assert traced["counters"].get("budget.nonfinite", 0) == 0
 
-    @pytest.mark.parametrize("seed", ["0", "1234", "2024"])
-    def test_check_in_a_fresh_interpreter(self, seed):
-        # Same-seed output is byte-identical, and `check` leaves numpy.random
-        # unloaded: its cases come from the stdlib random.Random(seed).  Any
-        # warning, such as a RuntimeWarning from a kernel, is an error.
+    def test_check_in_a_fresh_interpreter(self):
+        # Two interpreters run `check` at three seeds, the second in reverse
+        # order: same-seed output is byte-identical whatever ran before it, and
+        # `check` leaves numpy.random unloaded, since its cases come from the
+        # stdlib random.Random(seed).  Any warning, such as a RuntimeWarning
+        # from a kernel, is an error.
         src = os.path.dirname(os.path.dirname(gadentropy.__file__))
-        code = ("import sys; from gadentropy import cli; rc = cli.main(sys.argv[1:]); "
-                "print('numpy.random' in sys.modules, file=sys.stderr); sys.exit(rc)")
-        argv = [sys.executable, "-W", "error", "-c", code, "check", "--seed", seed]
-        runs = [subprocess.run(argv, capture_output=True, env={**os.environ, "PYTHONPATH": src})
-                for _ in range(2)]
-        for run in runs:
+        code = ("import sys; from gadentropy import cli\n"
+                "for seed in sys.argv[1:]:\n"
+                "    print('--- seed', seed, flush=True)\n"
+                "    assert cli.main(['check', '--seed', seed]) == 0\n"
+                "print('numpy.random' in sys.modules, file=sys.stderr)")
+        seeds = ["0", "1234", "2024"]
+        reports = []
+        for order in (seeds, seeds[::-1]):
+            run = subprocess.run([sys.executable, "-W", "error", "-c", code, *order],
+                                 capture_output=True, env={**os.environ, "PYTHONPATH": src})
             assert (run.returncode, run.stderr) == (0, b"False\n")
-            assert run.stdout.endswith(b"\nALL PASS\n")
-        assert runs[0].stdout == runs[1].stdout
+            sections = [part.split(b"\n", 1) for part in run.stdout.split(b"--- seed ")[1:]]
+            assert [seed for seed, _ in sections] == [s.encode() for s in order]
+            assert all(report.endswith(b"\nALL PASS\n") for _, report in sections)
+            reports.append(dict(sections))
+        assert reports[0] == reports[1]
 
 
 class TestCaseDraws:
@@ -772,22 +780,6 @@ class TestArrayPathMatchesStates:
 
 
 class TestStreams:
-    PROBS = np.array([0.7, 0.3, 0.5, 0.6])
-
-    def test_stacked_draw_matches_single_run(self):
-        single = frequencies(self.PROBS, 500, 11, 7)
-        assert single.shape == (4, 8)
-        assert np.array_equal(frequencies(self.PROBS[None], 500, 11, 7)[0], single)
-
-    @pytest.mark.parametrize("seed", [0, 99, 20240])
-    def test_experiments_draw_from_distinct_streams(self, seed):
-        def stream(master, e):
-            return frequencies(np.tile(self.PROBS, (20, 1)), 10_000, (master, e), 3)
-
-        assert not np.array_equal(stream(seed, 1), stream(seed, 2))
-        # A seed + e scheme would replay (seed + 1, 1) as (seed, 2).
-        assert not np.array_equal(stream(seed, 2), stream(seed + 1, 1))
-
     @pytest.mark.parametrize("block_runs", [1, 8, 100, 2**20])
     def test_blocks_join_to_one_stream_at_any_block_size(self, monkeypatch, block_runs):
         # 50 rows of 1 + 7 runs: blocks of max(1, block_runs // 8) rows, the last one short.
@@ -1028,6 +1020,32 @@ class TestFailFast:
         assert code == cli.EXIT_IO
         assert err.startswith("error: cannot write") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ([directory] if directory else [])
+
+    def test_long_out_name_whose_sidecar_fits_is_written(self, tmp_path):
+        # 240 bytes under a 255-byte limit: the sidecar's name, 250 bytes, fits,
+        # so both files are written, whatever their temporary names, with the
+        # permissions the umask gives a new file.
+        name = "a" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 15) + ".csv"
+        argv = ["fig2", "--shots", "100", "--bootstrap", "2", "--r-points", "2"]
+        assert cli.main(argv + ["--out", str(tmp_path / name)]) == cli.EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name, name + ".meta.json"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert {p.stat().st_mode & 0o777 for p in tmp_path.iterdir()} == {0o666 & ~umask}
+
+    @pytest.mark.parametrize("over", [-5, 1], ids=["sidecar", "csv"])
+    def test_out_name_too_long_fails_before_compute(self, tmp_path, capsys, monkeypatch, over):
+        # 250 bytes under a 255-byte limit leave no room for ".meta.json", and
+        # 256 bytes are too long for the CSV itself.
+        def no_compute(config):
+            raise AssertionError("sweep ran although the output cannot be written")
+
+        monkeypatch.setattr(cli.sw, "run_sweep", no_compute)
+        name = "a" * (os.pathconf(tmp_path, "PC_NAME_MAX") + over - 4) + ".csv"
+        assert cli.main(["fig2", "--out", str(tmp_path / name)]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+        assert "-byte limit of" in err and not any(tmp_path.iterdir())
 
 
 class TestAtomicOutput:
