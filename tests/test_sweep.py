@@ -485,30 +485,37 @@ class TestPropertySuite:
         assert traced["counters"]["budget.indeterminate"] == 1
         assert traced["counters"].get("budget.nonfinite", 0) == 0
 
-    def test_check_in_a_fresh_interpreter(self):
-        # Two interpreters run `check` at three seeds, the second in reverse
-        # order: same-seed output is byte-identical whatever ran before it, and
-        # `check` leaves numpy.random unloaded, since its cases come from the
-        # stdlib random.Random(seed).  Any warning, such as a RuntimeWarning
-        # from a kernel, is an error.
+    FRESH_SEEDS = ["0", "1234", "2024"]
+
+    @pytest.fixture(scope="class")
+    def fresh_interpreter_reports(self):
+        # Two interpreters run `check` at the three seeds, the second in reverse
+        # order, so each seed's report follows a different history in each.  Any
+        # warning, such as a RuntimeWarning from a kernel, is an error.
         src = os.path.dirname(os.path.dirname(gadentropy.__file__))
         code = ("import sys; from gadentropy import cli\n"
                 "for seed in sys.argv[1:]:\n"
                 "    print('--- seed', seed, flush=True)\n"
                 "    assert cli.main(['check', '--seed', seed]) == 0\n"
                 "print('numpy.random' in sys.modules, file=sys.stderr)")
-        seeds = ["0", "1234", "2024"]
         reports = []
-        for order in (seeds, seeds[::-1]):
+        for order in (self.FRESH_SEEDS, self.FRESH_SEEDS[::-1]):
             run = subprocess.run([sys.executable, "-W", "error", "-c", code, *order],
                                  capture_output=True, env={**os.environ, "PYTHONPATH": src})
             assert (run.returncode, run.stderr) == (0, b"False\n")
             sections = [part.split(b"\n", 1) for part in run.stdout.split(b"--- seed ")[1:]]
             assert [seed for seed, _ in sections] == [s.encode() for s in order]
-            assert all(report.endswith(b"\nALL PASS\n") for _, report in sections)
             reports.append(dict(sections))
-        assert reports[0] == reports[1]
+        return reports
 
+    @pytest.mark.parametrize("seed", FRESH_SEEDS)
+    def test_check_in_a_fresh_interpreter(self, fresh_interpreter_reports, seed):
+        # Same-seed output is byte-identical whatever ran before it, and `check`
+        # leaves numpy.random unloaded: its cases come from the stdlib
+        # random.Random(seed).
+        first, second = (reports[seed.encode()] for reports in fresh_interpreter_reports)
+        assert first.endswith(b"\nALL PASS\n")
+        assert first == second
 
 class TestCaseDraws:
     N = 20_000
