@@ -27,8 +27,8 @@ DEFAULT_SEED = 20240
 DEFAULT_R_POINTS = 21
 # Most runs (grid rows x (1 + n_bootstrap)) one experiment may draw.  They are
 # scored a block at a time, so the per-row arrays set the peak: a sweep at the
-# bound peaks at 45 MB RSS with fig2's 201 runs per row (20,700 rows) and at
-# 650 MB with 3 runs per row (1,375,000 rows).
+# bound peaks at 44 MB RSS with fig2's 201 runs per row (20,700 rows) and at
+# 554 MB with 3 runs per row (1,375,000 rows).
 MAX_RUNS = 2**22
 
 FIG2_P_VALUES = (0.9, 0.75, 0.6)
@@ -238,34 +238,34 @@ def run_sweep(config: SweepConfig) -> np.recarray:
     Returns one SWEEP_DTYPE record per point, ordered by (p, alpha, r).
     Indeterminate points (1 - p <= ATOL, where the relative entropy diverges)
     are flagged, not dropped, hold NaN productions and draw nothing; every
-    other row's columns are finite.  Experiment e (1 coherent, 2 dephased)
-    is one `tomography.estimates` call over the determinate rows, seeded
-    (config.seed, e).
+    other row's columns are finite.  Experiment e evolves its preparation,
+    coherent (e = 1) or dephased (e = 2), once, and one `tomography.estimates`
+    call seeded (config.seed, e) measures its determinate rows.
     """
-    grid = np.indices((len(config.p_values), len(config.alphas), len(config.r_grid)))
-    i_p, i_a, i_r = (g.ravel() for g in grid)
-    p = np.asarray(config.p_values, dtype=float)[i_p]
-    r = np.asarray(config.r_grid, dtype=float)[i_r]
-    coherent = np.zeros((p.size, 3))
-    coherent[:, 0] = np.array([prep.coherent_bloch_x(a) for a in config.alphas])[i_a]
+    rows = np.zeros((len(config.p_values), len(config.alphas), len(config.r_grid)), SWEEP_DTYPE)
+    rows["p"], rows["r"] = np.reshape(config.p_values, (-1, 1, 1)), config.r_grid
+    rows["alpha_deg"] = np.reshape([math.degrees(a) for a in config.alphas], (-1, 1))
+    coherent = np.zeros(rows.shape + (3,))
+    coherent[..., 0] = np.reshape([prep.coherent_bloch_x(a) for a in config.alphas], (-1, 1))
+    rows, coherent = rows.ravel(), coherent.reshape(-1, 3)
+    p, r = rows["p"], rows["r"]
     final = bloch.gad(coherent, p, r)
     ends = [(np.linalg.norm(b, axis=-1), b[:, 2]) for b in (coherent, final)]
     total, population = (bloch.production(*ends, p, dephased) for dephased in (False, True))
     det = np.isfinite(total) & np.isfinite(population)
 
-    rows = np.zeros(p.size, SWEEP_DTYPE)
-    rows["p"], rows["r"] = p, r
-    rows["alpha_deg"] = np.array([math.degrees(a) for a in config.alphas])[i_a]
     rows["coherence_initial"] = np.abs(coherent[:, 0])
     rows["indeterminate"] = ~det
     # Experiment 1 (coherent) measures the total, experiment 2 (dephased) the population part.
     # Both measure all four bases: experiment 2's R and D frequencies reach the population
     # estimate through the radial projection when |b| > 1, so they are not skipped.
-    p_det, r_det, initial = p[det], r[det], coherent[det]
+    p_det = p[det]
+    length, z = (part[det] for part in ends[0])
+    dephased = bloch.gad(bloch.dephase(coherent[det]), p_det, r[det])
     (tot, tot_err, tot_proj), (pop, pop_err, pop_proj) = (
-        tomography.estimates(prepared, p_det, r_det, config.shots, (config.seed, e),
+        tomography.estimates(initial, evolved, p_det, config.shots, (config.seed, e),
                              config.n_bootstrap, population=e == 2)
-        for e, prepared in enumerate((initial, bloch.dephase(initial)), start=1))
+        for e, initial, evolved in ((1, (length, z), final[det]), (2, (np.abs(z), z), dephased)))
     coherence = bloch.coherence(*ends[0]) - bloch.coherence(*ends[1])
     for name, values in zip(CSV_COLUMNS[4:13], (
             *(np.maximum(v[det], 0.0) for v in (total, population, coherence)),

@@ -1,8 +1,8 @@
 """Four-basis single-qubit tomography with binomial shot noise.
 
 Projection bases are H, V, R, D with |R> = (|H> + i|V>)/sqrt(2) and
-|D> = (|H> + |V>)/sqrt(2).  `estimates` runs one experiment of the sweep:
-per-basis binomial counts, a parametric bootstrap at the observed
+|D> = (|H> + |V>)/sqrt(2).  `estimates` measures the evolved states it is
+given: per-basis binomial counts, a parametric bootstrap at the observed
 frequencies for the error bars, and the scores of both.
 """
 
@@ -20,22 +20,22 @@ RNG_ALGORITHM = "numpy.random.Generator(PCG64)"
 BLOCK_RUNS = 2**12
 
 
-def estimates(prepared, p, r, shots: int, seed, n_bootstrap: int, population: bool):
-    """Per-row (point, stderr, projected count), shape (3, rows), of the
-    production measured by tomography, `shots` shots per basis, of Bloch
-    vectors `prepared` (rows, 3) after `bloch.gad` at (p, r).
+def estimates(initial, final, p, shots: int, seed, n_bootstrap: int, population: bool):
+    """Per-row (point, stderr, projected count), shape (3, rows), of the production
+    measured by tomography, `shots` shots per basis, of Bloch vectors `final`
+    (rows, 3) evolved from prepared states `initial`, a (|b|, z) pair of (rows,) arrays.
 
     All draws come from one generator `default_rng(seed)`: first every row's
     observed counts, then per row and basis its `n_bootstrap` resamples at
     the observed frequency, back to back, drawn and scored one block of at
     most `BLOCK_RUNS` runs (at least one row) at a time; numpy draws an array
     of binomials in C order, so the stream does not depend on the block size.
-    `bloch.production` scores each run's (|b|, z) from the prepared state,
-    dephased when `population`: the point is the observed run's score, the
-    stderr the resamples' sample std, and the count is of runs with |b| > 1.
+    `bloch.production` scores each run from `initial`, both dephased when
+    `population`: the point is the observed run's score, the stderr the
+    resamples' sample std, and the count is of runs with |b| > 1.
     """
     rng = np.random.default_rng(seed)
-    counts = rng.binomial(shots, bloch.born_probabilities(bloch.gad(prepared, p, r)))
+    counts = rng.binomial(shots, bloch.born_probabilities(final))
     out = np.empty((3, len(counts)))
     rows = max(1, BLOCK_RUNS // (1 + n_bootstrap))
     # Reused by every block: fresh 128 kB arrays made malloc trim and refault its heap.
@@ -51,9 +51,8 @@ def estimates(prepared, p, r, shots: int, seed, n_bootstrap: int, population: bo
         freqs /= shots
         x, y, z = bloch.invert(freqs.swapaxes(1, 2))
         length = np.sqrt(x * x + y * y + z * z)
-        initial = prepared[block]
-        start_state = (np.linalg.norm(initial, axis=-1)[:, None], initial[:, None, 2])
-        production = bloch.production(start_state, (length, z), p[block, None], population)
+        prepared = [part[block, None] for part in initial]
+        production = bloch.production(prepared, (length, z), p[block, None], population)
         out[:, block] = (production[:, 0], np.std(production[:, 1:], axis=1, ddof=1),
                          np.sum(length > 1.0, axis=1))
     return out

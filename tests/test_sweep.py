@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import frequencies, nearest_states
+from conftest import frequencies, length_z, nearest_states, random_state
 
 import gadentropy
 from gadentropy import bloch, channel, check, cli, qstate, sweep, tomography
@@ -247,6 +247,18 @@ class TestRunSweep:
         for row in rows:
             assert abs(row.sigma_total_tomo - row.sigma_total) < 0.02
             assert abs(row.sigma_pop_tomo - row.sigma_pop) < 0.02
+
+    def test_each_preparation_is_evolved_once(self, monkeypatch):
+        # fig2's 63 rows: the coherent preparation, then the dephased one.
+        evolved, gad = [], bloch.gad
+
+        def spy(b, p, r):
+            evolved.append(len(b))
+            return gad(b, p, r)
+
+        monkeypatch.setattr(bloch, "gad", spy)
+        run_sweep(fig2_config())
+        assert evolved == [63, 63]
 
 
 class TestEmit:
@@ -724,14 +736,15 @@ class TestArrayPathMatchesStates:
 
     @pytest.mark.parametrize("shots", [50, 10_000])
     def test_estimates_match_per_state_path(self, shots):
+        # Any pair of states: prepared and measured ones drawn uniformly in the ball, apart.
         rng = np.random.default_rng(shots)
         p = rng.uniform(0.5, 0.99, size=12)
-        r = rng.uniform(0.0, 1.0, size=12)
-        coherent = np.zeros((12, 3))
-        coherent[:, 0] = rng.uniform(-1.0, 1.0, size=12)
-        for initial, population in ((coherent, False), (np.zeros_like(coherent), True)):
-            freqs = frequencies(bloch.born_probabilities(bloch.gad(initial, p, r)), shots, 7, 40)
-            point, stderr, _ = tomography.estimates(initial, p, r, shots, 7, 40, population)
+        initial, final = (np.array([random_state(rng).bloch_vector() for _ in range(12)])
+                          for _ in range(2))
+        freqs = frequencies(bloch.born_probabilities(final), shots, 7, 40)
+        for population in (False, True):
+            point, stderr, _ = tomography.estimates(length_z(initial), final, p, shots, 7, 40,
+                                                    population)
             for k in range(12):
                 want = self.per_state(QubitState.from_bloch(*initial[k]), p[k], freqs[k],
                                       population)
@@ -778,11 +791,12 @@ class TestArrayPathMatchesStates:
         p, r = np.full(20, 0.8), np.linspace(0.0, 1.0, 20)
         prepared = np.zeros((20, 3))
         prepared[:, 0] = 1.0
-        freqs = frequencies(bloch.born_probabilities(bloch.gad(prepared, p, r)), 2, 5, 6)
+        final = bloch.gad(prepared, p, r)
+        freqs = frequencies(bloch.born_probabilities(final), 2, 5, 6)
         x, y, z = bloch.invert(freqs.swapaxes(-1, -2))
         squared = x * x + y * y + z * z
         assert (squared < 1.0).any() and (squared == 1.0).any() and (squared > 1.0).any()
-        _, _, projected = tomography.estimates(prepared, p, r, 2, 5, 6, True)
+        _, _, projected = tomography.estimates(length_z(prepared), final, p, 2, 5, 6, True)
         assert projected.tolist() == np.sum(squared > 1.0, axis=-1).tolist()
 
 
@@ -793,7 +807,8 @@ class TestStreams:
         rng = np.random.default_rng(5)
         prepared = rng.uniform(-0.5, 0.5, size=(50, 3))
         p, r = rng.uniform(0.5, 0.99, size=50), rng.uniform(size=50)
-        want = [tomography.estimates(prepared, p, r, 500, 11, 7, population)
+        initial, final = length_z(prepared), bloch.gad(prepared, p, r)
+        want = [tomography.estimates(initial, final, p, 500, 11, 7, population)
                 for population in (False, True)]
         blocks, invert = [], bloch.invert
 
@@ -805,7 +820,7 @@ class TestStreams:
         monkeypatch.setattr(bloch, "invert", spy)
         for population, expected in zip((False, True), want):
             blocks.clear()
-            got = tomography.estimates(prepared, p, r, 500, 11, 7, population)
+            got = tomography.estimates(initial, final, p, 500, 11, 7, population)
             rows = max(1, block_runs // 8)
             assert all(size == rows for size in blocks[:-1]) and 0 < blocks[-1] <= rows
             assert sum(blocks) == 50 and np.array_equal(got, expected)

@@ -1,14 +1,15 @@
-"""The statistics of the documented tomography stream (`frequencies`),
-inverted by `bloch.invert`: unbiased estimates, and bootstrap error bars at
-the binomial scale.  `bloch` itself is held to the 2x2 reference in
-`test_bloch.py`, and `tomography.estimates` in `test_sweep.py`."""
+"""The statistics of tomography: the documented stream (`frequencies`),
+inverted by `bloch.invert`, gives unbiased Bloch vectors, and the bootstrap
+stderr of `tomography.estimates` matches the spread of its point estimates.
+`bloch` itself is held to the 2x2 reference in `test_bloch.py`, and
+`tomography.estimates` to the eigh path in `test_sweep.py`."""
 
 import math
 
 import numpy as np
-from conftest import frequencies, nearest_vectors, reconstruct
+from conftest import frequencies, length_z, nearest_vectors
 
-from gadentropy import bloch
+from gadentropy import bloch, tomography
 from gadentropy.qstate import QubitState
 
 
@@ -27,21 +28,11 @@ class TestStatisticalConsistency:
             assert abs(got - want) < 5 * err
 
     def test_bootstrap_stderr_calibrated(self):
-        # stderr of <sigma_z> vs the analytic binomial scale at 1e4 shots
-        state = QubitState.from_bloch(0.1, 0.05, 0.4)  # interior, projection inert
-        shots = 10_000
-        boot = float(np.std(reconstruct(state, shots, 77, 400)[1:, 2], ddof=1))
-        f = 0.7  # p_H for this state
-        analytic = 2.0 * math.sqrt(f * (1.0 - f) / shots)
-        assert analytic / 1.5 <= boot <= analytic * 1.5
-
-    def test_resamples_keep_each_basis_apart(self):
-        # Resamples are drawn basis by basis; each column must hold its own basis's
-        # binomial draws at that basis's observed frequency, with none mixed in.
-        shots, n = 1000, 5000
-        freqs = frequencies(np.array([0.7, 0.3, 0.5, 0.9]), shots, 3, n).T
-        observed, resampled = freqs[0], freqs[1:]
-        assert resampled.shape == (n, 4)
-        variance = observed * (1.0 - observed) / shots
-        assert np.all(np.abs(resampled.mean(axis=0) - observed) < 5.0 * np.sqrt(variance / n))
-        assert np.all(np.abs(resampled.var(axis=0, ddof=1) / variance - 1.0) < 0.1)
+        # 400 independent rows of the coherent state (1, 0, 0) at p = 0.9, r = 0.5:
+        # in each experiment the median stderr matches the sd of the point estimates.
+        p, coherent = np.full(400, 0.9), np.tile([1.0, 0.0, 0.0], (400, 1))
+        for e, prepared in enumerate((coherent, bloch.dephase(coherent)), start=1):
+            final = bloch.gad(prepared, p, 0.5)
+            point, stderr, _ = tomography.estimates(length_z(prepared), final, p, 10_000, (77, e),
+                                                    200, population=e == 2)
+            assert 0.8 <= np.median(stderr) / np.std(point, ddof=1) <= 1.25
