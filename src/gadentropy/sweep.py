@@ -27,8 +27,8 @@ DEFAULT_SEED = 20240
 DEFAULT_R_POINTS = 21
 # Most runs (grid rows x (1 + n_bootstrap)) one experiment may draw.  They are
 # scored a block at a time, so the per-row arrays set the peak: a sweep at the
-# bound peaks at 44 MB RSS with fig2's 201 runs per row (20,700 rows) and at
-# 554 MB with 3 runs per row (1,375,000 rows).
+# bound peaks at 43 MB RSS with fig2's 201 runs per row (20,700 rows) and at
+# 497 MB with 3 runs per row (1,375,000 rows).
 MAX_RUNS = 2**22
 
 FIG2_P_VALUES = (0.9, 0.75, 0.6)
@@ -186,10 +186,10 @@ def settings(entries) -> dict:
 
 
 def load_config(path: str, **overrides) -> SweepConfig:
-    """Parse a flat key-value config file (key = value, '#' comments) through
-    `settings`, with `overrides` set over its entries; a leading byte-order
-    mark is skipped, and text that is not UTF-8 or a line without '=' raises
-    ConfigError."""
+    """Parse a flat key-value config file (key = value, '#' comments) through `settings`
+    into the preset its `scenario` names (`fig2_config`, `fig3_config`, or `SweepConfig`
+    for custom), its other entries and then `overrides` set over it.  A leading byte-order
+    mark is skipped; text that is not UTF-8 or a line without '=' raises ConfigError."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -208,7 +208,9 @@ def load_config(path: str, **overrides) -> SweepConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             yield f"{path}:{lineno}", key, value
 
-    return SweepConfig(**{**settings(entries()), **overrides})
+    kwargs = {**settings(entries()), **overrides}
+    preset = {"fig2": fig2_config, "fig3": fig3_config}.get(kwargs.get("scenario"), SweepConfig)
+    return preset(**kwargs)
 
 
 # One record per grid point: the CSV columns in order, then the count of
@@ -256,16 +258,16 @@ def run_sweep(config: SweepConfig) -> np.recarray:
 
     rows["coherence_initial"] = np.abs(coherent[:, 0])
     rows["indeterminate"] = ~det
-    # Experiment 1 (coherent) measures the total, experiment 2 (dephased) the population part.
-    # Both measure all four bases: experiment 2's R and D frequencies reach the population
-    # estimate through the radial projection when |b| > 1, so they are not skipped.
+    # Experiment 1 (coherent) measures the total; experiment 2 (dephased), evolved only once 1
+    # is measured, the population part.  Both measure all four bases: experiment 2's R and D
+    # frequencies reach its estimate through the radial projection when |b| > 1.
     p_det = p[det]
     length, z = (part[det] for part in ends[0])
-    dephased = bloch.gad(bloch.dephase(coherent[det]), p_det, r[det])
-    (tot, tot_err, tot_proj), (pop, pop_err, pop_proj) = (
-        tomography.estimates(initial, evolved, p_det, config.shots, (config.seed, e),
-                             config.n_bootstrap, population=e == 2)
-        for e, initial, evolved in ((1, (length, z), final[det]), (2, (np.abs(z), z), dephased)))
+    (tot, tot_err, tot_proj), (pop, pop_err, pop_proj) = [tomography.estimates(
+        *(((length, z), final[det]) if e == 1 else
+          ((np.abs(z), z), bloch.gad(bloch.dephase(coherent[det]), p_det, r[det]))),
+        p_det, config.shots, (config.seed, e), config.n_bootstrap, population=e == 2)
+        for e in (1, 2)]
     coherence = bloch.coherence(*ends[0]) - bloch.coherence(*ends[1])
     for name, values in zip(CSV_COLUMNS[4:13], (
             *(np.maximum(v[det], 0.0) for v in (total, population, coherence)),

@@ -164,13 +164,6 @@ class TestBudget:
         assert b.population == pytest.approx(0.0, abs=1e-10)
         assert b.coherence == pytest.approx(0.0, abs=1e-10)
 
-    def test_full_decay_anchor_triple(self):
-        b = budget(PLUS, GadChannel(0.9, 1.0))
-        assert b.total == pytest.approx(SIGMA_TOTAL_ANCHOR, abs=1e-10)
-        assert b.population == pytest.approx(SIGMA_POP_ANCHOR, abs=1e-10)
-        assert b.coherence == pytest.approx(LN2, abs=1e-10)
-        assert b.total == pytest.approx(b.population + b.coherence, abs=1e-10)
-
     def test_equilibrium_initial_zero_budget(self):
         b = budget(QubitState(MIXED), GadChannel(0.5, 0.7))
         assert (b.total, b.population, b.coherence) == (0.0, 0.0, 0.0)
@@ -178,25 +171,6 @@ class TestBudget:
     def test_indeterminate_at_p1_r0(self):
         with pytest.raises(IndeterminateEntropyError):
             budget(PLUS, GadChannel(1.0, 0.5))
-
-    def test_additivity_and_nonnegativity_random_grid(self):
-        rng = np.random.default_rng(31)
-        for _ in range(300):
-            setting = PrepSetting(rng.uniform(0.0, math.pi / 4.0))
-            ch = GadChannel(rng.uniform(0.5, 1.0 - 1e-9), rng.uniform(0.0, 1.0))
-            b = budget(prepare(setting), ch)
-            assert b.total == pytest.approx(b.population + b.coherence, abs=1e-10)
-            assert b.total >= 0.0
-            assert b.population >= 0.0
-            assert b.coherence >= 0.0
-
-    def test_total_monotone_in_r(self):
-        for p in (0.9, 0.75, 0.6):
-            previous = -1e-10
-            for r in np.linspace(0.0, 1.0, 21):
-                total = budget(PLUS, GadChannel(p, r)).total
-                assert total >= previous - 1e-10
-                previous = total
 
     def test_dephased_initial_gives_zero_coherence(self):
         initial = QubitState(dephased(prepare(PrepSetting(0.1)).matrix))

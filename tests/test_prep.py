@@ -5,7 +5,6 @@ import pytest
 from conftest import l1_coherence, violation
 
 from gadentropy import bloch
-from gadentropy.channel import GadChannel, apply
 from gadentropy.prep import (
     ALPHA_MAX,
     AngleOutOfRangeError,
@@ -100,28 +99,3 @@ class TestAlphaForCoherence:
         with pytest.raises(CoherenceOutOfRangeError):
             alpha_for_coherence(-0.1)
 
-
-class TestGadClosedForm:
-    """Prepared states through the sweep's GAD map, `bloch.gad`."""
-
-    def test_r_zero_returns_prepared(self):
-        initial = prepare(PrepSetting(0.2)).bloch_vector()
-        assert np.allclose(bloch.gad(initial, 0.8, 0.0), initial, rtol=0.0, atol=1e-12)
-
-    def test_r_one_returns_equilibrium(self):
-        for alpha, dephase in ((0.1, False), (0.1, True), (0.0, False)):
-            out = bloch.gad(prepared(alpha, dephase).bloch_vector(), 0.75, 1.0)
-            assert np.allclose(out, [0.0, 0.0, 0.5], rtol=0.0, atol=1e-15)
-
-    def test_reference_point(self):
-        out = bloch.gad(prepare(PrepSetting(0.0)).bloch_vector(), 0.9, 0.5)
-        assert np.allclose(out, [math.sqrt(0.5), 0.0, 0.4], rtol=0.0, atol=1e-12)
-
-    def test_oracle_agreement_dense_grid(self):
-        ps, rs = np.linspace(0.5, 1.0, 11), np.linspace(0.0, 1.0, 11)
-        for alpha in np.linspace(0.0, math.pi / 4.0, 9):
-            for dephase in (False, True):
-                state = prepared(alpha, dephase)
-                closed = bloch.gad(state.bloch_vector(), *np.meshgrid(ps, rs, indexing="ij"))
-                kraus = [[apply(GadChannel(p, r), state).bloch_vector() for r in rs] for p in ps]
-                assert np.max(np.abs(closed - kraus)) < 1e-12

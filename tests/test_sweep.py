@@ -53,10 +53,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SweepConfig(scenario="fig9")
 
-    def test_bad_r_grid_rejected(self):
-        with pytest.raises(ConfigError):
-            SweepConfig(r_grid=(0.0, 1.5))
-
     def test_r_point_count_is_stored_as_floats(self):
         # As every other list setting is, so the config's repr shows plain numbers.
         cfg = SweepConfig(r_grid=3)
@@ -99,6 +95,11 @@ class TestConfig:
         path = tmp_path / "deg.cfg"
         path.write_text("alpha_deg = 9.22, 45\n")
         assert load_config(str(path)).alphas == (math.radians(9.22), math.pi / 4.0)
+
+    def test_scenario_picks_the_preset_the_file_starts_from(self, tmp_path):
+        path = tmp_path / "fig3.cfg"
+        path.write_text("scenario = fig3\nshots = 100\nn_bootstrap = 2\nr_points = 2\n")
+        assert load_config(str(path)) == fig3_config(shots=100, n_bootstrap=2, r_grid=2)
 
     @pytest.mark.parametrize("line", ["coherence = 0.5, 1.5", "alpha_deg = 0, 45.5",
                                       "alpha_deg = -5e-324", "p_values = 0.3", "r_grid = 0, 2",
@@ -200,8 +201,11 @@ class TestRunSweep:
         assert anchor.sigma_pop == pytest.approx(0.510826, abs=1e-6)
         assert anchor.sigma_coh == pytest.approx(0.693147, abs=1e-6)
 
-    def test_additivity_of_analytic_columns(self):
-        rows = run_sweep(fig3_config(**SMALL))
+    @pytest.mark.parametrize("make", [fig2_config, fig3_config])
+    def test_additivity_of_analytic_columns(self, make):
+        # The coherence column is the direct value; the difference of the two
+        # experiments' columns (total - pop) must agree with it.
+        rows = run_sweep(make(**SMALL))
         for row in rows:
             assert row.sigma_total == pytest.approx(
                 row.sigma_pop + row.sigma_coh, abs=1e-10
@@ -232,15 +236,6 @@ class TestRunSweep:
         assert all(row.indeterminate == 1 for row in rows)
         assert all(math.isnan(row.sigma_total) for row in rows)
 
-    def test_difference_protocol_matches_direct(self):
-        # sigma_coh column is the direct value; the difference route
-        # (total - pop) must agree on the analytic columns.
-        rows = run_sweep(fig2_config(**SMALL))
-        for row in rows:
-            assert row.sigma_total - row.sigma_pop == pytest.approx(
-                row.sigma_coh, abs=1e-10
-            )
-
     def test_tomography_close_to_analytic_at_high_shots(self):
         cfg = fig2_config(shots=100_000, n_bootstrap=10, seed=5, r_grid=(0.5,))
         rows = run_sweep(cfg)
@@ -249,28 +244,25 @@ class TestRunSweep:
             assert abs(row.sigma_pop_tomo - row.sigma_pop) < 0.02
 
     def test_each_preparation_is_evolved_once(self, monkeypatch):
-        # fig2's 63 rows: the coherent preparation, then the dephased one.
-        evolved, gad = [], bloch.gad
+        # fig2's 63 rows: the coherent preparation, then the dephased one, evolved only
+        # after experiment 1 is measured.
+        calls, gad, estimates = [], bloch.gad, tomography.estimates
 
         def spy(b, p, r):
-            evolved.append(len(b))
+            calls.append(("gad", len(b)))
             return gad(b, p, r)
 
+        def measured(*args, **kwargs):
+            calls.append(("estimates",))
+            return estimates(*args, **kwargs)
+
         monkeypatch.setattr(bloch, "gad", spy)
+        monkeypatch.setattr(tomography, "estimates", measured)
         run_sweep(fig2_config())
-        assert evolved == [63, 63]
+        assert calls == [("gad", 63), ("estimates",), ("gad", 63), ("estimates",)]
 
 
 class TestEmit:
-    def test_csv_layout(self, tmp_path):
-        cfg = fig2_config(**SMALL)
-        rows = run_sweep(cfg)
-        out = tmp_path / "fig2.csv"
-        emit_csv(rows, str(out), cfg)
-        lines = out.read_text().splitlines()
-        assert lines[0] == ",".join(CSV_COLUMNS)
-        assert len(lines) == 1 + len(rows)
-
     def test_empty_rows_rejected_and_no_file(self, tmp_path):
         out = tmp_path / "never.csv"
         with pytest.raises(IOError):
@@ -343,13 +335,6 @@ class TestEmit:
         assert json.loads(meta)["config"]["seed"] == 2**70
         assert object not in [SWEEP_DTYPE[name] for name in SWEEP_DTYPE.names]
 
-    def test_byte_identical_reruns(self, tmp_path):
-        cfg = fig2_config(**SMALL)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_csv(run_sweep(cfg), str(a), cfg)
-        emit_csv(run_sweep(cfg), str(b), cfg)
-        assert a.read_bytes() == b.read_bytes()
-
     def test_summary_reports(self):
         rows = run_sweep(fig2_config(**SMALL))
         text = emit_summary(rows)
@@ -381,21 +366,11 @@ class TestEmit:
 
 
 class TestPropertySuite:
-    def test_fresh_build_all_pass(self):
-        report = run_property_suite(seed=2024)
-        assert report.passed, report.render()
-
     def test_passes_at_every_seed_from_0_to_49(self):
         # The benchmark runs `check` at arbitrary seeds: no drawn case may
         # fail a row at its tolerance.
         failed = [seed for seed in range(50) if not run_property_suite(seed).passed]
         assert failed == []
-
-    def test_report_has_one_line_per_invariant(self):
-        report = run_property_suite(seed=2024)
-        assert len(report.results) >= 7
-        rendered = report.render()
-        assert rendered.count("[PASS]") == len(report.results)
 
     # `check` must fail when the Bloch closed forms the sweep runs drift by 1e-9.
     @staticmethod
@@ -597,18 +572,6 @@ class TestCli:
 
     def test_missing_config_is_io_error(self, tmp_path):
         code = cli.main(["sweep", "--config", str(tmp_path / "absent.cfg")])
-        assert code == cli.EXIT_IO
-
-    def test_bad_config_is_usage_error(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("scenario = nonsense\n")
-        assert cli.main(["sweep", "--config", str(cfg)]) == cli.EXIT_USAGE
-
-    def test_unwritable_output_is_io_error(self, tmp_path):
-        code = cli.main([
-            "fig2", "--shots", "100", "--bootstrap", "3", "--r-points", "2",
-            "--out", str(tmp_path / "no/such/dir/out.csv"),
-        ])
         assert code == cli.EXIT_IO
 
     @pytest.mark.parametrize("flag, key, value", [
@@ -908,6 +871,7 @@ class TestFailFast:
         ("# \udcff\n", "not UTF-8 text (invalid start byte at byte "),  # writes the byte 0xff
         ("r_grid =\n", "r_grid"),
         ("r_grid = ,\n", "r_grid"),
+        ("scenario = nonsense\n", "scenario"),
     ])
     def test_bad_config_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch, body, words):
         def no_compute(config):
@@ -921,16 +885,11 @@ class TestFailFast:
         assert words in err
         assert not (tmp_path / "o.csv").exists()
 
-    @pytest.mark.parametrize("flag", [["--shots", "0"], ["--bootstrap", "1"], ["--seed", "-3"],
-                                      ["--r-points", "1"], ["--shots", str(2**63)]])
-    def test_bad_flag_exits_1(self, capsys, flag):
-        assert cli.main(["fig2"] + flag) == cli.EXIT_USAGE
-        assert capsys.readouterr().err.count("\n") == 1
-
     @pytest.mark.parametrize("flag, value, message", [
         ("--shots", "0", "shots must be in [1, 2**63 - 1], got 0"),
         ("--bootstrap", "1", "n_bootstrap must be >= 2, got 1"),
-        ("--seed", "-1", "seed must be >= 0, got -1")])
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--shots", str(2**63), "shots must be in [1, 2**63 - 1], got 9223372036854775808")])
     def test_out_of_range_setting_is_named_before_compute(self, capsys, monkeypatch, flag,
                                                           value, message):
         def no_compute(config):
@@ -1004,7 +963,7 @@ class TestFailFast:
 
     def test_config_range_errors_are_config_errors(self):
         for kwargs in (dict(p_values=(0.9, 1.01)), dict(alphas=(-0.1,)),
-                       dict(alphas=(math.radians(45.5),))):
+                       dict(alphas=(math.radians(45.5),)), dict(r_grid=(0.0, 1.5))):
             with pytest.raises(ConfigError):
                 SweepConfig(**kwargs)
         SweepConfig(alphas=(0.0, math.pi / 4.0), p_values=(0.5, 1.0))
