@@ -28,7 +28,7 @@ DEFAULT_R_POINTS = 21
 # Most runs (grid rows x (1 + n_bootstrap)) one experiment may draw.  They are
 # scored a block at a time, so the per-row arrays set the peak: a sweep at the
 # bound peaks at 43 MB RSS with fig2's 201 runs per row (20,700 rows) and at
-# 497 MB with 3 runs per row (1,375,000 rows).
+# 487 MB with 3 runs per row (1,375,000 rows).
 MAX_RUNS = 2**22
 
 FIG2_P_VALUES = (0.9, 0.75, 0.6)
@@ -241,8 +241,8 @@ def run_sweep(config: SweepConfig) -> np.recarray:
     Indeterminate points (1 - p <= ATOL, where the relative entropy diverges)
     are flagged, not dropped, hold NaN productions and draw nothing; every
     other row's columns are finite.  Experiment e evolves its preparation,
-    coherent (e = 1) or dephased (e = 2), once, and one `tomography.estimates`
-    call seeded (config.seed, e) measures its determinate rows.
+    coherent (e = 1) or dephased (e = 2), once: `tomography.counts` seeded
+    (config.seed, e) draws its determinate rows, `tomography.estimates` scores them.
     """
     rows = np.zeros((len(config.p_values), len(config.alphas), len(config.r_grid)), SWEEP_DTYPE)
     rows["p"], rows["r"] = np.reshape(config.p_values, (-1, 1, 1)), config.r_grid
@@ -264,9 +264,11 @@ def run_sweep(config: SweepConfig) -> np.recarray:
     p_det = p[det]
     length, z = (part[det] for part in ends[0])
     (tot, tot_err, tot_proj), (pop, pop_err, pop_proj) = [tomography.estimates(
-        *(((length, z), final[det]) if e == 1 else
-          ((np.abs(z), z), bloch.gad(bloch.dephase(coherent[det]), p_det, r[det]))),
-        p_det, config.shots, (config.seed, e), config.n_bootstrap, population=e == 2)
+        *tomography.counts(final[det] if e == 1 else
+                           bloch.gad(bloch.dephase(coherent[det]), p_det, r[det]),
+                           config.shots, (config.seed, e)),
+        (length, z) if e == 1 else (np.abs(z), z),
+        p_det, config.shots, config.n_bootstrap, population=e == 2)
         for e in (1, 2)]
     coherence = bloch.coherence(*ends[0]) - bloch.coherence(*ends[1])
     for name, values in zip(CSV_COLUMNS[4:13], (
@@ -343,9 +345,7 @@ def emit_csv(rows: np.ndarray, path: str, config: SweepConfig) -> None:
                      "python": platform.python_version()},
         "config": dataclasses.asdict(config),
         "rng_algorithm": tomography.RNG_ALGORITHM,
-        "streams": {"derivation": "experiment e (1 coherent, 2 dephased) draws from "
-                    "numpy.random.default_rng((config.seed, e)) its determinate rows' runs in "
-                    "CSV order, then all their resamples, each basis's (H, V, R, D) back to back"},
+        "streams": {"derivation": tomography.STREAM_DERIVATION},
         "error_bars": (
             "parametric bootstrap: per-basis binomial resampling at the "
             "observed frequencies, stderr = sample std over resampled "

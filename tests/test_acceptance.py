@@ -205,9 +205,9 @@ def test_criterion_8_tomography_fidelity():
     # 200 trials of PLUS, (|b|, z) = (1, 0), evolved at p = 0.9, r = 0.5, as the sweep
     # measures them.
     sigma_true = budget(PLUS, GadChannel(0.9, 0.5)).total
-    sigma, stderr, _ = tomography.estimates((np.ones(200), np.zeros(200)),
-                                            np.tile(states[2].bloch_vector(), (200, 1)),
-                                            np.full(200, 0.9), 10_000, 0, 200, False)
+    sigma, stderr, _ = tomography.estimates(
+        *tomography.counts(np.tile(states[2].bloch_vector(), (200, 1)), 10_000, 0),
+        (np.ones(200), np.zeros(200)), np.full(200, 0.9), 10_000, 200, False)
     covered = int(np.sum(np.abs(sigma - sigma_true) <= 3.0 * stderr))
     ok = mean_fid >= 0.999 and covered >= 190
     _report("8 tomography fidelity + error-bar coverage", ok,

@@ -129,6 +129,7 @@ def _draws(path):
 
 
 def test_only_tomography_draws():
-    # Each experiment's shots and resamples come from one generator in
-    # `tomography.estimates`; a draw anywhere else would not be in that stream.
+    # Each experiment's shots (`tomography.counts`) and resamples
+    # (`tomography.estimates`) come from one generator that `counts` seeds; a
+    # draw anywhere else would not be in that stream.
     assert {path.stem for path in SRC.glob("*.py") if _draws(path)} == {"tomography"}

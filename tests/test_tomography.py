@@ -33,6 +33,7 @@ class TestStatisticalConsistency:
         p, coherent = np.full(400, 0.9), np.tile([1.0, 0.0, 0.0], (400, 1))
         for e, prepared in enumerate((coherent, bloch.dephase(coherent)), start=1):
             final = bloch.gad(prepared, p, 0.5)
-            point, stderr, _ = tomography.estimates(length_z(prepared), final, p, 10_000, (77, e),
-                                                    200, population=e == 2)
+            point, stderr, _ = tomography.estimates(*tomography.counts(final, 10_000, (77, e)),
+                                                    length_z(prepared), p, 10_000, 200,
+                                                    population=e == 2)
             assert 0.8 <= np.median(stderr) / np.std(point, ddof=1) <= 1.25
