@@ -15,4 +15,4 @@ from .sweep import (
     load_config, run_sweep,
 )
 
-__version__ = "0.6.4"
+__version__ = "0.7.0"

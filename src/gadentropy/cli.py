@@ -26,7 +26,8 @@ EXIT_IO = 3
 # and checks its text as that key's, and `check --seed`'s as `seed`'s.
 _FLAGS = (
     ("--shots", "shots", "tomography shots per projection basis"),
-    ("--bootstrap", "n_bootstrap", "bootstrap resamples for error bars"),
+    ("--bootstrap", "n_bootstrap",
+     "inert until it is retired: checked as before, but the error bars are closed-form"),
     ("--seed", "seed", "master RNG seed"),
     ("--out", "out", "output CSV path"),
     ("--r-points", "r_points", "number of uniform r-grid points on [0, 1]"),

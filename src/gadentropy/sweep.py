@@ -25,11 +25,15 @@ DEFAULT_SHOTS = 10_000
 DEFAULT_BOOTSTRAP = 200
 DEFAULT_SEED = 20240
 DEFAULT_R_POINTS = 21
-# Most runs (grid rows x (1 + n_bootstrap)) one experiment may draw.  They are
-# scored a block at a time, so the per-row arrays set the peak: a sweep at the
-# bound peaks at 43 MB RSS with fig2's 201 runs per row (20,700 rows) and at
-# 487 MB with 3 runs per row (1,375,000 rows).
-MAX_RUNS = 2**22
+# Most grid rows a sweep may hold; each experiment draws one run per row.  It is
+# the most rows that the earlier bound of 2**22 runs (rows x (1 + n_bootstrap),
+# n_bootstrap >= 2) let run, so no grid that ran before is refused.  The per-row
+# arrays set the peak: a grid-shaped sweep at the bound (1,398,100 rows) peaks at
+# 480 MB RSS.
+MAX_RUNS = 2**22 // 3
+# n_bootstrap draws nothing, but until the key is retired a value is refused
+# where it was refused before: rows x (1 + n_bootstrap) at most this.
+BOOTSTRAP_BOUND = 2**22
 
 FIG2_P_VALUES = (0.9, 0.75, 0.6)
 FIG3_P_VALUES = (0.9,)
@@ -118,10 +122,12 @@ class SweepConfig:
         count = isinstance(self.r_grid, int)
         points = self.r_grid if count else len(self.r_grid)
         rows = len(self.p_values) * len(self.alphas) * points
-        if rows * (1 + self.n_bootstrap) > MAX_RUNS:
+        if rows > MAX_RUNS:
+            raise ConfigError(f"{_shown(rows)} grid rows exceed the bound of {MAX_RUNS} rows")
+        if rows * (1 + self.n_bootstrap) > BOOTSTRAP_BOUND:
             raise ConfigError(f"{_shown(rows)} grid rows x (1 + n_bootstrap = "
-                              f"{_shown(self.n_bootstrap)}) runs exceed the bound of "
-                              f"{MAX_RUNS} runs per experiment")
+                              f"{_shown(self.n_bootstrap)}) exceed the bound of "
+                              f"{BOOTSTRAP_BOUND} kept for the inert n_bootstrap")
         if count:  # built only once the bound has passed
             self.r_grid = tuple(np.linspace(0.0, 1.0, points).tolist())
 
@@ -213,15 +219,17 @@ def load_config(path: str, **overrides) -> SweepConfig:
     return preset(**kwargs)
 
 
-# One record per grid point: the CSV columns in order, then the count of
-# reconstructions (both experiments, runs and resamples) projected into the
-# Bloch ball, left out of the CSV.  The run's seed is no column: the sidecar
-# records it once.
+# One record per grid point: the CSV columns in order, then what the CSV leaves
+# out: the count of observed runs (of both experiments) projected into the Bloch
+# ball, and each tomography estimate's 95% interval.  The run's seed is no
+# column: the sidecar records it once.
 SWEEP_DTYPE = np.dtype([(name, float) for name in (
     "p", "r", "alpha_deg", "coherence_initial", "sigma_total", "sigma_pop", "sigma_coh",
     "sigma_total_tomo", "sigma_total_tomo_stderr", "sigma_pop_tomo", "sigma_pop_tomo_stderr",
     "sigma_coh_tomo", "sigma_coh_tomo_stderr",
-)] + [("indeterminate", int), ("projected", int)])
+)] + [("indeterminate", int), ("projected", int)] + [
+    (f"sigma_{part}_tomo_{end}", float)
+    for part in ("total", "pop", "coh") for end in ("lo", "hi")])
 CSV_COLUMNS = SWEEP_DTYPE.names[:14]
 # The grid axes repeat a few values over many rows; `_axis_text` formats each
 # once per block.
@@ -242,7 +250,11 @@ def run_sweep(config: SweepConfig) -> np.recarray:
     are flagged, not dropped, hold NaN productions and draw nothing; every
     other row's columns are finite.  Experiment e evolves its preparation,
     coherent (e = 1) or dephased (e = 2), once: `tomography.counts` seeded
-    (config.seed, e) draws its determinate rows, `tomography.estimates` scores them.
+    (config.seed, e) draws its determinate rows, `tomography.estimates` scores
+    them with their intervals.  The coherence part is the difference of the two,
+    its interval their MOVER combination (`tomography.difference`).  Each
+    stderr is its interval's width / (2 Z95), except the coherence part's: the
+    hypot of the other two.
     """
     rows = np.zeros((len(config.p_values), len(config.alphas), len(config.r_grid)), SWEEP_DTYPE)
     rows["p"], rows["r"] = np.reshape(config.p_values, (-1, 1, 1)), config.r_grid
@@ -250,39 +262,64 @@ def run_sweep(config: SweepConfig) -> np.recarray:
     coherent = np.zeros(rows.shape + (3,))
     coherent[..., 0] = np.reshape([prep.coherent_bloch_x(a) for a in config.alphas], (-1, 1))
     rows, coherent = rows.ravel(), coherent.reshape(-1, 3)
+    rows["coherence_initial"] = np.abs(coherent[:, 0])
+    for name in SWEEP_DTYPE.names:
+        if name.startswith("sigma"):
+            rows[name] = np.nan
+    final = _analytic(rows, coherent)
+    det = rows["indeterminate"] == 0
+    p, r = rows["p"][det], rows["r"][det]
+    length, z = np.linalg.norm(coherent[det], axis=-1), coherent[det, 2]
+    # Experiment 1 (coherent) measures the total; experiment 2 (dephased), evolved only once 1
+    # is measured and its states freed, the population part.  Both measure all four bases:
+    # experiment 2's R and D frequencies reach its estimate through the radial projection
+    # when |b| > 1.
+    _measured(rows, det, "total", tomography.counts(final, config.shots, (config.seed, 1)),
+              (length, z), p, config.shots)
+    del final
+    dephased = bloch.gad(bloch.dephase(coherent[det]), p, r)
+    _measured(rows, det, "pop", tomography.counts(dephased, config.shots, (config.seed, 2)),
+              (np.abs(z), z), p, config.shots)
+    # Column-wise, so the indeterminate rows' NaNs carry through.
+    total, population, coherence = ([rows[f"sigma_{part}_tomo{end}"] for end in ("", "_lo", "_hi")]
+                                    for part in ("total", "pop", "coh"))
+    for column, values in zip(coherence, tomography.difference(total, population)):
+        column[...] = values
+    rows["sigma_coh_tomo_stderr"] = np.hypot(rows["sigma_total_tomo_stderr"],
+                                             rows["sigma_pop_tomo_stderr"])
+    return rows.view(np.recarray)
+
+
+def _analytic(rows, coherent) -> np.ndarray:
+    """Write every row's analytic productions and indeterminate flag, for the
+    coherent preparations `coherent` (rows, 3); return the determinate rows'
+    evolved states, which experiment 1 measures."""
     p, r = rows["p"], rows["r"]
     final = bloch.gad(coherent, p, r)
     ends = [(np.linalg.norm(b, axis=-1), b[:, 2]) for b in (coherent, final)]
     total, population = (bloch.production(*ends, p, dephased) for dephased in (False, True))
     det = np.isfinite(total) & np.isfinite(population)
-
-    rows["coherence_initial"] = np.abs(coherent[:, 0])
-    rows["indeterminate"] = ~det
-    # Experiment 1 (coherent) measures the total; experiment 2 (dephased), evolved only once 1
-    # is measured, the population part.  Both measure all four bases: experiment 2's R and D
-    # frequencies reach its estimate through the radial projection when |b| > 1.
-    p_det = p[det]
-    length, z = (part[det] for part in ends[0])
-    (tot, tot_err, tot_proj), (pop, pop_err, pop_proj) = [tomography.estimates(
-        *tomography.counts(final[det] if e == 1 else
-                           bloch.gad(bloch.dephase(coherent[det]), p_det, r[det]),
-                           config.shots, (config.seed, e)),
-        (length, z) if e == 1 else (np.abs(z), z),
-        p_det, config.shots, config.n_bootstrap, population=e == 2)
-        for e in (1, 2)]
     coherence = bloch.coherence(*ends[0]) - bloch.coherence(*ends[1])
-    for name, values in zip(CSV_COLUMNS[4:13], (
-            *(np.maximum(v[det], 0.0) for v in (total, population, coherence)),
-            tot, tot_err, pop, pop_err, tot - pop, np.hypot(tot_err, pop_err))):
-        rows[name][~det] = np.nan
-        rows[name][det] = values
-    rows["projected"][det] = tot_proj + pop_proj
-    return rows.view(np.recarray)
+    for name, values in zip(("sigma_total", "sigma_pop", "sigma_coh"),
+                            (total, population, coherence)):
+        rows[name][det] = np.maximum(values[det], 0.0)
+    rows["indeterminate"] = ~det
+    return final[det]
+
+
+def _measured(rows, det, part: str, counts, initial, p, shots: int) -> None:
+    """Write one experiment's estimates of the production `part` ("total" or "pop")
+    from the determinate rows' `counts` into `rows`, and add its projected runs."""
+    point, lo, hi, projected = tomography.estimates(counts, initial, p, shots, part == "pop")
+    for end, values in (("", point), ("_lo", lo), ("_hi", hi),
+                        ("_stderr", (hi - lo) / (2.0 * tomography.Z95))):
+        rows[f"sigma_{part}_tomo{end}"][det] = values
+    rows["projected"][det] += projected
 
 
 def _counters(rows) -> dict:
     return {key: int(rows[name].sum()) for key, name in (
-        ("indeterminate_rows", "indeterminate"), ("projected_reconstructions", "projected"))}
+        ("indeterminate_rows", "indeterminate"), ("projected_observed_runs", "projected"))}
 
 
 def _write_atomic(path: str, lines) -> None:
@@ -333,7 +370,8 @@ def emit_csv(rows: np.ndarray, path: str, config: SweepConfig) -> None:
     block formats its distinct grid values (p, r, alpha_deg,
     coherence_initial) once.  The sidecar is the run manifest: versions,
     configuration (the one record of the seed), RNG streams, error-bar
-    procedure and the counters of `emit_summary`.  Each file is replaced
+    procedure and the counters of `emit_summary` (indeterminate rows, and
+    observed runs projected into the Bloch ball).  Each file is replaced
     atomically.
     """
     from . import __version__
@@ -347,9 +385,14 @@ def emit_csv(rows: np.ndarray, path: str, config: SweepConfig) -> None:
         "rng_algorithm": tomography.RNG_ALGORITHM,
         "streams": {"derivation": tomography.STREAM_DERIVATION},
         "error_bars": (
-            "parametric bootstrap: per-basis binomial resampling at the "
-            "observed frequencies, stderr = sample std over resampled "
-            "reconstructions; simulation-based, not a lab claim"
+            "95% intervals in closed form from each row's observed counts, no resampling. "
+            "Total: first-order (delta-method) interval of the projected estimator at the "
+            "observed frequencies. Population: Newcombe's hybrid score interval (method 10) "
+            "for z = f_H - f_V, widened to hold the projected z, imaged through the concave "
+            "population production. Coherence: MOVER (Zou & Donner) from those two. "
+            "stderr = (hi - lo) / (2 * 1.96); the coherence stderr is the hypot of the other "
+            "two. The prepared state is taken as exactly known. Simulation-based, not a lab "
+            "claim"
         ),
         "counters": _counters(rows),
     }
@@ -387,6 +430,6 @@ def emit_summary(rows: np.ndarray) -> str:
         f"{np.max(np.abs(analytic[:, 0] - (analytic[:, 1] + analytic[:, 2])), initial=0.0):.3e}",
         f"max |tomography - analytic|: {dev[worst]:.3e} ({z[worst]:.2f} stderr)",
         f"|tomography - analytic| / stderr over {zs.size} estimates: {spread}",
-        f"reconstructions projected into the Bloch ball: {c['projected_reconstructions']}",
+        f"observed runs projected into the Bloch ball: {c['projected_observed_runs']}",
     ]
     return "\n".join(lines)

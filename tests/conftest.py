@@ -16,13 +16,18 @@ deadline, so a slow host neither changes nor fails a test.  The helpers:
   and `relative_entropy_to_thermal` scores Bloch vectors with the sweep's
   scorer `bloch.production`;
 - `frequencies` states one experiment's stream of draws on its own, without
-  the package's sampler, and `reconstruct` inverts one state's stream and
-  projects it by `eigh`."""
+  the package's sampler, and `reconstruct` inverts one state's draw and
+  projects it by `eigh`;
+- `binomial_pmf` and `lattice_coverage` give the exact coverage of an interval
+  that is a function of two independent binomial counts, as a sum over their
+  lattice, and `population_coverage` that of the sweep's population interval."""
+
+import math
 
 import numpy as np
 from hypothesis import settings
 
-from gadentropy import bloch
+from gadentropy import bloch, tomography
 from gadentropy.budget import productions
 from gadentropy.qstate import ATOL, QubitState, bloch_matrices, bloch_vectors
 
@@ -110,19 +115,55 @@ def relative_entropy_to_thermal(b, p):
     return bloch.production(length_z(b), (np.abs(thermal), thermal), p, population=False)
 
 
-def frequencies(probs, shots, seed, n_bootstrap):
+def frequencies(probs, shots, seed):
     """The documented stream of one experiment at Born probabilities `probs`
-    (..., 4), as a basis-major stack (..., 4, 1 + n_bootstrap) of frequencies:
-    from `default_rng(seed)`, one binomial draw of every run's observed
-    counts, then one draw of all their resamples at the observed frequencies."""
-    rng = np.random.default_rng(seed)
-    counts = rng.binomial(shots, np.asarray(probs, dtype=float))[..., None]
-    resampled = rng.binomial(shots, counts / shots, size=counts.shape[:-1] + (n_bootstrap,))
-    return np.concatenate([counts, resampled], axis=-1) / shots
+    (..., 4): the observed frequencies of one binomial draw of every run's
+    counts from `default_rng(seed)`."""
+    return np.random.default_rng(seed).binomial(shots, np.asarray(probs, dtype=float)) / shots
 
 
-def reconstruct(state, shots, seed, n_bootstrap):
+def reconstruct(state, shots, seed):
     """The tomography of `state`, projected into the ball by `eigh` as the
-    sweep's scorer does radially: the run's Bloch vector, then its resamples'."""
-    freqs = frequencies(bloch.born_probabilities(state.bloch_vector()), shots, seed, n_bootstrap)
-    return nearest_vectors(np.stack(bloch.invert(freqs.T), axis=-1))
+    sweep's scorer does radially: the run's Bloch vector."""
+    freqs = frequencies(bloch.born_probabilities(state.bloch_vector()), shots, seed)
+    return nearest_vectors(np.stack(bloch.invert(freqs), axis=-1))
+
+
+def binomial_pmf(n, q):
+    """(k, pmf) of Binomial(n, q), q in (0, 1), over the k whose pmf is above 1e-16."""
+    k = np.arange(n + 1)
+    log_choose = np.array([math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                           for i in range(n + 1)])
+    pmf = np.exp(log_choose + k * math.log(q) + (n - k) * math.log1p(-q))
+    keep = pmf > 1e-16
+    return k[keep], pmf[keep]
+
+
+def lattice_coverage(interval, truth, q_h, q_v, shots):
+    """Exact coverage of `truth` by an interval of two independent counts
+    n_H ~ Binomial(shots, q_h) and n_V ~ Binomial(shots, q_v): the sum of
+    P(n_H) P(n_V) over the (n_H, n_V) lattice where lo <= truth <= hi, with
+    `interval(n_h, n_v)` mapping two count arrays of one shape to (lo, hi)."""
+    (k_h, w_h), (k_v, w_v) = binomial_pmf(shots, q_h), binomial_pmf(shots, q_v)
+    lo, hi = interval(*np.meshgrid(k_h, k_v, indexing="ij"))
+    return float(np.sum(np.outer(w_h, w_v) * ((lo <= truth) & (truth <= hi))))
+
+
+def population_coverage(p, r, shots):
+    """Exact coverage of the analytic population production at (p, r) by the
+    interval of `tomography.estimates`, `shots` even.  The dephased preparation
+    is the maximally mixed state, so the evolved z is r (2p - 1) and c plays no
+    part.  R and D counts are shots / 2, so x = y = 0 and no run is projected:
+    the sum ignores the radial projection, which moves the interval only for
+    runs outside the ball."""
+    z = r * (2.0 * p - 1.0)
+    truth = productions(bloch_matrices([[1.0, 0.0, 0.0]]), p, r)[1][0]
+
+    def interval(n_h, n_v):
+        size = n_h.size
+        counts = np.stack([n_h.ravel(), n_v.ravel(), *np.full((2, size), shots // 2)], axis=-1)
+        zero = np.zeros(size)
+        _, lo, hi, _ = tomography.estimates(counts, (zero, zero), np.full(size, p), shots, True)
+        return lo.reshape(n_h.shape), hi.reshape(n_h.shape)
+
+    return lattice_coverage(interval, truth, (1.0 + z) / 2.0, (1.0 - z) / 2.0, shots)

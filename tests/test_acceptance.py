@@ -197,7 +197,7 @@ def test_criterion_7_qualitative_claims():
 
 def test_criterion_8_tomography_fidelity():
     states = [PLUS, QubitState(np.eye(2) / 2), apply(GadChannel(0.9, 0.5), PLUS)]
-    estimates = np.array([reconstruct(state, 100_000, 1000 * i + seed, 2)[0]
+    estimates = np.array([reconstruct(state, 100_000, 1000 * i + seed)
                           for i, state in enumerate(states) for seed in range(100)])
     truths = np.repeat([state.matrix for state in states], 100, axis=0)
     mean_fid = float(np.mean(fidelity(bloch_matrices(estimates), truths)))
@@ -205,9 +205,10 @@ def test_criterion_8_tomography_fidelity():
     # 200 trials of PLUS, (|b|, z) = (1, 0), evolved at p = 0.9, r = 0.5, as the sweep
     # measures them.
     sigma_true = budget(PLUS, GadChannel(0.9, 0.5)).total
-    sigma, stderr, _ = tomography.estimates(
-        *tomography.counts(np.tile(states[2].bloch_vector(), (200, 1)), 10_000, 0),
-        (np.ones(200), np.zeros(200)), np.full(200, 0.9), 10_000, 200, False)
+    sigma, lo, hi, _ = tomography.estimates(
+        tomography.counts(np.tile(states[2].bloch_vector(), (200, 1)), 10_000, 0),
+        (np.ones(200), np.zeros(200)), np.full(200, 0.9), 10_000, False)
+    stderr = (hi - lo) / (2.0 * tomography.Z95)
     covered = int(np.sum(np.abs(sigma - sigma_true) <= 3.0 * stderr))
     ok = mean_fid >= 0.999 and covered >= 190
     _report("8 tomography fidelity + error-bar coverage", ok,

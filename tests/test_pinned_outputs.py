@@ -17,18 +17,18 @@ import gadentropy
 from gadentropy import cli
 
 DIGESTS = {
-    ("0.6.4", "2.4.6"): {
-        "fig2 csv": "9b9250757afe7f9cf7bdeda8af9268076b3b4859db3fb93cfd6405c523097239",
-        "fig2 summary": "68cee1b869e13654d289db03b59f74b46f916ac3bdbf198b0f40b33799c79200",
-        "fig3 csv": "dfe76ef01a41dbfee53247fbd176aac70db788684e4721a50a7a539a4aa3588d",
-        "fig3 summary": "81e7d4c0cebcc00b260b395d8df29c51e8ef36824d07bdc25c31431e471552fe",
+    ("0.7.0", "2.4.6"): {
+        "fig2 csv": "510279b58826692210d9fbd020df0a711d8777706f0da4883ad04fc17de74de3",
+        "fig2 summary": "5ca5e7ecd329e9a10cb7ad22c5576e341ff109f5236f7b408ffd2225c6ed3c66",
+        "fig3 csv": "a726517c31c8d27d5f9e02d78155c624acbb2641240cff486538b147c5166ee6",
+        "fig3 summary": "a14e9f4bfc81c745f0570364611d5b9f8a800fac63db4819cb2e1517029d73a0",
         "check stdout": "7f314eefa030c20da04519cb80d65a603400115fb78c54493c3de6865893ea83",
-        "grid csv": "4e7c134ddff014430ad1a49dec2fd56e0c50c4a10e49affe49f479408ae0a222",
+        "grid csv": "68ec92e924acc73d47ace886f1e13a07cc291cbae78057f5359be66e3e98582c",
     },
 }
 
 
-# 11 p (505 rows at p = 1) x 5 coherences x 101 r = 5555 rows, 2 resamples.
+# 11 p (505 rows at p = 1) x 5 coherences x 101 r = 5555 rows; n_bootstrap = 2 is inert.
 GRID_CONFIG = (
     f"p_values = {', '.join(repr(0.5 + 0.05 * i) for i in range(10))}, 1.0\n"
     "coherence = 1, 0.8, 0.6, 0.4, 0.2\n"
