@@ -27,9 +27,9 @@ DEFAULT_SEED = 20240
 DEFAULT_R_POINTS = 21
 # Most grid rows a sweep may hold; each experiment draws one run per row.  It is
 # the most rows that the earlier bound of 2**22 runs (rows x (1 + n_bootstrap),
-# n_bootstrap >= 2) let run, so no grid that ran before is refused.  The per-row
-# arrays set the peak: a grid-shaped sweep at the bound (1,398,100 rows) peaks at
-# 480 MB RSS.
+# n_bootstrap >= 2) let run, so no grid that ran before is refused.  The records
+# set the peak: a grid-shaped sweep at the bound (1,398,100 rows) peaks at 261 MB
+# RSS, 168 bytes per row of it the records.
 MAX_RUNS = 2**22 // 3
 # n_bootstrap draws nothing, but until the key is retired a value is refused
 # where it was refused before: rows x (1 + n_bootstrap) at most this.
@@ -239,7 +239,10 @@ _AXIS_COLUMNS, _VALUE_COLUMNS = CSV_COLUMNS[:4], CSV_COLUMNS[4:]
 _CSV_LINE = ",".join("%s" if name in _AXIS_COLUMNS else
                      "%.12g" if SWEEP_DTYPE[name] == float else "%d"
                      for name in CSV_COLUMNS) + "\n"
-_CSV_BLOCK = 4096  # rows turned into Python values at a time while the CSV streams
+# Rows that `run_sweep` lays out, evolves, draws and scores at a time, and that
+# the CSV turns into Python values at a time; the temporaries of both stay
+# within one block.
+BLOCK_ROWS = 2**12
 
 
 def run_sweep(config: SweepConfig) -> np.recarray:
@@ -248,73 +251,67 @@ def run_sweep(config: SweepConfig) -> np.recarray:
     Returns one SWEEP_DTYPE record per point, ordered by (p, alpha, r).
     Indeterminate points (1 - p <= ATOL, where the relative entropy diverges)
     are flagged, not dropped, hold NaN productions and draw nothing; every
-    other row's columns are finite.  Experiment e evolves its preparation,
-    coherent (e = 1) or dephased (e = 2), once: `tomography.counts` seeded
-    (config.seed, e) draws its determinate rows, `tomography.estimates` scores
-    them with their intervals.  The coherence part is the difference of the two,
-    its interval their MOVER combination (`tomography.difference`).  Each
-    stderr is its interval's width / (2 Z95), except the coherence part's: the
-    hypot of the other two.
+    other row's columns are finite.  The records are built `BLOCK_ROWS` at a
+    time, so no array but the records grows with the grid.  In each block,
+    experiment e evolves its preparation, coherent (e = 1) or dephased
+    (e = 2), once: `tomography.counts` draws its determinate rows from the
+    experiment's generator, seeded (config.seed, e) once and carried on across
+    blocks, and `tomography.estimates` scores them with their intervals.  The
+    coherence part is the difference of the two, its interval their MOVER
+    combination (`tomography.difference`).  Each stderr is its interval's
+    width / (2 Z95), except the coherence part's: the hypot of the other two.
     """
-    rows = np.zeros((len(config.p_values), len(config.alphas), len(config.r_grid)), SWEEP_DTYPE)
-    rows["p"], rows["r"] = np.reshape(config.p_values, (-1, 1, 1)), config.r_grid
-    rows["alpha_deg"] = np.reshape([math.degrees(a) for a in config.alphas], (-1, 1))
-    coherent = np.zeros(rows.shape + (3,))
-    coherent[..., 0] = np.reshape([prep.coherent_bloch_x(a) for a in config.alphas], (-1, 1))
-    rows, coherent = rows.ravel(), coherent.reshape(-1, 3)
-    rows["coherence_initial"] = np.abs(coherent[:, 0])
-    for name in SWEEP_DTYPE.names:
-        if name.startswith("sigma"):
-            rows[name] = np.nan
-    final = _analytic(rows, coherent)
-    det = rows["indeterminate"] == 0
-    p, r = rows["p"][det], rows["r"][det]
-    length, z = np.linalg.norm(coherent[det], axis=-1), coherent[det, 2]
-    # Experiment 1 (coherent) measures the total; experiment 2 (dephased), evolved only once 1
-    # is measured and its states freed, the population part.  Both measure all four bases:
-    # experiment 2's R and D frequencies reach its estimate through the radial projection
-    # when |b| > 1.
-    _measured(rows, det, "total", tomography.counts(final, config.shots, (config.seed, 1)),
-              (length, z), p, config.shots)
-    del final
-    dephased = bloch.gad(bloch.dephase(coherent[det]), p, r)
-    _measured(rows, det, "pop", tomography.counts(dephased, config.shots, (config.seed, 2)),
-              (np.abs(z), z), p, config.shots)
-    # Column-wise, so the indeterminate rows' NaNs carry through.
-    total, population, coherence = ([rows[f"sigma_{part}_tomo{end}"] for end in ("", "_lo", "_hi")]
-                                    for part in ("total", "pop", "coh"))
-    for column, values in zip(coherence, tomography.difference(total, population)):
-        column[...] = values
-    rows["sigma_coh_tomo_stderr"] = np.hypot(rows["sigma_total_tomo_stderr"],
-                                             rows["sigma_pop_tomo_stderr"])
+    shape = (len(config.p_values), len(config.alphas), len(config.r_grid))
+    p_values, r_grid = np.array(config.p_values), np.array(config.r_grid)
+    degrees = np.array([math.degrees(a) for a in config.alphas])
+    bloch_x = np.array([prep.coherent_bloch_x(a) for a in config.alphas])
+    rows = np.zeros(math.prod(shape), SWEEP_DTYPE)
+    streams = tomography.streams(config.seed)
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = rows[start:start + BLOCK_ROWS]
+        i, a, k = np.unravel_index(np.arange(start, start + len(block)), shape)
+        block["p"], block["r"], block["alpha_deg"] = p_values[i], r_grid[k], degrees[a]
+        coherent = np.zeros((len(block), 3))
+        coherent[:, 0] = bloch_x[a]
+        block["coherence_initial"] = np.abs(coherent[:, 0])
+        _evaluated(block, coherent, streams, config.shots)
     return rows.view(np.recarray)
 
 
-def _analytic(rows, coherent) -> np.ndarray:
-    """Write every row's analytic productions and indeterminate flag, for the
-    coherent preparations `coherent` (rows, 3); return the determinate rows'
-    evolved states, which experiment 1 measures."""
+def _evaluated(rows, coherent, streams, shots: int) -> None:
+    """Write the analytic and tomography columns of the records `rows`, whose
+    grid columns are set, for their coherent preparations `coherent` (rows, 3)."""
     p, r = rows["p"], rows["r"]
     final = bloch.gad(coherent, p, r)
     ends = [(np.linalg.norm(b, axis=-1), b[:, 2]) for b in (coherent, final)]
     total, population = (bloch.production(*ends, p, dephased) for dephased in (False, True))
     det = np.isfinite(total) & np.isfinite(population)
     coherence = bloch.coherence(*ends[0]) - bloch.coherence(*ends[1])
+    for name in SWEEP_DTYPE.names:
+        if name.startswith("sigma"):
+            rows[name] = np.nan
     for name, values in zip(("sigma_total", "sigma_pop", "sigma_coh"),
                             (total, population, coherence)):
         rows[name][det] = np.maximum(values[det], 0.0)
     rows["indeterminate"] = ~det
-    return final[det]
-
-
-def _measured(rows, det, part: str, counts, initial, p, shots: int) -> None:
-    """Write one experiment's estimates of the production `part` ("total" or "pop")
-    from the determinate rows' `counts` into `rows`, and add its projected runs."""
-    point, lo, hi, projected = tomography.estimates(counts, initial, p, shots, part == "pop")
-    for end, values in (("", point), ("_lo", lo), ("_hi", hi),
-                        ("_stderr", (hi - lo) / (2.0 * tomography.Z95))):
-        rows[f"sigma_{part}_tomo{end}"][det] = values
-    rows["projected"][det] += projected
+    p, r, length, z = p[det], r[det], ends[0][0][det], ends[0][1][det]
+    # Experiment 1 (coherent) measures the total, experiment 2 (dephased) the population
+    # part.  Both measure all four bases: experiment 2's R and D frequencies reach its
+    # estimate through the radial projection when |b| > 1.
+    measured = []
+    for stream, evolved, initial, dephased in (
+            (streams[0], final[det], (length, z), False),
+            (streams[1], bloch.gad(bloch.dephase(coherent[det]), p, r), (np.abs(z), z), True)):
+        *triple, projected = tomography.estimates(
+            tomography.counts(evolved, shots, stream), initial, p, shots, dephased)
+        measured.append(triple)
+        rows["projected"][det] += projected
+    errors = [(hi - lo) / (2.0 * tomography.Z95) for _, lo, hi in measured]
+    measured.append(tomography.difference(*measured))
+    errors.append(np.hypot(*errors))
+    for part, triple, error in zip(("total", "pop", "coh"), measured, errors):
+        for end, values in zip(("", "_lo", "_hi", "_stderr"), (*triple, error)):
+            rows[f"sigma_{part}_tomo{end}"][det] = values
 
 
 def _counters(rows) -> dict:
@@ -355,8 +352,8 @@ def _csv_lines(rows):
     time; each block formats its distinct grid-axis values once."""
     yield ",".join(CSV_COLUMNS) + "\n"
     rows = np.asarray(rows)  # a plain array: indexing a recarray runs Python code
-    for start in range(0, len(rows), _CSV_BLOCK):
-        block = rows[start:start + _CSV_BLOCK]
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = rows[start:start + BLOCK_ROWS]
         yield from map(_CSV_LINE.__mod__, zip(
             *_axis_text(block), *(block[name].tolist() for name in _VALUE_COLUMNS)))
 
@@ -366,7 +363,7 @@ def emit_csv(rows: np.ndarray, path: str, config: SweepConfig) -> None:
     sidecar <path>.meta.json.
 
     Floats carry 12 significant digits, so same-seed reruns on the same versions
-    are byte-identical.  Rows are formatted in blocks of `_CSV_BLOCK`; each
+    are byte-identical.  Rows are formatted in blocks of `BLOCK_ROWS`; each
     block formats its distinct grid values (p, r, alpha_deg,
     coherence_initial) once.  The sidecar is the run manifest: versions,
     configuration (the one record of the seed), RNG streams, error-bar

@@ -23,9 +23,14 @@ STREAM_DERIVATION = ("experiment e (1 coherent, 2 dephased) draws from "
 Z95 = 1.96
 
 
+def streams(seed) -> tuple:
+    """The generators of experiment 1 (coherent) and 2 (dephased), `default_rng((seed, e))`."""
+    return tuple(np.random.default_rng((seed, e)) for e in (1, 2))
+
+
 def counts(final, shots: int, seed) -> np.ndarray:
     """Observed counts (rows, 4) of `shots` shots per basis of Bloch vectors `final` (rows, 3),
-    drawn row by row, H, V, R, D, from `default_rng(seed)`."""
+    drawn row by row, H, V, R, D, from `default_rng(seed)`: `seed` itself if a Generator."""
     return np.random.default_rng(seed).binomial(shots, bloch.born_probabilities(final))
 
 
@@ -50,16 +55,10 @@ def difference(first, second):
     return d, d - np.hypot(a - a_lo, b_hi - b), d + np.hypot(a_hi - a, b - b_lo)
 
 
-# Rows `estimates` scores at a time: the scoring's temporaries, a few hundred
-# bytes per row, stay within one block, so only the counts and the results grow
-# with the rows.
-BLOCK_ROWS = 2**10
-
-
 def estimates(counts, initial, p, shots: int, population: bool):
     """(point, lo, hi, projected) per row of the production measured by the
     observed `counts` (rows, 4), `shots` shots per basis, of states prepared as
-    `initial`, a (|b|, z) pair of (rows,) arrays; scored `BLOCK_ROWS` rows at a time.
+    `initial`, a (|b|, z) pair of (rows,) arrays.
 
     `bloch.production` scores the run's inverted Bloch vector b from `initial`,
     both dephased when `population`; `projected` flags the runs with |b| > 1,
@@ -71,18 +70,6 @@ def estimates(counts, initial, p, shots: int, population: bool):
     - the total's is the point +- Z95 first-order (delta-method) sd of the
       projected estimator, at the observed frequencies.
     """
-    out = np.empty((3, len(counts)))
-    projected = np.empty(len(counts), dtype=bool)
-    for start in range(0, len(counts), BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
-        point, lo, hi, projected[block] = _scored(
-            counts[block], [part[block] for part in initial], p[block], shots, population)
-        out[:, block] = point, lo, hi
-    return (*out, projected)
-
-
-def _scored(counts, initial, p, shots: int, population: bool):
-    """`estimates` of one block of rows."""
     freqs = counts / shots
     x, y, z = bloch.invert(freqs)
     length = np.sqrt(x * x + y * y + z * z)

@@ -155,7 +155,10 @@ def population_coverage(p, r, shots):
     is the maximally mixed state, so the evolved z is r (2p - 1) and c plays no
     part.  R and D counts are shots / 2, so x = y = 0 and no run is projected:
     the sum ignores the radial projection, which moves the interval only for
-    runs outside the ball."""
+    runs outside the ball.  The interval is widened by the 1e-12 tolerance that
+    holds the closed forms to the `eigh` reference: at r = 1 the truth is the
+    largest value the production takes, which the interval's upper end reaches
+    in exact arithmetic, and round-off alone would decide the comparison."""
     z = r * (2.0 * p - 1.0)
     truth = productions(bloch_matrices([[1.0, 0.0, 0.0]]), p, r)[1][0]
 
@@ -164,6 +167,6 @@ def population_coverage(p, r, shots):
         counts = np.stack([n_h.ravel(), n_v.ravel(), *np.full((2, size), shots // 2)], axis=-1)
         zero = np.zeros(size)
         _, lo, hi, _ = tomography.estimates(counts, (zero, zero), np.full(size, p), shots, True)
-        return lo.reshape(n_h.shape), hi.reshape(n_h.shape)
+        return lo.reshape(n_h.shape) - 1e-12, hi.reshape(n_h.shape) + 1e-12
 
     return lattice_coverage(interval, truth, (1.0 + z) / 2.0, (1.0 - z) / 2.0, shots)

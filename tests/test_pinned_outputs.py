@@ -2,8 +2,9 @@
 
 The default `fig2` and `fig3` CSVs, the stdout of those runs with the output
 path written as `<out>`, the stdout of `gadentropy check`, and the CSV of a
-5555-row custom grid that spans two of the CSV's 4096-row blocks are hashed and
-compared with the sha256 digests recorded for the running version pair.  A
+5555-row custom grid that spans two of the 4096-row blocks (`sweep.BLOCK_ROWS`)
+in which the sweep is built and the CSV written are hashed and compared with
+the sha256 digests recorded for the running version pair.  A
 change that moves them either bumps the version and records new digests, or
 explains the change in CHANGES.md.  Bit-identity across numpy versions is
 not a goal, so under an unrecorded pair the test skips without comparing."""

@@ -251,22 +251,18 @@ class TestRunSweep:
             assert abs(row.sigma_pop_tomo - row.sigma_pop) < 0.02
 
     def test_each_preparation_is_evolved_once(self, monkeypatch):
-        # fig2's 63 rows: the coherent preparation, then the dephased one, evolved only
-        # after experiment 1 is measured.
-        calls, gad, estimates = [], bloch.gad, tomography.estimates
+        # fig2's 63 rows in blocks of 25: per block, the coherent preparation,
+        # then the dephased one, each evolved once per row.
+        calls, gad = [], bloch.gad
 
         def spy(b, p, r):
-            calls.append(("gad", len(b)))
+            calls.append(len(b))
             return gad(b, p, r)
 
-        def measured(*args, **kwargs):
-            calls.append(("estimates",))
-            return estimates(*args, **kwargs)
-
         monkeypatch.setattr(bloch, "gad", spy)
-        monkeypatch.setattr(tomography, "estimates", measured)
+        monkeypatch.setattr(sweep, "BLOCK_ROWS", 25)
         run_sweep(fig2_config())
-        assert calls == [("gad", 63), ("estimates",), ("gad", 63), ("estimates",)]
+        assert calls == [25, 25, 25, 25, 13, 13]
 
 
 class TestEmit:
@@ -320,7 +316,7 @@ class TestEmit:
                         dtype=np.uint64).view(float).tolist()
         pool = [-0.0, 0.0, *nans, math.inf, -math.inf, 0.3, 0.1 + 0.2, 1.0, 1.0 + 1e-13,
                 1.0 / 3.0, 5e-324, 0.55]
-        n = 2 * sweep._CSV_BLOCK + 3
+        n = 2 * sweep.BLOCK_ROWS + 3
         rows, want = np.zeros(n, SWEEP_DTYPE), [",".join(CSV_COLUMNS)]
         for k, name in enumerate(CSV_COLUMNS[:4]):
             rows[name] = [pool[(i * (2 * k + 1) + k) % len(pool)] for i in range(n)]
@@ -841,30 +837,18 @@ class TestArrayPathMatchesStates:
 class TestStreams:
     @pytest.mark.parametrize("block_rows", [1, 8, 100, 2**20])
     def test_blocks_join_to_one_stream_at_any_block_size(self, monkeypatch, block_rows):
-        # 50 rows scored in blocks of `block_rows` rows, the last one short: the
-        # estimates and intervals do not depend on the block size.
-        rng = np.random.default_rng(5)
-        prepared = rng.uniform(-0.5, 0.5, size=(50, 3))
-        p, r = rng.uniform(0.5, 0.99, size=50), rng.uniform(size=50)
-        initial = length_z(prepared)
-        observed = tomography.counts(bloch.gad(prepared, p, r), 500, 11)
-        want = [tomography.estimates(observed, initial, p, 500, population)
-                for population in (False, True)]
-        blocks, invert = [], bloch.invert
-
-        def spy(freqs):
-            blocks.append(len(freqs))
-            return invert(freqs)
-
-        monkeypatch.setattr(tomography, "BLOCK_ROWS", block_rows)
-        monkeypatch.setattr(bloch, "invert", spy)
-        for population, expected in zip((False, True), want):
-            blocks.clear()
-            got = tomography.estimates(observed, initial, p, 500, population)
-            size = min(block_rows, 50)
-            assert all(n == size for n in blocks[:-1]) and 0 < blocks[-1] <= size
-            assert sum(blocks) == 50
-            assert all(np.array_equal(g, w) for g, w in zip(got, expected, strict=True))
+        # 3 p x 2 coherences x 17 r = 102 rows, rows 34-67 at p = 1, built in blocks
+        # of `block_rows` rows: at 8 a block starts and one ends inside the run of
+        # indeterminate rows, at 100 the last block is short.  Every record is the
+        # same, byte for byte, as when one block holds the whole grid.
+        config = SweepConfig(p_values=(0.9, 1.0, 0.6), alphas=tuple(map(
+            alpha_for_coherence, (1.0, 0.5))), r_grid=17, shots=300, seed=7)
+        monkeypatch.setattr(sweep, "BLOCK_ROWS", 2**20)
+        want = run_sweep(config)
+        monkeypatch.setattr(sweep, "BLOCK_ROWS", block_rows)
+        got = run_sweep(config)
+        assert want.indeterminate[34:68].all() and want.indeterminate.sum() == 34
+        assert got.tobytes() == want.tobytes()
 
     def test_stream_is_the_documented_order_of_binomial_draws(self, monkeypatch):
         # One scalar draw at a time: every row's observed count per basis (H, V, R, D).
@@ -877,6 +861,10 @@ class TestStreams:
 
         observed = tomography.counts(final, 500, 11)
         assert observed.tolist() == counts.tolist()
+        # Drawn block by block from one Generator, the counts are the same stream.
+        rng = np.random.default_rng(11)
+        halves = [tomography.counts(half, 500, rng) for half in (final[:2], final[2:])]
+        assert np.concatenate(halves).tolist() == counts.tolist()
         scored, invert = [], bloch.invert
 
         def spy(freqs):
@@ -900,18 +888,18 @@ class TestStreams:
             return invert(freqs)
 
         monkeypatch.setattr(bloch, "invert", spy)
-        run_sweep(SweepConfig(p_values=(0.9,), r_grid=3 * tomography.BLOCK_ROWS + 5, shots=100))
-        assert len(runs) == 2 * 4 and max(runs) == tomography.BLOCK_ROWS and min(runs) == 5
+        run_sweep(SweepConfig(p_values=(0.9,), r_grid=3 * sweep.BLOCK_ROWS + 5, shots=100))
+        assert len(runs) == 2 * 4 and max(runs) == sweep.BLOCK_ROWS and min(runs) == 5
 
     # The bound on the traced peak per row, per numpy version, whose allocations set
     # it; under an unrecorded version the test skips without measuring.
-    PEAK_BYTES_PER_ROW = {"2.4.6": 340}
+    PEAK_BYTES_PER_ROW = {"2.4.6": 257}
 
     def test_grid_sweep_peak_memory_per_row(self):
         # The second run in the process of a grid-shaped sweep, 11 p x 5 coherences x
-        # 500 r = 27,500 rows, under tracemalloc.  It read 321.1 B/row, and the bound
-        # leaves 6% over that.  Scoring all rows of an experiment at once, not
-        # `tomography.BLOCK_ROWS` at a time, read 515.1.
+        # 500 r = 27,500 rows, under tracemalloc.  It read 241.8 B/row, and the bound
+        # leaves 6% over that; the records alone take 168.  Building whole-grid arrays
+        # before the records, not `sweep.BLOCK_ROWS` rows at a time, read 321.1.
         bound = self.PEAK_BYTES_PER_ROW.get(np.__version__)
         if bound is None:
             pytest.skip(f"did not measure: no bound recorded for numpy {np.__version__}")
@@ -942,6 +930,14 @@ class TestErrorBarCoverage:
     exactly over their lattice (conftest `population_coverage`).  Gated points
     with r >= 0.9 and at most 500 shots were picked by that sum, so none sits
     near a bound: (0.75, 1, 0.95, 300) sums to 0.9729, too close to 0.978.
+
+    r = 1 stays out of this gate.  The evolved state is then the thermal one,
+    where the gradient of D(. || thermal) vanishes, so the first-order
+    (delta-method) total interval is conservative: at (0.9, 1, 1, 500), 1000
+    trials, seed 2024, total and coherence coverage read 1.000, above HIGH.
+    The population truth there sits on its interval's upper end in exact
+    arithmetic, so its coverage is summed over the lattice with the 1e-12
+    reference tolerance instead (test_tomography).
     """
 
     TRIALS = 1000

@@ -175,7 +175,7 @@ class TestExactCoverage:
     @pytest.mark.parametrize("p, r, shots, coverage", [
         (0.9, 0.95, 500, 0.9607), (0.9, 0.95, 100, 0.9635), (0.6, 0.9, 500, 0.9742),
         (0.99, 0.99, 100, 0.9210), (0.99, 1.0, 100, 0.9483), (0.6, 1.0, 500, 0.9511),
-        (0.75, 0.8, 1000, 0.9490), (0.9, 0.5, 10_000, 0.9500)])
+        (0.75, 0.8, 1000, 0.9490), (0.9, 0.5, 10_000, 0.9500), (0.9, 1.0, 500, 0.9475)])
     def test_population_coverage_reproduces_the_newcombe_table(self, p, r, shots, coverage):
         # Exact coverage of Newcombe's interval imaged through the population
         # production, radial projection ignored, as tabulated in ROADMAP item 3.
