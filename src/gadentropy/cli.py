@@ -1,15 +1,14 @@
 """Command-line front end.
 
-Subcommands: fig2, fig3 (preset sweeps, `sweep.py`), sweep --config <path>
+Commands: fig2, fig3 (preset sweeps, `sweep.py`), sweep --config <path>
 (custom grid, `sweep.py`), check (the property suite of `check.py`, which
-holds the sweeps' Bloch closed forms to the density-matrix reference).
-Exit codes: 0 success, 1 usage/config error, 2 property-suite failure,
-3 I/O failure.
+holds the sweeps' Bloch closed forms to the density-matrix reference); their
+flags, in `_COMMANDS`, take `--flag value` or `--flag=value`.  Exit codes:
+0 success, 1 usage/config error, 2 property-suite failure, 3 I/O failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -26,45 +25,46 @@ EXIT_IO = 3
 # and checks its text as that key's, and `check --seed`'s as `seed`'s.
 _FLAGS = (
     ("--shots", "shots", "tomography shots per projection basis"),
-    ("--bootstrap", "n_bootstrap",
-     "inert until it is retired: checked as before, but the error bars are closed-form"),
+    ("--bootstrap", "n_bootstrap", "inert: checked as before, but the error bars are closed-form"),
     ("--seed", "seed", "master RNG seed"),
     ("--out", "out", "output CSV path"),
     ("--r-points", "r_points", "number of uniform r-grid points on [0, 1]"),
 )
 
+# Command: its help and flags; sweep requires --config, which names a file, not a key.
+_COMMANDS = {
+    "fig2": ("sweep three bath temperatures at maximum initial coherence", _FLAGS),
+    "fig3": ("sweep three initial coherences at fixed bath temperature", _FLAGS),
+    "sweep": ("run a sweep described by a config file",
+              (("--config", "config", "flat key-value config file (required)"), *_FLAGS)),
+    "check": ("run the aggregated property suite, seed 1234 by default", _FLAGS[2:3]),
+}
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors print one line; its subparsers
-    are built from this class too."""
 
-    def error(self, message):
-        self.exit(2, f"{self.prog}: error: {message}\n")
+class _UsageError(Exception):
+    """An argv that `_COMMANDS` does not take."""
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="gadentropy",
-        description=(
-            "Entropy-production sweeps for a qubit in a generalized "
-            "amplitude damping thermal channel"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("fig2", "sweep three bath temperatures at maximum initial coherence"),
-        ("fig3", "sweep three initial coherences at fixed bath temperature"),
-        ("sweep", "run a sweep described by a config file"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        if name == "sweep":
-            p.add_argument("--config", required=True, help="flat key-value config file")
-        for flag, key, flag_help in _FLAGS:
-            p.add_argument(flag, dest=key, metavar="PATH" if key == "out" else "N",
-                           help=flag_help)
-    p = sub.add_parser("check", help="run the aggregated property suite")
-    p.add_argument("--seed", metavar="N", default="1234", help="master RNG seed")
-    return parser
+def _read(argv: list[str]):
+    """`argv` as (command, sweep's --config or None, flag settings); None after -h/--help."""
+    if {"-h", "--help"} & set(argv):  # the usage of every command, built from `_COMMANDS`
+        return print("\n".join(f"gadentropy {name}: {about}" + "".join(
+            f"\n  {flag:<12} {text}" for flag, _, text in flags)
+            for name, (about, flags) in _COMMANDS.items()))
+    if not argv or argv[0] not in _COMMANDS:
+        raise _UsageError(f"the first argument must be a command: {', '.join(_COMMANDS)}")
+    command, tokens, triples = argv[0], iter(argv[1:]), []
+    keys = {flag: key for flag, key, _ in _COMMANDS[command][1]}
+    for token in tokens:
+        flag, equals, text = token.partition("=")
+        text = text if equals else next(tokens, None)
+        if flag not in keys or text is None:
+            raise _UsageError(f"{token!r}: {command} takes {', '.join(keys)}, each with a value")
+        triples.append((flag, keys[flag], text))
+    paths = [text for _, key, text in triples if key == "config"]
+    if command == "sweep" and len(paths) != 1:
+        raise _UsageError("sweep takes one --config PATH")
+    return command, (paths or [None])[0], sw.settings(t for t in triples if t[1] != "config")
 
 
 def _output_problem(path: str) -> str | None:
@@ -113,25 +113,25 @@ def main(argv: list[str] | None = None) -> int:
 
 def _main(argv) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        flags = sw.settings((flag, key, getattr(args, key)) for flag, key, _ in _FLAGS
-                            if getattr(args, key, None) is not None)
-        if args.command == "check":
-            report = check.run_property_suite(seed=flags["seed"])
+        command, path, flags = _read(sys.argv[1:] if argv is None else list(argv)) or [None] * 3
+        if command is None:  # -h/--help printed the usage
+            return EXIT_OK
+        if command == "check":
+            report = check.run_property_suite(seed=flags.get("seed", 1234))
             print(report.render())
             return EXIT_OK if report.passed else EXIT_PROPERTY_FAILURE
-        if args.command == "sweep":
+        if command == "sweep":
             try:
-                config = sw.load_config(args.config, **flags)
+                config = sw.load_config(path, **flags)
             except OSError as exc:
-                print(f"error: cannot read {args.config}: {exc}", file=sys.stderr)
+                print(f"error: cannot read {path}: {exc}", file=sys.stderr)
                 return EXIT_IO
         else:
-            config = (sw.fig2_config if args.command == "fig2" else sw.fig3_config)(**flags)
+            config = (sw.fig2_config if command == "fig2" else sw.fig3_config)(**flags)
         return _run_and_emit(config)
+    except _UsageError as exc:
+        print(f"gadentropy: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except sw.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
