@@ -7,9 +7,11 @@ coherence part is the drop in relative entropy of coherence.  The three are
 additive: total = population + coherence.
 
 `productions` applies the channel to stacked (..., 2, 2) density matrices
-and gives the three raw signed values from one spectrum per state; `budget`
-scores one state with it and applies the strict rules (clamp of round-off
-negatives, errors on inf - inf and on negativity).
+and gives the three raw signed values: `eigvalsh` gives the spectra of the
+initial and final states, and the dephased states and the equilibrium
+diag(p, 1 - p) are diagonal, so their spectra are read off their diagonals.
+`budget` scores one state with it and applies the strict rules (clamp of
+round-off negatives, errors on inf - inf and on negativity).
 """
 
 from __future__ import annotations
@@ -19,13 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GadChannel, apply_kraus, equilibrium_states
-from .qstate import QubitState, cross_terms, dephased, von_neumann_entropies
+from .channel import GadChannel, apply_kraus
+from .qstate import QubitState, _tr_x_ln_x, cross_terms, dephased, von_neumann_entropies
 
 # Values in [-NEG_FLOOR, 0) are floating-point noise and clamp to 0; anything
 # more negative is a genuine positivity violation.
 NEG_FLOOR = 1e-10
 ADDITIVITY_TOL = 1e-10
+# The eigh decomposition of every equilibrium diag(p, 1 - p) is eigenvalues
+# (1 - p, p) on the eigenvector columns |1>, |0>.
+_EQUILIBRIUM_VECTORS = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
 
 class IndeterminateEntropyError(ArithmeticError):
@@ -48,12 +53,16 @@ class EntropyBudget:
 def productions(initial, p, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw signed (Sigma, Sigma_pop, Sigma_coh) of stacked (..., 2, 2) initial
     states under GAD(p, r), relative to the channel's own equilibrium; the
-    leading axes of initial, p and r broadcast."""
+    leading axes of initial, p and r broadcast.  Only the initial and final
+    states go to `eigvalsh`; the dephased states' spectra are their diagonals,
+    and the equilibrium's `eigh` decomposition is written out."""
     final = apply_kraus(initial, p, r)
-    # One spectrum per state of (initial, final, dephased initial, dephased final).
-    states = np.stack(np.broadcast_arrays(initial, final, dephased(initial), dephased(final)))
-    entropy = von_neumann_entropies(states)
-    relative = -entropy - cross_terms(states, *np.linalg.eigh(equilibrium_states(p)))
+    states = np.stack(np.broadcast_arrays(initial, final))
+    diagonals = np.diagonal(states, axis1=-2, axis2=-1).real
+    entropy = np.concatenate((von_neumann_entropies(states), -_tr_x_ln_x(diagonals)))
+    p = np.asarray(p, dtype=float)
+    relative = -entropy - cross_terms(np.concatenate((states, dephased(states))),
+                                      np.stack((1.0 - p, p), axis=-1), _EQUILIBRIUM_VECTORS)
     coherence = entropy[2:] - entropy[:2]  # C = S(dephased) - S
     with np.errstate(invalid="ignore"):  # inf - inf is the indeterminate nan
         return relative[0] - relative[1], relative[2] - relative[3], coherence[0] - coherence[1]

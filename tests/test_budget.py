@@ -23,6 +23,7 @@ from gadentropy.prep import PrepSetting, prepare
 from gadentropy.qstate import (
     PLUS,
     QubitState,
+    bloch_matrices,
     dephased,
     relative_entropies,
     relative_entropy,
@@ -114,9 +115,12 @@ class TestCoherenceProduction:
 
 
 class TestProductions:
-    """`productions` takes one spectrum per state and one `eigh` of the
-    equilibrium; here each term is scored on its own, from `relative_entropies`
-    and `von_neumann_entropies` of the initial and final states."""
+    """`productions` runs `eigvalsh` on the initial and final states only: it
+    reads the spectra of their dephased states off the diagonals, and takes the
+    equilibrium's `eigh` decomposition in closed form.  Here each term is scored
+    on its own by the eigh path, `relative_entropies` against
+    `equilibrium_states(p)` and `von_neumann_entropies` of the initial and final
+    states and of their dephased states."""
 
     @pytest.mark.parametrize("rho_shape", [(60,), (9, 1, 1)], ids=["paired", "stack-on-grid"])
     def test_matches_the_separate_productions(self, rho_shape):
@@ -155,6 +159,45 @@ class TestProductions:
             assert np.array_equal(np.isnan(raw), (p == 1.0) & (r < 1.0))
             assert np.array_equal(np.isposinf(raw), (p == 1.0) & (r == 1.0))
         assert np.all(np.isfinite(got[2]))
+
+    def test_edges_match_the_separate_productions(self):
+        # Pure states (0 ln 0 on the diagonal route) and thermal weights at and
+        # next to the ATOL support cut-off, where the random states above reach
+        # neither; the eigh path is the same as above.
+        initial = bloch_matrices([[0, 0, 1], [0, 0, -1], [1, 0, 0], [0, 1, 0], [0.6, 0, 0.8],
+                                  [0, 0.6, -0.8], [0, 0, 0]])[:, None, None]
+        p = np.array([0.5, 0.75, 1 - 1e-13, 1 - 1e-12, 1 - 1e-11, 1.0])[:, None]
+        r = np.array([0.0, 0.5, 1.0])
+        final, eq = apply_kraus(initial, p, r), equilibrium_states(p)
+        with np.errstate(invalid="ignore"):  # inf - inf is the indeterminate nan
+            want = (relative_entropies(initial, eq) - relative_entropies(final, eq),
+                    relative_entropies(dephased(initial), eq)
+                    - relative_entropies(dephased(final), eq),
+                    (von_neumann_entropies(dephased(initial)) - von_neumann_entropies(initial))
+                    - (von_neumann_entropies(dephased(final)) - von_neumann_entropies(final)))
+        got = productions(initial, p, r)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+        # Every state but the ground pole has excited weight, and the thermal
+        # weight 1 - p is at most ATOL at p = 1 - 1e-13, 1 - 1e-12 and 1: the
+        # total and population drops are inf - inf while r < 1, +inf at r = 1.
+        assert [np.isnan(g).sum() for g in got] == [36, 36, 0]
+        assert [np.isinf(g).sum() for g in got] == [18, 18, 0]
+
+    def test_eigvalsh_scores_only_the_initial_and_final_states(self, monkeypatch):
+        calls = []
+
+        def spy(name):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda a: calls.append((name, np.shape(a))) or real(a))
+
+        spy("eigvalsh")
+        spy("eigh")
+        rng = np.random.default_rng(41)
+        productions(random_density_matrices(rng, (60,)), rng.uniform(0.5, 1.0, 60),
+                    rng.uniform(0.0, 1.0, 60))
+        assert calls == [("eigvalsh", (2, 60, 2, 2))]
 
 
 class TestBudget:
