@@ -11,8 +11,8 @@ from .check import run_property_suite
 from .prep import PrepSetting, alpha_for_coherence, prepare
 from .qstate import QubitState, relative_entropy
 from .sweep import (
-    SWEEP_DTYPE, SweepConfig, emit_csv, emit_summary, fig2_config, fig3_config,
+    SWEEP_DTYPE, SweepConfig, blocks, emit_csv, emit_summary, fig2_config, fig3_config,
     load_config, run_sweep,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

@@ -85,18 +85,16 @@ def _output_problem(path: str) -> str | None:
 
 def _run_and_emit(config: sw.SweepConfig) -> int:
     path = config.output_path
-    problem = _output_problem(path)
-    if problem:
+    if problem := _output_problem(path):
         print(f"error: cannot write {path!r}: {problem}", file=sys.stderr)
         return EXIT_IO
-    rows = sw.run_sweep(config)
-    try:
-        sw.emit_csv(rows, path, config)
+    try:  # one pass: each block of records is made, written and tallied in turn
+        counts = sw.emit_csv(sw.blocks(config), path, config)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {len(rows)} rows to {path}")
-    print(sw.emit_summary(rows))
+    print(f"wrote {counts['rows']} rows to {path}")
+    print(sw.emit_summary(counts))
     return EXIT_OK
 
 

@@ -25,11 +25,11 @@ DEFAULT_SHOTS = 10_000
 DEFAULT_BOOTSTRAP = 200
 DEFAULT_SEED = 20240
 DEFAULT_R_POINTS = 21
-# Most grid rows a sweep may hold; each experiment draws one run per row.  It is
-# the most rows that the earlier bound of 2**22 runs (rows x (1 + n_bootstrap),
-# n_bootstrap >= 2) let run, so no grid that ran before is refused.  The records
-# set the peak: a grid-shaped sweep at the bound (1,398,100 rows) peaks at 261 MB
-# RSS, 168 bytes per row of it the records.
+# Most grid rows a sweep may hold, refused before compute; each experiment draws one
+# run per row.  It is the most rows that the earlier bound of 2**22 runs (rows x (1 +
+# n_bootstrap), n_bootstrap >= 2) let run, so no grid that ran before is refused.  At
+# the bound a grid-shaped sweep (1,398,100 rows) peaks at 261 MB RSS in `run_sweep`,
+# whose records take 168 bytes per row, and at 41 MB in the CLI, which streams `blocks`.
 MAX_RUNS = 2**22 // 3
 # n_bootstrap draws nothing, but until the key is retired a value is refused
 # where it was refused before: rows x (1 + n_bootstrap) at most this.
@@ -239,84 +239,106 @@ _AXIS_COLUMNS, _VALUE_COLUMNS = CSV_COLUMNS[:4], CSV_COLUMNS[4:]
 _CSV_LINE = ",".join("%s" if name in _AXIS_COLUMNS else
                      "%.12g" if SWEEP_DTYPE[name] == float else "%d"
                      for name in CSV_COLUMNS) + "\n"
-# Rows that `run_sweep` lays out, evolves, draws and scores at a time, and that
-# the CSV turns into Python values at a time; the temporaries of both stay
-# within one block.
+# Rows that `_filler` lays out, evolves, draws and scores at a time, and that the CSV
+# turns into Python values at a time; the temporaries of both stay within one block.
 BLOCK_ROWS = 2**12
+_COUNTERS = ("indeterminate_rows", "projected_observed_runs", *(
+    f"covered_{part}" for part in ("total", "pop", "coh")))
 
 
-def run_sweep(config: SweepConfig) -> np.recarray:
-    """Evaluate every (p, alpha, r) grid point of the configured sweep.
-
-    Returns one SWEEP_DTYPE record per point, ordered by (p, alpha, r).
-    Indeterminate points (1 - p <= ATOL, where the relative entropy diverges)
-    are flagged, not dropped, hold NaN productions and draw nothing; every
-    other row's columns are finite.  The records are built `BLOCK_ROWS` at a
-    time, so no array but the records grows with the grid.  In each block,
-    experiment e evolves its preparation, coherent (e = 1) or dephased
-    (e = 2), once: `tomography.counts` draws its determinate rows from the
-    experiment's generator, seeded (config.seed, e) once and carried on across
-    blocks, and `tomography.estimates` scores them with their intervals.  The
-    coherence part is the difference of the two, its interval their MOVER
-    combination (`tomography.difference`).  Each stderr is its interval's
-    width / (2 Z95), except the coherence part's: the hypot of the other two.
-    """
+def _filler(config: SweepConfig):
+    """(fill, rows): fill(block, start) lays out, evolves, draws and scores the zeroed
+    records `block` as the grid rows from `start` on and returns it; rows counts them."""
     shape = (len(config.p_values), len(config.alphas), len(config.r_grid))
     p_values, r_grid = np.array(config.p_values), np.array(config.r_grid)
     degrees = np.array([math.degrees(a) for a in config.alphas])
-    bloch_x = np.array([prep.coherent_bloch_x(a) for a in config.alphas])
-    rows = np.zeros(math.prod(shape), SWEEP_DTYPE)
-    streams = tomography.streams(config.seed)
-    for start in range(0, len(rows), BLOCK_ROWS):
-        block = rows[start:start + BLOCK_ROWS]
-        i, a, k = np.unravel_index(np.arange(start, start + len(block)), shape)
-        block["p"], block["r"], block["alpha_deg"] = p_values[i], r_grid[k], degrees[a]
-        coherent = np.zeros((len(block), 3))
-        coherent[:, 0] = bloch_x[a]
-        block["coherence_initial"] = np.abs(coherent[:, 0])
-        _evaluated(block, coherent, streams, config.shots)
-    return rows.view(np.recarray)
+    prepared = np.array([(prep.coherent_bloch_x(a), 0.0, 0.0) for a in config.alphas])
+    streams, shots = tomography.streams(config.seed), config.shots
+
+    def fill(rows, start: int):
+        i, a, k = np.unravel_index(np.arange(start, start + len(rows)), shape)
+        rows["p"], rows["r"], rows["alpha_deg"] = p_values[i], r_grid[k], degrees[a]
+        coherent = prepared[a]
+        rows["coherence_initial"] = np.abs(coherent[:, 0])
+        p, r = rows["p"], rows["r"]
+        final = bloch.gad(coherent, p, r)
+        ends = [(np.linalg.norm(b, axis=-1), b[:, 2]) for b in (coherent, final)]
+        total, population = (bloch.production(*ends, p, dephased) for dephased in (False, True))
+        det = np.isfinite(total) & np.isfinite(population)
+        coherence = bloch.coherence(*ends[0]) - bloch.coherence(*ends[1])
+        rows[[name for name in SWEEP_DTYPE.names if name.startswith("sigma")]] = np.nan
+        for name, values in zip(("sigma_total", "sigma_pop", "sigma_coh"),
+                                (total, population, coherence)):
+            rows[name][det] = np.maximum(values[det], 0.0)
+        rows["indeterminate"] = ~det
+        p, r, length, z = p[det], r[det], ends[0][0][det], ends[0][1][det]
+        # Experiment 1 (coherent) measures the total, experiment 2 (dephased) the population
+        # part.  Both measure all four bases: experiment 2's R and D frequencies reach its
+        # estimate through the radial projection when |b| > 1.
+        measured = []
+        for stream, evolved, initial, dephased in (
+                (streams[0], final[det], (length, z), False),
+                (streams[1], bloch.gad(bloch.dephase(coherent[det]), p, r), (np.abs(z), z), True)):
+            *triple, projected = tomography.estimates(
+                tomography.counts(evolved, shots, stream), initial, p, shots, dephased)
+            measured.append(triple)
+            rows["projected"][det] += projected
+        errors = [(hi - lo) / (2.0 * tomography.Z95) for _, lo, hi in measured]
+        measured.append(tomography.difference(*measured))
+        errors.append(np.hypot(*errors))
+        for part, triple, error in zip(("total", "pop", "coh"), measured, errors):
+            for end, values in zip(("", "_lo", "_hi", "_stderr"), (*triple, error)):
+                rows[f"sigma_{part}_tomo{end}"][det] = values
+        return rows
+    return fill, math.prod(shape)
 
 
-def _evaluated(rows, coherent, streams, shots: int) -> None:
-    """Write the analytic and tomography columns of the records `rows`, whose
-    grid columns are set, for their coherent preparations `coherent` (rows, 3)."""
-    p, r = rows["p"], rows["r"]
-    final = bloch.gad(coherent, p, r)
-    ends = [(np.linalg.norm(b, axis=-1), b[:, 2]) for b in (coherent, final)]
-    total, population = (bloch.production(*ends, p, dephased) for dephased in (False, True))
-    det = np.isfinite(total) & np.isfinite(population)
-    coherence = bloch.coherence(*ends[0]) - bloch.coherence(*ends[1])
-    for name in SWEEP_DTYPE.names:
-        if name.startswith("sigma"):
-            rows[name] = np.nan
-    for name, values in zip(("sigma_total", "sigma_pop", "sigma_coh"),
-                            (total, population, coherence)):
-        rows[name][det] = np.maximum(values[det], 0.0)
-    rows["indeterminate"] = ~det
-    p, r, length, z = p[det], r[det], ends[0][0][det], ends[0][1][det]
-    # Experiment 1 (coherent) measures the total, experiment 2 (dephased) the population
-    # part.  Both measure all four bases: experiment 2's R and D frequencies reach its
-    # estimate through the radial projection when |b| > 1.
-    measured = []
-    for stream, evolved, initial, dephased in (
-            (streams[0], final[det], (length, z), False),
-            (streams[1], bloch.gad(bloch.dephase(coherent[det]), p, r), (np.abs(z), z), True)):
-        *triple, projected = tomography.estimates(
-            tomography.counts(evolved, shots, stream), initial, p, shots, dephased)
-        measured.append(triple)
-        rows["projected"][det] += projected
-    errors = [(hi - lo) / (2.0 * tomography.Z95) for _, lo, hi in measured]
-    measured.append(tomography.difference(*measured))
-    errors.append(np.hypot(*errors))
-    for part, triple, error in zip(("total", "pop", "coh"), measured, errors):
-        for end, values in zip(("", "_lo", "_hi", "_stderr"), (*triple, error)):
-            rows[f"sigma_{part}_tomo{end}"][det] = values
+def blocks(config: SweepConfig):
+    """Yield every (p, alpha, r) grid point's record, in that order, in new SWEEP_DTYPE
+    arrays of `BLOCK_ROWS` rows (the last may be shorter), so nothing grows with the grid.
+
+    Indeterminate points (1 - p <= ATOL, where the relative entropy diverges) are
+    flagged, not dropped, hold NaN productions and draw nothing; every other row's
+    columns are finite.  In each block, experiment e evolves its preparation, coherent
+    (e = 1) or dephased (e = 2), once: `tomography.counts` draws its determinate rows
+    from the experiment's generator, seeded (config.seed, e) once and carried on across
+    blocks, and `tomography.estimates` scores them with their intervals.  The coherence
+    part is the difference of the two, its interval their MOVER combination
+    (`tomography.difference`).  Each stderr is its interval's width / (2 Z95), except
+    the coherence part's: the hypot of the other two.
+    """
+    fill, rows = _filler(config)
+    for start in range(0, rows, BLOCK_ROWS):
+        yield fill(np.zeros(min(BLOCK_ROWS, rows - start), SWEEP_DTYPE), start)
 
 
-def _counters(rows) -> dict:
-    return {key: int(rows[name].sum()) for key, name in (
-        ("indeterminate_rows", "indeterminate"), ("projected_observed_runs", "projected"))}
+def run_sweep(config: SweepConfig) -> np.recarray:
+    """Evaluate every (p, alpha, r) grid point of the configured sweep: the records
+    of `blocks(config)`, built `BLOCK_ROWS` at a time in place in one preallocated
+    record array, so no array but the records (168 bytes per row) grows with the grid."""
+    fill, rows = _filler(config)
+    records = np.zeros(rows, SWEEP_DTYPE)
+    for start in range(0, rows, BLOCK_ROWS):
+        fill(records[start:start + BLOCK_ROWS], start)
+    return records.view(np.recarray)
+
+
+def _tally(counts: dict, rows: np.ndarray) -> None:
+    """Add the records `rows` to the tally `counts`: rows, `_COUNTERS` and the largest
+    analytic |total - (pop + coh)| of a determinate row.  Its interval covers when both
+    ends are finite and [lo - 1e-12, hi + 1e-12] holds the analytic value: 1e-12 is the
+    tolerance that holds the closed forms to `eigh`, so round-off does not decide r = 1."""
+    det = rows["indeterminate"] == 0
+    counts["rows"] += len(rows)
+    counts["indeterminate_rows"] += int(rows["indeterminate"].sum())
+    counts["projected_observed_runs"] += int(rows["projected"].sum())
+    for part in ("total", "pop", "coh"):
+        value, lo, hi = (rows[f"sigma_{part}{end}"] for end in ("", "_tomo_lo", "_tomo_hi"))
+        held = np.isfinite(lo) & np.isfinite(hi) & (lo - 1e-12 <= value) & (value <= hi + 1e-12)
+        counts[f"covered_{part}"] += int(np.count_nonzero(det & held))
+    with np.errstate(invalid="ignore"):  # inf - inf, in a hand-built record, is NaN
+        gap = np.abs(rows["sigma_total"] - (rows["sigma_pop"] + rows["sigma_coh"]))
+    counts["max_additivity_gap"] = float(gap.max(where=det, initial=counts["max_additivity_gap"]))
 
 
 def _write_atomic(path: str, lines) -> None:
@@ -347,34 +369,37 @@ def _axis_text(block: np.ndarray) -> list:
     return text[np.searchsorted(distinct, bits)].tolist()
 
 
-def _csv_lines(rows):
-    """The header, then one line per record, formatted a block of rows at a
-    time; each block formats its distinct grid-axis values once."""
+def _csv_lines(blocks, counts: dict):
+    """The header, then one line per record of `blocks`, formatted `BLOCK_ROWS` rows at a time,
+    each run's distinct grid-axis values once, tallying `counts`; no record raises IOError."""
     yield ",".join(CSV_COLUMNS) + "\n"
-    rows = np.asarray(rows)  # a plain array: indexing a recarray runs Python code
-    for start in range(0, len(rows), BLOCK_ROWS):
-        block = rows[start:start + BLOCK_ROWS]
-        yield from map(_CSV_LINE.__mod__, zip(
-            *_axis_text(block), *(block[name].tolist() for name in _VALUE_COLUMNS)))
+    for rows in blocks:
+        rows = np.asarray(rows)  # a plain array: indexing a recarray runs Python code
+        _tally(counts, rows)
+        for start in range(0, len(rows), BLOCK_ROWS):
+            block = rows[start:start + BLOCK_ROWS]
+            yield from map(_CSV_LINE.__mod__, zip(
+                *_axis_text(block), *(block[name].tolist() for name in _VALUE_COLUMNS)))
+    if not counts["rows"]:
+        raise IOError("refusing to write an empty sweep")
 
 
-def emit_csv(rows: np.ndarray, path: str, config: SweepConfig) -> None:
-    """Write the sweep as UTF-8 CSV with a fixed column order, and its JSON
-    sidecar <path>.meta.json.
+def emit_csv(blocks, path: str, config: SweepConfig) -> dict:
+    """Write the records of `blocks`, SWEEP_DTYPE arrays in row order such as
+    `blocks(config)` or `[run_sweep(config)]`, as UTF-8 CSV with a fixed column
+    order, then its JSON sidecar <path>.meta.json; return their tally (`_tally`).
 
-    Floats carry 12 significant digits, so same-seed reruns on the same versions
-    are byte-identical.  Rows are formatted in blocks of `BLOCK_ROWS`; each
-    block formats its distinct grid values (p, r, alpha_deg,
-    coherence_initial) once.  The sidecar is the run manifest: versions,
-    configuration (the one record of the seed), RNG streams, error-bar
-    procedure and the counters of `emit_summary` (indeterminate rows, and
-    observed runs projected into the Bloch ball).  Each file is replaced
-    atomically.
+    Each block is written and tallied as it comes.  Floats carry 12 significant digits,
+    so same-seed reruns on the same versions are byte-identical.  Rows are formatted in
+    blocks of `BLOCK_ROWS`; each formats its distinct grid values (p, r, alpha_deg,
+    coherence_initial) once.  The sidecar is the run manifest: versions, configuration
+    (the one record of the seed), RNG streams, error-bar procedure and the counters
+    (indeterminate rows, runs projected into the Bloch ball, intervals holding the
+    analytic value).  Each file is replaced atomically, so a failure keeps the old.
     """
     from . import __version__
-    if len(rows) == 0:
-        raise IOError("refusing to write an empty sweep")
-    _write_atomic(path, _csv_lines(rows))
+    counts = {"rows": 0, **dict.fromkeys(_COUNTERS, 0), "max_additivity_gap": 0.0}
+    _write_atomic(path, _csv_lines(blocks, counts))
     meta = {
         "versions": {"gadentropy": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
@@ -391,42 +416,19 @@ def emit_csv(rows: np.ndarray, path: str, config: SweepConfig) -> None:
             "two. The prepared state is taken as exactly known. Simulation-based, not a lab "
             "claim"
         ),
-        "counters": _counters(rows),
+        "counters": {key: counts[key] for key in _COUNTERS},
     }
     _write_atomic(path + ".meta.json", [json.dumps(meta, indent=2, default=list), "\n"])
+    return counts
 
 
-def emit_summary(rows: np.ndarray) -> str:
-    """Human-readable consistency report over a finished sweep."""
-    if len(rows) == 0:
-        raise IOError("no rows to summarize")
-    rows = np.asarray(rows)  # a plain array: indexing a recarray runs Python code
-    det = rows[rows["indeterminate"] == 0]
-
-    def columns(*names):
-        return np.stack([det[name] for name in names], axis=-1)
-
-    analytic = columns("sigma_total", "sigma_pop", "sigma_coh")
-    # Per determinate row, the total then the population estimate.  A leading
-    # (0 deviation, unit stderr) entry reports 0 stderr when nothing deviates.
-    # A non-finite deviation stays nan or inf, and `argmax` reports the first nan.
-    dev = np.concatenate([[0.0], np.abs(
-        columns("sigma_total_tomo", "sigma_pop_tomo") - analytic[:, :2]).ravel()])
-    err = np.concatenate([[1.0], columns("sigma_total_tomo_stderr",
-                                         "sigma_pop_tomo_stderr").ravel()])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(dev == 0.0, 0.0, dev / err)
-    worst = int(np.argmax(dev))
-    zs = np.sort(z[1:])  # for the median; np.median would load numpy.ma (about 1 MB)
-    spread = (f"median {(zs[(zs.size - 1) // 2] + zs[zs.size // 2]) / 2:.2f}, "
-              f"fraction above 2: {np.mean(zs > 2.0):.3f}" if zs.size else "none")
-    c = _counters(rows)
-    lines = [
-        f"rows: {len(rows)} ({c['indeterminate_rows']} indeterminate)",
-        f"max additivity violation (analytic): "
-        f"{np.max(np.abs(analytic[:, 0] - (analytic[:, 1] + analytic[:, 2])), initial=0.0):.3e}",
-        f"max |tomography - analytic|: {dev[worst]:.3e} ({z[worst]:.2f} stderr)",
-        f"|tomography - analytic| / stderr over {zs.size} estimates: {spread}",
-        f"observed runs projected into the Bloch ball: {c['projected_observed_runs']}",
-    ]
-    return "\n".join(lines)
+def emit_summary(counts: dict) -> str:
+    """Human-readable consistency report of the tally that `emit_csv` returns."""
+    return "\n".join([
+        f"rows: {counts['rows']} ({counts['indeterminate_rows']} indeterminate)",
+        f"max additivity violation (analytic): {counts['max_additivity_gap']:.3e}",
+        *(f"{name} intervals holding the analytic value: {counts['covered_' + part]} of "
+          f"{counts['rows'] - counts['indeterminate_rows']} determinate rows (nominal 95%)"
+          for part, name in (("total", "total"), ("pop", "population"), ("coh", "coherence"))),
+        f"observed runs projected into the Bloch ball: {counts['projected_observed_runs']}",
+    ])

@@ -26,6 +26,7 @@ UNCALLED = {
     "qstate.QubitState.from_bloch": "bench/test_oracle.py reads it",
     "qstate.QubitState.bloch_vector": "bench/test_oracle.py reads it",
     "qstate.relative_entropy": "bench/test_oracle.py reads it",
+    "sweep.run_sweep": "the Python API's records; tier-1 holds `blocks` to it",
 }
 
 # Runs fig2, fig3, a config sweep (alpha_deg and r_grid keys), `check` and

@@ -18,11 +18,11 @@ import gadentropy
 from gadentropy import cli
 
 DIGESTS = {
-    ("0.7.0", "2.4.6"): {
+    ("0.8.0", "2.4.6"): {
         "fig2 csv": "510279b58826692210d9fbd020df0a711d8777706f0da4883ad04fc17de74de3",
-        "fig2 summary": "5ca5e7ecd329e9a10cb7ad22c5576e341ff109f5236f7b408ffd2225c6ed3c66",
+        "fig2 summary": "5839022d34cde314d028f9e218696abd28ce7c203e4c62c89c97d7977a3e4d23",
         "fig3 csv": "a726517c31c8d27d5f9e02d78155c624acbb2641240cff486538b147c5166ee6",
-        "fig3 summary": "a14e9f4bfc81c745f0570364611d5b9f8a800fac63db4819cb2e1517029d73a0",
+        "fig3 summary": "0baa33bdd8f7dce66084697893169a9f34bbf855fd0c1d59ef1d826effb7a2c2",
         "check stdout": "7f314eefa030c20da04519cb80d65a603400115fb78c54493c3de6865893ea83",
         "grid csv": "68ec92e924acc73d47ace886f1e13a07cc291cbae78057f5359be66e3e98582c",
     },

@@ -87,7 +87,7 @@ class TestConfig:
         assert (cfg.shots, cfg.n_bootstrap, cfg.seed, cfg.r_grid) == (500, 5, 99, plain.r_grid)
         rows = run_sweep(cfg)
         assert rows.tobytes() == run_sweep(plain).tobytes()
-        emit_csv(rows, cfg.output_path, cfg)  # the sidecar's JSON takes the settings
+        emit_csv([rows], cfg.output_path, cfg)  # the sidecar's JSON takes the settings
 
     def test_non_integer_r_grid_count_rejected(self):
         with pytest.raises(ConfigError, match="point count or a list of points"):
@@ -163,7 +163,7 @@ class TestConfig:
         path.write_text(f"p_values = 0.9\nalpha_deg = -0\nr_grid = -0, 1\nshots = 100\n"
                         f"n_bootstrap = 2\nout = {tmp_path / 'zero.csv'}\n")
         cfg = load_config(str(path))
-        emit_csv(run_sweep(cfg), cfg.output_path, cfg)
+        emit_csv([run_sweep(cfg)], cfg.output_path, cfg)
         header, first, _ = (line.split(",") for line in (tmp_path / "zero.csv").read_text()
                             .splitlines())
         assert [first[header.index(name)] for name in ("r", "alpha_deg")] == ["0", "0"]
@@ -276,7 +276,7 @@ class TestEmit:
         cfg = fig2_config(**SMALL)
         rows = run_sweep(cfg)
         out = tmp_path / "fig2.csv"
-        emit_csv(rows, str(out), cfg)
+        emit_csv([rows], str(out), cfg)
         meta = (tmp_path / "fig2.csv.meta.json").read_text()
         assert "rng_algorithm" in meta
         manifest = json.loads(meta)
@@ -301,7 +301,7 @@ class TestEmit:
             rows.append((*values, indeterminate, k, *NO_BOUNDS))
             want.append(",".join([format(v, ".12g") for v in values] + [str(indeterminate)]))
         out = tmp_path / "contract.csv"
-        emit_csv(np.array(rows, SWEEP_DTYPE), str(out), SweepConfig())
+        emit_csv([np.array(rows, SWEEP_DTYPE)], str(out), SweepConfig())
         assert out.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
         assert sweep._CSV_LINE.count("%") == len(sweep._CSV_LINE.split(",")) == len(CSV_COLUMNS)
         assert SWEEP_DTYPE.names == (*CSV_COLUMNS, "projected", *(
@@ -326,13 +326,13 @@ class TestEmit:
         for record in rows.tolist():
             want.append(",".join([format(v, ".12g") for v in record[:13]] + [str(record[13])]))
         out = tmp_path / "blocks.csv"
-        emit_csv(rows, str(out), SweepConfig())
+        emit_csv([rows], str(out), SweepConfig())
         assert out.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
 
     def test_seed_beyond_uint64_is_written_exactly(self, tmp_path):
         cfg = fig2_config(**dict(SMALL, seed=2**70))
         out = tmp_path / "big.csv"
-        emit_csv(run_sweep(cfg), str(out), cfg)
+        emit_csv([run_sweep(cfg)], str(out), cfg)
         lines = out.read_text().splitlines()
         assert len(lines) == 10 and len(lines[0].split(",")) == 14
         # The sidecar is the one record of the seed; the rows hold no object column.
@@ -341,35 +341,71 @@ class TestEmit:
         assert json.loads(meta)["config"]["seed"] == 2**70
         assert object not in [SWEEP_DTYPE[name] for name in SWEEP_DTYPE.names]
 
-    def test_summary_reports(self):
-        rows = run_sweep(fig2_config(**SMALL))
-        text = emit_summary(rows)
-        assert "additivity" in text
-        assert "tomography" in text
+    def test_summary_reports(self, tmp_path):
+        # The default fig2: per part, how many of its 63 intervals hold the analytic value.
+        cfg = fig2_config()
+        lines = emit_summary(emit_csv(sweep.blocks(cfg), str(tmp_path / "f2.csv"), cfg))
+        assert lines.splitlines() == [
+            "rows: 63 (0 indeterminate)",
+            "max additivity violation (analytic): 2.220e-16",
+            "total intervals holding the analytic value: 60 of 63 determinate rows (nominal 95%)",
+            "population intervals holding the analytic value: 61 of 63 determinate rows "
+            "(nominal 95%)",
+            "coherence intervals holding the analytic value: 62 of 63 determinate rows "
+            "(nominal 95%)",
+            "observed runs projected into the Bloch ball: 3"]
 
-    def test_summary_reports_z_score_spread(self):
-        def row(total_z, pop_z, indeterminate=0):
-            # Analytic 1.0 and 0.5, stderr 0.1: the z-scores are total_z and pop_z.
-            return (0.9, 0.5, 0.0, 1.0, 1.0, 0.5, 0.5, 1.0 - 0.1 * total_z, 0.1,
-                    0.5 + 0.1 * pop_z, 0.1, 0.5, 0.1, indeterminate, 0, *NO_BOUNDS)
+    # Analytic total 1.0 (1 + 2**-20 in the first row), population and coherence 0.5.
+    # Each part's interval holds its value, or sits just past it: 5e-13 past is
+    # within the 1e-12 widening and holds, 2e-12 past does not.
+    HELD = {"total": (0.9, 1.1), "pop": (0.4, 0.6), "coh": (0.4, 0.6)}
+    WIDENED = {"total": (1.0 + 5e-13, 1.2), "pop": (0.5 + 5e-13, 0.7), "coh": (0.3, 0.5 - 5e-13)}
+    MISSED = {"total": (1.0 + 2e-12, 1.2), "pop": (0.3, 0.5 - 2e-12), "coh": (0.5 + 2e-12, 0.7)}
 
-        lines = emit_summary(np.array([row(0.5, 1.0), row(3.0, 0.0), row(2.5, 1.5),
-                                       row(9.0, 9.0, indeterminate=1)], SWEEP_DTYPE)).splitlines()
-        assert "max |tomography - analytic|: 3.000e-01 (3.00 stderr)" in lines
-        assert ("|tomography - analytic| / stderr over 6 estimates: median 1.25, "
-                "fraction above 2: 0.333") in lines
-        only_p1 = emit_summary(np.array([row(9.0, 9.0, indeterminate=1)], SWEEP_DTYPE))
-        assert "/ stderr over 0 estimates: none" in only_p1
+    @staticmethod
+    def record(intervals, total=1.0, indeterminate=0, projected=0):
+        """A hand-built record with the given (lo, hi) per part."""
+        ends = [end for part in ("total", "pop", "coh") for end in intervals[part]]
+        return (0.9, 0.5, 0.0, 1.0, total, 0.5, 0.5, 1.0, 0.1, 0.5, 0.1, 0.5, 0.1,
+                indeterminate, projected, *ends)
 
-    @pytest.mark.parametrize("bad, shown", [(math.nan, "nan (nan stderr)"),
-                                            (math.inf, "inf (inf stderr)")])
-    def test_summary_shows_a_nonfinite_deviation(self, bad, shown):
-        # Analytic 1.0 and 0.5, stderr 0.1; the second row's population estimate is `bad`.
-        rows = np.array([(0.9, 0.5, 0.0, 1.0, 1.0, 0.5, 0.5, 1.3, 0.1, 0.5, 0.1, 0.5, 0.1, 0, 0,
-                          *NO_BOUNDS),
-                         (0.9, 0.5, 0.0, 1.0, 1.0, 0.5, 0.5, 1.0, 0.1, bad, 0.1, 0.5, 0.1, 0, 0,
-                          *NO_BOUNDS)], SWEEP_DTYPE)
-        assert f"max |tomography - analytic|: {shown}" in emit_summary(rows).splitlines()
+    def test_summary_reports_coverage_counts(self, tmp_path):
+        held, widened, missed = self.HELD, self.WIDENED, self.MISSED
+        rows = np.array([
+            self.record(held, total=1.0 + 2**-20, projected=2),
+            self.record({"total": widened["total"], "pop": missed["pop"], "coh": missed["coh"]}),
+            self.record({"total": held["total"], "pop": widened["pop"], "coh": missed["coh"]},
+                        projected=1),
+            self.record({"total": missed["total"], "pop": missed["pop"], "coh": widened["coh"]}),
+            # Not counted, nor its additivity gap of 9.
+            self.record(held, total=10.0, indeterminate=1, projected=4),
+        ], SWEEP_DTYPE)
+        cfg = SweepConfig()
+        counts = emit_csv([rows[:2], rows[2:]], str(tmp_path / "hand.csv"), cfg)
+        assert emit_summary(counts).splitlines() == [
+            "rows: 5 (1 indeterminate)",
+            "max additivity violation (analytic): 9.537e-07",
+            "total intervals holding the analytic value: 3 of 4 determinate rows (nominal 95%)",
+            "population intervals holding the analytic value: 2 of 4 determinate rows "
+            "(nominal 95%)",
+            "coherence intervals holding the analytic value: 2 of 4 determinate rows "
+            "(nominal 95%)",
+            "observed runs projected into the Bloch ball: 7"]
+        only_p1 = emit_csv([rows[4:]], str(tmp_path / "p1.csv"), cfg)
+        assert "value: 0 of 0 determinate rows" in emit_summary(only_p1)
+        assert only_p1["max_additivity_gap"] == 0.0
+
+    @pytest.mark.parametrize("end, bad", [(0, math.nan), (1, math.nan), (0, -math.inf),
+                                          (1, math.inf)], ids=["nan-lo", "nan-hi", "inf-lo",
+                                                               "inf-hi"])
+    def test_nonfinite_interval_end_is_not_covered(self, tmp_path, end, bad):
+        # Two determinate rows whose intervals hold every value; in the second, one
+        # end of each interval is `bad`.  An infinite end would hold it by comparison.
+        spoiled = {part: tuple(bad if k == end else v for k, v in enumerate(interval))
+                   for part, interval in self.HELD.items()}
+        rows = np.array([self.record(self.HELD), self.record(spoiled)], SWEEP_DTYPE)
+        counts = emit_csv([rows], str(tmp_path / "bad.csv"), SweepConfig())
+        assert [counts[f"covered_{part}"] for part in ("total", "pop", "coh")] == [1, 1, 1]
 
 
 class TestPropertySuite:
@@ -601,7 +637,7 @@ class TestCli:
         def no_compute(config):
             raise AssertionError("sweep ran although a flag was given twice")
 
-        monkeypatch.setattr(cli.sw, "run_sweep", no_compute)
+        monkeypatch.setattr(cli.sw, "blocks", no_compute)
         assert cli.main(["fig2", "--seed", "1", "--seed=2"]) == cli.EXIT_USAGE
         assert capsys.readouterr().err == (
             "config error: --seed: 'seed' repeats or conflicts with an earlier key\n")
@@ -866,15 +902,18 @@ class TestStreams:
         # 3 p x 2 coherences x 17 r = 102 rows, rows 34-67 at p = 1, built in blocks
         # of `block_rows` rows: at 8 a block starts and one ends inside the run of
         # indeterminate rows, at 100 the last block is short.  Every record is the
-        # same, byte for byte, as when one block holds the whole grid.
+        # same, byte for byte, as when one block holds the whole grid, whether
+        # `run_sweep` fills it in place or `blocks` yields it in a block of its own.
         config = SweepConfig(p_values=(0.9, 1.0, 0.6), alphas=tuple(map(
             alpha_for_coherence, (1.0, 0.5))), r_grid=17, shots=300, seed=7)
         monkeypatch.setattr(sweep, "BLOCK_ROWS", 2**20)
         want = run_sweep(config)
         monkeypatch.setattr(sweep, "BLOCK_ROWS", block_rows)
         got = run_sweep(config)
+        streamed = list(sweep.blocks(config))
         assert want.indeterminate[34:68].all() and want.indeterminate.sum() == 34
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes() == np.concatenate(streamed).tobytes()
+        assert [len(block) for block in streamed[:-1]] == [block_rows] * (len(streamed) - 1)
 
     def test_stream_is_the_documented_order_of_binomial_draws(self, monkeypatch):
         # One scalar draw at a time: every row's observed count per basis (H, V, R, D).
@@ -944,6 +983,32 @@ class TestStreams:
             if not tracing:
                 tracemalloc.stop()
         assert peak / 27_500 <= bound, f"{peak / 27_500:.1f} B/row"
+
+    def test_streamed_csv_peak_does_not_grow_with_the_grid(self, tmp_path):
+        # `emit_csv` over `blocks` holds one block of records at a time: under
+        # tracemalloc, the grid-shaped sweep of 27,500 rows and its double, 55,000,
+        # peak within one block's records of each other.  A first, untraced run loads
+        # what the code loads once: a cold first run read 748 kB over its double.
+        def peak(r_points, traced=True):
+            config = SweepConfig(p_values=BENCH_P_VALUES, alphas=tuple(
+                map(alpha_for_coherence, BENCH_COHERENCES)), r_grid=r_points, n_bootstrap=2)
+            if not traced:
+                return emit_csv(sweep.blocks(config), str(tmp_path / "run.csv"), config)
+            tracing = tracemalloc.is_tracing()
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                assert emit_csv(sweep.blocks(config), str(tmp_path / "run.csv"),
+                                config)["rows"] == 55 * r_points
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+
+        peak(2, traced=False)
+        small, large = peak(500), peak(1000)
+        assert abs(large - small) < sweep.BLOCK_ROWS * SWEEP_DTYPE.itemsize, (small, large)
 
 
 class TestErrorBarCoverage:
@@ -1029,7 +1094,7 @@ class TestFailFast:
         def no_compute(config):
             raise AssertionError("sweep ran on a bad config")
 
-        monkeypatch.setattr(cli.sw, "run_sweep", no_compute)
+        monkeypatch.setattr(cli.sw, "blocks", no_compute)
         code = cli.main(["sweep", "--config", str(_write_config(tmp_path, body))])
         err = capsys.readouterr().err
         assert code == cli.EXIT_USAGE
@@ -1047,7 +1112,7 @@ class TestFailFast:
         def no_compute(config):
             raise AssertionError("sweep ran on an out-of-range setting")
 
-        monkeypatch.setattr(cli.sw, "run_sweep", no_compute)
+        monkeypatch.setattr(cli.sw, "blocks", no_compute)
         assert cli.main(["fig2", flag, value]) == cli.EXIT_USAGE
         key = {name: key for name, key, _ in cli._FLAGS}[flag]
         err = capsys.readouterr().err
@@ -1069,7 +1134,7 @@ class TestFailFast:
         def no_compute(config):
             raise AssertionError("sweep ran although it is too large to hold")
 
-        monkeypatch.setattr(cli.sw, "run_sweep", no_compute)
+        monkeypatch.setattr(cli.sw, "blocks", no_compute)
         out = tmp_path / "o.csv"
         assert cli.main(["fig2", flag, value, "--out", str(out)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
@@ -1137,11 +1202,22 @@ class TestFailFast:
         with pytest.raises(ConfigError, match=f"^{field} must be {kind}"):
             SweepConfig(**{field: value})
 
+    def test_no_compute_patch_fires_on_a_good_config(self, tmp_path, monkeypatch):
+        # The CLI computes through `blocks`, so on a good config the patch that
+        # the fail-fast tests set is reached: their passing is not vacuous.
+        def no_compute(config):
+            raise AssertionError("sweep ran")
+
+        monkeypatch.setattr(cli.sw, "blocks", no_compute)
+        with pytest.raises(AssertionError, match="sweep ran"):
+            cli.main(["fig2", "--r-points", "2", "--out", str(tmp_path / "o.csv")])
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_output_fails_before_compute(self, tmp_path, monkeypatch):
         def no_compute(config):
             raise AssertionError("sweep ran although the output cannot be written")
 
-        monkeypatch.setattr(cli.sw, "run_sweep", no_compute)
+        monkeypatch.setattr(cli.sw, "blocks", no_compute)
         code = cli.main(["fig2", "--out", str(tmp_path / "missing" / "out.csv")])
         assert code == cli.EXIT_IO
 
@@ -1154,7 +1230,7 @@ class TestFailFast:
         def no_compute(config):
             raise AssertionError("sweep ran although the output cannot be written")
 
-        monkeypatch.setattr(cli.sw, "run_sweep", no_compute)
+        monkeypatch.setattr(cli.sw, "blocks", no_compute)
         if directory:
             (tmp_path / directory).mkdir()
         code = cli.main(["fig2", "--out", os.path.join(str(tmp_path), out) if out else out])
@@ -1182,7 +1258,7 @@ class TestFailFast:
         def no_compute(config):
             raise AssertionError("sweep ran although the output cannot be written")
 
-        monkeypatch.setattr(cli.sw, "run_sweep", no_compute)
+        monkeypatch.setattr(cli.sw, "blocks", no_compute)
         name = "a" * (os.pathconf(tmp_path, "PC_NAME_MAX") + over - 4) + ".csv"
         assert cli.main(["fig2", "--out", str(tmp_path / name)]) == cli.EXIT_IO
         err = capsys.readouterr().err
@@ -1202,20 +1278,77 @@ class TestAtomicOutput:
 
         monkeypatch.setattr(os, "replace", broken_replace)
         with pytest.raises(OSError):
-            emit_csv(rows, str(out), cfg)
+            emit_csv([rows], str(out), cfg)
         assert out.read_text() == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fig2.csv"]
+
+    def test_failure_mid_stream_keeps_old_files_and_leaves_no_temp(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        # fig2 at 2 r points is 6 rows, in blocks of 4: the second block's draw fails
+        # once the first block's lines went to the temporary file.
+        out, sidecar = tmp_path / "fig2.csv", tmp_path / "fig2.csv.meta.json"
+        out.write_bytes(b"old csv\n")
+        sidecar.write_bytes(b'{"old": true}\n')
+        monkeypatch.setattr(sweep, "BLOCK_ROWS", 4)
+        drawn, counts = [], tomography.counts
+
+        def failing(final, shots, rng):
+            drawn.append(len(final))
+            if len(drawn) == 3:  # the second block's coherent experiment
+                assert [p.suffix for p in tmp_path.iterdir()].count(".tmp") == 1
+                raise RuntimeError("draw failed")
+            return counts(final, shots, rng)
+
+        monkeypatch.setattr(tomography, "counts", failing)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            cli.main(["fig2", "--shots", "100", "--r-points", "2", "--out", str(out)])
+        assert drawn == [4, 4, 2]
+        assert (out.read_bytes(), sidecar.read_bytes()) == (b"old csv\n", b'{"old": true}\n')
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fig2.csv", "fig2.csv.meta.json"]
+        assert "wrote" not in capsys.readouterr().out
 
     def test_counters_in_sidecar_and_summary(self, tmp_path):
         cfg = SweepConfig(p_values=(0.9, 1.0), **dict(SMALL, shots=20))
         rows = run_sweep(cfg)
         out = tmp_path / "run.csv"
-        emit_csv(rows, str(out), cfg)
+        counts = emit_csv(sweep.blocks(cfg), str(out), cfg)
         counters = json.loads((tmp_path / "run.csv.meta.json").read_text())["counters"]
         assert counters["indeterminate_rows"] == 3
         assert counters["projected_observed_runs"] == sum(r.projected for r in rows) > 0
-        assert sorted(counters) == ["indeterminate_rows", "projected_observed_runs"]
-        summary = emit_summary(rows)
+        assert list(counters) == ["indeterminate_rows", "projected_observed_runs",
+                                  "covered_total", "covered_pop", "covered_coh"]
+        assert counts == {"rows": 6, **counters, "max_additivity_gap": counts["max_additivity_gap"]}
+        summary = emit_summary(counts)
         assert (f"observed runs projected into the Bloch ball: "
                 f"{counters['projected_observed_runs']}") in summary
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.csv.meta.json"]
+
+    @pytest.mark.parametrize("config", [
+        fig2_config(), fig3_config(),
+        SweepConfig(p_values=BENCH_P_VALUES, alphas=tuple(map(alpha_for_coherence,
+                                                               BENCH_COHERENCES)),
+                    r_grid=101, n_bootstrap=2)], ids=["fig2", "fig3", "grid"])
+    def test_counters_are_direct_counts_over_the_records(self, tmp_path, config):
+        # The tally of the streamed blocks against a count, row by row, over
+        # `run_sweep`'s records; the grid is the pinned 5555-row one, with 505 p = 1 rows.
+        counts = emit_csv(sweep.blocks(config), str(tmp_path / "run.csv"), config)
+        counters = json.loads((tmp_path / "run.csv.meta.json").read_text())["counters"]
+        rows = run_sweep(config).tolist()
+        names = SWEEP_DTYPE.names
+        want = {"rows": len(rows), "indeterminate_rows": 0, "projected_observed_runs": 0,
+                "covered_total": 0, "covered_pop": 0, "covered_coh": 0,
+                "max_additivity_gap": 0.0}
+        for record in rows:
+            row = dict(zip(names, record))
+            want["projected_observed_runs"] += row["projected"]
+            if row["indeterminate"]:
+                want["indeterminate_rows"] += 1
+                continue
+            for part in ("total", "pop", "coh"):
+                value, lo, hi = (row[f"sigma_{part}{end}"] for end in ("", "_tomo_lo", "_tomo_hi"))
+                want[f"covered_{part}"] += lo - 1e-12 <= value <= hi + 1e-12
+            want["max_additivity_gap"] = max(want["max_additivity_gap"], abs(
+                row["sigma_total"] - (row["sigma_pop"] + row["sigma_coh"])))
+        assert counts == want
+        assert counters == {key: want[key] for key in counters} and len(counters) == 5
+        assert want["indeterminate_rows"] == (505 if len(rows) == 5555 else 0)
