@@ -25,7 +25,6 @@ EXIT_IO = 3
 # and checks its text as that key's, and `check --seed`'s as `seed`'s.
 _FLAGS = (
     ("--shots", "shots", "tomography shots per projection basis"),
-    ("--bootstrap", "n_bootstrap", "inert: checked as before, but the error bars are closed-form"),
     ("--seed", "seed", "master RNG seed"),
     ("--out", "out", "output CSV path"),
     ("--r-points", "r_points", "number of uniform r-grid points on [0, 1]"),
@@ -37,7 +36,7 @@ _COMMANDS = {
     "fig3": ("sweep three initial coherences at fixed bath temperature", _FLAGS),
     "sweep": ("run a sweep described by a config file",
               (("--config", "config", "flat key-value config file (required)"), *_FLAGS)),
-    "check": ("run the aggregated property suite, seed 1234 by default", _FLAGS[2:3]),
+    "check": ("run the aggregated property suite, seed 1234 by default", _FLAGS[1:2]),
 }
 
 

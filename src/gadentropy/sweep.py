@@ -22,18 +22,13 @@ import numpy as np
 from . import bloch, prep, tomography
 
 DEFAULT_SHOTS = 10_000
-DEFAULT_BOOTSTRAP = 200
 DEFAULT_SEED = 20240
 DEFAULT_R_POINTS = 21
 # Most grid rows a sweep may hold, refused before compute; each experiment draws one
-# run per row.  It is the most rows that the earlier bound of 2**22 runs (rows x (1 +
-# n_bootstrap), n_bootstrap >= 2) let run, so no grid that ran before is refused.  At
-# the bound a grid-shaped sweep (1,398,100 rows) peaks at 261 MB RSS in `run_sweep`,
-# whose records take 168 bytes per row, and at 41 MB in the CLI, which streams `blocks`.
+# run per row.  At the bound a grid-shaped sweep (1,398,100 rows) peaks at 261 MB RSS
+# in `run_sweep`, whose records take 168 bytes per row, and at 41 MB in the CLI, which
+# streams `blocks`.
 MAX_RUNS = 2**22 // 3
-# n_bootstrap draws nothing, but until the key is retired a value is refused
-# where it was refused before: rows x (1 + n_bootstrap) at most this.
-BOOTSTRAP_BOUND = 2**22
 
 FIG2_P_VALUES = (0.9, 0.75, 0.6)
 FIG3_P_VALUES = (0.9,)
@@ -77,15 +72,15 @@ def _checked(name: str, value):
     it cannot be stored; the one check of each setting."""
     if name == "scenario" and not (isinstance(value, str) and value in ("fig2", "fig3", "custom")):
         raise ConfigError(f"unknown scenario {_shown(value)}")
-    if name in ("shots", "n_bootstrap", "seed"):
+    if name in ("shots", "seed"):
         if not isinstance(value, numbers.Integral):
             raise ConfigError(f"{name} must be an integer, got {_shown(value)}")
         value = int(value)
         # numpy's binomial takes the shot count as a C long.
         if name == "shots" and not 1 <= value <= np.iinfo(np.int64).max:
             raise ConfigError(f"shots must be in [1, 2**63 - 1], got {_shown(value)}")
-        if name != "shots" and value < (least := 2 if name == "n_bootstrap" else 0):
-            raise ConfigError(f"{name} must be >= {least}, got {_shown(value)}")
+        if name == "seed" and value < 0:
+            raise ConfigError(f"seed must be >= 0, got {_shown(value)}")
     if name == "r_grid" and isinstance(value, numbers.Integral):
         if value < 2:
             raise ConfigError(f"a uniform r grid needs at least 2 points, got {_shown(value)}")
@@ -112,7 +107,6 @@ class SweepConfig:
     alphas: tuple[float, ...] = (0.0,)  # HWP1 angles in radians; 0 gives coherence 1
     r_grid: tuple[float, ...] | int = DEFAULT_R_POINTS  # an int n: n uniform points on [0, 1]
     shots: int = DEFAULT_SHOTS
-    n_bootstrap: int = DEFAULT_BOOTSTRAP
     seed: int = DEFAULT_SEED
     output_path: str = "sweep.csv"
 
@@ -124,10 +118,6 @@ class SweepConfig:
         rows = len(self.p_values) * len(self.alphas) * points
         if rows > MAX_RUNS:
             raise ConfigError(f"{_shown(rows)} grid rows exceed the bound of {MAX_RUNS} rows")
-        if rows * (1 + self.n_bootstrap) > BOOTSTRAP_BOUND:
-            raise ConfigError(f"{_shown(rows)} grid rows x (1 + n_bootstrap = "
-                              f"{_shown(self.n_bootstrap)}) exceed the bound of "
-                              f"{BOOTSTRAP_BOUND} kept for the inert n_bootstrap")
         if count:  # built only once the bound has passed
             self.r_grid = tuple(np.linspace(0.0, 1.0, points).tolist())
 
@@ -164,7 +154,9 @@ _CONFIG_KEYS = {
     "r_grid": ("r_grid", _floats),
     "r_points": ("r_grid", int),
     "shots": ("shots", int),
-    "n_bootstrap": ("n_bootstrap", int),
+    # Retired: parsed as an integer, then dropped (`settings`), as bench/run.py's grid
+    # config still writes it.  ROADMAP item 1 deletes this entry with that line.
+    "n_bootstrap": (None, int),
     "seed": ("seed", int),
     "out": ("output_path", str),
 }
@@ -188,6 +180,7 @@ def settings(entries) -> dict:
             kwargs[name] = _checked(name, parse(text))
         except ValueError as exc:
             raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
+    kwargs.pop(None, None)  # a retired key's value
     return kwargs
 
 
@@ -341,19 +334,22 @@ def _tally(counts: dict, rows: np.ndarray) -> None:
     counts["max_additivity_gap"] = float(gap.max(where=det, initial=counts["max_additivity_gap"]))
 
 
-def _write_atomic(path: str, lines) -> None:
-    """Write the lines through a temporary file in the same directory, then
-    rename it over `path`, so a reader never sees a half-written file.  The
-    temporary name, `.<first 32 characters of the file name>.<pid>.tmp`, stays
-    short, so only the target's own name can be too long for the directory."""
-    head, name = os.path.split(path)
-    tmp = os.path.join(head, f".{name[:32]}.{os.getpid()}.tmp")
+def _write_atomic(files: list) -> None:
+    """Write each (path, lines) pair to a temporary file in its directory, then rename
+    each over its path, so a reader never sees a half-written file and a failure before
+    the renames keeps every old file.  The k-th temporary name, `.<first 32 characters
+    of the file name>.<pid>.<k>.tmp`, stays short: only a target's own can be too long."""
+    temps = []
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(lines)
-        os.replace(tmp, path)
+        for k, (path, lines) in enumerate(files):
+            head, name = os.path.split(path)
+            temps.append(os.path.join(head, f".{name[:32]}.{os.getpid()}.{k}.tmp"))
+            with open(temps[-1], "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(lines)
+        for tmp, (path, _) in zip(temps, files):
+            os.replace(tmp, path)
     finally:
-        if os.path.exists(tmp):
+        for tmp in filter(os.path.exists, temps):
             os.unlink(tmp)
 
 
@@ -384,23 +380,11 @@ def _csv_lines(blocks, counts: dict):
         raise IOError("refusing to write an empty sweep")
 
 
-def emit_csv(blocks, path: str, config: SweepConfig) -> dict:
-    """Write the records of `blocks`, SWEEP_DTYPE arrays in row order such as
-    `blocks(config)` or `[run_sweep(config)]`, as UTF-8 CSV with a fixed column
-    order, then its JSON sidecar <path>.meta.json; return their tally (`_tally`).
-
-    Each block is written and tallied as it comes.  Floats carry 12 significant digits,
-    so same-seed reruns on the same versions are byte-identical.  Rows are formatted in
-    blocks of `BLOCK_ROWS`; each formats its distinct grid values (p, r, alpha_deg,
-    coherence_initial) once.  The sidecar is the run manifest: versions, configuration
-    (the one record of the seed), RNG streams, error-bar procedure and the counters
-    (indeterminate rows, runs projected into the Bloch ball, intervals holding the
-    analytic value).  Each file is replaced atomically, so a failure keeps the old.
-    """
+def _sidecar_lines(config: SweepConfig, counts: dict):
+    """The JSON sidecar text of a run whose CSV lines tallied `counts`, made only
+    when `_write_atomic` asks for it, once the CSV has streamed."""
     from . import __version__
-    counts = {"rows": 0, **dict.fromkeys(_COUNTERS, 0), "max_additivity_gap": 0.0}
-    _write_atomic(path, _csv_lines(blocks, counts))
-    meta = {
+    yield json.dumps({
         "versions": {"gadentropy": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
         "config": dataclasses.asdict(config),
@@ -417,8 +401,27 @@ def emit_csv(blocks, path: str, config: SweepConfig) -> dict:
             "claim"
         ),
         "counters": {key: counts[key] for key in _COUNTERS},
-    }
-    _write_atomic(path + ".meta.json", [json.dumps(meta, indent=2, default=list), "\n"])
+    }, indent=2, default=list) + "\n"
+
+
+def emit_csv(blocks, path: str, config: SweepConfig) -> dict:
+    """Write the records of `blocks`, SWEEP_DTYPE arrays in row order such as
+    `blocks(config)` or `[run_sweep(config)]`, as UTF-8 CSV with a fixed column
+    order, then its JSON sidecar <path>.meta.json; return their tally (`_tally`).
+
+    Each block is written and tallied as it comes.  Floats carry 12 significant digits,
+    so same-seed reruns on the same versions are byte-identical.  Rows are formatted in
+    blocks of `BLOCK_ROWS`; each formats its distinct grid values (p, r, alpha_deg,
+    coherence_initial) once.  The sidecar is the run manifest: versions, configuration
+    (the one record of the seed), RNG streams, error-bar procedure and the counters
+    (indeterminate rows, runs projected into the Bloch ball, intervals holding the
+    analytic value).  Both files are written in full before either replaces its old
+    one (`_write_atomic`), so a failure while writing keeps the old pair; a failure
+    between the two renames can still leave the new CSV beside the old sidecar.
+    """
+    counts = {"rows": 0, **dict.fromkeys(_COUNTERS, 0), "max_additivity_gap": 0.0}
+    _write_atomic([(path, _csv_lines(blocks, counts)),
+                   (path + ".meta.json", _sidecar_lines(config, counts))])
     return counts
 
 

@@ -217,7 +217,7 @@ def test_criterion_8_tomography_fidelity():
 
 
 def test_criterion_9_csv_determinism(tmp_path):
-    args = ["fig2", "--shots", "2000", "--bootstrap", "50", "--seed", "31415"]
+    args = ["fig2", "--shots", "2000", "--seed", "31415"]
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert cli.main(args + ["--out", str(out_a)]) == 0
     assert cli.main(args + ["--out", str(out_b)]) == 0

@@ -69,7 +69,7 @@ def test_out_of_range_list_entry_is_refused(config_path, key, low, high, data):
         parse(config_path, [f"{key} = {', '.join(map(repr, values))}"])
 
 
-@pytest.mark.parametrize("key, low", [("shots", 1), ("n_bootstrap", 2), ("seed", 0)])
+@pytest.mark.parametrize("key, low", [("shots", 1), ("seed", 0)])
 @settings(max_examples=20)
 @given(data=st.data())
 def test_out_of_range_count_is_refused(config_path, key, low, data):
@@ -101,11 +101,10 @@ def test_any_value_of_a_field_gives_config_or_config_error(field, value):
 @pytest.mark.parametrize("setting, shown", [
     (dict(shots=10**5000), "got a 5001-digit integer"),
     (dict(seed=-10**5000), "got a negative 5001-digit integer"),
-    (dict(n_bootstrap=10**5000), "n_bootstrap = a 5001-digit integer"),
     (dict(r_grid=10**5000), "^a 5001-digit integer grid rows"),
     (dict(p_values=(10**5000,)), "got a 5001-digit integer"),
     (dict(alphas=(10**5000, "x")), "got a tuple holding an integer too long to print"),
-], ids=["shots", "seed", "n_bootstrap", "r_grid", "p_values", "alphas"])
+], ids=["shots", "seed", "r_grid", "p_values", "alphas"])
 def test_oversized_integer_is_refused_by_its_digit_count(setting, shown):
     # str() refuses an int of more than 4300 digits, so the message counts them.
     with pytest.raises(ConfigError, match=shown):

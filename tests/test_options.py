@@ -21,7 +21,6 @@ OPTIONS = {
     "sweep.SweepConfig.alphas": _CONFIG_KEY,
     "sweep.SweepConfig.r_grid": _CONFIG_KEY,
     "sweep.SweepConfig.shots": _CONFIG_KEY,
-    "sweep.SweepConfig.n_bootstrap": _CONFIG_KEY,
     "sweep.SweepConfig.seed": _CONFIG_KEY,
     "sweep.SweepConfig.output_path": _CONFIG_KEY,
 }

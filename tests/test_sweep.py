@@ -36,7 +36,7 @@ from gadentropy.sweep import (
     run_sweep,
 )
 
-SMALL = dict(shots=500, n_bootstrap=5, seed=99, r_grid=(0.0, 0.5, 1.0))
+SMALL = dict(shots=500, seed=99, r_grid=(0.0, 0.5, 1.0))
 # The grid that bench/run.py (build_spec) sweeps: 11 p (p = 1 included) x 5 coherences x 101 r.
 BENCH_P_VALUES = tuple(0.5 + 0.05 * i for i in range(10)) + (1.0,)
 BENCH_COHERENCES = (1.0, 0.8, 0.6, 0.4, 0.2)
@@ -71,8 +71,7 @@ class TestConfig:
         with pytest.raises(ConfigError, match="at least 2 points"):
             SweepConfig(r_grid=points)
 
-    @pytest.mark.parametrize("field, value", [("shots", 2.5), ("n_bootstrap", 2.5),
-                                              ("seed", 1.5)])
+    @pytest.mark.parametrize("field, value", [("shots", 2.5), ("seed", 1.5)])
     def test_non_integer_setting_rejected(self, field, value):
         # A float shot count would draw binomials at int(shots) and divide by shots.
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
@@ -80,11 +79,10 @@ class TestConfig:
 
     def test_numpy_integer_settings_accepted(self, tmp_path):
         # A float32 entry is stored as a Python float, which the sidecar's JSON can write.
-        cfg = SweepConfig(shots=np.int64(500), n_bootstrap=np.int64(5), seed=np.int64(99),
-                          r_grid=np.int64(5), p_values=(np.float32(0.75),),
-                          output_path=str(tmp_path / "np.csv"))
-        plain = SweepConfig(shots=500, n_bootstrap=5, seed=99, r_grid=5, p_values=(0.75,))
-        assert (cfg.shots, cfg.n_bootstrap, cfg.seed, cfg.r_grid) == (500, 5, 99, plain.r_grid)
+        cfg = SweepConfig(shots=np.int64(500), seed=np.int64(99), r_grid=np.int64(5),
+                          p_values=(np.float32(0.75),), output_path=str(tmp_path / "np.csv"))
+        plain = SweepConfig(shots=500, seed=99, r_grid=5, p_values=(0.75,))
+        assert (cfg.shots, cfg.seed, cfg.r_grid) == (500, 99, plain.r_grid)
         rows = run_sweep(cfg)
         assert rows.tobytes() == run_sweep(plain).tobytes()
         emit_csv([rows], cfg.output_path, cfg)  # the sidecar's JSON takes the settings
@@ -106,11 +104,11 @@ class TestConfig:
     def test_scenario_picks_the_preset_the_file_starts_from(self, tmp_path):
         path = tmp_path / "fig3.cfg"
         path.write_text("scenario = fig3\nshots = 100\nn_bootstrap = 2\nr_points = 2\n")
-        assert load_config(str(path)) == fig3_config(shots=100, n_bootstrap=2, r_grid=2)
+        assert load_config(str(path)) == fig3_config(shots=100, r_grid=2)
 
     @pytest.mark.parametrize("line", ["coherence = 0.5, 1.5", "alpha_deg = 0, 45.5",
                                       "alpha_deg = -5e-324", "p_values = 0.3", "r_grid = 0, 2",
-                                      "shots = 0", "n_bootstrap = 1", "seed = -1",
+                                      "shots = 0", "seed = -1",
                                       "scenario = fig9", "p_values = ,"])
     def test_out_of_range_angle_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
@@ -244,7 +242,7 @@ class TestRunSweep:
         assert all(math.isnan(row.sigma_total) for row in rows)
 
     def test_tomography_close_to_analytic_at_high_shots(self):
-        cfg = fig2_config(shots=100_000, n_bootstrap=10, seed=5, r_grid=(0.5,))
+        cfg = fig2_config(shots=100_000, seed=5, r_grid=(0.5,))
         rows = run_sweep(cfg)
         for row in rows:
             assert abs(row.sigma_total_tomo - row.sigma_total) < 0.02
@@ -451,18 +449,23 @@ class TestPropertySuite:
         assert self.failed_rows(capsys) == [
             "[FAIL] budget additivity + non-negativity (1000 random triples)"]
 
-    # The row scores (before, after) as one (2, 500) stack: "nan" spoils case 7
-    # along the case axis.
+    # The row scores the total of `productions`, the drop D(rho || eq) - D(Phi(rho) || eq),
+    # which the additivity row scores too, so both fail: "nan" spoils case 7.
     @pytest.mark.parametrize("perturb", [
         lambda d: -d, lambda d: np.where(np.arange(d.shape[-1]) == 7, np.nan, d)],
         ids=["sign", "nan"])
     def test_perturbed_relative_entropy_fails_the_contractivity_row(self, capsys, monkeypatch,
                                                                      perturb):
-        relative_entropies = qstate.relative_entropies
-        monkeypatch.setattr(qstate, "relative_entropies",
-                            lambda rho, sigma: perturb(relative_entropies(rho, sigma)))
+        productions = check.productions
+
+        def perturbed(initial, p, r):
+            total, population, coherence = productions(initial, p, r)
+            return perturb(total), population, coherence
+
+        monkeypatch.setattr(check, "productions", perturbed)
         assert self.failed_rows(capsys) == [
-            "[FAIL] relative-entropy contractivity (500 random cases)"]
+            "[FAIL] relative-entropy contractivity (500 random cases)",
+            "[FAIL] budget additivity + non-negativity (1000 random triples)"]
 
     # A grid or composition row fails when its input drifts by 1e-9.  The Kraus
     # stack feeds every row that applies the channel, so each of those fails too.
@@ -586,7 +589,7 @@ class TestCli:
     def test_fig2_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "f2.csv"
         code = cli.main([
-            "fig2", "--shots", "200", "--bootstrap", "3", "--seed", "1",
+            "fig2", "--shots", "200", "--seed", "1",
             "--r-points", "3", "--out", str(out),
         ])
         assert code == 0
@@ -596,7 +599,7 @@ class TestCli:
     def test_fig3_writes_csv(self, tmp_path):
         out = tmp_path / "f3.csv"
         code = cli.main([
-            "fig3", "--shots", "200", "--bootstrap", "3", "--seed", "1",
+            "fig3", "--shots", "200", "--seed", "1",
             "--r-points", "3", "--out", str(out),
         ])
         assert code == 0
@@ -618,8 +621,8 @@ class TestCli:
         assert code == cli.EXIT_IO
 
     @pytest.mark.parametrize("flag, key, value", [
-        ("--shots", "shots", "123"), ("--bootstrap", "n_bootstrap", "7"),
-        ("--seed", "seed", "5"), ("--out", "out", "x.csv"), ("--r-points", "r_points", "4")])
+        ("--shots", "shots", "123"), ("--seed", "seed", "5"), ("--out", "out", "x.csv"),
+        ("--r-points", "r_points", "4")])
     def test_each_flag_sets_what_its_config_key_sets(self, tmp_path, monkeypatch, flag, key,
                                                      value):
         base = "p_values = 0.8\ncoherence = 0.6\n"
@@ -654,7 +657,7 @@ class TestCli:
             usage = out.split(f"gadentropy {name}: ")[1].split("gadentropy ")[0]
             assert [line.split()[0] for line in usage.splitlines()[1:]] == takes
 
-    @pytest.mark.parametrize("argv", [["check"], ["fig2", "--bootstrap", "2", "--r-points", "2"]])
+    @pytest.mark.parametrize("argv", [["check"], ["fig2", "--r-points", "2"]])
     def test_closed_stdout_exits_3_without_a_traceback(self, tmp_path, argv):
         # The pipe's read end is closed before the child starts, so its first
         # write to stdout fails.  Without PYTHONUNBUFFERED stdout is block-buffered,
@@ -744,7 +747,7 @@ class TestCli:
         cfg = load_config(str(config))
         assert (cfg.scenario, cfg.p_values, len(cfg.alphas), len(cfg.r_grid)) == (
             "custom", BENCH_P_VALUES, 5, 101)
-        assert (cfg.shots, cfg.n_bootstrap, cfg.seed) == (10_000, 2, 3)
+        assert (cfg.shots, cfg.seed) == (10_000, 3)
         for argv, read in (
                 (["fig2", "--seed", "3", "--out", "iter0.csv"],
                  ("fig2", None, {"seed": 3, "output_path": "iter0.csv"})),
@@ -846,7 +849,7 @@ class TestArrayPathMatchesStates:
         fig2_config(), fig3_config(),
         SweepConfig(p_values=BENCH_P_VALUES, alphas=tuple(map(alpha_for_coherence,
                                                                BENCH_COHERENCES)),
-                    r_grid=101, n_bootstrap=2),
+                    r_grid=101),
         fig3_config(p_values=(1.0 - 2e-12,), shots=3)], ids=["fig2", "fig3", "grid", "3-shots"])
     def test_every_determinate_interval_holds_its_point(self, config):
         rows = run_sweep(config)
@@ -969,8 +972,7 @@ class TestStreams:
         if bound is None:
             pytest.skip(f"did not measure: no bound recorded for numpy {np.__version__}")
         config = SweepConfig(p_values=BENCH_P_VALUES,
-                             alphas=tuple(map(alpha_for_coherence, BENCH_COHERENCES)), r_grid=500,
-                             n_bootstrap=2)
+                             alphas=tuple(map(alpha_for_coherence, BENCH_COHERENCES)), r_grid=500)
         run_sweep(config)
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
@@ -991,7 +993,7 @@ class TestStreams:
         # what the code loads once: a cold first run read 748 kB over its double.
         def peak(r_points, traced=True):
             config = SweepConfig(p_values=BENCH_P_VALUES, alphas=tuple(
-                map(alpha_for_coherence, BENCH_COHERENCES)), r_grid=r_points, n_bootstrap=2)
+                map(alpha_for_coherence, BENCH_COHERENCES)), r_grid=r_points)
             if not traced:
                 return emit_csv(sweep.blocks(config), str(tmp_path / "run.csv"), config)
             tracing = tracemalloc.is_tracing()
@@ -1071,7 +1073,7 @@ class TestErrorBarCoverage:
 
 def _write_config(tmp_path, body):
     path = tmp_path / "run.cfg"
-    path.write_text(f"shots = 100\nn_bootstrap = 3\nout = {tmp_path / 'o.csv'}\n" + body,
+    path.write_text(f"shots = 100\nout = {tmp_path / 'o.csv'}\n" + body,
                     encoding="utf-8", errors="surrogateescape")
     return path
 
@@ -1089,6 +1091,8 @@ class TestFailFast:
         ("r_grid =\n", "r_grid"),
         ("r_grid = ,\n", "r_grid"),
         ("scenario = nonsense\n", "scenario"),
+        # Retired, but parsed: bench/run.py's grid config writes it.
+        ("n_bootstrap = abc\n", "run.cfg:3: bad value for 'n_bootstrap': invalid literal"),
     ])
     def test_bad_config_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch, body, words):
         def no_compute(config):
@@ -1104,7 +1108,6 @@ class TestFailFast:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--shots", "0", "shots must be in [1, 2**63 - 1], got 0"),
-        ("--bootstrap", "1", "n_bootstrap must be >= 2, got 1"),
         ("--seed", "-1", "seed must be >= 0, got -1"),
         ("--shots", str(2**63), "shots must be in [1, 2**63 - 1], got 9223372036854775808")])
     def test_out_of_range_setting_is_named_before_compute(self, capsys, monkeypatch, flag,
@@ -1124,13 +1127,11 @@ class TestFailFast:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {flag}:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("flag, value", [("--r-points", "10000000000000"),
-                                             ("--bootstrap", "1000000000000")])
+    @pytest.mark.parametrize("flag, value", [("--r-points", "10000000000000")])
     def test_sweep_too_large_to_hold_exits_1_before_compute(self, tmp_path, capsys,
                                                             monkeypatch, flag, value):
         # Without the bound, the r grid asks numpy for terabytes, which fails at
-        # once with a MemoryError traceback.  n_bootstrap draws nothing, but keeps
-        # its former bound until the key is retired.
+        # once with a MemoryError traceback.
         def no_compute(config):
             raise AssertionError("sweep ran although it is too large to hold")
 
@@ -1140,6 +1141,17 @@ class TestFailFast:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_retired_bootstrap_flag_exits_1_before_compute(self, tmp_path, capsys, monkeypatch):
+        def no_compute(config):
+            raise AssertionError("sweep ran on a retired flag")
+
+        monkeypatch.setattr(cli.sw, "blocks", no_compute)
+        out = tmp_path / "o.csv"
+        assert cli.main(["fig2", "--bootstrap", "2", "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("gadentropy: error: '--bootstrap': fig2 takes --shots, --seed")
+        assert err.count("\n") == 1 and list(tmp_path.iterdir()) == []
 
     def test_r_grid_too_long_to_run_exits_1_before_it_is_built(self, capsys, monkeypatch):
         # fig2's three p values: a grid past MAX_RUNS // 3 r points can never run.
@@ -1153,20 +1165,12 @@ class TestFailFast:
         assert err.startswith("config error:") and err.count("\n") == 1
 
     def test_runs_per_experiment_are_bounded(self):
-        # One run per grid row and experiment, up to and including MAX_RUNS = 2047 x 683
-        # rows: the largest grid of the former bound of 2**22 runs, rows x
-        # (1 + n_bootstrap), at n_bootstrap = 2.  The inert n_bootstrap keeps that bound.
-        assert sweep.MAX_RUNS == 2047 * 683 == (sweep.BOOTSTRAP_BOUND - 1) // 3
-        SweepConfig(p_values=(0.9,) * 2047, r_grid=683, n_bootstrap=2)
+        # One run per grid row and experiment, up to and including MAX_RUNS = 2047 x 683 rows.
+        assert sweep.MAX_RUNS == 2047 * 683
+        SweepConfig(p_values=(0.9,) * 2047, r_grid=683)
         for kwargs in (dict(p_values=(0.9,) * 2048, r_grid=683),
                        dict(p_values=(0.9,) * 2048, r_grid=(0.5,) * 683), dict(r_grid=10**13)):
             with pytest.raises(ConfigError, match="grid rows exceed"):
-                SweepConfig(**kwargs)
-        two_rows = dict(p_values=(0.9,), alphas=(0.0,), r_grid=(0.0, 1.0))
-        SweepConfig(**two_rows, n_bootstrap=sweep.BOOTSTRAP_BOUND // 2 - 1)
-        for kwargs in (dict(two_rows, n_bootstrap=sweep.BOOTSTRAP_BOUND // 2),
-                       dict(n_bootstrap=10**12)):
-            with pytest.raises(ConfigError, match="kept for the inert n_bootstrap"):
                 SweepConfig(**kwargs)
 
     def test_negative_check_seed_exits_1_before_compute(self, capsys, monkeypatch):
@@ -1244,7 +1248,7 @@ class TestFailFast:
         # so both files are written, whatever their temporary names, with the
         # permissions the umask gives a new file.
         name = "a" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 15) + ".csv"
-        argv = ["fig2", "--shots", "100", "--bootstrap", "2", "--r-points", "2"]
+        argv = ["fig2", "--shots", "100", "--r-points", "2"]
         assert cli.main(argv + ["--out", str(tmp_path / name)]) == cli.EXIT_OK
         assert sorted(p.name for p in tmp_path.iterdir()) == [name, name + ".meta.json"]
         umask = os.umask(0)
@@ -1307,6 +1311,39 @@ class TestAtomicOutput:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fig2.csv", "fig2.csv.meta.json"]
         assert "wrote" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("fails", ["open", "dumps"])
+    def test_failed_sidecar_write_keeps_old_files_and_leaves_no_temp(self, tmp_path,
+                                                                     monkeypatch, capsys, fails):
+        # The CSV's 6 rows have streamed in full to its temporary file when the
+        # sidecar's temporary file cannot be opened, or its JSON cannot be made.
+        out, sidecar = tmp_path / "fig2.csv", tmp_path / "fig2.csv.meta.json"
+        out.write_bytes(b"old csv\n")
+        sidecar.write_bytes(b'{"old": true}\n')
+        argv = ["fig2", "--shots", "100", "--r-points", "2", "--out", str(out)]
+        real_open, streamed = open, []
+
+        def fail(error):  # records the lines of each CSV temporary file, then raises
+            streamed.append([p.read_bytes().count(b"\n") for p in tmp_path.iterdir()
+                             if p.suffix == ".tmp" and ".meta.json." not in p.name])
+            raise error
+
+        def opener(file, *args, **kwargs):
+            if ".meta.json." in os.path.basename(file):
+                fail(OSError("disk full"))
+            return real_open(file, *args, **kwargs)
+
+        if fails == "open":
+            monkeypatch.setattr(sweep, "open", opener, raising=False)
+            assert cli.main(argv) == cli.EXIT_IO
+        else:
+            monkeypatch.setattr(sweep.json, "dumps", lambda *a, **k: fail(TypeError("no JSON")))
+            with pytest.raises(TypeError, match="no JSON"):
+                cli.main(argv)
+        assert streamed == [[1 + 6]]
+        assert (out.read_bytes(), sidecar.read_bytes()) == (b"old csv\n", b'{"old": true}\n')
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fig2.csv", "fig2.csv.meta.json"]
+        assert "wrote" not in capsys.readouterr().out
+
     def test_counters_in_sidecar_and_summary(self, tmp_path):
         cfg = SweepConfig(p_values=(0.9, 1.0), **dict(SMALL, shots=20))
         rows = run_sweep(cfg)
@@ -1327,7 +1364,7 @@ class TestAtomicOutput:
         fig2_config(), fig3_config(),
         SweepConfig(p_values=BENCH_P_VALUES, alphas=tuple(map(alpha_for_coherence,
                                                                BENCH_COHERENCES)),
-                    r_grid=101, n_bootstrap=2)], ids=["fig2", "fig3", "grid"])
+                    r_grid=101)], ids=["fig2", "fig3", "grid"])
     def test_counters_are_direct_counts_over_the_records(self, tmp_path, config):
         # The tally of the streamed blocks against a count, row by row, over
         # `run_sweep`'s records; the grid is the pinned 5555-row one, with 505 p = 1 rows.

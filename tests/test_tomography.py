@@ -68,7 +68,7 @@ class TestStatisticalConsistency:
         for got, want, err in zip(mean, state.bloch_vector(), stderr):
             assert abs(got - want) < 5 * err
 
-    def test_bootstrap_stderr_calibrated(self):
+    def test_interval_stderr_calibrated(self):
         # 400 independent rows of the coherent state (1, 0, 0) at p = 0.9, r = 0.5:
         # in each experiment the median stderr, the interval's width / (2 Z95),
         # matches the sd of the point estimates.
