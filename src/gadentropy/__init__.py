@@ -15,4 +15,4 @@ from .sweep import (
     load_config, run_sweep,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"

@@ -11,41 +11,22 @@ listed: each row takes all its uniforms in one `randbytes` call, maps them
 onto its cases with array arithmetic, and scores them in one call of the
 reference's stacked forms.  Contractivity takes the total of `productions`,
 D(rho || eq) - D(Phi(rho) || eq) with the equilibria's decomposition written
-out.  `numpy.random` is never imported.
+out.  `numpy.random` is never imported.  `run_property_suite(seed)` returns
+(passed, report): whether every row held, and the text `check` prints, one
+`[PASS] name: detail` or `[FAIL] ...` line per row, then `ALL PASS` or
+`FAILURES PRESENT`.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import bloch, prep, qstate
 from . import channel as chn
 from .budget import ADDITIVITY_TOL, NEG_FLOOR, productions
-
-
-@dataclass
-class PropertyResult:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass
-class PropertyReport:
-    results: list[PropertyResult]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def render(self) -> str:
-        lines = [f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}" for r in self.results]
-        lines.append("ALL PASS" if self.passed else "FAILURES PRESENT")
-        return "\n".join(lines)
 
 
 def _uniforms(rng: random.Random, shape: tuple[int, ...]) -> np.ndarray:
@@ -64,7 +45,7 @@ def _ball(u: np.ndarray) -> np.ndarray:
     return np.cbrt(u[2])[:, None] * np.stack((s * np.cos(phi), s * np.sin(phi), z), axis=-1)
 
 
-def run_property_suite(seed: int) -> PropertyReport:
+def run_property_suite(seed: int) -> tuple[bool, str]:
     """Run every module invariant on documented grids with a fixed seed."""
     rng = random.Random(seed)
     p, r = np.meshgrid(np.linspace(0.5, 1.0, 11), np.linspace(0.0, 1.0, 11), indexing="ij")
@@ -137,4 +118,7 @@ def run_property_suite(seed: int) -> PropertyReport:
         ("semigroup composition (100 random cases)", composition),
         ("tomography exact-frequency round trip (200 random states)", round_trip),
     )
-    return PropertyReport([PropertyResult(name, *check()) for name, check in checks])
+    rows = [(name, *check()) for name, check in checks]
+    passed = all(held for _, held, _ in rows)
+    lines = [f"[{'PASS' if held else 'FAIL'}] {name}: {detail}" for name, held, detail in rows]
+    return passed, "\n".join([*lines, "ALL PASS" if passed else "FAILURES PRESENT"])

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Commands: fig2, fig3 (preset sweeps, `sweep.py`), sweep --config <path>
-(custom grid, `sweep.py`), check (the property suite of `check.py`, which
-holds the sweeps' Bloch closed forms to the density-matrix reference); their
+(custom grid, `sweep.py`), check (`check.py`'s property suite, which holds the
+sweeps' Bloch closed forms to the density-matrix reference; it prints the
+report of `run_property_suite`'s (passed, report) and exits on passed); their
 flags, in `_COMMANDS`, take `--flag value` or `--flag=value`.  Exit codes:
 0 success, 1 usage/config error, 2 property-suite failure, 3 I/O failure.
 """
@@ -114,9 +115,9 @@ def _main(argv) -> int:
         if command is None:  # -h/--help printed the usage
             return EXIT_OK
         if command == "check":
-            report = check.run_property_suite(seed=flags.get("seed", 1234))
-            print(report.render())
-            return EXIT_OK if report.passed else EXIT_PROPERTY_FAILURE
+            passed, report = check.run_property_suite(seed=flags.get("seed", 1234))
+            print(report)
+            return EXIT_OK if passed else EXIT_PROPERTY_FAILURE
         if command == "sweep":
             try:
                 config = sw.load_config(path, **flags)

@@ -18,7 +18,7 @@ import gadentropy
 from gadentropy import cli
 
 DIGESTS = {
-    ("0.9.0", "2.4.6"): {
+    ("0.10.0", "2.4.6"): {
         "fig2 csv": "510279b58826692210d9fbd020df0a711d8777706f0da4883ad04fc17de74de3",
         "fig2 summary": "5839022d34cde314d028f9e218696abd28ce7c203e4c62c89c97d7977a3e4d23",
         "fig3 csv": "a726517c31c8d27d5f9e02d78155c624acbb2641240cff486538b147c5166ee6",

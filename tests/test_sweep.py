@@ -14,7 +14,8 @@ import types
 
 import numpy as np
 import pytest
-from conftest import frequencies, length_z, nearest_states, population_coverage, random_state
+from conftest import (NEWCOMBE_TABLE, binomial_pmf, frequencies, length_z, nearest_states,
+                      population_coverage, projection_bound, random_state)
 
 import gadentropy
 from gadentropy import bloch, channel, check, cli, qstate, sweep, tomography
@@ -410,7 +411,7 @@ class TestPropertySuite:
     def test_passes_at_every_seed_from_0_to_49(self):
         # The benchmark runs `check` at arbitrary seeds: no drawn case may
         # fail a row at its tolerance.
-        failed = [seed for seed in range(50) if not run_property_suite(seed).passed]
+        failed = [seed for seed in range(50) if not run_property_suite(seed)[0]]
         assert failed == []
 
     # `check` must fail when the Bloch closed forms the sweep runs drift by 1e-9.
@@ -420,11 +421,24 @@ class TestPropertySuite:
         return [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
                 if line.startswith("[FAIL] ")]
 
-    def test_perturbed_gad_fails_the_closed_form_row(self, capsys, monkeypatch):
+    @staticmethod
+    def perturb_gad(monkeypatch):
         gad = bloch.gad
         shrink_error = (1.0 + 1e-9, 1.0 + 1e-9, 1.0)
         monkeypatch.setattr(bloch, "gad", lambda b, p, r: gad(b, p, r) * shrink_error)
+
+    def test_perturbed_gad_fails_the_closed_form_row(self, capsys, monkeypatch):
+        self.perturb_gad(monkeypatch)
         assert self.failed_rows(capsys) == ["[FAIL] closed-form evolved state (9x11x11 grid)"]
+
+    def test_check_prints_the_report_and_exits_on_the_verdict(self, capsys, monkeypatch):
+        # `check` prints the suite's report text as returned and exits 0 when
+        # every row held, 2 when one failed.
+        assert cli.main(["check", "--seed", "7"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == run_property_suite(7)[1] + "\n"
+        self.perturb_gad(monkeypatch)
+        assert run_property_suite(1234)[0] is False
+        assert cli.main(["check"]) == cli.EXIT_PROPERTY_FAILURE
 
     @pytest.mark.parametrize("name", ["invert", "born_probabilities"])
     def test_perturbed_tomography_step_fails_the_round_trip_row(self, capsys, monkeypatch, name):
@@ -496,8 +510,8 @@ class TestPropertySuite:
 
         for cls in (QubitState, GadChannel):
             monkeypatch.setattr(cls, "__post_init__", refuse)
-        report = run_property_suite(seed=1234)
-        assert report.passed, report.render()
+        passed, report = run_property_suite(seed=1234)
+        assert passed, report
 
     def test_suite_passes_under_the_bench_tracer(self):
         # The benchmark's tracer wraps every public function and reads the
@@ -507,11 +521,11 @@ class TestPropertySuite:
         spans = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(spans)
         with spans.Tracer() as tracer:
-            report = run_property_suite(seed=1)
+            passed, report = run_property_suite(seed=1)
             gadentropy.budget(gadentropy.prepare(PrepSetting(0.0)), GadChannel(0.9, 0.5))
             with pytest.raises(gadentropy.IndeterminateEntropyError):
                 gadentropy.budget(gadentropy.prepare(PrepSetting(0.0)), GadChannel(1.0, 0.5))
-        assert report.render().endswith("\nALL PASS"), report.render()
+        assert passed and report.endswith("\nALL PASS"), report
         traced = tracer.report()
         assert traced["functions"]["budget.budget"]["calls"] == 2
         assert traced["functions"]["budget.productions"]["calls"] >= 3
@@ -1069,6 +1083,24 @@ class TestErrorBarCoverage:
     @pytest.mark.parametrize("p, c, r, shots", R1_POINTS)
     def test_population_calibrated_at_r_1(self, p, c, r, shots):
         assert self.LOW <= self.coverage(p, c, r, shots)[1] <= self.HIGH
+
+    # The distinct (p, r, shots) of the Newcombe table, `POINTS` and `R1_POINTS`.
+    EXACT_POINTS = sorted({(p, r, shots) for p, r, shots, _ in NEWCOMBE_TABLE}
+                          | {(p, r, shots) for p, _, r, shots in POINTS + R1_POINTS})
+
+    @pytest.mark.parametrize("p, r, shots", [pt for pt in EXACT_POINTS if pt[2] <= 1000])
+    def test_radial_projection_moves_exact_coverage_by_under_5e_5(self, p, r, shots):
+        # Small enough that every four-digit value of the Newcombe table stands
+        # with the R and D counts summed too.
+        assert projection_bound(p, r, shots) < 5e-5
+
+    @pytest.mark.parametrize("p, r, shots", [pt for pt in EXACT_POINTS if pt[2] > 1000])
+    def test_no_run_in_the_supports_leaves_the_ball(self, p, r, shots):
+        # No run is projected, so the two-count sum is the exact coverage.
+        z = r * (2.0 * p - 1.0)
+        k_h, k_v, k = (binomial_pmf(shots, q)[0] for q in ((1 + z) / 2, (1 - z) / 2, 0.5))
+        z_max = max(k_h.max() - k_v.min(), k_v.max() - k_h.min()) / shots
+        assert z_max**2 + 2.0 * np.max((2.0 * k / shots - 1.0) ** 2) <= 1.0
 
 
 def _write_config(tmp_path, body):

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (binomial_pmf, frequencies, lattice_coverage, length_z, nearest_states,
-                      nearest_vectors, population_coverage)
+from conftest import (NEWCOMBE_TABLE, binomial_pmf, frequencies, lattice_coverage, length_z,
+                      nearest_states, nearest_vectors, population_coverage)
 
 from gadentropy import bloch, channel, qstate, tomography
 from gadentropy.qstate import QubitState
@@ -172,11 +172,9 @@ class TestExactCoverage:
         k, pmf = binomial_pmf(shots, q)
         assert pmf.min() > 1e-16 and abs(pmf.sum() - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("p, r, shots, coverage", [
-        (0.9, 0.95, 500, 0.9607), (0.9, 0.95, 100, 0.9635), (0.6, 0.9, 500, 0.9742),
-        (0.99, 0.99, 100, 0.9210), (0.99, 1.0, 100, 0.9483), (0.6, 1.0, 500, 0.9511),
-        (0.75, 0.8, 1000, 0.9490), (0.9, 0.5, 10_000, 0.9500), (0.9, 1.0, 500, 0.9475)])
+    @pytest.mark.parametrize("p, r, shots, coverage", NEWCOMBE_TABLE)
     def test_population_coverage_reproduces_the_newcombe_table(self, p, r, shots, coverage):
         # Exact coverage of Newcombe's interval imaged through the population
-        # production, radial projection ignored, as tabulated in ROADMAP item 3.
+        # production, radial projection ignored: test_sweep.py bounds what that
+        # leaves out (`TestErrorBarCoverage`, conftest `projection_bound`).
         assert round(population_coverage(p, r, shots), 4) == coverage
