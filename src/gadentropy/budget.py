@@ -8,8 +8,9 @@ additive: total = population + coherence.
 
 `productions` applies the channel to stacked (..., 2, 2) density matrices
 and gives the three raw signed values: `eigvalsh` gives the spectra of the
-initial and final states, and the dephased states and the equilibrium
-diag(p, 1 - p) are diagonal, so their spectra are read off their diagonals.
+initial and final states.  The dephased states and the equilibrium
+diag(p, 1 - p) are diagonal, so the dephased spectra and the cross terms
+tr(rho ln eq) = rho_11 ln(1 - p) + rho_00 ln p are read off the diagonals.
 `budget` scores one state with it and applies the strict rules (clamp of
 round-off negatives, errors on inf - inf and on negativity).
 """
@@ -22,15 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import GadChannel, apply_kraus
-from .qstate import QubitState, _tr_x_ln_x, cross_terms, dephased, von_neumann_entropies
+from .qstate import ATOL, QubitState, _tr_x_ln_x, von_neumann_entropies
 
 # Values in [-NEG_FLOOR, 0) are floating-point noise and clamp to 0; anything
 # more negative is a genuine positivity violation.
 NEG_FLOOR = 1e-10
 ADDITIVITY_TOL = 1e-10
-# The eigh decomposition of every equilibrium diag(p, 1 - p) is eigenvalues
-# (1 - p, p) on the eigenvector columns |1>, |0>.
-_EQUILIBRIUM_VECTORS = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 
 
 class IndeterminateEntropyError(ArithmeticError):
@@ -55,17 +53,24 @@ def productions(initial, p, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     states under GAD(p, r), relative to the channel's own equilibrium; the
     leading axes of initial, p and r broadcast.  Only the initial and final
     states go to `eigvalsh`; the dephased states' spectra are their diagonals,
-    and the equilibrium's `eigh` decomposition is written out."""
+    and so are the weights of tr(rho ln eq), one cross term per state and its
+    dephased twin: -inf where rho_11 > ATOL but 1 - p <= ATOL."""
     final = apply_kraus(initial, p, r)
     states = np.stack(np.broadcast_arrays(initial, final))
     diagonals = np.diagonal(states, axis1=-2, axis2=-1).real
-    entropy = np.concatenate((von_neumann_entropies(states), -_tr_x_ln_x(diagonals)))
+    # (states, dephased states) x (initial, final)
+    entropy = np.stack((von_neumann_entropies(states), -_tr_x_ln_x(diagonals)))
+    # The weights on eq's eigenvalues (1 - p, p) at |1>, |0>, which dephasing keeps.
     p = np.asarray(p, dtype=float)
-    relative = -entropy - cross_terms(np.concatenate((states, dephased(states))),
-                                      np.stack((1.0 - p, p), axis=-1), _EQUILIBRIUM_VECTORS)
-    coherence = entropy[2:] - entropy[:2]  # C = S(dephased) - S
+    eq, weights = np.stack((1.0 - p, p), axis=-1), diagonals[..., ::-1]
+    supported = eq > ATOL
+    cross = np.sum(np.where(supported, weights * np.log(np.where(supported, eq, 1.0)),
+                            np.where(weights > ATOL, -np.inf, 0.0)), axis=-1)
+    relative = -entropy - cross
+    coherence = entropy[1] - entropy[0]  # C = S(dephased) - S
     with np.errstate(invalid="ignore"):  # inf - inf is the indeterminate nan
-        return relative[0] - relative[1], relative[2] - relative[3], coherence[0] - coherence[1]
+        total, population = relative[:, 0] - relative[:, 1]
+        return total, population, coherence[0] - coherence[1]
 
 
 def _checked(value, label: str) -> float:

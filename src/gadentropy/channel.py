@@ -6,11 +6,12 @@ is provided as an independent cross-check of the Kraus map; the two pictures
 are linked by r = 1 - exp[-(2 nbar + 1) gamma0 t] and
 p = 1 / (1 + exp(-omega/T)).
 
-Both pictures act as 4x4 superoperators on the row-major 4-vector vec(rho):
-the Kraus map as sum_k M_k kron M_k, built by one batched real matmul and
-applied to the real and imaginary parts of vec(rho) by another; the
-integrator's generator as a sum of two dissipators, stepped by the RK4
-polynomial in Horner form.
+Both pictures act as real 4x4 superoperators on the row-major 4-vector
+vec(rho): the Kraus map as sum_k M_k kron M_k, built by one batched real
+matmul and applied to the real and imaginary parts of vec(rho) by another;
+the integrator's generator as a sum of two dissipators of the real jump
+operators sigma-, sigma+, stepped by the RK4 polynomial in Horner form in
+float64.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 
 from .qstate import QubitState
 
-SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)  # |0><1|
-SIGMA_PLUS = SIGMA_MINUS.conj().T
+SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |0><1|
+SIGMA_PLUS = SIGMA_MINUS.T
 
 
 class ParameterOutOfRangeError(ValueError):
@@ -163,23 +164,23 @@ def channel_for(bath: BathSpec, t: float) -> GadChannel:
 
 
 def _dissipator(op: np.ndarray) -> np.ndarray:
-    """D[L] rho = L rho L^dag - (1/2){L^dag L, rho} as a 4x4 matrix on
-    row-major vec(rho), using vec(A rho B) = (A kron B^T) vec(rho)."""
-    # L^dag L by einsum: a matmul here, at import, would make every process
+    """D[L] rho = L rho L^T - (1/2){L^T L, rho} of a real jump operator L as a
+    real 4x4 matrix on row-major vec(rho), using vec(A rho B) = (A kron B^T)
+    vec(rho)."""
+    # L^T L by einsum: a matmul here, at import, would make every process
     # allocate BLAS buffers, even one that never calls BLAS.
-    anti = np.einsum("ji,jk->ik", op.conj(), op)
+    anti = np.einsum("ji,jk->ik", op, op)
     eye = np.eye(2)
-    return np.kron(op, op.conj()) - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
+    return np.kron(op, op) - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T))
 
 
 _DECAY, _EXCITATION = _dissipator(SIGMA_MINUS), _dissipator(SIGMA_PLUS)
 
 
-def _liouvillian(bath: BathSpec) -> np.ndarray:
-    """The master equation's generator as a 4x4 matrix on row-major vec(rho):
-    d rho/dt = gamma0 (nbar+1) D[sigma-] rho + gamma0 nbar D[sigma+] rho."""
-    nbar = bath.mean_occupation
-    return bath.gamma0 * (nbar + 1.0) * _DECAY + bath.gamma0 * nbar * _EXCITATION
+def _liouvillian(gamma0: float, nbar: float) -> np.ndarray:
+    """The master equation's generator as a real 4x4 matrix on row-major
+    vec(rho): d rho/dt = gamma0 (nbar+1) D[sigma-] rho + gamma0 nbar D[sigma+] rho."""
+    return gamma0 * (nbar + 1.0) * _DECAY + gamma0 * nbar * _EXCITATION
 
 
 def _rk4_step(hl: np.ndarray) -> np.ndarray:
@@ -207,14 +208,15 @@ def evolve_master_equation(bath: BathSpec, initial: QubitState, t: float) -> Qub
         raise ParameterOutOfRangeError(f"t must be finite, got {t}")
     if t == 0.0:
         return initial
-    dt = 1e-3 / (bath.gamma0 * (2.0 * bath.mean_occupation + 1.0))
+    nbar = bath.mean_occupation
+    dt = 1e-3 / (bath.gamma0 * (2.0 * nbar + 1.0))
     # dt is 0 when the rate overflows; t / dt overflows for a long enough t.
     steps = t / dt if dt > 0.0 else math.inf
     if steps == math.inf:
         raise ParameterOutOfRangeError(f"t = {t} takes more steps of {dt} than a float holds")
     n_steps = max(1, math.ceil(steps - 1e-9))
     # n steps of a linear generator are the n-th power of one step.
-    step = _rk4_step((t / n_steps) * _liouvillian(bath))
+    step = _rk4_step((t / n_steps) * _liouvillian(bath.gamma0, nbar))
     rho = (np.linalg.matrix_power(step, n_steps) @ initial.matrix.reshape(4)).reshape(2, 2)
     # Re-symmetrize to scrub integrator round-off.
     return QubitState(0.5 * (rho + rho.conj().T))

@@ -10,8 +10,9 @@ rows draw from one stdlib `random.Random(seed)`, in the order they are
 listed: each row takes all its uniforms in one `randbytes` call, maps them
 onto its cases with array arithmetic, and scores them in one call of the
 reference's stacked forms.  Contractivity takes the total of `productions`,
-D(rho || eq) - D(Phi(rho) || eq) with the equilibria's decomposition written
-out.  `numpy.random` is never imported.  `run_property_suite(seed)` returns
+D(rho || eq) - D(Phi(rho) || eq), whose cross terms tr(rho ln eq) are read
+off the diagonals, as the equilibria are diagonal.  `numpy.random` is never
+imported.  `run_property_suite(seed)` returns
 (passed, report): whether every row held, and the text `check` prints, one
 `[PASS] name: detail` or `[FAIL] ...` line per row, then `ALL PASS` or
 `FAILURES PRESENT`.
@@ -80,10 +81,11 @@ def run_property_suite(seed: int) -> tuple[bool, str]:
         return violations == 0, f"{violations} violations"
 
     def additivity() -> tuple[bool, str]:
-        # 3 x 1000 uniforms: the wave-plate angle, then p and r.  Scored in
-        # one stack of raw signed productions.
+        # 3 x 1000 uniforms: the wave-plate angle, then p and r.  Bloch x is
+        # `prep.coherent_bloch_x` of each angle, the scalar `math.cos(4 alpha)`.
+        # Scored in one stack of raw signed productions.
         u = _uniforms(rng, (3, 1000))
-        x = np.array([prep.coherent_bloch_x(a) for a in (prep.ALPHA_MAX * u[0]).tolist()])
+        x = np.array(list(map(math.cos, (4.0 * (prep.ALPHA_MAX * u[0])).tolist())))
         p, r = random_p(u[1]), u[2]
         sigma = np.stack(productions(qstate.bloch_matrices(x[:, None] * (1.0, 0.0, 0.0)), p, r))
         gap = float(np.max(np.abs(sigma[0] - (sigma[1] + sigma[2]))))

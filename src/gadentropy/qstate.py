@@ -3,15 +3,15 @@
 Basis convention throughout the package: index 0 = ground = |H>,
 index 1 = excited = |V>.  All entropies are in nats.
 
-The entropies and dephasing act on stacked complex arrays of shape
-(..., 2, 2) (`bloch_matrices` and its inverse `bloch_vectors`, `dephased`,
-`von_neumann_entropies`, `relative_entropies` and its tr(rho ln sigma) part
-`cross_terms`), computed with batched `eigvalsh`/`eigh`; `cross_terms` takes
-the weights of rho on sigma's eigenvectors in one batched matmul.  The
-relative entropy of coherence, S(dephased(rho)) - S(rho), is scored on
-matrices inside `budget.productions`, and for the sweeps in closed form by
-`bloch.coherence`.  `QubitState` holds one such matrix, and
-`relative_entropy` scores a pair of them as a Python float.
+The entropies act on stacked complex arrays of shape (..., 2, 2)
+(`bloch_matrices` and its inverse `bloch_vectors`, `von_neumann_entropies`
+and `relative_entropies`), computed with batched `eigvalsh`/`eigh`;
+`relative_entropies` takes the weights of rho on sigma's eigenvectors, for
+its tr(rho ln sigma) part, in one batched matmul.  The relative entropy of
+coherence, S(dephased(rho)) - S(rho), is scored on matrices inside
+`budget.productions`, and for the sweeps in closed form by `bloch.coherence`.
+`QubitState` holds one such matrix, and `relative_entropy` scores a pair of
+them as a Python float.
 """
 
 from __future__ import annotations
@@ -92,28 +92,18 @@ def relative_entropies(rho, sigma) -> np.ndarray:
     +inf where the support of rho is not contained in the support of sigma:
     an eigenvalue of sigma at most ATOL on which rho has weight above ATOL.
     """
-    return _tr_x_ln_x(np.linalg.eigvalsh(rho)) - cross_terms(rho, *np.linalg.eigh(sigma))
-
-
-def cross_terms(rho, sigma_eigs, sigma_vecs) -> np.ndarray:
-    """tr(rho ln sigma) of stacked (..., 2, 2) density matrices rho, given
-    sigma's `eigh` decomposition; the leading axes broadcast.  -inf where rho
-    has weight above ATOL on an eigenvalue of sigma at most ATOL."""
-    # Weight of rho on each eigenvector v_i of sigma, sum_jk rho_jk conj(v_ji) v_ki:
-    # vec(rho) as a (1, 4) row times the (4, 2) matrix of the products conj(v_ji) v_ki.
-    products = sigma_vecs.conj()[..., :, None, :] * sigma_vecs[..., None, :, :]
     rho = np.asarray(rho)
+    sigma_eigs, sigma_vecs = np.linalg.eigh(sigma)
+    # tr(rho ln sigma) from the weight of rho on each eigenvector v_i of sigma,
+    # sum_jk rho_jk conj(v_ji) v_ki: vec(rho) as a (1, 4) row times the (4, 2)
+    # matrix of the products conj(v_ji) v_ki.
+    products = sigma_vecs.conj()[..., :, None, :] * sigma_vecs[..., None, :, :]
     weights = (rho.reshape(rho.shape[:-2] + (1, 4))
                @ products.reshape(products.shape[:-3] + (4, 2)))[..., 0, :].real
     supported = sigma_eigs > ATOL
     cross = np.where(supported, weights * np.log(np.where(supported, sigma_eigs, 1.0)),
                      np.where(weights > ATOL, -np.inf, 0.0))
-    return np.sum(cross, axis=-1)
-
-
-def dephased(rho) -> np.ndarray:
-    """Stacked (..., 2, 2) matrices with their off-diagonal elements removed."""
-    return rho * np.eye(2)
+    return _tr_x_ln_x(np.linalg.eigvalsh(rho)) - np.sum(cross, axis=-1)
 
 
 def relative_entropy(rho: QubitState, sigma: QubitState) -> float:

@@ -4,9 +4,12 @@ Hypothesis draws the same examples on every run and has no per-example
 deadline, so a slow host neither changes nor fails a test.  The helpers:
 
 - `violation`, `l1_coherence` and `fidelity` measure 2x2 density matrices in
-  ways the package itself does not need;
+  ways the package itself does not need, and `dephased` removes their
+  off-diagonal elements;
 - `random_density_matrices` draws stacks of full-rank states, and
   `random_state` one `QubitState` uniform in the Bloch ball;
+- `BENCH_RK4_CASES` lists the benchmark's Lindblad-vs-Kraus cases, and
+  `bath_of_occupation` gives the bath of each;
 - `nearest_states` projects matrices onto the valid states by `eigh`, the
   reference for the sweep's radial projection, and `nearest_vectors` does the
   same to Bloch vectors;
@@ -31,6 +34,7 @@ from hypothesis import settings
 
 from gadentropy import bloch, tomography
 from gadentropy.budget import productions
+from gadentropy.channel import BathSpec
 from gadentropy.qstate import ATOL, QubitState, bloch_matrices, bloch_vectors
 
 settings.register_profile("gadentropy", derandomize=True, deadline=None)
@@ -56,6 +60,11 @@ def l1_coherence(rho):
     return 2.0 * np.abs(np.asarray(rho)[..., 0, 1])
 
 
+def dephased(rho):
+    """Stacked (..., 2, 2) matrices with their off-diagonal elements removed."""
+    return rho * np.eye(2)
+
+
 def fidelity(rho, sigma):
     """Uhlmann fidelity of stacked (..., 2, 2) qubit density matrices, in the
     qubit closed form tr(rho sigma) + 2 sqrt(det rho det sigma), clipped to [0, 1]."""
@@ -77,6 +86,16 @@ def random_state(rng):
     v = rng.normal(size=3)
     v = v / np.linalg.norm(v) * rng.uniform() ** (1.0 / 3.0)
     return QubitState.from_bloch(*v)
+
+
+# The benchmark's Lindblad-vs-Kraus cases: omega = gamma0 = 1, a bath of
+# occupation nbar, and the time t.
+BENCH_RK4_CASES = [(nbar, t) for nbar in (0.0, 0.125, 1.0) for t in (0.1, 0.5, 1.0, 2.0)]
+
+
+def bath_of_occupation(nbar):
+    return BathSpec(omega_s=1.0, temperature=0.0 if nbar == 0.0 else 1.0 / math.log1p(1.0 / nbar),
+                    gamma0=1.0)
 
 
 def nearest_states(m):

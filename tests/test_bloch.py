@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from conftest import (
     coherences,
+    dephased,
     length_z,
     nearest_states,
     nearest_vectors,
@@ -29,7 +30,6 @@ from gadentropy.qstate import (
     ATOL,
     QubitState,
     bloch_matrices,
-    dephased,
     relative_entropies,
     von_neumann_entropies,
 )

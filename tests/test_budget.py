@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_density_matrices
+from conftest import dephased, random_density_matrices
 
 from gadentropy.budget import (
     NEG_FLOOR,
@@ -24,7 +24,6 @@ from gadentropy.qstate import (
     PLUS,
     QubitState,
     bloch_matrices,
-    dephased,
     relative_entropies,
     relative_entropy,
     von_neumann_entropies,
@@ -116,8 +115,8 @@ class TestCoherenceProduction:
 
 class TestProductions:
     """`productions` runs `eigvalsh` on the initial and final states only: it
-    reads the spectra of their dephased states off the diagonals, and takes the
-    equilibrium's `eigh` decomposition in closed form.  Here each term is scored
+    reads the spectra of their dephased states off the diagonals, and the
+    cross terms with the diagonal equilibrium too.  Here each term is scored
     on its own by the eigh path, `relative_entropies` against
     `equilibrium_states(p)` and `von_neumann_entropies` of the initial and final
     states and of their dephased states."""

@@ -2,7 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_density_matrices, random_state, violation
+from conftest import (
+    BENCH_RK4_CASES,
+    bath_of_occupation,
+    random_density_matrices,
+    random_state,
+    violation,
+)
 
 from gadentropy import channel
 from gadentropy.channel import (
@@ -31,15 +37,6 @@ R_GRID = np.linspace(0.0, 1.0, 11)
 
 # omega/T = ln 9 gives nbar = 0.125 and p = 0.9
 BATH_LN9 = BathSpec(omega_s=math.log(9.0), temperature=1.0, gamma0=1.0)
-
-# The benchmark's Lindblad-vs-Kraus cases: omega = gamma0 = 1, a bath of
-# occupation nbar, and the time t.
-BENCH_RK4_CASES = [(nbar, t) for nbar in (0.0, 0.125, 1.0) for t in (0.1, 0.5, 1.0, 2.0)]
-
-
-def bath_of_occupation(nbar):
-    return BathSpec(omega_s=1.0, temperature=0.0 if nbar == 0.0 else 1.0 / math.log1p(1.0 / nbar),
-                    gamma0=1.0)
 
 
 class TestChannelParameters:
@@ -237,24 +234,28 @@ class TestBathMappings:
         assert p_from_temperature(BATH_LN9) == pytest.approx(0.9, abs=1e-12)
 
 
+def generator(bath):
+    return _liouvillian(bath.gamma0, bath.mean_occupation)
+
+
 class TestLindblad:
     """The generator d rho/dt = L vec(rho), read as a 2x2 matrix."""
 
     def test_stationary_at_equilibrium(self):
         eq = equilibrium_states(p_from_temperature(BATH_LN9))
-        deriv = _liouvillian(BATH_LN9) @ eq.reshape(4)
+        deriv = generator(BATH_LN9) @ eq.reshape(4)
         assert np.max(np.abs(deriv)) < 1e-12
 
     def test_spontaneous_emission_rate(self):
         bath = BathSpec(omega_s=1.0, temperature=0.0, gamma0=1.0)
         excited = np.diag([0.0, 1.0])
-        deriv = (_liouvillian(bath) @ excited.reshape(4)).reshape(2, 2)
+        deriv = (generator(bath) @ excited.reshape(4)).reshape(2, 2)
         assert deriv[1, 1].real == pytest.approx(-1.0, abs=1e-12)
 
     def test_traceless_and_hermitian(self):
         rng = np.random.default_rng(26)
         for _ in range(50):
-            deriv = (_liouvillian(BATH_LN9) @ random_state(rng).matrix.reshape(4)).reshape(2, 2)
+            deriv = (generator(BATH_LN9) @ random_state(rng).matrix.reshape(4)).reshape(2, 2)
             assert abs(np.trace(deriv)) < 1e-12
             assert np.max(np.abs(deriv - deriv.conj().T)) < 1e-12
 
@@ -269,7 +270,7 @@ class TestLindblad:
                 rate * (op @ rho @ op.T - 0.5 * (op.T @ op @ rho + rho @ op.T @ op))
                 for rate, op in ((nbar + 1.0, lower), (nbar, lower.T))
             )
-            got = (_liouvillian(BATH_LN9) @ rho.reshape(4)).reshape(2, 2)
+            got = (generator(BATH_LN9) @ rho.reshape(4)).reshape(2, 2)
             assert np.max(np.abs(got - want)) < 1e-12
 
     @pytest.mark.parametrize("temperature", [0.0, 1.0, 20.0])
@@ -283,7 +284,7 @@ class TestLindblad:
             anti = op.conj().T @ op
             want += rate * (np.kron(op, op.conj())
                             - 0.5 * (np.kron(anti, eye) + np.kron(eye, anti.T)))
-        assert np.array_equal(_liouvillian(bath), want)
+        assert np.array_equal(_liouvillian(bath.gamma0, nbar), want)
 
 
 class TestMasterEquationIntegration:

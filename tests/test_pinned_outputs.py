@@ -4,7 +4,8 @@ The default `fig2` and `fig3` CSVs, the stdout of those runs with the output
 path written as `<out>`, the stdout of `gadentropy check`, and the CSV of a
 5555-row custom grid that spans two of the 4096-row blocks (`sweep.BLOCK_ROWS`)
 in which the sweep is built and the CSV written are hashed and compared with
-the sha256 digests recorded for the running version pair.  A
+the sha256 digests recorded for the running version pair, and so are the
+benchmark's RK4 and Kraus matrices of its Lindblad-vs-Kraus cases.  A
 change that moves them either bumps the version and records new digests, or
 explains the change in CHANGES.md.  Bit-identity across numpy versions is
 not a goal, so under an unrecorded pair the test skips without comparing."""
@@ -13,9 +14,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import BENCH_RK4_CASES, bath_of_occupation
 
 import gadentropy
-from gadentropy import cli
+from gadentropy import channel, cli
+from gadentropy.qstate import PLUS
 
 DIGESTS = {
     ("0.10.0", "2.4.6"): {
@@ -26,6 +29,12 @@ DIGESTS = {
         "check stdout": "7f314eefa030c20da04519cb80d65a603400115fb78c54493c3de6865893ea83",
         "grid csv": "68ec92e924acc73d47ace886f1e13a07cc291cbae78057f5359be66e3e98582c",
     },
+}
+
+# The integrated and the Kraus-mapped state of |+> in each of the benchmark's
+# Lindblad-vs-Kraus cases, as the 24 complex128 2x2 matrices' bytes in that order.
+RK4_DIGESTS = {
+    ("0.10.0", "2.4.6"): "8c8da15f5eb8ad1f1c45fa6c6c6fb85b57cb9674f00225c3037d7181bc1f554d",
 }
 
 
@@ -65,6 +74,19 @@ def test_default_outputs_match_the_recorded_digests(tmp_path, capsys):
     assert data.count(b"\n") == 1 + 5555
     got["grid csv"] = sha256(data)
     assert got == DIGESTS[key]
+
+
+def test_benchmark_rk4_matrices_match_the_recorded_digest():
+    key = (gadentropy.__version__, np.__version__)
+    if key not in RK4_DIGESTS:
+        pytest.skip(f"did not compare: no RK4 digest recorded for gadentropy {key[0]} "
+                    f"with numpy {key[1]}")
+    matrices = []
+    for nbar, t in BENCH_RK4_CASES:
+        bath = bath_of_occupation(nbar)
+        matrices += [channel.evolve_master_equation(bath, PLUS, t).matrix,
+                     channel.apply(channel.channel_for(bath, t), PLUS).matrix]
+    assert sha256(np.stack(matrices).tobytes()) == RK4_DIGESTS[key]
 
 
 # The analytic columns hold the physics alone: no shot noise, no draw order.

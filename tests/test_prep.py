@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import l1_coherence, violation
+from conftest import dephased, l1_coherence, violation
 
 from gadentropy import bloch
 from gadentropy.prep import (
@@ -14,7 +14,7 @@ from gadentropy.prep import (
     coherent_bloch_x,
     prepare,
 )
-from gadentropy.qstate import ATOL, PLUS, QubitState, dephased
+from gadentropy.qstate import ATOL, PLUS, QubitState
 
 MIXED = np.eye(2) / 2
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import (
     coherences,
+    dephased,
     fidelity,
     l1_coherence,
     random_density_matrices,
@@ -18,8 +19,7 @@ from gadentropy.qstate import (
     PLUS,
     ATOL,
     QubitState,
-    cross_terms,
-    dephased,
+    _tr_x_ln_x,
     relative_entropies,
     relative_entropy,
     von_neumann_entropies,
@@ -137,6 +137,9 @@ class TestRelativeEntropy:
 
 
 class TestCrossTerms:
+    """The tr(rho ln sigma) part of `relative_entropies`, whose weights of rho
+    on sigma's eigenvectors are one batched matmul."""
+
     @staticmethod
     def by_einsum(rho, sigma_eigs, sigma_vecs):
         """tr(rho ln sigma) with the weights as one three-operand einsum."""
@@ -145,9 +148,9 @@ class TestCrossTerms:
         return np.sum(np.where(supported, weights * np.log(np.where(supported, sigma_eigs, 1.0)),
                                np.where(weights > ATOL, -np.inf, 0.0)), axis=-1)
 
-    # The stacks `productions` (4 states per sigma) and `check`'s contractivity
-    # row (2 states per sigma) score.  sigma 0-4 are diag(1, 0), off which the
-    # ground state rho[0, 0] is supported and every other rho is not.
+    # Stacks of 4 and of 2 states per sigma, broadcast against the sigma stack.
+    # sigma 0-4 are diag(1, 0), off which the ground state rho[0, 0] is
+    # supported and every other rho is not.
     @pytest.mark.parametrize("n_rho", [4, 2])
     def test_matches_the_three_operand_einsum(self, n_rho):
         rng = np.random.default_rng(15)
@@ -157,13 +160,15 @@ class TestCrossTerms:
         sigma = random_density_matrices(rng, (n,))
         sigma[:5] = np.diag([1.0, 0.0])
         eigs, vecs = np.linalg.eigh(sigma)
-        got, want = cross_terms(rho, eigs, vecs), self.by_einsum(rho, eigs, vecs)
+        # D = tr(rho ln rho) - tr(rho ln sigma), so -inf cross terms are +inf D.
+        got = relative_entropies(rho, sigma)
+        want = _tr_x_ln_x(np.linalg.eigvalsh(rho)) - self.by_einsum(rho, eigs, vecs)
         assert got.shape == (n_rho, n)
         infinite = np.zeros((n_rho, n), dtype=bool)
         infinite[:, :5] = True
         infinite[0, 0] = False
-        assert np.array_equal(np.isneginf(got), infinite)
-        assert np.array_equal(np.isneginf(want), infinite)
+        assert np.array_equal(np.isposinf(got), infinite)
+        assert np.array_equal(np.isposinf(want), infinite)
         assert np.max(np.abs(got[~infinite] - want[~infinite])) <= 1e-14
 
 

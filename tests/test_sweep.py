@@ -14,8 +14,8 @@ import types
 
 import numpy as np
 import pytest
-from conftest import (NEWCOMBE_TABLE, binomial_pmf, frequencies, length_z, nearest_states,
-                      population_coverage, projection_bound, random_state)
+from conftest import (NEWCOMBE_TABLE, binomial_pmf, dephased, frequencies, length_z,
+                      nearest_states, population_coverage, projection_bound, random_state)
 
 import gadentropy
 from gadentropy import bloch, channel, check, cli, qstate, sweep, tomography
@@ -807,7 +807,7 @@ class TestArrayPathMatchesStates:
         final = nearest_states(qstate.bloch_matrices(np.stack(bloch.invert(freqs))))
         initial = initial.matrix
         if population:
-            initial, final = qstate.dephased(initial), qstate.dephased(final)
+            initial, final = dephased(initial), dephased(final)
         eq = channel.equilibrium_states(p)
         return float(qstate.relative_entropies(initial, eq) - qstate.relative_entropies(final, eq))
 
@@ -836,7 +836,7 @@ class TestArrayPathMatchesStates:
         assert len(rows) == 18
         experiments = (
             (1, lambda row: prepare(PrepSetting(math.radians(row.alpha_deg))), False),
-            (2, lambda row: QubitState(qstate.dephased(prepare(PrepSetting(0.0)).matrix)), True),
+            (2, lambda row: QubitState(dephased(prepare(PrepSetting(0.0)).matrix)), True),
         )
         got = [[] for _ in rows]
         for e, initial, population in experiments:

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import (NEWCOMBE_TABLE, binomial_pmf, frequencies, lattice_coverage, length_z,
-                      nearest_states, nearest_vectors, population_coverage)
+from conftest import (NEWCOMBE_TABLE, binomial_pmf, dephased, frequencies, lattice_coverage,
+                      length_z, nearest_states, nearest_vectors, population_coverage)
 
 from gadentropy import bloch, channel, qstate, tomography
 from gadentropy.qstate import QubitState
@@ -42,7 +42,7 @@ def reference_production(initial, b, p, population):
     `population`."""
     rho_0, rho = qstate.bloch_matrices(initial), nearest_states(qstate.bloch_matrices(b))
     if population:
-        rho_0, rho = qstate.dephased(rho_0), qstate.dephased(rho)
+        rho_0, rho = dephased(rho_0), dephased(rho)
     eq = channel.equilibrium_states(p)
     return qstate.relative_entropies(rho_0, eq) - qstate.relative_entropies(rho, eq)
 
