@@ -7,10 +7,10 @@ coherence part is the drop in relative entropy of coherence.  The three are
 additive: total = population + coherence.
 
 `productions` applies the channel to stacked (..., 2, 2) density matrices
-and gives the three raw signed values: `eigvalsh` gives the spectra of the
-initial and final states.  The dephased states and the equilibrium
-diag(p, 1 - p) are diagonal, so the dephased spectra and the cross terms
-tr(rho ln eq) = rho_11 ln(1 - p) + rho_00 ln p are read off the diagonals.
+and gives the three raw signed values: `eigvalsh` on the initial and final
+states' real symmetric twins gives their spectra.  The dephased states and
+the equilibrium diag(p, 1 - p) are diagonal, so the dephased spectra and the
+cross terms tr(rho ln eq) = rho_11 ln(1 - p) + rho_00 ln p are read off them.
 `budget` scores one state with it and applies the strict rules (clamp of
 round-off negatives, errors on inf - inf and on negativity).
 """
@@ -52,7 +52,7 @@ def productions(initial, p, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw signed (Sigma, Sigma_pop, Sigma_coh) of stacked (..., 2, 2) initial
     states under GAD(p, r), relative to the channel's own equilibrium; the
     leading axes of initial, p and r broadcast.  Only the initial and final
-    states go to `eigvalsh`; the dephased states' spectra are their diagonals,
+    states' real twins go to `eigvalsh`; the dephased spectra are diagonals,
     and so are the weights of tr(rho ln eq), one cross term per state and its
     dephased twin: -inf where rho_11 > ATOL but 1 - p <= ATOL."""
     final = apply_kraus(initial, p, r)

@@ -105,8 +105,8 @@ def apply_kraus(rho, p, r) -> np.ndarray:
 
     The Kraus matrices are real, so the map is the real 4x4 superoperator
     sum_k M_k kron M_k acting on row-major vec(rho), as in `_liouvillian`.
-    It acts on the real and imaginary parts of vec(rho), the two columns of
-    one real matmul; the result is complex128.
+    One real matmul maps the (real, imag) columns of the (4, 2) float64 view of
+    vec(rho), copied only from non-contiguous or real rho; out is complex128.
     """
     kraus = kraus_stack(p, r)
     lead = kraus.shape[:-3]
@@ -114,8 +114,8 @@ def apply_kraus(rho, p, r) -> np.ndarray:
     # (K^T K)[ij, lm] = sum_k M_k[i, j] M_k[l, m], reordered to [il, jm].
     gram = flat.swapaxes(-1, -2) @ flat
     superop = gram.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(lead + (4, 4))
-    rho = np.asarray(rho)
-    out = superop @ np.stack((rho.real, rho.imag), axis=-1).reshape(rho.shape[:-2] + (4, 2))
+    rho = np.ascontiguousarray(rho, dtype=np.complex128)
+    out = superop @ rho.view(np.float64).reshape(rho.shape[:-2] + (4, 2))
     return out.view(np.complex128).reshape(out.shape[:-2] + (2, 2))
 
 

@@ -4,14 +4,16 @@ Basis convention throughout the package: index 0 = ground = |H>,
 index 1 = excited = |V>.  All entropies are in nats.
 
 The entropies act on stacked complex arrays of shape (..., 2, 2)
-(`bloch_matrices` and its inverse `bloch_vectors`, `von_neumann_entropies`
-and `relative_entropies`), computed with batched `eigvalsh`/`eigh`;
-`relative_entropies` takes the weights of rho on sigma's eigenvectors, for
-its tr(rho ln sigma) part, in one batched matmul.  The relative entropy of
-coherence, S(dephased(rho)) - S(rho), is scored on matrices inside
-`budget.productions`, and for the sweeps in closed form by `bloch.coherence`.
-`QubitState` holds one such matrix, and `relative_entropy` scores a pair of
-them as a Python float.
+(`bloch_matrices` and its inverse `bloch_vectors`, `von_neumann_entropies` and
+`relative_entropies`).  Their tr(rho ln rho) is batched `eigvalsh` on each
+state's real symmetric twin D rho D^dagger, D = diag(1, e^{-i arg rho_10}):
+the same spectrum on LAPACK's real path, read from rho_10 and the real
+diagonal, as `eigvalsh` reads rho.  `relative_entropies` takes the weights of
+rho on sigma's `eigh` eigenvectors, for its tr(rho ln sigma) part, in one
+batched matmul.  The relative entropy of coherence, S(dephased(rho)) - S(rho),
+is scored on matrices inside `budget.productions`, and for the sweeps in
+closed form by `bloch.coherence`.  `QubitState` holds one such matrix, and
+`relative_entropy` scores a pair of them as a Python float.
 """
 
 from __future__ import annotations
@@ -81,8 +83,12 @@ def _tr_x_ln_x(eigs) -> np.ndarray:
 
 
 def von_neumann_entropies(rho) -> np.ndarray:
-    """S(rho) = -tr(rho ln rho) of stacked (..., 2, 2) density matrices."""
-    return -_tr_x_ln_x(np.linalg.eigvalsh(rho))
+    """S(rho) = -tr(rho ln rho) of stacked (..., 2, 2) density matrices, from
+    `eigvalsh` on the twins [[rho_00, |rho_10|], [|rho_10|, rho_11]] (see above)."""
+    rho = np.asarray(rho)
+    off = np.abs(rho[..., 1, 0])
+    twin = np.stack((rho[..., 0, 0].real, off, off, rho[..., 1, 1].real), axis=-1)
+    return -_tr_x_ln_x(np.linalg.eigvalsh(twin.reshape(rho.shape)))
 
 
 def relative_entropies(rho, sigma) -> np.ndarray:
@@ -103,7 +109,7 @@ def relative_entropies(rho, sigma) -> np.ndarray:
     supported = sigma_eigs > ATOL
     cross = np.where(supported, weights * np.log(np.where(supported, sigma_eigs, 1.0)),
                      np.where(weights > ATOL, -np.inf, 0.0))
-    return _tr_x_ln_x(np.linalg.eigvalsh(rho)) - np.sum(cross, axis=-1)
+    return -von_neumann_entropies(rho) - np.sum(cross, axis=-1)
 
 
 def relative_entropy(rho: QubitState, sigma: QubitState) -> float:

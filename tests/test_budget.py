@@ -114,12 +114,12 @@ class TestCoherenceProduction:
 
 
 class TestProductions:
-    """`productions` runs `eigvalsh` on the initial and final states only: it
-    reads the spectra of their dephased states off the diagonals, and the
-    cross terms with the diagonal equilibrium too.  Here each term is scored
-    on its own by the eigh path, `relative_entropies` against
-    `equilibrium_states(p)` and `von_neumann_entropies` of the initial and final
-    states and of their dephased states."""
+    """`productions` runs `eigvalsh` on the initial and final states only, on
+    their real symmetric twins: it reads the spectra of their dephased states
+    off the diagonals, and the cross terms with the diagonal equilibrium too.
+    Here each term is scored on its own by the eigh path, `relative_entropies`
+    against `equilibrium_states(p)` and `von_neumann_entropies` of the initial
+    and final states and of their dephased states."""
 
     @pytest.mark.parametrize("rho_shape", [(60,), (9, 1, 1)], ids=["paired", "stack-on-grid"])
     def test_matches_the_separate_productions(self, rho_shape):
@@ -189,14 +189,16 @@ class TestProductions:
         def spy(name):
             real = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name,
-                                lambda a: calls.append((name, np.shape(a))) or real(a))
+                                lambda a: calls.append((name, np.shape(a), np.asarray(a).dtype))
+                                or real(a))
 
         spy("eigvalsh")
         spy("eigh")
         rng = np.random.default_rng(41)
         productions(random_density_matrices(rng, (60,)), rng.uniform(0.5, 1.0, 60),
                     rng.uniform(0.0, 1.0, 60))
-        assert calls == [("eigvalsh", (2, 60, 2, 2))]
+        # The real symmetric twins, not the complex states, go to LAPACK.
+        assert calls == [("eigvalsh", (2, 60, 2, 2), np.float64)]
 
 
 class TestBudget:

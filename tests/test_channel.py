@@ -35,6 +35,12 @@ from gadentropy.qstate import ATOL, PLUS, QubitState
 P_GRID = np.linspace(0.5, 1.0, 11)
 R_GRID = np.linspace(0.0, 1.0, 11)
 
+
+def read_only(rho):
+    rho.setflags(write=False)
+    return rho
+
+
 # omega/T = ln 9 gives nbar = 0.125 and p = 0.9
 BATH_LN9 = BathSpec(omega_s=math.log(9.0), temperature=1.0, gamma0=1.0)
 
@@ -86,10 +92,13 @@ class TestApply:
         assert np.max(np.abs(got - want)) <= 1e-15
 
     # Strided views (every third state, and transposed, that is conjugated,
-    # states) and real float64 states go through the same real matmul.
+    # states), real float64 states, a read-only stack (as `QubitState.matrix`
+    # is) and one state broadcast with zero strides go through the same real
+    # matmul.
     @pytest.mark.parametrize("view", [
-        lambda rho: rho[::3], lambda rho: rho.swapaxes(-1, -2), lambda rho: rho.real],
-        ids=["strided", "transposed", "float64"])
+        lambda rho: rho[::3], lambda rho: rho.swapaxes(-1, -2), lambda rho: rho.real,
+        read_only, lambda rho: np.broadcast_to(rho[0], rho.shape)],
+        ids=["strided", "transposed", "float64", "read-only", "zero-stride"])
     def test_superoperator_matches_the_kraus_sum_on_any_layout(self, view):
         rng = np.random.default_rng(28)
         rho = view(random_density_matrices(rng, (300,)))

@@ -1,14 +1,15 @@
 """Same-seed outputs pinned per (gadentropy version, numpy version).
 
 The default `fig2` and `fig3` CSVs, the stdout of those runs with the output
-path written as `<out>`, the stdout of `gadentropy check`, and the CSV of a
-5555-row custom grid that spans two of the 4096-row blocks (`sweep.BLOCK_ROWS`)
-in which the sweep is built and the CSV written are hashed and compared with
-the sha256 digests recorded for the running version pair, and so are the
-benchmark's RK4 and Kraus matrices of its Lindblad-vs-Kraus cases.  A
-change that moves them either bumps the version and records new digests, or
-explains the change in CHANGES.md.  Bit-identity across numpy versions is
-not a goal, so under an unrecorded pair the test skips without comparing."""
+path written as `<out>`, the stdout of `gadentropy check` at its default seed
+and at the benchmark's, and the CSV of a 5555-row custom grid that spans two
+of the 4096-row blocks (`sweep.BLOCK_ROWS`) in which the sweep is built and
+the CSV written are hashed and compared with the sha256 digests recorded for
+the running version pair, and so are the benchmark's RK4 and Kraus matrices
+of its Lindblad-vs-Kraus cases.  A change that moves them either bumps the
+version and records new digests, or explains the change in CHANGES.md.
+Bit-identity across numpy versions is not a goal, so under an unrecorded pair
+the test skips without comparing."""
 
 import hashlib
 
@@ -29,6 +30,14 @@ DIGESTS = {
         "check stdout": "7f314eefa030c20da04519cb80d65a603400115fb78c54493c3de6865893ea83",
         "grid csv": "68ec92e924acc73d47ace886f1e13a07cc291cbae78057f5359be66e3e98582c",
     },
+}
+
+# `check --seed S` stdout, S = 917752063 the program seed that bench/run.py
+# derives from its `--seed 1`, so the benchmark's verify workload runs a
+# pinned check too.
+BENCH_CHECK_SEED = int(np.random.SeedSequence(1).generate_state(1)[0] >> 1)
+SEEDED_CHECK_DIGESTS = {
+    ("0.10.0", "2.4.6"): "d9febf705cfe8a967ec361424d20dae7e786a3f5106d84eec577d89b91c1ce4c",
 }
 
 # The integrated and the Kraus-mapped state of |+> in each of the benchmark's
@@ -74,6 +83,15 @@ def test_default_outputs_match_the_recorded_digests(tmp_path, capsys):
     assert data.count(b"\n") == 1 + 5555
     got["grid csv"] = sha256(data)
     assert got == DIGESTS[key]
+
+
+def test_check_at_the_benchmark_seed_matches_the_recorded_digest(capsys):
+    key = (gadentropy.__version__, np.__version__)
+    if key not in SEEDED_CHECK_DIGESTS:
+        pytest.skip(f"did not compare: no seeded check digest recorded for gadentropy {key[0]} "
+                    f"with numpy {key[1]}")
+    assert cli.main(["check", "--seed", str(BENCH_CHECK_SEED)]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == SEEDED_CHECK_DIGESTS[key]
 
 
 def test_benchmark_rk4_matrices_match_the_recorded_digest():

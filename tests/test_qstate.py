@@ -20,6 +20,7 @@ from gadentropy.qstate import (
     ATOL,
     QubitState,
     _tr_x_ln_x,
+    bloch_matrices,
     relative_entropies,
     relative_entropy,
     von_neumann_entropies,
@@ -90,6 +91,25 @@ class TestVonNeumannEntropy:
         expected = [-sum(lam * math.log(lam) for lam in closed_form_eigs(QubitState(m)) if lam > 0)
                     for m in rho]
         assert von_neumann_entropies(rho) == pytest.approx(expected, abs=1e-12)
+
+    # The real symmetric twin has rho's spectrum: hold it to LAPACK's complex
+    # path on rho itself, which the reference no longer calls.
+    @pytest.mark.parametrize("states", [
+        random_density_matrices(np.random.default_rng(13), (3, 40)),
+        bloch_matrices([[0.6, 0.8, 0.0], [0.0, -1.0, 0.0], [-0.28, 0.96, 0.0],
+                        [0.36, -0.48, 0.8]]),
+        MIXED,
+        bloch_matrices([[0, 0, z] for z in np.linspace(-1.0, 1.0, 9)]),
+        # The poles with a signed-zero rho_10, and a lone upper triangle,
+        # which both paths ignore: they read rho_10.
+        [[[1, 0], [0, 0]], [[0, 0], [-0.0j, 1]], [[0.7, 0.4 - 0.1j], [0, 0.3]]],
+    ], ids=["random", "pure-with-phase", "maximally-mixed", "diagonal", "zero-rho10"])
+    def test_twin_matches_the_complex_solver(self, states):
+        rho = np.asarray(states, dtype=np.complex128)
+        want = -_tr_x_ln_x(np.linalg.eigvalsh(rho))
+        got = von_neumann_entropies(rho)
+        assert got.shape == want.shape == rho.shape[:-2]
+        assert np.max(np.abs(got - want)) <= 1e-14
 
 
 class TestRelativeEntropy:
