@@ -12,7 +12,7 @@ from .prep import PrepSetting, alpha_for_coherence, prepare
 from .qstate import QubitState, relative_entropy
 from .sweep import (
     SWEEP_DTYPE, SweepConfig, blocks, emit_csv, emit_summary, fig2_config, fig3_config,
-    load_config, run_sweep,
+    load_config,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

@@ -24,10 +24,10 @@ from . import bloch, prep, tomography
 DEFAULT_SHOTS = 10_000
 DEFAULT_SEED = 20240
 DEFAULT_R_POINTS = 21
-# Most grid rows a sweep may hold, refused before compute; each experiment draws one
-# run per row.  At the bound a grid-shaped sweep (1,398,100 rows) peaks at 261 MB RSS
-# in `run_sweep`, whose records take 168 bytes per row, and at 41 MB in the CLI, which
-# streams `blocks`.
+# Most grid rows a sweep may hold, refused before compute, so an `r_points` count
+# past it never builds its grid; each experiment draws one run per row.  It bounds run
+# time: at the bound the CLI sweep of a grid-shaped config (1,398,100 rows) takes about
+# 7 s, and peaks at 44 MB RSS, as it streams `blocks`.
 MAX_RUNS = 2**22 // 3
 
 FIG2_P_VALUES = (0.9, 0.75, 0.6)
@@ -232,23 +232,34 @@ _AXIS_COLUMNS, _VALUE_COLUMNS = CSV_COLUMNS[:4], CSV_COLUMNS[4:]
 _CSV_LINE = ",".join("%s" if name in _AXIS_COLUMNS else
                      "%.12g" if SWEEP_DTYPE[name] == float else "%d"
                      for name in CSV_COLUMNS) + "\n"
-# Rows that `_filler` lays out, evolves, draws and scores at a time, and that the CSV
-# turns into Python values at a time; the temporaries of both stay within one block.
+# Rows that `blocks` lays out, evolves, draws and scores at a time, and that the CSV
+# turns into text at a time; the temporaries of both stay within one block.
 BLOCK_ROWS = 2**12
 _COUNTERS = ("indeterminate_rows", "projected_observed_runs", *(
     f"covered_{part}" for part in ("total", "pop", "coh")))
 
 
-def _filler(config: SweepConfig):
-    """(fill, rows): fill(block, start) lays out, evolves, draws and scores the zeroed
-    records `block` as the grid rows from `start` on and returns it; rows counts them."""
+def blocks(config: SweepConfig):
+    """Yield every (p, alpha, r) grid point's record, in that order, in new SWEEP_DTYPE
+    arrays of `BLOCK_ROWS` rows (the last may be shorter), so nothing grows with the grid.
+
+    Indeterminate points (1 - p <= ATOL, where the relative entropy diverges) are
+    flagged, not dropped, hold NaN productions and draw nothing; every other row's
+    columns are finite.  In each block, experiment e evolves its preparation, coherent
+    (e = 1) or dephased (e = 2), once: `tomography.counts` draws its determinate rows
+    from the experiment's generator, seeded (config.seed, e) once and carried on across
+    blocks, and `tomography.estimates` scores them with their intervals.  The coherence
+    part is the difference of the two, its interval their MOVER combination
+    (`tomography.difference`).  Each stderr is its interval's width / (2 Z95), except
+    the coherence part's: the hypot of the other two.
+    """
     shape = (len(config.p_values), len(config.alphas), len(config.r_grid))
     p_values, r_grid = np.array(config.p_values), np.array(config.r_grid)
     degrees = np.array([math.degrees(a) for a in config.alphas])
     prepared = np.array([(prep.coherent_bloch_x(a), 0.0, 0.0) for a in config.alphas])
-    streams, shots = tomography.streams(config.seed), config.shots
-
-    def fill(rows, start: int):
+    streams, shots, size = tomography.streams(config.seed), config.shots, math.prod(shape)
+    for start in range(0, size, BLOCK_ROWS):
+        rows = np.zeros(min(BLOCK_ROWS, size - start), SWEEP_DTYPE)
         i, a, k = np.unravel_index(np.arange(start, start + len(rows)), shape)
         rows["p"], rows["r"], rows["alpha_deg"] = p_values[i], r_grid[k], degrees[a]
         coherent = prepared[a]
@@ -282,38 +293,7 @@ def _filler(config: SweepConfig):
         for part, triple, error in zip(("total", "pop", "coh"), measured, errors):
             for end, values in zip(("", "_lo", "_hi", "_stderr"), (*triple, error)):
                 rows[f"sigma_{part}_tomo{end}"][det] = values
-        return rows
-    return fill, math.prod(shape)
-
-
-def blocks(config: SweepConfig):
-    """Yield every (p, alpha, r) grid point's record, in that order, in new SWEEP_DTYPE
-    arrays of `BLOCK_ROWS` rows (the last may be shorter), so nothing grows with the grid.
-
-    Indeterminate points (1 - p <= ATOL, where the relative entropy diverges) are
-    flagged, not dropped, hold NaN productions and draw nothing; every other row's
-    columns are finite.  In each block, experiment e evolves its preparation, coherent
-    (e = 1) or dephased (e = 2), once: `tomography.counts` draws its determinate rows
-    from the experiment's generator, seeded (config.seed, e) once and carried on across
-    blocks, and `tomography.estimates` scores them with their intervals.  The coherence
-    part is the difference of the two, its interval their MOVER combination
-    (`tomography.difference`).  Each stderr is its interval's width / (2 Z95), except
-    the coherence part's: the hypot of the other two.
-    """
-    fill, rows = _filler(config)
-    for start in range(0, rows, BLOCK_ROWS):
-        yield fill(np.zeros(min(BLOCK_ROWS, rows - start), SWEEP_DTYPE), start)
-
-
-def run_sweep(config: SweepConfig) -> np.recarray:
-    """Evaluate every (p, alpha, r) grid point of the configured sweep: the records
-    of `blocks(config)`, built `BLOCK_ROWS` at a time in place in one preallocated
-    record array, so no array but the records (168 bytes per row) grows with the grid."""
-    fill, rows = _filler(config)
-    records = np.zeros(rows, SWEEP_DTYPE)
-    for start in range(0, rows, BLOCK_ROWS):
-        fill(records[start:start + BLOCK_ROWS], start)
-    return records.view(np.recarray)
+        yield rows
 
 
 def _tally(counts: dict, rows: np.ndarray) -> None:
@@ -335,17 +315,17 @@ def _tally(counts: dict, rows: np.ndarray) -> None:
 
 
 def _write_atomic(files: list) -> None:
-    """Write each (path, lines) pair to a temporary file in its directory, then rename
+    """Write each (path, chunks of bytes) pair to a temporary file in its directory, then rename
     each over its path, so a reader never sees a half-written file and a failure before
     the renames keeps every old file.  The k-th temporary name, `.<first 32 characters
     of the file name>.<pid>.<k>.tmp`, stays short: only a target's own can be too long."""
     temps = []
     try:
-        for k, (path, lines) in enumerate(files):
+        for k, (path, chunks) in enumerate(files):
             head, name = os.path.split(path)
             temps.append(os.path.join(head, f".{name[:32]}.{os.getpid()}.{k}.tmp"))
-            with open(temps[-1], "w", encoding="utf-8", newline="\n") as fh:
-                fh.writelines(lines)
+            with open(temps[-1], "wb") as fh:
+                fh.writelines(chunks)
         for tmp, (path, _) in zip(temps, files):
             os.replace(tmp, path)
     finally:
@@ -365,24 +345,26 @@ def _axis_text(block: np.ndarray) -> list:
     return text[np.searchsorted(distinct, bits)].tolist()
 
 
-def _csv_lines(blocks, counts: dict):
-    """The header, then one line per record of `blocks`, formatted `BLOCK_ROWS` rows at a time,
-    each run's distinct grid-axis values once, tallying `counts`; no record raises IOError."""
-    yield ",".join(CSV_COLUMNS) + "\n"
+def _csv_lines(blocks, counts: dict, written: dict):
+    """UTF-8 bytes: the header, then each array of `blocks` formatted as one block (`_axis_text`),
+    tallying `counts` and `written` (byte count, sha256); no record raises IOError."""
+    def hashed(text: str) -> bytes:
+        data = text.encode("utf-8")
+        written["bytes"] += len(data)
+        written["sha256"].update(data)
+        return data
+    yield hashed(",".join(CSV_COLUMNS) + "\n")
     for rows in blocks:
-        rows = np.asarray(rows)  # a plain array: indexing a recarray runs Python code
         _tally(counts, rows)
-        for start in range(0, len(rows), BLOCK_ROWS):
-            block = rows[start:start + BLOCK_ROWS]
-            yield from map(_CSV_LINE.__mod__, zip(
-                *_axis_text(block), *(block[name].tolist() for name in _VALUE_COLUMNS)))
+        yield hashed("".join(map(_CSV_LINE.__mod__, zip(
+            *_axis_text(rows), *(rows[name].tolist() for name in _VALUE_COLUMNS)))))
     if not counts["rows"]:
         raise IOError("refusing to write an empty sweep")
 
 
-def _sidecar_lines(config: SweepConfig, counts: dict):
-    """The JSON sidecar text of a run whose CSV lines tallied `counts`, made only
-    when `_write_atomic` asks for it, once the CSV has streamed."""
+def _sidecar_lines(config: SweepConfig, counts: dict, written: dict):
+    """The JSON sidecar's UTF-8 bytes for a CSV that tallied `counts` and was `written`,
+    made only when `_write_atomic` asks for it, once the CSV has streamed."""
     from . import __version__
     yield json.dumps({
         "versions": {"gadentropy": __version__, "numpy": np.__version__,
@@ -401,27 +383,30 @@ def _sidecar_lines(config: SweepConfig, counts: dict):
             "claim"
         ),
         "counters": {key: counts[key] for key in _COUNTERS},
-    }, indent=2, default=list) + "\n"
+        "csv": {"bytes": written["bytes"], "sha256": written["sha256"].hexdigest()},
+    }, indent=2, default=list).encode("utf-8") + b"\n"
 
 
 def emit_csv(blocks, path: str, config: SweepConfig) -> dict:
     """Write the records of `blocks`, SWEEP_DTYPE arrays in row order such as
-    `blocks(config)` or `[run_sweep(config)]`, as UTF-8 CSV with a fixed column
-    order, then its JSON sidecar <path>.meta.json; return their tally (`_tally`).
+    `blocks(config)`, as UTF-8 CSV with a fixed column order, then its JSON sidecar
+    <path>.meta.json; return their tally (`_tally`).
 
-    Each block is written and tallied as it comes.  Floats carry 12 significant digits,
-    so same-seed reruns on the same versions are byte-identical.  Rows are formatted in
-    blocks of `BLOCK_ROWS`; each formats its distinct grid values (p, r, alpha_deg,
-    coherence_initial) once.  The sidecar is the run manifest: versions, configuration
-    (the one record of the seed), RNG streams, error-bar procedure and the counters
-    (indeterminate rows, runs projected into the Bloch ball, intervals holding the
-    analytic value).  Both files are written in full before either replaces its old
-    one (`_write_atomic`), so a failure while writing keeps the old pair; a failure
-    between the two renames can still leave the new CSV beside the old sidecar.
+    Each array is written and tallied as it comes, as one block that formats its distinct
+    grid values (p, r, alpha_deg, coherence_initial) once.  Floats carry 12 significant
+    digits, so same-seed reruns on the same versions are byte-identical.  The sidecar is
+    the run manifest: versions, configuration (the one record of the seed), RNG streams,
+    error-bar procedure, the counters (indeterminate rows, runs projected into the Bloch
+    ball, intervals holding the analytic value) and the CSV's byte count and sha256.
+    Both files are written in full before either replaces its old one (`_write_atomic`),
+    so a failure while writing keeps the old pair.  A failure between the two renames can
+    still leave the new CSV beside the old sidecar, whose CSV digest then tells them apart.
     """
+    import hashlib  # here, not at package import, which it would slow by about 3 ms
     counts = {"rows": 0, **dict.fromkeys(_COUNTERS, 0), "max_additivity_gap": 0.0}
-    _write_atomic([(path, _csv_lines(blocks, counts)),
-                   (path + ".meta.json", _sidecar_lines(config, counts))])
+    written = {"bytes": 0, "sha256": hashlib.sha256()}
+    _write_atomic([(path, _csv_lines(blocks, counts, written)),
+                   (path + ".meta.json", _sidecar_lines(config, counts, written))])
     return counts
 
 

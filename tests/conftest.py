@@ -25,14 +25,15 @@ deadline, so a slow host neither changes nor fails a test.  The helpers:
   coverage of an interval that is a function of two independent binomial
   counts, as a sum over their lattice, `population_coverage` that of the
   sweep's population interval, and `projection_bound` a bound on what its
-  neglect of the radial projection leaves out."""
+  neglect of the radial projection leaves out;
+- `records` joins the blocks of a sweep into one array of its records."""
 
 import math
 
 import numpy as np
 from hypothesis import settings
 
-from gadentropy import bloch, tomography
+from gadentropy import bloch, sweep, tomography
 from gadentropy.budget import productions
 from gadentropy.channel import BathSpec
 from gadentropy.qstate import ATOL, QubitState, bloch_matrices, bloch_vectors
@@ -239,3 +240,8 @@ def projection_bound(p, r, shots, tail=1e-13):
     _, inside = lattice_verdicts(*_population_lattice(p, r, shots, shots // 2, shots // 2), shots)
     weights, outside = lattice_verdicts(*_population_lattice(p, r, shots, k[n_r], k[n_d]), shots)
     return float(np.sum(weights * (inside != outside))) + tail
+
+
+def records(config):
+    """Every record of the sweep `config`, in row order: its blocks joined."""
+    return np.concatenate(list(sweep.blocks(config)))

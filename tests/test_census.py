@@ -28,7 +28,6 @@ UNCALLED = {
     "qstate.relative_entropy": "bench/test_oracle.py reads it",
     "qstate.relative_entropies": "`relative_entropy` wraps it for bench/test_oracle.py, and "
                                  "the tests hold the closed forms to it as the eigh reference",
-    "sweep.run_sweep": "the Python API's records; tier-1 holds `blocks` to it",
 }
 
 # Runs fig2, fig3, a config sweep (alpha_deg and r_grid keys), `check` and

@@ -30,6 +30,14 @@ DIGESTS = {
         "check stdout": "7f314eefa030c20da04519cb80d65a603400115fb78c54493c3de6865893ea83",
         "grid csv": "68ec92e924acc73d47ace886f1e13a07cc291cbae78057f5359be66e3e98582c",
     },
+    ("0.11.0", "2.4.6"): {
+        "fig2 csv": "510279b58826692210d9fbd020df0a711d8777706f0da4883ad04fc17de74de3",
+        "fig2 summary": "5839022d34cde314d028f9e218696abd28ce7c203e4c62c89c97d7977a3e4d23",
+        "fig3 csv": "a726517c31c8d27d5f9e02d78155c624acbb2641240cff486538b147c5166ee6",
+        "fig3 summary": "0baa33bdd8f7dce66084697893169a9f34bbf855fd0c1d59ef1d826effb7a2c2",
+        "check stdout": "7f314eefa030c20da04519cb80d65a603400115fb78c54493c3de6865893ea83",
+        "grid csv": "68ec92e924acc73d47ace886f1e13a07cc291cbae78057f5359be66e3e98582c",
+    },
 }
 
 # `check --seed S` stdout, S = 917752063 the program seed that bench/run.py
@@ -38,12 +46,14 @@ DIGESTS = {
 BENCH_CHECK_SEED = int(np.random.SeedSequence(1).generate_state(1)[0] >> 1)
 SEEDED_CHECK_DIGESTS = {
     ("0.10.0", "2.4.6"): "d9febf705cfe8a967ec361424d20dae7e786a3f5106d84eec577d89b91c1ce4c",
+    ("0.11.0", "2.4.6"): "d9febf705cfe8a967ec361424d20dae7e786a3f5106d84eec577d89b91c1ce4c",
 }
 
 # The integrated and the Kraus-mapped state of |+> in each of the benchmark's
 # Lindblad-vs-Kraus cases, as the 24 complex128 2x2 matrices' bytes in that order.
 RK4_DIGESTS = {
     ("0.10.0", "2.4.6"): "8c8da15f5eb8ad1f1c45fa6c6c6fb85b57cb9674f00225c3037d7181bc1f554d",
+    ("0.11.0", "2.4.6"): "8c8da15f5eb8ad1f1c45fa6c6c6fb85b57cb9674f00225c3037d7181bc1f554d",
 }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -15,7 +16,8 @@ import types
 import numpy as np
 import pytest
 from conftest import (NEWCOMBE_TABLE, binomial_pmf, dephased, frequencies, length_z,
-                      nearest_states, population_coverage, projection_bound, random_state)
+                      nearest_states, population_coverage, projection_bound, random_state,
+                      records)
 
 import gadentropy
 from gadentropy import bloch, channel, check, cli, qstate, sweep, tomography
@@ -34,7 +36,6 @@ from gadentropy.sweep import (
     fig2_config,
     fig3_config,
     load_config,
-    run_sweep,
 )
 
 SMALL = dict(shots=500, seed=99, r_grid=(0.0, 0.5, 1.0))
@@ -84,8 +85,8 @@ class TestConfig:
                           p_values=(np.float32(0.75),), output_path=str(tmp_path / "np.csv"))
         plain = SweepConfig(shots=500, seed=99, r_grid=5, p_values=(0.75,))
         assert (cfg.shots, cfg.seed, cfg.r_grid) == (500, 99, plain.r_grid)
-        rows = run_sweep(cfg)
-        assert rows.tobytes() == run_sweep(plain).tobytes()
+        rows = records(cfg)
+        assert rows.tobytes() == records(plain).tobytes()
         emit_csv([rows], cfg.output_path, cfg)  # the sidecar's JSON takes the settings
 
     def test_non_integer_r_grid_count_rejected(self):
@@ -93,8 +94,8 @@ class TestConfig:
             SweepConfig(r_grid=5.0)
 
     def test_array_valued_lists_run_like_tuples(self):
-        rows = run_sweep(fig2_config(**{**SMALL, "p_values": np.array([0.9, 0.75])}))
-        want = run_sweep(fig2_config(**{**SMALL, "p_values": (0.9, 0.75)}))
+        rows = records(fig2_config(**{**SMALL, "p_values": np.array([0.9, 0.75])}))
+        want = records(fig2_config(**{**SMALL, "p_values": (0.9, 0.75)}))
         assert rows.tobytes() == want.tobytes()
 
     def test_degrees_units(self, tmp_path):
@@ -162,7 +163,7 @@ class TestConfig:
         path.write_text(f"p_values = 0.9\nalpha_deg = -0\nr_grid = -0, 1\nshots = 100\n"
                         f"n_bootstrap = 2\nout = {tmp_path / 'zero.csv'}\n")
         cfg = load_config(str(path))
-        emit_csv([run_sweep(cfg)], cfg.output_path, cfg)
+        emit_csv([records(cfg)], cfg.output_path, cfg)
         header, first, _ = (line.split(",") for line in (tmp_path / "zero.csv").read_text()
                             .splitlines())
         assert [first[header.index(name)] for name in ("r", "alpha_deg")] == ["0", "0"]
@@ -187,67 +188,67 @@ class TestConfig:
 
 class TestRunSweep:
     def test_row_count_and_order(self):
-        rows = run_sweep(fig2_config(**SMALL))
+        rows = records(fig2_config(**SMALL))
         assert len(rows) == 9  # 3 p-values x 3 r-values
-        keys = [(r.p, r.alpha_deg, r.r) for r in rows]
+        keys = [(r["p"], r["alpha_deg"], r["r"]) for r in rows]
         assert keys == sorted(keys, key=lambda k: (-k[0], k[1], k[2]))
 
     def test_r_zero_rows_are_zero(self):
-        rows = run_sweep(fig2_config(**SMALL))
+        rows = records(fig2_config(**SMALL))
         for row in rows:
-            if row.r == 0.0:
-                assert row.sigma_total == pytest.approx(0.0, abs=1e-10)
-                assert row.sigma_pop == pytest.approx(0.0, abs=1e-10)
-                assert row.sigma_coh == pytest.approx(0.0, abs=1e-10)
+            if row["r"] == 0.0:
+                assert row["sigma_total"] == pytest.approx(0.0, abs=1e-10)
+                assert row["sigma_pop"] == pytest.approx(0.0, abs=1e-10)
+                assert row["sigma_coh"] == pytest.approx(0.0, abs=1e-10)
 
     def test_fig2_anchor_row(self):
-        rows = run_sweep(fig2_config(**SMALL))
-        anchor = [r for r in rows if r.p == 0.9 and r.r == 1.0][0]
-        assert anchor.sigma_total == pytest.approx(1.203973, abs=1e-6)
-        assert anchor.sigma_pop == pytest.approx(0.510826, abs=1e-6)
-        assert anchor.sigma_coh == pytest.approx(0.693147, abs=1e-6)
+        rows = records(fig2_config(**SMALL))
+        anchor = [r for r in rows if r["p"] == 0.9 and r["r"] == 1.0][0]
+        assert anchor["sigma_total"] == pytest.approx(1.203973, abs=1e-6)
+        assert anchor["sigma_pop"] == pytest.approx(0.510826, abs=1e-6)
+        assert anchor["sigma_coh"] == pytest.approx(0.693147, abs=1e-6)
 
     @pytest.mark.parametrize("make", [fig2_config, fig3_config])
     def test_additivity_of_analytic_columns(self, make):
         # The coherence column is the direct value; the difference of the two
         # experiments' columns (total - pop) must agree with it.
-        rows = run_sweep(make(**SMALL))
+        rows = records(make(**SMALL))
         for row in rows:
-            assert row.sigma_total == pytest.approx(
-                row.sigma_pop + row.sigma_coh, abs=1e-10
+            assert row["sigma_total"] == pytest.approx(
+                row["sigma_pop"] + row["sigma_coh"], abs=1e-10
             )
 
     def test_fig3_population_identical_across_coherences(self):
-        rows = run_sweep(fig3_config(**SMALL))
+        rows = records(fig3_config(**SMALL))
         by_r = {}
         for row in rows:
-            by_r.setdefault(row.r, []).append(row.sigma_pop)
+            by_r.setdefault(row["r"], []).append(row["sigma_pop"])
         for values in by_r.values():
             assert len(values) == 3
             assert max(values) - min(values) < 1e-12
 
     def test_fig3_smaller_coherence_smaller_sigma_coh(self):
-        rows = run_sweep(fig3_config(**SMALL))
+        rows = records(fig3_config(**SMALL))
         at_r1 = sorted(
-            (r for r in rows if r.r == 1.0), key=lambda r: r.coherence_initial
+            (r for r in rows if r["r"] == 1.0), key=lambda r: r["coherence_initial"]
         )
-        values = [r.sigma_coh for r in at_r1]
+        values = [r["sigma_coh"] for r in at_r1]
         assert values == sorted(values)
 
     def test_p1_rows_flagged_indeterminate(self):
         cfg = SweepConfig(
             scenario="custom", p_values=(1.0,), alphas=(0.0,), **SMALL,
         )
-        rows = run_sweep(cfg)
-        assert all(row.indeterminate == 1 for row in rows)
-        assert all(math.isnan(row.sigma_total) for row in rows)
+        rows = records(cfg)
+        assert all(row["indeterminate"] == 1 for row in rows)
+        assert all(math.isnan(row["sigma_total"]) for row in rows)
 
     def test_tomography_close_to_analytic_at_high_shots(self):
         cfg = fig2_config(shots=100_000, seed=5, r_grid=(0.5,))
-        rows = run_sweep(cfg)
+        rows = records(cfg)
         for row in rows:
-            assert abs(row.sigma_total_tomo - row.sigma_total) < 0.02
-            assert abs(row.sigma_pop_tomo - row.sigma_pop) < 0.02
+            assert abs(row["sigma_total_tomo"] - row["sigma_total"]) < 0.02
+            assert abs(row["sigma_pop_tomo"] - row["sigma_pop"]) < 0.02
 
     def test_each_preparation_is_evolved_once(self, monkeypatch):
         # fig2's 63 rows in blocks of 25: per block, the coherent preparation,
@@ -260,7 +261,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(bloch, "gad", spy)
         monkeypatch.setattr(sweep, "BLOCK_ROWS", 25)
-        run_sweep(fig2_config())
+        records(fig2_config())
         assert calls == [25, 25, 25, 25, 13, 13]
 
 
@@ -273,7 +274,7 @@ class TestEmit:
 
     def test_metadata_sidecar(self, tmp_path):
         cfg = fig2_config(**SMALL)
-        rows = run_sweep(cfg)
+        rows = records(cfg)
         out = tmp_path / "fig2.csv"
         emit_csv([rows], str(out), cfg)
         meta = (tmp_path / "fig2.csv.meta.json").read_text()
@@ -325,13 +326,15 @@ class TestEmit:
         for record in rows.tolist():
             want.append(",".join([format(v, ".12g") for v in record[:13]] + [str(record[13])]))
         out = tmp_path / "blocks.csv"
-        emit_csv([rows], str(out), SweepConfig())
+        step = sweep.BLOCK_ROWS
+        emit_csv([rows[start:start + step] for start in range(0, n, step)], str(out),
+                 SweepConfig())
         assert out.read_bytes() == ("\n".join(want) + "\n").encode("utf-8")
 
     def test_seed_beyond_uint64_is_written_exactly(self, tmp_path):
         cfg = fig2_config(**dict(SMALL, seed=2**70))
         out = tmp_path / "big.csv"
-        emit_csv([run_sweep(cfg)], str(out), cfg)
+        emit_csv([records(cfg)], str(out), cfg)
         lines = out.read_text().splitlines()
         assert len(lines) == 10 and len(lines[0].split(",")) == 14
         # The sidecar is the one record of the seed; the rows hold no object column.
@@ -832,32 +835,34 @@ class TestArrayPathMatchesStates:
         # generator default_rng((config.seed, e)); p = 1 rows draw nothing.
         cfg = SweepConfig(p_values=(0.9, 1.0, 0.6),
                           alphas=tuple(map(alpha_for_coherence, (0.8, 0.6, 0.4))), **SMALL)
-        rows = [row for row in run_sweep(cfg) if not row.indeterminate]
+        rows = [row for row in records(cfg) if not row["indeterminate"]]
         assert len(rows) == 18
         experiments = (
-            (1, lambda row: prepare(PrepSetting(math.radians(row.alpha_deg))), False),
+            (1, lambda row: prepare(PrepSetting(math.radians(row["alpha_deg"]))), False),
             (2, lambda row: QubitState(dephased(prepare(PrepSetting(0.0)).matrix)), True),
         )
         got = [[] for _ in rows]
         for e, initial, population in experiments:
             probs = [bloch.born_probabilities(
-                apply(GadChannel(row.p, row.r), initial(row)).bloch_vector()) for row in rows]
+                apply(GadChannel(row["p"], row["r"]), initial(row)).bloch_vector())
+                for row in rows]
             freqs = frequencies(np.array(probs), cfg.shots, (cfg.seed, e))
             for k, row in enumerate(rows):
-                got[k].append(self.per_state(initial(row), row.p, freqs[k], population))
+                got[k].append(self.per_state(initial(row), row["p"], freqs[k], population))
         for row, values in zip(rows, got):
-            assert values == pytest.approx((row.sigma_total_tomo, row.sigma_pop_tomo), abs=1e-12)
+            assert values == pytest.approx((row["sigma_total_tomo"], row["sigma_pop_tomo"]),
+                                           abs=1e-12)
 
     def test_determinate_rows_are_finite_next_to_p_one(self):
         # A row is determinate once 1 - p > ATOL; every projected estimate then
         # has a finite D, even at 3 shots, where many fall outside the ball.
         tomo = [name for name in CSV_COLUMNS if "_tomo" in name]
-        rows = run_sweep(fig3_config(p_values=(1.0 - 2e-12,), shots=3))
-        assert len(tomo) == 6 and len(rows) == 63 and not rows.indeterminate.any()
+        rows = records(fig3_config(p_values=(1.0 - 2e-12,), shots=3))
+        assert len(tomo) == 6 and len(rows) == 63 and not rows["indeterminate"].any()
         assert all(np.isfinite(rows[name]).all() for name in tomo)
-        assert rows.projected.sum() > 0
-        rows = run_sweep(fig3_config(p_values=(1.0 - 1e-12,), shots=3))
-        assert rows.indeterminate.all() and rows.projected.sum() == 0
+        assert rows["projected"].sum() > 0
+        rows = records(fig3_config(p_values=(1.0 - 1e-12,), shots=3))
+        assert rows["indeterminate"].all() and rows["projected"].sum() == 0
 
     @pytest.mark.parametrize("config", [
         fig2_config(), fig3_config(),
@@ -866,8 +871,8 @@ class TestArrayPathMatchesStates:
                     r_grid=101),
         fig3_config(p_values=(1.0 - 2e-12,), shots=3)], ids=["fig2", "fig3", "grid", "3-shots"])
     def test_every_determinate_interval_holds_its_point(self, config):
-        rows = run_sweep(config)
-        det = rows.indeterminate == 0
+        rows = records(config)
+        det = rows["indeterminate"] == 0
         assert det.any()
         for part in ("total", "pop", "coh"):
             point, lo, hi = (rows[f"sigma_{part}_tomo{end}"][det] for end in ("", "_lo", "_hi"))
@@ -880,12 +885,12 @@ class TestArrayPathMatchesStates:
         # coherence stderr the hypot of the other two; indeterminate rows hold NaN.
         cfg = SweepConfig(p_values=(0.9, 1.0, 0.6),
                           alphas=tuple(map(alpha_for_coherence, (0.8, 0.6, 0.4))), **SMALL)
-        rows = run_sweep(cfg)
+        rows = records(cfg)
         z = tomography.Z95
         for row in rows:
-            ends = [(getattr(row, f"sigma_{part}_tomo"), getattr(row, f"sigma_{part}_tomo_lo"),
-                     getattr(row, f"sigma_{part}_tomo_hi")) for part in ("total", "pop", "coh")]
-            if row.indeterminate:
+            ends = [(row[f"sigma_{part}_tomo"], row[f"sigma_{part}_tomo_lo"],
+                     row[f"sigma_{part}_tomo_hi"]) for part in ("total", "pop", "coh")]
+            if row["indeterminate"]:
                 assert all(math.isnan(v) for triple in ends for v in triple)
                 continue
             (a, a_lo, a_hi), (b, b_lo, b_hi), coherence = ends
@@ -893,8 +898,8 @@ class TestArrayPathMatchesStates:
                     a - b + math.sqrt((a_hi - a) ** 2 + (b - b_lo) ** 2))
             assert coherence == pytest.approx(want, abs=1e-12)
             errors = (a_hi - a_lo) / (2 * z), (b_hi - b_lo) / (2 * z)
-            assert (row.sigma_total_tomo_stderr, row.sigma_pop_tomo_stderr,
-                    row.sigma_coh_tomo_stderr) == pytest.approx(
+            assert (row["sigma_total_tomo_stderr"], row["sigma_pop_tomo_stderr"],
+                    row["sigma_coh_tomo_stderr"]) == pytest.approx(
                 (*errors, math.hypot(*errors)), abs=1e-12)
 
     def test_projections_are_counted(self):
@@ -919,17 +924,17 @@ class TestStreams:
         # 3 p x 2 coherences x 17 r = 102 rows, rows 34-67 at p = 1, built in blocks
         # of `block_rows` rows: at 8 a block starts and one ends inside the run of
         # indeterminate rows, at 100 the last block is short.  Every record is the
-        # same, byte for byte, as when one block holds the whole grid, whether
-        # `run_sweep` fills it in place or `blocks` yields it in a block of its own.
+        # same, byte for byte, as when one block holds the whole grid.
         config = SweepConfig(p_values=(0.9, 1.0, 0.6), alphas=tuple(map(
             alpha_for_coherence, (1.0, 0.5))), r_grid=17, shots=300, seed=7)
         monkeypatch.setattr(sweep, "BLOCK_ROWS", 2**20)
-        want = run_sweep(config)
+        whole = list(sweep.blocks(config))
         monkeypatch.setattr(sweep, "BLOCK_ROWS", block_rows)
-        got = run_sweep(config)
         streamed = list(sweep.blocks(config))
-        assert want.indeterminate[34:68].all() and want.indeterminate.sum() == 34
-        assert got.tobytes() == want.tobytes() == np.concatenate(streamed).tobytes()
+        assert len(whole) == 1 and len(whole[0]) == 102
+        want = whole[0]
+        assert want["indeterminate"][34:68].all() and want["indeterminate"].sum() == 34
+        assert np.concatenate(streamed).tobytes() == want.tobytes()
         assert [len(block) for block in streamed[:-1]] == [block_rows] * (len(streamed) - 1)
 
     def test_stream_is_the_documented_order_of_binomial_draws(self, monkeypatch):
@@ -970,35 +975,9 @@ class TestStreams:
             return invert(freqs)
 
         monkeypatch.setattr(bloch, "invert", spy)
-        run_sweep(SweepConfig(p_values=(0.9,), r_grid=3 * sweep.BLOCK_ROWS + 5, shots=100))
+        config = SweepConfig(p_values=(0.9,), r_grid=3 * sweep.BLOCK_ROWS + 5, shots=100)
+        assert sum(1 for _ in sweep.blocks(config)) == 4
         assert len(runs) == 2 * 4 and max(runs) == sweep.BLOCK_ROWS and min(runs) == 5
-
-    # The bound on the traced peak per row, per numpy version, whose allocations set
-    # it; under an unrecorded version the test skips without measuring.
-    PEAK_BYTES_PER_ROW = {"2.4.6": 257}
-
-    def test_grid_sweep_peak_memory_per_row(self):
-        # The second run in the process of a grid-shaped sweep, 11 p x 5 coherences x
-        # 500 r = 27,500 rows, under tracemalloc.  It read 241.8 B/row, and the bound
-        # leaves 6% over that; the records alone take 168.  Building whole-grid arrays
-        # before the records, not `sweep.BLOCK_ROWS` rows at a time, read 321.1.
-        bound = self.PEAK_BYTES_PER_ROW.get(np.__version__)
-        if bound is None:
-            pytest.skip(f"did not measure: no bound recorded for numpy {np.__version__}")
-        config = SweepConfig(p_values=BENCH_P_VALUES,
-                             alphas=tuple(map(alpha_for_coherence, BENCH_COHERENCES)), r_grid=500)
-        run_sweep(config)
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        tracemalloc.reset_peak()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            run_sweep(config)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak / 27_500 <= bound, f"{peak / 27_500:.1f} B/row"
 
     def test_streamed_csv_peak_does_not_grow_with_the_grid(self, tmp_path):
         # `emit_csv` over `blocks` holds one block of records at a time: under
@@ -1060,8 +1039,8 @@ class TestErrorBarCoverage:
 
     @classmethod
     def coverage(cls, p, c, r, shots):
-        rows = run_sweep(SweepConfig(p_values=(p,) * cls.TRIALS, alphas=(alpha_for_coherence(c),),
-                                     r_grid=(r,), shots=shots, seed=2024))
+        rows = records(SweepConfig(p_values=(p,) * cls.TRIALS, alphas=(alpha_for_coherence(c),),
+                                   r_grid=(r,), shots=shots, seed=2024))
         want = entropy_budget(QubitState.from_bloch(c, 0.0, 0.0), GadChannel(p, r))
         return tuple(
             np.mean((rows[f"sigma_{name}_tomo_lo"] - 1e-12 <= value)
@@ -1305,7 +1284,7 @@ class TestFailFast:
 class TestAtomicOutput:
     def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
         cfg = fig2_config(**SMALL)
-        rows = run_sweep(cfg)
+        rows = records(cfg)
         out = tmp_path / "fig2.csv"
         out.write_text("old\n")
 
@@ -1376,14 +1355,43 @@ class TestAtomicOutput:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fig2.csv", "fig2.csv.meta.json"]
         assert "wrote" not in capsys.readouterr().out
 
+    def test_sidecar_names_the_csv_it_describes(self, tmp_path, monkeypatch):
+        # The sidecar records the byte count and sha256 of the CSV written beside it,
+        # hashed as the CSV streams: fig2 at 2 r points is the header and two blocks.
+        out, sidecar = tmp_path / "fig2.csv", tmp_path / "fig2.csv.meta.json"
+        monkeypatch.setattr(sweep, "BLOCK_ROWS", 4)
+
+        def names_the_csv():
+            data = out.read_bytes()
+            return json.loads(sidecar.read_text())["csv"] == {
+                "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+
+        cfg = fig2_config(shots=100, r_grid=2)
+        emit_csv(sweep.blocks(cfg), str(out), cfg)
+        assert out.read_bytes().count(b"\n") == 1 + 6 and names_the_csv()
+        # A failure between the two renames leaves the new CSV beside the old sidecar,
+        # which then no longer names it.
+        replace = os.replace
+
+        def csv_only(src, dst):
+            if dst.endswith(".meta.json"):
+                raise OSError("rename failed")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", csv_only)
+        cfg = fig2_config(shots=100, r_grid=2, seed=1)
+        with pytest.raises(OSError, match="rename failed"):
+            emit_csv(sweep.blocks(cfg), str(out), cfg)
+        assert not names_the_csv()
+
     def test_counters_in_sidecar_and_summary(self, tmp_path):
         cfg = SweepConfig(p_values=(0.9, 1.0), **dict(SMALL, shots=20))
-        rows = run_sweep(cfg)
+        rows = records(cfg)
         out = tmp_path / "run.csv"
         counts = emit_csv(sweep.blocks(cfg), str(out), cfg)
         counters = json.loads((tmp_path / "run.csv.meta.json").read_text())["counters"]
         assert counters["indeterminate_rows"] == 3
-        assert counters["projected_observed_runs"] == sum(r.projected for r in rows) > 0
+        assert counters["projected_observed_runs"] == sum(r["projected"] for r in rows) > 0
         assert list(counters) == ["indeterminate_rows", "projected_observed_runs",
                                   "covered_total", "covered_pop", "covered_coh"]
         assert counts == {"rows": 6, **counters, "max_additivity_gap": counts["max_additivity_gap"]}
@@ -1399,10 +1407,10 @@ class TestAtomicOutput:
                     r_grid=101)], ids=["fig2", "fig3", "grid"])
     def test_counters_are_direct_counts_over_the_records(self, tmp_path, config):
         # The tally of the streamed blocks against a count, row by row, over
-        # `run_sweep`'s records; the grid is the pinned 5555-row one, with 505 p = 1 rows.
+        # the joined records; the grid is the pinned 5555-row one, with 505 p = 1 rows.
         counts = emit_csv(sweep.blocks(config), str(tmp_path / "run.csv"), config)
         counters = json.loads((tmp_path / "run.csv.meta.json").read_text())["counters"]
-        rows = run_sweep(config).tolist()
+        rows = records(config).tolist()
         names = SWEEP_DTYPE.names
         want = {"rows": len(rows), "indeterminate_rows": 0, "projected_observed_runs": 0,
                 "covered_total": 0, "covered_pop": 0, "covered_coh": 0,
