@@ -27,7 +27,7 @@ DEFAULT_R_POINTS = 21
 # Most grid rows a sweep may hold, refused before compute, so an `r_points` count
 # past it never builds its grid; each experiment draws one run per row.  It bounds run
 # time: at the bound the CLI sweep of a grid-shaped config (1,398,100 rows) takes about
-# 7 s, and peaks at 44 MB RSS, as it streams `blocks`.
+# 7 s, and peaks at 42 MB RSS, as it streams `blocks` and writes 256 CSV lines at a time.
 MAX_RUNS = 2**22 // 3
 
 FIG2_P_VALUES = (0.9, 0.75, 0.6)
@@ -233,8 +233,13 @@ _CSV_LINE = ",".join("%s" if name in _AXIS_COLUMNS else
                      "%.12g" if SWEEP_DTYPE[name] == float else "%d"
                      for name in CSV_COLUMNS) + "\n"
 # Rows that `blocks` lays out, evolves, draws and scores at a time, and that the CSV
-# turns into text at a time; the temporaries of both stay within one block.
+# tallies and formats the grid values of at a time (`_csv_lines`); the temporaries of
+# both stay within one block.
 BLOCK_ROWS = 2**12
+# Rows of a chunk that the CSV formats, encodes and hashes at a time: a block's text, held
+# as its lines, their join and its bytes at once, read 3 MB under tracemalloc, and a
+# slice's CSV is about 44 kB.
+_SLICE_ROWS = 2**8
 _COUNTERS = ("indeterminate_rows", "projected_observed_runs", *(
     f"covered_{part}" for part in ("total", "pop", "coh")))
 
@@ -346,18 +351,28 @@ def _axis_text(block: np.ndarray) -> list:
 
 
 def _csv_lines(blocks, counts: dict, written: dict):
-    """UTF-8 bytes: the header, then each array of `blocks` formatted as one block (`_axis_text`),
-    tallying `counts` and `written` (byte count, sha256); no record raises IOError."""
+    """UTF-8 bytes: the header, then the rows of each array of `blocks` in chunks of
+    `BLOCK_ROWS`, however long the array.  Each chunk is tallied into `counts` and formats
+    its grid values once (`_axis_text`); its lines are then formatted, encoded and hashed
+    `_SLICE_ROWS` at a time, tallying `written` (byte count, sha256).  No record raises
+    IOError."""
     def hashed(text: str) -> bytes:
         data = text.encode("utf-8")
         written["bytes"] += len(data)
         written["sha256"].update(data)
         return data
     yield hashed(",".join(CSV_COLUMNS) + "\n")
-    for rows in blocks:
-        _tally(counts, rows)
-        yield hashed("".join(map(_CSV_LINE.__mod__, zip(
-            *_axis_text(rows), *(rows[name].tolist() for name in _VALUE_COLUMNS)))))
+    for array in blocks:
+        for start in range(0, len(array), BLOCK_ROWS):
+            rows = array[start:start + BLOCK_ROWS]
+            _tally(counts, rows)
+            axes = _axis_text(rows)
+            for at in range(0, len(rows), _SLICE_ROWS):
+                part = slice(at, at + _SLICE_ROWS)
+                yield hashed("".join(map(_CSV_LINE.__mod__, zip(
+                    *(column[part] for column in axes),
+                    *(rows[name][part].tolist() for name in _VALUE_COLUMNS)))))
+            del axes  # so two chunks' grid text is never held at once
     if not counts["rows"]:
         raise IOError("refusing to write an empty sweep")
 
@@ -392,12 +407,14 @@ def emit_csv(blocks, path: str, config: SweepConfig) -> dict:
     `blocks(config)`, as UTF-8 CSV with a fixed column order, then its JSON sidecar
     <path>.meta.json; return their tally (`_tally`).
 
-    Each array is written and tallied as it comes, as one block that formats its distinct
-    grid values (p, r, alpha_deg, coherence_initial) once.  Floats carry 12 significant
-    digits, so same-seed reruns on the same versions are byte-identical.  The sidecar is
-    the run manifest: versions, configuration (the one record of the seed), RNG streams,
-    error-bar procedure, the counters (indeterminate rows, runs projected into the Bloch
-    ball, intervals holding the analytic value) and the CSV's byte count and sha256.
+    Each array is written and tallied as it comes, in chunks of `BLOCK_ROWS` rows that each
+    format their distinct grid values (p, r, alpha_deg, coherence_initial) once and are
+    written `_SLICE_ROWS` lines at a time, so an array of any length adds at most one
+    chunk's temporaries and one slice's text to what the caller holds.  Floats carry 12
+    significant digits, so same-seed reruns on the same versions are byte-identical.  The
+    sidecar is the run manifest: versions, configuration (the one record of the seed), RNG
+    streams, error-bar procedure, the counters (indeterminate rows, runs projected into the
+    Bloch ball, intervals holding the analytic value) and the CSV's byte count and sha256.
     Both files are written in full before either replaces its old one (`_write_atomic`),
     so a failure while writing keeps the old pair.  A failure between the two renames can
     still leave the new CSV beside the old sidecar, whose CSV digest then tells them apart.
